@@ -174,20 +174,26 @@ class Node:
         self.ue_sinr_db = {}    # latest reported downlink SINR
         self.load = LoadTracker(load_window_ttis, self.n_res)
         self._rr = {ROLE_MN: 0, ROLE_SN: 0}
+        self._n_secondary = 0   # UEs in `roles` with ROLE_SN
 
     def add_ue(self, ue_id, role, mcs):
         self.queues[ue_id] = UeTxQueue()
+        if self.roles.get(ue_id) == ROLE_SN:
+            self._n_secondary -= 1
+        if role == ROLE_SN:
+            self._n_secondary += 1
         self.roles[ue_id] = role
         self.ue_mcs[ue_id] = mcs
 
     def remove_ue(self, ue_id):
         self.queues.pop(ue_id, None)
-        self.roles.pop(ue_id, None)
+        if self.roles.pop(ue_id, None) == ROLE_SN:
+            self._n_secondary -= 1
         self.ue_mcs.pop(ue_id, None)
         self.ue_sinr_db.pop(ue_id, None)
 
     def secondary_count(self):
-        return sum(1 for r in self.roles.values() if r == ROLE_SN)
+        return self._n_secondary
 
     def secondary_ues(self):
         return sorted(u for u, r in self.roles.items() if r == ROLE_SN)
@@ -214,6 +220,12 @@ def _equal_share(order, needs, total):
     rotate `order` across TTIs so the remainder circulates and any two
     backlogged UEs stay within one RE of each other over a 10 TTI window.
     """
+    if order:
+        # Common round: every need exceeds the first equal share, so the
+        # water-filling below would end after one round with this result.
+        share, extra = divmod(total, len(order))
+        if min(needs[u] for u in order) > share:
+            return {ue: share + (i < extra) for i, ue in enumerate(order)}
     alloc = dict.fromkeys(order, 0)
     active = [u for u in order if needs[u] > 0]
     remaining = total
@@ -241,42 +253,48 @@ def schedule_tti(node, t_ns):
     role class, backlogged UEs split the remaining REs equally with the
     remainder rotating. Returns [(ue_id, n_res, mcs, completed_pdus)] and
     records this TTI in the node's load tracker.
+
+    One pass over the roles finds the backlogged UEs of both classes: a UE
+    has exactly one role at a node, so serving the anchor class never
+    changes a secondary-class queue.
     """
+    queues = node.queues
+    ue_mcs = node.ue_mcs
+    eff = node.mcs_table.efficiencies
+    hungry = {ROLE_MN: [], ROLE_SN: []}
+    needs = {}
+    for ue_id, role in node.roles.items():
+        mcs = ue_mcs.get(ue_id)
+        if mcs is None:
+            continue
+        bits = queues[ue_id].remaining_bits()
+        if bits <= 0:
+            continue
+        hungry[role].append(ue_id)
+        needs[ue_id] = math.ceil(bits / eff[mcs])
+
     remaining = node.n_res
     out = []
     granted = {ROLE_MN: 0, ROLE_SN: 0}
     for role in (ROLE_MN, ROLE_SN):
         if remaining <= 0:
             break
-        hungry = []
-        needs = {}
-        for ue_id, r in node.roles.items():
-            if r != role:
-                continue
-            mcs = node.ue_mcs.get(ue_id)
-            if mcs is None:
-                continue
-            q = node.queues[ue_id]
-            bits = q.remaining_bits()
-            if bits <= 0:
-                continue
-            hungry.append(ue_id)
-            needs[ue_id] = math.ceil(bits / node.mcs_table.efficiency(mcs))
-        if not hungry:
+        ues = hungry[role]
+        if not ues:
             continue
-        cur = node._rr[role] % len(hungry)
+        cur = node._rr[role] % len(ues)
         node._rr[role] += 1
-        order = hungry[cur:] + hungry[:cur]
+        order = ues[cur:] + ues[:cur]
         alloc = _equal_share(order, needs, remaining)
-        for ue_id in hungry:
+        for ue_id in ues:
             n_res = alloc[ue_id]
             if n_res <= 0:
                 continue
             remaining -= n_res
             granted[role] += n_res
-            mcs = node.ue_mcs[ue_id]
-            tb_bits = transport_block_bits(node.mcs_table.efficiency(mcs), n_res)
-            done = node.queues[ue_id].take(tb_bits)
+            mcs = ue_mcs[ue_id]
+            tb_bits = transport_block_bits(eff[mcs], n_res)
+            done = queues[ue_id].take(tb_bits)
             out.append((ue_id, n_res, mcs, done))
     node.load.record(granted[ROLE_MN] + granted[ROLE_SN], granted[ROLE_MN])
     return out
@@ -398,8 +416,7 @@ class CbrFlow:
     at `start_ns`.
     """
 
-    def __init__(self, ue_id, packet_bytes, rate_bps, start_ns=0):
-        self.ue_id = ue_id
+    def __init__(self, packet_bytes, rate_bps, start_ns=0):
         self.packet_bits = packet_bytes * 8
         self.interval_ns = round(self.packet_bits / rate_bps * 1_000_000_000)
         self.start_ns = start_ns

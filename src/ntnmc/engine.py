@@ -2,6 +2,12 @@
 
 All simulation time is kept in integer nanoseconds so periodic schedules
 (1 ms TTIs, 3.75 ms packet arrivals, 10/25/100/120 ms timers) never drift.
+
+Ordering rule: events fire in (time, sequence number) order, where the
+sequence number counts `schedule_at` calls. Events for the same instant
+therefore fire in the order they were scheduled, whatever the handlers and
+their arguments are. The queue holds `(time, seq, event)` tuples, so the
+heap compares two ints and never reaches the event itself.
 """
 
 import hashlib
@@ -26,21 +32,17 @@ class SchedulingError(Exception):
 
 
 class Event:
-    __slots__ = ("time", "seq", "fn", "args", "cancelled")
+    """Handle of one scheduled call; `cancel` keeps it from firing."""
 
-    def __init__(self, time, seq, fn, args):
-        self.time = time
-        self.seq = seq
+    __slots__ = ("fn", "args", "cancelled")
+
+    def __init__(self, fn, args):
         self.fn = fn
         self.args = args
         self.cancelled = False
 
     def cancel(self):
         self.cancelled = True
-
-    def __lt__(self, other):
-        # Ties broken by insertion order so dispatch is reproducible.
-        return (self.time, self.seq) < (other.time, other.seq)
 
 
 class Simulator:
@@ -59,9 +61,9 @@ class Simulator:
         if t < self.now:
             raise SchedulingError(
                 f"cannot schedule at {t} ns; clock already at {self.now} ns")
-        ev = Event(t, self._seq, fn, args)
+        ev = Event(fn, args)
+        heapq.heappush(self._queue, (t, self._seq, ev))
         self._seq += 1
-        heapq.heappush(self._queue, ev)
         return ev
 
     def schedule_in(self, delay, fn, *args):
@@ -74,16 +76,17 @@ class Simulator:
             raise SchedulingError(
                 f"run_until({t_end}) is before current time {self.now}")
         q = self._queue
-        while q and q[0].time <= t_end:
-            ev = heapq.heappop(q)
+        pop = heapq.heappop
+        while q and q[0][0] <= t_end:
+            t, _seq, ev = pop(q)
             if ev.cancelled:
                 continue
-            self.now = ev.time
+            self.now = t
             ev.fn(*ev.args)
         self.now = t_end
 
     def pending(self):
-        return sum(1 for ev in self._queue if not ev.cancelled)
+        return sum(1 for _t, _seq, ev in self._queue if not ev.cancelled)
 
 
 def _derive_seed(campaign_seed, run_index, name):

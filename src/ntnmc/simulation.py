@@ -13,6 +13,18 @@ same admission without preemption, so it never releases. The RSRP policy is
 plain coverage-triggered addition: the candidate accepts every first request
 for a UE, which is what lets it reach the whole eligible population within a
 short run. OFF disables evaluation and data requests entirely.
+
+Event design: one event per periodic instant. Every UE runs the same CBR
+flow (start 0, one interval), so a single arrival event ingests one packet
+for every UE, in `self.ues` order; a single TTI event per millisecond runs
+the scheduler at every node, in `self.nodes` order. Events of one instant
+fire in the order they were scheduled (see `engine`): at t = 0 the
+data-request cycle is scheduled after the TTIs and fires after them, while
+at every later multiple of 25 ms it was scheduled 25 ms earlier and fires
+before them. With a terrestrial latency of exactly one TTI, the deliveries
+launched in a TTI fire before the next TTI event, at the same instant; the
+two commute, because a delivery touches only the UE's receiver and a TTI
+only the nodes' queues.
 """
 
 from dataclasses import dataclass, field
@@ -168,16 +180,16 @@ class Scenario:
     # ---- traffic ------------------------------------------------------
 
     def _schedule_traffic(self):
-        cfg = self.cfg
-        for ue in self.ues.values():
-            flow = CbrFlow(ue.ue_id, cfg.packet_bytes, cfg.cbr_rate_bps)
-            self.sim.schedule_at(flow.start_ns, self._on_arrival, ue, flow)
+        flow = CbrFlow(self.cfg.packet_bytes, self.cfg.cbr_rate_bps)
+        self.sim.schedule_at(flow.start_ns, self._on_arrival, flow)
 
-    def _on_arrival(self, ue, flow):
+    def _on_arrival(self, flow):
         t = self.sim.now
-        self._ingest_app_packet(ue, flow.packet_bits, t)
+        bits = flow.packet_bits
+        for ue in self.ues.values():
+            self._ingest_app_packet(ue, bits, t)
         if t + flow.interval_ns <= self.end_ns:
-            self.sim.schedule_in(flow.interval_ns, self._on_arrival, ue, flow)
+            self.sim.schedule_in(flow.interval_ns, self._on_arrival, flow)
 
     def _ingest_app_packet(self, ue, bits, t_ns):
         """Admit one app packet at the anchor: free granted backlog first,
@@ -202,16 +214,16 @@ class Scenario:
     # ---- air interface ------------------------------------------------
 
     def _schedule_ttis(self):
-        for node in self.nodes.values():
-            self.sim.schedule_at(0, self._on_tti, node)
+        self.sim.schedule_at(0, self._on_tti)
 
-    def _on_tti(self, node):
+    def _on_tti(self):
         t = self.sim.now
-        for ue_id, _res, _mcs, done in schedule_tti(node, t):
-            if done:
-                self._launch_tb(node, ue_id, done, t)
+        for node in self.nodes.values():
+            for ue_id, _res, _mcs, done in schedule_tti(node, t):
+                if done:
+                    self._launch_tb(node, ue_id, done, t)
         if t + TTI_NS <= self.end_ns:
-            self.sim.schedule_in(TTI_NS, self._on_tti, node)
+            self.sim.schedule_in(TTI_NS, self._on_tti)
 
     def _launch_tb(self, node, ue_id, pdus, t_ns):
         ue = self.ues[ue_id]

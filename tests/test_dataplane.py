@@ -225,7 +225,27 @@ def test_flush_counts_every_gap():
     assert rx.buffered_bits == 0
 
 
+def test_secondary_count_follows_adds_and_removes():
+    node = _node("ntn")
+    node.add_ue(1, ROLE_SN, 10)
+    node.add_ue(2, ROLE_SN, 10)
+    node.add_ue(3, ROLE_MN, 10)
+    assert node.secondary_count() == 2
+    node.remove_ue(1)
+    assert node.secondary_count() == 1
+    node.add_ue(1, ROLE_SN, 12)
+    assert node.secondary_count() == 2
+    node.remove_ue(99)
+    node.remove_ue(3)
+    assert node.secondary_count() == 2
+    node.add_ue(2, ROLE_MN, 10)
+    node.add_ue(3, ROLE_SN, 10)
+    node.add_ue(3, ROLE_SN, 10)
+    assert node.secondary_count() == 2
+    assert node.secondary_count() == len(node.secondary_ues())
+
+
 def test_cbr_flow_packetization():
-    flow = CbrFlow(1, 1500, 3.2e6)
+    flow = CbrFlow(1500, 3.2e6)
     assert flow.packet_bits == 12000
     assert flow.interval_ns == 3_750_000

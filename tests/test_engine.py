@@ -12,13 +12,20 @@ def test_time_helpers_round_to_integer_ns():
 
 
 def test_events_fire_in_time_then_insertion_order():
+    # Neither the handlers nor `object()` support `<`, so a queue that fell
+    # back to comparing what it schedules would raise TypeError on a tie.
     sim = Simulator()
     fired = []
-    sim.schedule_at(10, fired.append, "a")
-    sim.schedule_at(5, fired.append, "b")
-    sim.schedule_at(10, fired.append, "c")
+
+    def record(tag, _unorderable):
+        fired.append(tag)
+
+    sim.schedule_at(10, record, "a", object())
+    sim.schedule_at(5, record, "b", object())
+    sim.schedule_at(10, record, "c", object())
+    sim.schedule_at(10, lambda tag, _u: fired.append(tag), "d", object())
     sim.run_until(20)
-    assert fired == ["b", "a", "c"]
+    assert fired == ["b", "a", "c", "d"]
 
 
 def test_scheduling_in_the_past_raises():
@@ -39,9 +46,13 @@ def test_cancelled_events_do_not_fire():
     sim = Simulator()
     fired = []
     ev = sim.schedule_at(10, fired.append, "x")
+    sim.schedule_at(10, fired.append, "y")
+    assert sim.pending() == 2
     ev.cancel()
+    assert sim.pending() == 1
     sim.run_until(20)
-    assert fired == []
+    assert fired == ["y"]
+    assert sim.pending() == 0
 
 
 def test_handler_can_schedule_at_current_time():

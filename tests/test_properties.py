@@ -89,13 +89,54 @@ def test_bound_ue_never_gets_a_second_ack(reqs):
             ctrl.bindings[ue] = SecondaryBinding(ue, "tn0", mcs, t)
 
 
-@settings(deadline=None, max_examples=200)
-@given(st.lists(st.integers(0, 20_000), min_size=1, max_size=12),
-       st.integers(0, 30_000))
-def test_equal_share_is_feasible_and_fair(needs_list, total):
+def water_filling(order, needs, total):
+    """Reference for `_equal_share`: repeated equal rounds over the UEs whose
+    need is not met yet, the remainder of each round to the earliest."""
+    alloc = dict.fromkeys(order, 0)
+    active = [u for u in order if needs[u] > 0]
+    remaining = total
+    while remaining > 0 and active:
+        share, extra = divmod(remaining, len(active))
+        if share == 0 and extra == 0:
+            break
+        still = []
+        for i, ue in enumerate(active):
+            give = min(needs[ue] - alloc[ue], share + (1 if i < extra else 0))
+            alloc[ue] += give
+            remaining -= give
+            if alloc[ue] < needs[ue]:
+                still.append(ue)
+        if len(still) == len(active):
+            break
+        active = still
+    return alloc
+
+
+@st.composite
+def share_inputs(draw):
+    """(needs, total) with needs drawn freely or right at the first equal
+    share of `total`, where the single-round result and water-filling
+    could part."""
+    n = draw(st.integers(1, 12))
+    total = draw(st.integers(0, 30_000))
+    share = total // n
+    near = st.sampled_from([max(0, share - 1), share, share + 1])
+    needs = draw(st.lists(st.one_of(st.integers(0, 20_000), near),
+                          min_size=n, max_size=n))
+    return needs, total
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(st.tuples(st.lists(st.integers(0, 20_000), min_size=1,
+                                    max_size=12),
+                           st.integers(0, 30_000)),
+                 share_inputs()))
+def test_equal_share_is_feasible_and_fair(case):
+    needs_list, total = case
     order = list(range(len(needs_list)))
     needs = dict(enumerate(needs_list))
     alloc = _equal_share(order, needs, total)
+    assert alloc == water_filling(order, needs, total)
     assert set(alloc) == set(order)
     assert all(0 <= alloc[u] <= needs[u] for u in order)
     assert sum(alloc.values()) <= total

@@ -1,6 +1,7 @@
 import dataclasses
 
 from ntnmc.config import load_config
+from ntnmc.engine import millis
 from ntnmc.simulation import NTN_CELL_ID, Scenario, run_single
 
 
@@ -71,3 +72,29 @@ def test_events_are_time_ordered_and_well_formed():
         assert ue in r.ue_ids
         assert mn in range(9)
         assert sn == NTN_CELL_ID
+
+
+def test_periodic_events_keep_their_same_instant_order(monkeypatch):
+    # The data-request cycle is scheduled after the TTIs at t = 0, and 25 ms
+    # ahead of the TTIs at every later multiple of 25 ms; CBR arrivals are
+    # scheduled 3.75 ms ahead, so at t = 15 ms they precede the TTI.
+    log = []
+    for name, kind in (("_on_tti", "tti"), ("_on_arrival", "arrival"),
+                       ("_on_data_request_cycle", "request")):
+        def recorded(self, *args, _orig=getattr(Scenario, name), _kind=kind):
+            log.append((self.sim.now, _kind))
+            return _orig(self, *args)
+        monkeypatch.setattr(Scenario, name, recorded)
+    cfg = dataclasses.replace(_tiny("rsrp"), sim_duration_s=0.03,
+                              warmup_s=0.01)
+    Scenario(cfg, 1).run_to_end()
+
+    def kinds_at(ms):
+        return [kind for t, kind in log if t == millis(ms)]
+
+    assert kinds_at(0) == ["arrival", "tti", "request"]
+    assert kinds_at(15) == ["arrival", "tti"]
+    assert kinds_at(25) == ["request", "tti"]
+    assert kinds_at(30) == ["arrival", "tti"]
+    assert [t for t, kind in log if kind == "tti"] == [
+        millis(ms) for ms in range(31)]
