@@ -2,9 +2,12 @@
 
 Every artifact that `run_campaign` + `emit_results` write for all four
 settings at seeds 1..2 (1 s simulated) is pinned by SHA-256, and so is the
-per-run result of a variant whose terrestrial latency is exactly one TTI, so
-that every terrestrial delivery lands on the same instant as the next TTI
-(2 s simulated, long enough for `mcs` to preempt and release).
+per-run result of two 2 s variants, long enough for `mcs` to preempt and
+release: one whose terrestrial latency is exactly one TTI, so that every
+terrestrial delivery lands on the same instant as the next TTI, and one whose
+control latency is 10 ms, so that the three reconfiguration messages land on
+three distinct instants and the order of reconfiguration against the other
+events is pinned.
 A change made only for speed or structure must leave every digest here
 unchanged; a change that alters behaviour on purpose updates them and says
 which behaviour changed.
@@ -23,8 +26,9 @@ SEEDS = [1, 2]
 # 1/5 of the default run, with the anchor queue cap scaled by the same
 # factor so that queues fill (and `bo` adds, and packets drop) in time.
 SMALL = dict(sim_duration_s=1.0, warmup_s=0.5, ue_queue_bytes=280_000)
-ONE_TTI_TN_LATENCY = dict(sim_duration_s=2.0, warmup_s=1.0,
-                          ue_queue_bytes=560_000, tn_latency_ms=1.0)
+TWO_SECONDS = dict(sim_duration_s=2.0, warmup_s=1.0, ue_queue_bytes=560_000)
+ONE_TTI_TN_LATENCY = dict(TWO_SECONDS, tn_latency_ms=1.0)
+TEN_MS_CTRL_LATENCY = dict(TWO_SECONDS, ctrl_latency_ms=10.0)
 
 ARTIFACT_SHA256 = {
     "cdf_bo.csv":
@@ -64,6 +68,13 @@ TN_LATENCY_ONE_TTI_SHA256 = {
     "off": "afd2e79446efa82f4b1f4325f0d19785c945e55f496e530aa649c3982ffdee04",
 }
 
+CTRL_LATENCY_TEN_MS_SHA256 = {
+    "mcs": "10b0a438a81a16345a94cffde0cd17c67a2ec7a19e135cec50f152c7d41fe40b",
+    "rsrp": "5feddada55b2b6246787775baf33745d536e2574cd0942e62044a179059a78a5",
+    "bo": "fc22f0095865294013bb93d33840a11fe53e62f1090d02cd8a05bca6688299b0",
+    "off": "a69ac8bb273fd3dbd4ceb274f8db3a99a600d2b2492d0832db5c47f974bd8ff2",
+}
+
 
 def _sha256(data):
     return hashlib.sha256(data).hexdigest()
@@ -86,9 +97,16 @@ def test_campaign_artifacts_match_golden_digests(tmp_path):
     assert got == ARTIFACT_SHA256
 
 
+def _variant_digests(overrides):
+    cfg = load_config(None, environ={}, **overrides)
+    return {p: result_digest(run_single(dataclasses.replace(cfg, policy=p), 1))
+            for p in SETTINGS}
+
+
 def test_tn_latency_of_one_tti_matches_golden_digests():
-    cfg = load_config(None, environ={}, **ONE_TTI_TN_LATENCY)
-    got = {p: result_digest(run_single(dataclasses.replace(cfg, policy=p), 1))
-           for p in SETTINGS}
-    assert got == TN_LATENCY_ONE_TTI_SHA256
+    assert _variant_digests(ONE_TTI_TN_LATENCY) == TN_LATENCY_ONE_TTI_SHA256
+
+
+def test_ctrl_latency_of_ten_ms_matches_golden_digests():
+    assert _variant_digests(TEN_MS_CTRL_LATENCY) == CTRL_LATENCY_TEN_MS_SHA256
 
