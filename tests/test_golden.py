@@ -4,10 +4,11 @@ Every artifact that `run_campaign` + `emit_results` write for all four
 settings at seeds 1..2 (1 s simulated) is pinned by SHA-256, and so is the
 per-run result of two 2 s variants, long enough for `mcs` to preempt and
 release: one whose terrestrial latency is exactly one TTI, so that every
-terrestrial delivery lands on the same instant as the next TTI, and one whose
-control latency is 10 ms, so that the three reconfiguration messages land on
-three distinct instants and the order of reconfiguration against the other
-events is pinned.
+terrestrial delivery lands on the same instant as the next TTI, and one with
+a control latency of 10 ms and no evaluation jitter. In the latter the three
+reconfiguration messages land on three distinct instants, and bindings start
+on the 25 ms data-request grid, so the order of a binding against the other
+events of its instant is pinned.
 A change made only for speed or structure must leave every digest here
 unchanged; a change that alters behaviour on purpose updates them and says
 which behaviour changed.
@@ -28,7 +29,8 @@ SEEDS = [1, 2]
 SMALL = dict(sim_duration_s=1.0, warmup_s=0.5, ue_queue_bytes=280_000)
 TWO_SECONDS = dict(sim_duration_s=2.0, warmup_s=1.0, ue_queue_bytes=560_000)
 ONE_TTI_TN_LATENCY = dict(TWO_SECONDS, tn_latency_ms=1.0)
-TEN_MS_CTRL_LATENCY = dict(TWO_SECONDS, ctrl_latency_ms=10.0)
+TEN_MS_CTRL_LATENCY = dict(TWO_SECONDS, ctrl_latency_ms=10.0,
+                           eval_jitter_ms=0.0)
 
 ARTIFACT_SHA256 = {
     "cdf_bo.csv":
@@ -69,9 +71,9 @@ TN_LATENCY_ONE_TTI_SHA256 = {
 }
 
 CTRL_LATENCY_TEN_MS_SHA256 = {
-    "mcs": "10b0a438a81a16345a94cffde0cd17c67a2ec7a19e135cec50f152c7d41fe40b",
-    "rsrp": "5feddada55b2b6246787775baf33745d536e2574cd0942e62044a179059a78a5",
-    "bo": "fc22f0095865294013bb93d33840a11fe53e62f1090d02cd8a05bca6688299b0",
+    "mcs": "7f42d883912e86ae3150714e28be4e18c27945ad8e00d982a02e316ba32d65fc",
+    "rsrp": "8c6d0762eb2e547934de714f772d8d17762422425a32fdf1ea2d08f2230dd606",
+    "bo": "26200271e3b8dd87b79ab84f23624420b9b7b8d81eeebc14d8d3b784d5420240",
     "off": "a69ac8bb273fd3dbd4ceb274f8db3a99a600d2b2492d0832db5c47f974bd8ff2",
 }
 
