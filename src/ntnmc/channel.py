@@ -161,7 +161,6 @@ class TnChannel:
         self.rng = rng
         self.rsrp = {}      # (ue_id, sector_id) -> dBm per RE
         self.sinr = {}      # (ue_id, serving sector_id) -> dB
-        self.los = {}       # (ue_id, sector_id) -> bool
         self._n_re_grid = cfg.n_prb * SUBCARRIERS_PER_PRB
 
     def attach_ue(self, ue_id, ue_pos):
@@ -180,7 +179,6 @@ class TnChannel:
             gain = cfg.tn_sector_gain_dbi + sector_pattern_db(
                 offaxis, cfg.tn_sector_beamwidth_deg, cfg.tn_sector_floor_db)
             rsrp = per_re_tx + gain - pl + shadow
-            self.los[(ue_id, sec.sector_id)] = los
             self.rsrp[(ue_id, sec.sector_id)] = rsrp
             powers.append(db_to_linear(rsrp))
 

@@ -83,7 +83,6 @@ class SatelliteTrack:
     def __init__(self, epoch_subpoint, altitude_m, orbital_speed_ms, heading_deg=0.0):
         self.epoch_subpoint = epoch_subpoint
         self.altitude_m = altitude_m
-        self.orbital_speed_ms = orbital_speed_ms
         self.heading_deg = heading_deg
         self.ground_speed_ms = orbital_speed_ms * EARTH_RADIUS_M / (EARTH_RADIUS_M + altitude_m)
 

@@ -1,5 +1,6 @@
 """Secondary-node addition control: measurement store, the three addition
-policies, candidate-side admission, reconfiguration and release.
+policies and the table that names them, candidate-side admission,
+reconfiguration and release.
 
 Requester side (anchor gNB): stores measurement reports per (UE, cell),
 evaluates its single-connectivity UEs on a jittered period and issues
@@ -12,10 +13,10 @@ anchor-link MCS is highest, provided it strictly exceeds the requester's.
 """
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
-from .dataplane import compute_load
-from .engine import NS_PER_MS
+from .dataplane import buffer_occupancy, compute_load
+from .engine import millis
 
 ACK = "ACK"
 REJECT = "REJECT"
@@ -25,9 +26,10 @@ EV_ADD = "ADD"
 EV_RELEASE = "RELEASE"
 EV_REJECT = "REJECT"
 
-
-def _ns(ms):
-    return round(ms * NS_PER_MS)
+# Candidate-side admission modes (see `handle_sn_addition_request`).
+COVERAGE = "COVERAGE"
+GATED = "GATED"
+PREEMPTIVE = "PREEMPTIVE"
 
 
 def _mcs_key(mcs):
@@ -113,8 +115,8 @@ def advance_eval_clock(ctrl, period_ns, jitter_ns, rng):
 def _best_candidate(ctrl, ue_id, t_ns, cfg):
     """Freshest-known candidate cell with the highest RSRP among cells not
     asked within the request gate. Returns (cell_id, rsrp_dbm) or None."""
-    stale_ns = _ns(cfg.meas_staleness_ms)
-    gate_ns = _ns(cfg.request_gate_ms)
+    stale_ns = millis(cfg.meas_staleness_ms)
+    gate_ns = millis(cfg.request_gate_ms)
     best = None
     for (u, cell_id), meas in ctrl.reports.items():
         if u != ue_id:
@@ -141,7 +143,7 @@ def _try_request(ctrl, ue_id, t_ns, cfg):
                              ctrl.reported_mcs.get(ue_id), t_ns)
 
 
-def evaluate_mcs_based(ctrl, single_ues, t_ns, cfg):
+def evaluate_mcs_based(ctrl, node, single_ues, t_ns, cfg):
     """Scan single-connectivity UEs in ascending anchor-MCS order (ties by
     UE id) and stop at the first whose MCS exceeds the threshold."""
     requests = []
@@ -156,7 +158,7 @@ def evaluate_mcs_based(ctrl, single_ues, t_ns, cfg):
     return requests
 
 
-def evaluate_rsrp_based(ctrl, single_ues, t_ns, cfg):
+def evaluate_rsrp_based(ctrl, node, single_ues, t_ns, cfg):
     """Request a secondary for every single-connectivity UE with a fresh
     candidate at or above the RSRP floor."""
     requests = []
@@ -167,36 +169,76 @@ def evaluate_rsrp_based(ctrl, single_ues, t_ns, cfg):
     return requests
 
 
-def evaluate_bo_based(ctrl, single_ues, occupancy, t_ns, cfg):
-    """Like the RSRP policy but only for UEs whose anchor transmit queue has
-    filled past the occupancy threshold, most backlogged first. `occupancy`
-    maps ue_id -> fraction."""
-    crossed = [u for u in single_ues if occupancy(u) >= cfg.bo_threshold_frac]
+def evaluate_bo_based(ctrl, node, single_ues, t_ns, cfg):
+    """Like the RSRP policy but only for UEs whose transmit queue at the
+    anchor `node` has filled past the occupancy threshold, most backlogged
+    first."""
+    occupancy = {u: buffer_occupancy(node, u, cfg.ue_queue_bytes)
+                 for u in single_ues}
+    crossed = [u for u in single_ues if occupancy[u] >= cfg.bo_threshold_frac]
     requests = []
-    for ue_id in sorted(crossed, key=lambda u: (-occupancy(u), u)):
+    for ue_id in sorted(crossed, key=lambda u: (-occupancy[u], u)):
         req = _try_request(ctrl, ue_id, t_ns, cfg)
         if req is not None:
             requests.append(req)
     return requests
 
 
+@dataclass(frozen=True)
+class Policy:
+    """One setting of the comparison, as the scenario wires it.
+
+    `evaluate(ctrl, node, single_ues, t_ns, cfg)` is the anchor-side
+    evaluator; None (`off`) disables evaluation and data requests entirely.
+    `admission` is the candidate-side mode. The MCS policy goes through the
+    full admission (add gate, load headroom, preemptive release). The
+    occupancy policy uses the same admission without preemption, so it never
+    releases. The RSRP policy is plain coverage-triggered addition: the
+    candidate accepts every first request for a UE, which is what lets it
+    reach the whole eligible population within a short run. `add_cause`
+    labels the setting's ADD events.
+    """
+    evaluate: Optional[Callable]
+    admission: Optional[str]
+    add_cause: Optional[str]
+
+
+def policy_for(name):
+    """The record of setting `name`, one of `config.POLICIES`.
+
+    Built on each call from this module's attributes, so an evaluator that
+    is replaced at run time (say, by a wrapper that counts its calls) is the
+    one a scenario built afterwards uses.
+    """
+    return {
+        "mcs": Policy(evaluate_mcs_based, PREEMPTIVE, "admitted"),
+        "rsrp": Policy(evaluate_rsrp_based, COVERAGE, "coverage"),
+        "bo": Policy(evaluate_bo_based, GATED, "admitted"),
+        "off": Policy(None, None, None),
+    }[name]
+
+
 def handle_sn_addition_request(cand_node, ctrl, req, t_ns, cfg,
-                               allow_preemption=True, release_fn=None):
+                               mode=PREEMPTIVE, release_fn=None):
     """Candidate-side admission for one addition request.
 
-    Order of checks: duplicate binding, recent-ack gate, load headroom,
-    preemption. Only an ACK re-arms the add gate. With `allow_preemption`
-    off (occupancy/RSRP baselines) an overloaded candidate simply refuses.
+    Every mode first refuses a UE that is already bound. `COVERAGE` then
+    accepts without load or add-gate checks and leaves the add gate alone.
+    `GATED` and `PREEMPTIVE` check, in order, the recent-ack gate, load
+    headroom and, for `PREEMPTIVE` only, preemption; an overloaded `GATED`
+    candidate simply refuses. Only their ACKs re-arm the add gate.
     """
     if req.ue_id in ctrl.bindings:
         return Decision(REJECT, "already-bound")
+    if mode == COVERAGE:
+        return Decision(ACK, "coverage")
     if (ctrl.last_ack_ns is not None
-            and t_ns - ctrl.last_ack_ns <= _ns(cfg.add_gate_ms)):
+            and t_ns - ctrl.last_ack_ns <= millis(cfg.add_gate_ms)):
         return Decision(REJECT, "recent-ack")
     if compute_load(cand_node) <= cfg.load_ack_max:
         ctrl.last_ack_ns = t_ns
         return Decision(ACK, "headroom")
-    if allow_preemption and ctrl.bindings:
+    if mode == PREEMPTIVE and ctrl.bindings:
         victim_id, victim = max(
             ctrl.bindings.items(),
             key=lambda kv: (_mcs_key(kv[1].last_known_mn_mcs), -kv[0]))
@@ -210,12 +252,20 @@ def handle_sn_addition_request(cand_node, ctrl, req, t_ns, cfg,
     return Decision(REJECT, "overloaded")
 
 
-def complete_reconfiguration(sim, latency_ns, finalize):
+def complete_reconfiguration(sim, latency_ns, finalize, *args):
     """Three-message reconfiguration (anchor->UE, UE->anchor,
-    anchor->secondary); the binding activates with the last message.
-    `finalize` must itself abort if the UE got a secondary in the meantime."""
+    anchor->secondary); the binding activates with the last message, which
+    calls `finalize(*args)`. `finalize` must itself abort if the UE got a
+    secondary in the meantime.
+
+    Each message is sent when the one before it arrives, so the last one
+    fires after every event of its instant that was scheduled before it was
+    sent. One event scheduled 3 * `latency_ns` ahead would fire before those
+    scheduled in the meantime; with zero evaluation jitter and a latency of
+    10 ms that moves a binding ahead of a data-request cycle and changes the
+    results."""
     def msg3():
-        finalize()
+        finalize(*args)
 
     def msg2():
         sim.schedule_in(latency_ns, msg3)

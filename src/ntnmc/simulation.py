@@ -7,12 +7,9 @@ center with two tiers of co-channel wrap-around beams as pure interference.
 Terrestrial link state is drawn once per run (drop-time realization); the
 satellite link is recomputed whenever a UE measures it.
 
-Policy wiring: the MCS policy goes through the full candidate-side admission
-(add gate, load headroom, preemptive release). The occupancy policy uses the
-same admission without preemption, so it never releases. The RSRP policy is
-plain coverage-triggered addition: the candidate accepts every first request
-for a UE, which is what lets it reach the whole eligible population within a
-short run. OFF disables evaluation and data requests entirely.
+The policy under test is one `mc_control.Policy` record, looked up when the
+scenario is built: its evaluator, its candidate-side admission mode and the
+cause of its ADD events.
 
 Event design: one event per periodic instant. Every UE runs the same CBR
 flow (start 0, one interval), so a single arrival event ingests one packet
@@ -35,8 +32,8 @@ from .channel import McsTable, NtnChannel, TnChannel
 from .config import ScenarioConfig
 from .dataplane import (NTN_BEAM, PATH_MN, ROLE_MN, ROLE_SN, TN_SECTOR,
                         TTI_NS, CbrFlow, Node, PdcpPdu, PdcpReceiver,
-                        UeCounters, buffer_occupancy, schedule_tti)
-from .engine import NS_PER_MS, NS_PER_S, RngStreams, Simulator, millis, seconds
+                        UeCounters, schedule_tti)
+from .engine import RngStreams, Simulator, millis, seconds
 from .geometry import (GroundPosition, SatelliteTrack, build_tn_layout,
                        drop_ues_in_sector, ntn_beam_grid)
 
@@ -60,7 +57,6 @@ class UeState:
     next_sn: int = 0
     sn_bound: bool = False
     pending_reconfig: bool = False
-    ntn_rsrp_dbm: float = 0.0
     ntn_sinr_db: float = 0.0
     ntn_delay_ns: int = 0
     best_ntn_rsrp_dbm: float = -999.0
@@ -101,11 +97,13 @@ class Scenario:
     def __init__(self, cfg: ScenarioConfig, seed: int):
         self.cfg = cfg
         self.seed = seed
+        self.policy = mc.policy_for(cfg.policy)
         self.sim = Simulator()
         self.rngs = RngStreams(cfg.base_seed, seed)
         self.mcs_table = McsTable.default()
         self.end_ns = seconds(cfg.sim_duration_s)
         self.warmup_ns = seconds(cfg.warmup_s)
+        self.tn_latency_ns = millis(cfg.tn_latency_ms)
         self.events = []
         self.sn_adds = 0
         self.sn_releases = 0
@@ -151,7 +149,7 @@ class Scenario:
         self._schedule_traffic()
         self._schedule_ttis()
         self._schedule_measurements()
-        if cfg.policy != "off":
+        if self.policy.evaluate is not None:
             self._schedule_evaluations()
             self._schedule_data_requests()
 
@@ -160,9 +158,8 @@ class Scenario:
         self.tn.attach_ue(ue_id, pos)
         sinr = self.tn.sinr[(ue_id, sector_id)]
         ue = UeState(ue_id, sector_id, pos, sinr, _mcs_or_none(self.mcs_table, sinr))
-        rsrp, ntn_sinr, delay = self.ntn.link_state(pos, 0)
-        ue.ntn_rsrp_dbm, ue.ntn_sinr_db, ue.ntn_delay_ns = rsrp, ntn_sinr, delay
-        ue.best_ntn_rsrp_dbm = rsrp
+        ue.best_ntn_rsrp_dbm, ue.ntn_sinr_db, ue.ntn_delay_ns = (
+            self.ntn.link_state(pos, 0))
         ue.receiver = PdcpReceiver(
             ue_id, self.sim, millis(cfg.pdcp_reorder_timer_ms),
             cfg.pdcp_reorder_buffer_pdus, self._make_deliver_cb(ue))
@@ -199,8 +196,8 @@ class Scenario:
         cfg = self.cfg
         ue.counters.generated_bits += bits
         mn = self.nodes[ue.mn_node_id]
-        sn = self.ntn_node if ue.sn_bound else None
-        ts.drain_forward(mn, sn, self.book, ue.ue_id, t_ns)
+        if ue.sn_bound:
+            ts.drain_forward(mn, self.ntn_node, self.book, ue.ue_id, t_ns)
         q = mn.queues[ue.ue_id]
         if q.queued_bits + bits > cfg.ue_queue_bytes * 8:
             ue.counters.dropped_bits += bits
@@ -209,7 +206,8 @@ class Scenario:
         pdu = PdcpPdu(ue.ue_id, ue.next_sn, bits, t_ns, PATH_MN)
         ue.next_sn += 1
         q.push(pdu)
-        ts.drain_forward(mn, sn, self.book, ue.ue_id, t_ns)
+        if ue.sn_bound:
+            ts.drain_forward(mn, self.ntn_node, self.book, ue.ue_id, t_ns)
 
     # ---- air interface ------------------------------------------------
 
@@ -228,7 +226,7 @@ class Scenario:
     def _launch_tb(self, node, ue_id, pdus, t_ns):
         ue = self.ues[ue_id]
         if node.kind == TN_SECTOR:
-            latency = millis(self.cfg.tn_latency_ms)
+            latency = self.tn_latency_ns
         else:
             latency = ue.ntn_delay_ns
         for pdu in pdus:
@@ -255,7 +253,7 @@ class Scenario:
         t = self.sim.now
         cfg = self.cfg
         rsrp, sinr, delay = self.ntn.link_state(ue.pos, t)
-        ue.ntn_rsrp_dbm, ue.ntn_sinr_db, ue.ntn_delay_ns = rsrp, sinr, delay
+        ue.ntn_sinr_db, ue.ntn_delay_ns = sinr, delay
         if rsrp > ue.best_ntn_rsrp_dbm:
             ue.best_ntn_rsrp_dbm = rsrp
 
@@ -296,18 +294,10 @@ class Scenario:
 
     def _on_eval(self, ctrl, period, jitter):
         t = self.sim.now
-        cfg = self.cfg
         node = self.nodes[ctrl.node_id]
         single = [u for u in node.roles
                   if u not in ctrl.bound_sn and not self.ues[u].pending_reconfig]
-        if cfg.policy == "mcs":
-            requests = mc.evaluate_mcs_based(ctrl, single, t, cfg)
-        elif cfg.policy == "rsrp":
-            requests = mc.evaluate_rsrp_based(ctrl, single, t, cfg)
-        else:
-            occupancy = lambda u: buffer_occupancy(node, u, cfg.ue_queue_bytes)
-            requests = mc.evaluate_bo_based(ctrl, single, occupancy, t, cfg)
-        for req in requests:
+        for req in self.policy.evaluate(ctrl, node, single, t, self.cfg):
             self._dispatch_request(ctrl, req, t)
         mc.advance_eval_clock(ctrl, period, jitter, self._eval_rng)
         if ctrl.next_eval_ns <= self.end_ns:
@@ -315,39 +305,22 @@ class Scenario:
                                  period, jitter)
 
     def _dispatch_request(self, mn_ctrl, req, t_ns):
-        cfg = self.cfg
-        cand_ctrl = self.ctrls[NTN_CELL_ID]
-        if cfg.policy == "rsrp":
-            # Coverage-triggered addition: the candidate admits every first
-            # request for a UE without load or add-gate admission.
-            if req.ue_id in cand_ctrl.bindings:
-                decision = mc.Decision(mc.REJECT, "already-bound")
-            else:
-                decision = mc.Decision(mc.ACK, "coverage")
-        else:
-            decision = mc.handle_sn_addition_request(
-                self.ntn_node, cand_ctrl, req, t_ns, cfg,
-                allow_preemption=(cfg.policy == "mcs"),
-                release_fn=lambda victim, cause: self._release(victim, cause))
+        decision = mc.handle_sn_addition_request(
+            self.ntn_node, self.ctrls[NTN_CELL_ID], req, t_ns, self.cfg,
+            self.policy.admission, self._release)
         if decision.verdict == mc.ACK:
-            self._start_reconfiguration(mn_ctrl, req, t_ns)
+            self._start_reconfiguration(mn_ctrl, req)
         else:
             self.sn_rejects += 1
             self._log(t_ns, mc.EV_REJECT, req.ue_id, req.mn_node_id,
                       req.candidate_cell, decision.cause)
 
-    def _start_reconfiguration(self, mn_ctrl, req, t_ns):
-        ue = self.ues[req.ue_id]
-        ue.pending_reconfig = True
-        cause = "coverage" if self.cfg.policy == "rsrp" else "admitted"
+    def _start_reconfiguration(self, mn_ctrl, req):
+        self.ues[req.ue_id].pending_reconfig = True
+        mc.complete_reconfiguration(self.sim, millis(self.cfg.ctrl_latency_ms),
+                                    self._finalize_binding, mn_ctrl, req)
 
-        def finalize():
-            self._finalize_binding(mn_ctrl, req, cause)
-
-        mc.complete_reconfiguration(
-            self.sim, millis(self.cfg.ctrl_latency_ms), finalize)
-
-    def _finalize_binding(self, mn_ctrl, req, cause):
+    def _finalize_binding(self, mn_ctrl, req):
         t = self.sim.now
         ue = self.ues[req.ue_id]
         ue.pending_reconfig = False
@@ -363,7 +336,8 @@ class Scenario:
         ue.sn_bound = True
         self.bound_ever.add(req.ue_id)
         self.sn_adds += 1
-        self._log(t, mc.EV_ADD, req.ue_id, req.mn_node_id, NTN_CELL_ID, cause)
+        self._log(t, mc.EV_ADD, req.ue_id, req.mn_node_id, NTN_CELL_ID,
+                  self.policy.add_cause)
 
     def _release(self, ue_id, cause):
         t = self.sim.now

@@ -2,7 +2,7 @@
 
 Per-UE throughput records are pooled across the runs of a setting before
 computing distribution statistics (mean, percentiles, CDF); per-run scalar
-counters (adds, releases, rejects) are averaged over runs. All files use
+counters (adds, releases) are averaged over runs. All files use
 fixed float formats so that repeated identical invocations are byte for
 byte identical.
 """
@@ -43,9 +43,6 @@ class SettingSummary:
     p5_kbps: float
     avg_sn_adds: float
     avg_sn_releases: float
-    avg_sn_rejects: float
-    avg_distinct_bound: float
-    avg_eligible: float
     grant_windows: int
     grant_violations: int
     grant_max_used: float
@@ -68,9 +65,6 @@ def summarize_setting(setting, results):
         p5_kbps=percentile(pooled, 5.0),
         avg_sn_adds=sum(r.sn_adds for r in results) / n,
         avg_sn_releases=sum(r.sn_releases for r in results) / n,
-        avg_sn_rejects=sum(r.sn_rejects for r in results) / n,
-        avg_distinct_bound=sum(r.distinct_bound_ues for r in results) / n,
-        avg_eligible=sum(r.eligible_ues for r in results) / n,
         grant_windows=sum(r.grant_windows for r in results),
         grant_violations=sum(r.grant_violations for r in results),
         grant_max_used=max(r.grant_max_used for r in results),

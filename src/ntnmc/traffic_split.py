@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .channel import db_to_linear
 from .dataplane import PATH_MN, PATH_SN
+from .engine import millis
 
 FORWARD = "forward"
 SEND_LOCAL = "send_local"
@@ -53,7 +54,7 @@ class DataRequest:
 def send_periodic_requests(sn_node, t_ns, params):
     """One request per served secondary UE, valid for delta_t + t_offset."""
     out = []
-    horizon = round((params.split_delta_ms + params.split_toff_ms) * 1e6)
+    horizon = millis(params.split_delta_ms + params.split_toff_ms)
     for ue_id in sn_node.secondary_ues():
         amount = compute_request_amount(sn_node, ue_id, t_ns, params)
         out.append(DataRequest(ue_id, amount, t_ns, t_ns + horizon))
@@ -135,8 +136,6 @@ def drain_forward(mn_node, sn_node, book, ue_id, t_ns):
     """Move whole pending PDUs from the anchor queue to the secondary node
     while the live allowance covers them. The PDU currently on the air is
     never taken."""
-    if sn_node is None:
-        return 0
     src = mn_node.queues.get(ue_id)
     dst = sn_node.queues.get(ue_id)
     if src is None or dst is None:

@@ -169,18 +169,18 @@ def test_scripted_anchor_evaluations():
 
     healthy = _ctrl_with_reports({(u, 100): (50, -110.0) for u in range(4)},
                                  {u: 16 for u in range(4)})
-    assert evaluate_mcs_based(healthy, list(range(4)), 0, cfg) == []
+    assert evaluate_mcs_based(healthy, None, list(range(4)), 0, cfg) == []
 
     no_single = _ctrl_with_reports({(1, 100): (50, -110.0)}, {1: 3})
-    assert evaluate_mcs_based(no_single, [], 0, cfg) == []
+    assert evaluate_mcs_based(no_single, None, [], 0, cfg) == []
 
     weak = _ctrl_with_reports({(1, 100): (50, -110.0)}, {1: 3})
-    reqs = evaluate_mcs_based(weak, [1], 0, cfg)
+    reqs = evaluate_mcs_based(weak, None, [1], 0, cfg)
     assert len(reqs) == 1
     assert (reqs[0].ue_id, reqs[0].candidate_cell, reqs[0].mn_mcs) == (1, 100, 3)
 
     faint = _ctrl_with_reports({(1, 100): (50, -112.0)}, {1: 3})
-    assert evaluate_mcs_based(faint, [1], 0, cfg) == []
+    assert evaluate_mcs_based(faint, None, [1], 0, cfg) == []
 
 
 def test_scripted_candidate_decisions():

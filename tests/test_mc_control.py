@@ -1,15 +1,17 @@
 import pytest
 
+from ntnmc import mc_control
 from ntnmc.channel import McsTable
-from ntnmc.config import ScenarioConfig
+from ntnmc.config import POLICIES, ScenarioConfig
 from ntnmc.dataplane import Node, PdcpPdu, ROLE_MN, ROLE_SN, compute_load
 from ntnmc.engine import Simulator, millis
-from ntnmc.mc_control import (ACK, ControllerState, Measurement, REJECT,
-                              SecondaryBinding, SnAdditionRequest,
-                              advance_eval_clock, complete_reconfiguration,
-                              evaluate_bo_based, evaluate_mcs_based,
-                              evaluate_rsrp_based, handle_sn_addition_request,
-                              init_eval_clock, on_measurement_report,
+from ntnmc.mc_control import (ACK, COVERAGE, GATED, PREEMPTIVE, REJECT,
+                              ControllerState, Measurement, SecondaryBinding,
+                              SnAdditionRequest, advance_eval_clock,
+                              complete_reconfiguration, evaluate_bo_based,
+                              evaluate_mcs_based, evaluate_rsrp_based,
+                              handle_sn_addition_request, init_eval_clock,
+                              on_measurement_report, policy_for,
                               release_secondary, update_mn_mcs)
 
 CFG = ScenarioConfig()
@@ -38,22 +40,32 @@ def _req(ue=7, mn_mcs=5, t=0):
     return SnAdditionRequest(ue, "tn0", NTN_CELL, mn_mcs, t)
 
 
+def _anchor_with_occupancy(occupancy):
+    """Anchor node whose transmit queues are filled to the given fractions
+    of the configured cap."""
+    node = Node("tn0", "tn_sector", 52, TABLE, 100)
+    for ue, frac in occupancy.items():
+        node.add_ue(ue, ROLE_MN, 20)
+        node.queues[ue].push(PdcpPdu(ue, 0, round(frac * CFG.ue_queue_bytes) * 8, 0))
+    return node
+
+
 # --- anchor-side evaluation ------------------------------------------------
 
 def test_no_requests_when_all_links_are_healthy():
     ctrl = _ctrl_with_reports({(u, NTN_CELL): (50, -110.0) for u in range(4)},
                               {u: 16 for u in range(4)})
-    assert evaluate_mcs_based(ctrl, list(range(4)), 0, CFG) == []
+    assert evaluate_mcs_based(ctrl, None, list(range(4)), 0, CFG) == []
 
 
 def test_no_requests_without_single_connectivity_ues():
     ctrl = _ctrl_with_reports({(1, NTN_CELL): (50, -110.0)}, {1: 3})
-    assert evaluate_mcs_based(ctrl, [], 0, CFG) == []
+    assert evaluate_mcs_based(ctrl, None, [], 0, CFG) == []
 
 
 def test_weak_ue_with_qualified_candidate_triggers_one_request():
     ctrl = _ctrl_with_reports({(1, NTN_CELL): (50, -110.0)}, {1: 3})
-    reqs = evaluate_mcs_based(ctrl, [1], 0, CFG)
+    reqs = evaluate_mcs_based(ctrl, None, [1], 0, CFG)
     assert len(reqs) == 1
     req = reqs[0]
     assert (req.ue_id, req.candidate_cell, req.mn_mcs) == (1, NTN_CELL, 3)
@@ -62,42 +74,42 @@ def test_weak_ue_with_qualified_candidate_triggers_one_request():
 
 def test_weak_ue_with_faint_candidate_stays_single():
     ctrl = _ctrl_with_reports({(1, NTN_CELL): (50, -112.0)}, {1: 3})
-    assert evaluate_mcs_based(ctrl, [1], 0, CFG) == []
+    assert evaluate_mcs_based(ctrl, None, [1], 0, CFG) == []
     # the faint candidate must not burn the per-cell request gate
     assert NTN_CELL not in ctrl.last_request
 
 
 def test_rsrp_floor_is_inclusive():
     ctrl = _ctrl_with_reports({(1, NTN_CELL): (50, CFG.rsrp_min_dbm)}, {1: 3})
-    assert len(evaluate_mcs_based(ctrl, [1], 0, CFG)) == 1
+    assert len(evaluate_mcs_based(ctrl, None, [1], 0, CFG)) == 1
 
 
 def test_measurement_staleness_boundary():
     fresh = _ctrl_with_reports({(1, NTN_CELL): (CFG.meas_staleness_ms, -110.0)},
                                {1: 3})
-    assert len(evaluate_mcs_based(fresh, [1], 0, CFG)) == 1
+    assert len(evaluate_mcs_based(fresh, None, [1], 0, CFG)) == 1
     stale = ControllerState("tn0")
     stale.reports[(1, NTN_CELL)] = Measurement(-millis(CFG.meas_staleness_ms) - 1,
                                                -110.0, 10.0)
     stale.reported_mcs[1] = 3
-    assert evaluate_mcs_based(stale, [1], 0, CFG) == []
+    assert evaluate_mcs_based(stale, None, [1], 0, CFG) == []
 
 
 def test_request_gate_blocks_repeat_asks_to_same_cell():
     ctrl = _ctrl_with_reports({(1, NTN_CELL): (50, -110.0)}, {1: 3, 2: 3})
-    assert len(evaluate_mcs_based(ctrl, [1], 0, CFG)) == 1
+    assert len(evaluate_mcs_based(ctrl, None, [1], 0, CFG)) == 1
     later = millis(50)
     ctrl.reports[(2, NTN_CELL)] = Measurement(later, -110.0, 10.0)
-    assert evaluate_mcs_based(ctrl, [2], later, CFG) == []
+    assert evaluate_mcs_based(ctrl, None, [2], later, CFG) == []
     at_gate = millis(CFG.request_gate_ms)
     ctrl.reports[(2, NTN_CELL)] = Measurement(at_gate, -110.0, 10.0)
-    assert len(evaluate_mcs_based(ctrl, [2], at_gate, CFG)) == 1
+    assert len(evaluate_mcs_based(ctrl, None, [2], at_gate, CFG)) == 1
 
 
 def test_weakest_reported_ue_goes_first():
     ctrl = _ctrl_with_reports({(u, NTN_CELL): (10, -110.0) for u in (1, 2, 3)},
                               {1: 5, 3: 3})  # ue 2 has no decodable anchor link
-    reqs = evaluate_mcs_based(ctrl, [1, 2, 3], 0, CFG)
+    reqs = evaluate_mcs_based(ctrl, None, [1, 2, 3], 0, CFG)
     # one cell, so the gate leaves exactly one request: the unreported UE
     assert [r.ue_id for r in reqs] == [2]
     assert reqs[0].mn_mcs is None
@@ -107,21 +119,22 @@ def test_rsrp_policy_asks_for_every_covered_ue():
     ctrl = _ctrl_with_reports({(1, NTN_CELL): (10, -110.0),
                                (2, NTN_CELL): (10, -112.0)},
                               {1: 20, 2: 20})
-    reqs = evaluate_rsrp_based(ctrl, [1, 2], 0, CFG)
+    reqs = evaluate_rsrp_based(ctrl, None, [1, 2], 0, CFG)
     assert [r.ue_id for r in reqs] == [1]
 
 
 def test_bo_policy_prefers_the_most_backlogged():
     ctrl = _ctrl_with_reports({(u, NTN_CELL): (10, -110.0) for u in (1, 2, 3)},
                               {u: 20 for u in (1, 2, 3)})
-    occ = {1: 0.85, 2: 0.99, 3: 0.2}.__getitem__
-    reqs = evaluate_bo_based(ctrl, [1, 2, 3], occ, 0, CFG)
+    anchor = _anchor_with_occupancy({1: 0.85, 2: 0.99, 3: 0.2})
+    reqs = evaluate_bo_based(ctrl, anchor, [1, 2, 3], 0, CFG)
     assert [r.ue_id for r in reqs] == [2]  # gate spent on the fullest queue
 
 
 def test_bo_policy_ignores_queues_below_threshold():
     ctrl = _ctrl_with_reports({(1, NTN_CELL): (10, -110.0)}, {1: 20})
-    assert evaluate_bo_based(ctrl, [1], {1: 0.5}.__getitem__, 0, CFG) == []
+    anchor = _anchor_with_occupancy({1: 0.5})
+    assert evaluate_bo_based(ctrl, anchor, [1], 0, CFG) == []
 
 
 def test_unknown_ue_report_is_dropped_and_counted():
@@ -207,14 +220,35 @@ def test_equal_mcs_does_not_preempt():
     assert (d.verdict, d.cause) == (REJECT, "overloaded")
 
 
-def test_preemption_disabled_for_non_preempting_policies():
+@pytest.mark.parametrize("mode, verdict, cause, released, acked_at", [
+    (COVERAGE, ACK, "coverage", None, None),
+    (GATED, REJECT, "overloaded", None, None),
+    (PREEMPTIVE, ACK, "preempted-weakest", 3, 0),
+])
+def test_admission_modes_on_overloaded_candidate(mode, verdict, cause,
+                                                 released, acked_at):
     ctrl = ControllerState("ntn")
     ctrl.bindings[3] = SecondaryBinding(3, "tn1", 20, 0)
     d = handle_sn_addition_request(_cand_at_load(1.0), ctrl,
-                                   _req(ue=7, mn_mcs=5), 0, CFG,
-                                   allow_preemption=False)
-    assert (d.verdict, d.cause) == (REJECT, "overloaded")
-    assert 3 in ctrl.bindings
+                                   _req(ue=7, mn_mcs=5), 0, CFG, mode=mode)
+    assert (d.verdict, d.cause, d.released_ue) == (verdict, cause, released)
+    assert ctrl.last_ack_ns == acked_at
+    assert (3 in ctrl.bindings) == (released is None)
+
+    bound = ControllerState("ntn")
+    bound.bindings[7] = SecondaryBinding(7, "tn0", 5, 0)
+    d = handle_sn_addition_request(_cand_at_load(1.0), bound, _req(ue=7), 0,
+                                   CFG, mode=mode)
+    assert (d.verdict, d.cause) == (REJECT, "already-bound")
+
+
+def test_policy_table_covers_every_setting(monkeypatch):
+    records = {name: policy_for(name) for name in POLICIES}
+    assert [n for n, r in records.items() if r.evaluate is None] == ["off"]
+    # evaluators are looked up when a record is built, not at import
+    sentinel = object()
+    monkeypatch.setattr(mc_control, "evaluate_bo_based", sentinel)
+    assert policy_for("bo").evaluate is sentinel
 
 
 def test_duplicate_binding_rejected_before_anything_else():

@@ -161,7 +161,6 @@ def test_drain_forward_without_counterpart_is_a_noop():
     mn.queues[1].push(PdcpPdu(1, 0, 12_000, 0))
     book = GrantBook()
     book.replace(DataRequest(1, 100_000.0, 0, 50_000_000))
-    assert drain_forward(mn, None, book, 1, 10) == 0
     assert drain_forward(mn, Node("ntn", "ntn_beam", 52, TABLE, 100),
                          book, 1, 10) == 0
 
