@@ -9,9 +9,18 @@ defaults and file values.
 """
 
 import dataclasses
+import math
 import os
 
+from .geometry import (EARTH_RADIUS_M, M_PER_DEG, GroundPosition,
+                       SatelliteTrack, ground_distance_m)
+
 POLICIES = ("mcs", "rsrp", "bo", "off")
+
+# Channel bandwidth (MHz) -> transmission bandwidth in PRBs at 15 kHz
+# subcarrier spacing, 3GPP TS 38.101-1 Table 5.3.2-1.
+PRBS_BY_BANDWIDTH_MHZ = {5: 25, 10: 52, 15: 79, 20: 106, 25: 133, 30: 160,
+                         40: 216, 50: 270}
 
 
 class ConfigError(Exception):
@@ -124,7 +133,52 @@ class ScenarioConfig:
             raise ConfigError("split_alpha must be in (0, 1]")
         if not 0 <= self.mcs_threshold < 32:
             raise ConfigError("mcs_threshold must be in [0, 32)")
+        if self.n_sites > 3:
+            raise ConfigError(
+                f"n_sites must be 1, 2 or 3, got {self.n_sites}: the layout "
+                "places sites on the vertices of one triangle")
+        if PRBS_BY_BANDWIDTH_MHZ.get(self.bandwidth_mhz) != self.n_prb:
+            pairs = ", ".join(f"{mhz}/{prb}"
+                              for mhz, prb in PRBS_BY_BANDWIDTH_MHZ.items())
+            raise ConfigError(
+                f"bandwidth_mhz/n_prb = {self.bandwidth_mhz}/{self.n_prb} is "
+                f"not a 15 kHz carrier; expected one of {pairs}")
+        pass_s = _satellite_pass_s(self)
+        if self.sim_duration_s >= pass_s:
+            raise ConfigError(
+                f"sim_duration_s = {self.sim_duration_s} outlasts the "
+                f"satellite pass: a UE of this layout can lose the satellite "
+                f"below the horizon after {max(pass_s, 0.0):.1f} s")
         return self
+
+
+def _satellite_pass_s(cfg):
+    """Time from t = 0 for which the satellite is certain to stay above the
+    horizon of every point a UE can be dropped at (inf if it never moves).
+
+    The satellite is above a UE's horizon while their central angle is
+    below acos(R / (R + h)). By the triangle inequality the UE is no farther
+    from the subpoint than the epoch subpoint's distance to the center, plus
+    the layout's reach (site circumradius plus drop radius), plus the ground
+    track covered so far. Sites and UEs are placed on a local plane whose
+    east scale is the cosine of the reference latitude, so the reach is
+    inflated by the largest ratio of such cosines within the layout.
+    """
+    center = GroundPosition(cfg.center_lat_deg, cfg.center_lon_deg)
+    epoch = GroundPosition(cfg.sat_epoch_lat_deg, cfg.sat_epoch_lon_deg)
+    reach_m = cfg.ue_drop_max_m
+    if cfg.n_sites > 1:
+        reach_m += cfg.isd_m / math.sqrt(3.0)
+    lat = abs(math.radians(cfg.center_lat_deg))
+    spread = math.radians(reach_m / M_PER_DEG)
+    reach_m *= math.cos(max(0.0, lat - spread)) / math.cos(lat + spread)
+    k = EARTH_RADIUS_M / (EARTH_RADIUS_M + cfg.sat_altitude_m)
+    margin_m = (EARTH_RADIUS_M * math.acos(k)
+                - ground_distance_m(center, epoch) - reach_m)
+    track = SatelliteTrack(epoch, cfg.sat_altitude_m, cfg.sat_speed_ms)
+    if track.ground_speed_ms == 0.0:
+        return math.inf if margin_m > 0.0 else 0.0
+    return margin_m / track.ground_speed_ms
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ScenarioConfig)}

@@ -171,7 +171,9 @@ class Node:
         self.queues = {}
         self.roles = {}
         self.ue_mcs = {}        # true link MCS, None = below the table floor
-        self.ue_sinr_db = {}    # latest reported downlink SINR
+        # latest reported downlink SINR; kept across remove_ue, since every
+        # measurement writes it whatever the UE's role
+        self.ue_sinr_db = {}
         self.load = LoadTracker(load_window_ttis, self.n_res)
         self._rr = {ROLE_MN: 0, ROLE_SN: 0}
         self._n_secondary = 0   # UEs in `roles` with ROLE_SN
@@ -190,7 +192,6 @@ class Node:
         if self.roles.pop(ue_id, None) == ROLE_SN:
             self._n_secondary -= 1
         self.ue_mcs.pop(ue_id, None)
-        self.ue_sinr_db.pop(ue_id, None)
 
     def secondary_count(self):
         return self._n_secondary

@@ -126,11 +126,12 @@ class Sector:
 
 
 def build_tn_layout(center, isd_m, n_sites=3, sectors_per_site=3):
-    """Tri-sector sites on a triangular grid with the given inter-site distance.
+    """Tri-sector sites with the given inter-site distance.
 
-    Three sites form an equilateral triangle (circumradius isd/sqrt(3)) around
-    `center`; additional sites, if ever asked for, extend the same grid. Sector
-    boresights are 0/120/240 deg at every site.
+    One site sits at `center`; two or three sit on the vertices of an
+    equilateral triangle (circumradius isd/sqrt(3)) around it. A fourth site
+    would land on the first, so `ScenarioConfig.validate` rejects
+    `n_sites` > 3. Sector boresights are 0/120/240 deg at every site.
     """
     site_positions = []
     if n_sites == 1:

@@ -50,15 +50,6 @@ class SnAdditionRequest:
     mn_node_id: int
     candidate_cell: int
     mn_mcs: Optional[int]
-    sent_at_ns: int
-
-
-@dataclass
-class SecondaryBinding:
-    ue_id: int
-    mn_node_id: int
-    last_known_mn_mcs: Optional[int]
-    bound_at_ns: int
 
 
 @dataclass
@@ -77,13 +68,14 @@ class ControllerState:
         self.reports = {}        # (ue_id, cell_id) -> Measurement
         self.reported_mcs = {}   # ue_id -> anchor-link MCS from the last report
         self.last_request = {}   # cell_id -> time the last addition request was sent
-        self.bound_sn = {}       # ue_id -> cell_id of the active secondary
         self.next_eval_ns = 0
         self.t_prev_ns = 0
         self.unknown_ue_reports = 0
         # candidate side
         self.last_ack_ns = None
-        self.bindings = {}       # ue_id -> SecondaryBinding
+        # ue_id -> last-known anchor-link MCS of every UE this cell serves as
+        # a secondary; the one record of who has a secondary leg
+        self.bindings = {}
         self.aborted_reconfigs = 0
         self.noop_releases = 0
 
@@ -140,7 +132,7 @@ def _try_request(ctrl, ue_id, t_ns, cfg):
         return None
     ctrl.last_request[cell_id] = t_ns
     return SnAdditionRequest(ue_id, ctrl.node_id, cell_id,
-                             ctrl.reported_mcs.get(ue_id), t_ns)
+                             ctrl.reported_mcs.get(ue_id))
 
 
 def evaluate_mcs_based(ctrl, node, single_ues, t_ns, cfg):
@@ -218,8 +210,8 @@ def policy_for(name):
     }[name]
 
 
-def handle_sn_addition_request(cand_node, ctrl, req, t_ns, cfg,
-                               mode=PREEMPTIVE, release_fn=None):
+def handle_sn_addition_request(cand_node, ctrl, req, t_ns, cfg, mode,
+                               release_fn):
     """Candidate-side admission for one addition request.
 
     Every mode first refuses a UE that is already bound. `COVERAGE` then
@@ -227,6 +219,8 @@ def handle_sn_addition_request(cand_node, ctrl, req, t_ns, cfg,
     `GATED` and `PREEMPTIVE` check, in order, the recent-ack gate, load
     headroom and, for `PREEMPTIVE` only, preemption; an overloaded `GATED`
     candidate simply refuses. Only their ACKs re-arm the add gate.
+    `release_fn(ue_id, cause)` tears down a preempted binding; it must end
+    in `release_secondary`.
     """
     if req.ue_id in ctrl.bindings:
         return Decision(REJECT, "already-bound")
@@ -239,14 +233,11 @@ def handle_sn_addition_request(cand_node, ctrl, req, t_ns, cfg,
         ctrl.last_ack_ns = t_ns
         return Decision(ACK, "headroom")
     if mode == PREEMPTIVE and ctrl.bindings:
-        victim_id, victim = max(
+        victim_id, victim_mcs = max(
             ctrl.bindings.items(),
-            key=lambda kv: (_mcs_key(kv[1].last_known_mn_mcs), -kv[0]))
-        if _mcs_key(victim.last_known_mn_mcs) > _mcs_key(req.mn_mcs):
-            if release_fn is not None:
-                release_fn(victim_id, "preempted")
-            else:
-                ctrl.bindings.pop(victim_id)
+            key=lambda kv: (_mcs_key(kv[1]), -kv[0]))
+        if _mcs_key(victim_mcs) > _mcs_key(req.mn_mcs):
+            release_fn(victim_id, "preempted")
             ctrl.last_ack_ns = t_ns
             return Decision(ACK, "preempted-weakest", victim_id)
     return Decision(REJECT, "overloaded")
@@ -294,6 +285,5 @@ def release_secondary(cand_node, ctrl, mn_node, ue_id, cause):
 def update_mn_mcs(ctrl, ue_id, mcs):
     """Anchor-link MCS refresh for a served secondary (sent by the anchor on
     change); feeds the preemption comparison."""
-    binding = ctrl.bindings.get(ue_id)
-    if binding is not None:
-        binding.last_known_mn_mcs = mcs
+    if ue_id in ctrl.bindings:
+        ctrl.bindings[ue_id] = mcs

@@ -51,11 +51,9 @@ class UeState:
     mn_node_id: int
     pos: object
     tn_sinr_db: float
-    tn_mcs: object                      # int or None (below table floor)
     counters: UeCounters = field(default_factory=UeCounters)
     receiver: object = None
     next_sn: int = 0
-    sn_bound: bool = False
     pending_reconfig: bool = False
     ntn_sinr_db: float = 0.0
     ntn_delay_ns: int = 0
@@ -105,10 +103,6 @@ class Scenario:
         self.warmup_ns = seconds(cfg.warmup_s)
         self.tn_latency_ns = millis(cfg.tn_latency_ms)
         self.events = []
-        self.sn_adds = 0
-        self.sn_releases = 0
-        self.sn_rejects = 0
-        self.bound_ever = set()
         self._build()
 
     # ---- construction -------------------------------------------------
@@ -135,6 +129,8 @@ class Scenario:
         self.nodes[NTN_CELL_ID] = self.ntn_node
 
         self.ctrls = {nid: mc.ControllerState(nid) for nid in self.nodes}
+        # The candidate's bindings are the one record of a secondary leg.
+        self.bindings = self.ctrls[NTN_CELL_ID].bindings
         self.book = ts.GrantBook()
 
         drop_rng = self.rngs.stream("ue-drop")
@@ -157,13 +153,14 @@ class Scenario:
         cfg = self.cfg
         self.tn.attach_ue(ue_id, pos)
         sinr = self.tn.sinr[(ue_id, sector_id)]
-        ue = UeState(ue_id, sector_id, pos, sinr, _mcs_or_none(self.mcs_table, sinr))
+        ue = UeState(ue_id, sector_id, pos, sinr)
         ue.best_ntn_rsrp_dbm, ue.ntn_sinr_db, ue.ntn_delay_ns = (
             self.ntn.link_state(pos, 0))
         ue.receiver = PdcpReceiver(
             ue_id, self.sim, millis(cfg.pdcp_reorder_timer_ms),
             cfg.pdcp_reorder_buffer_pdus, self._make_deliver_cb(ue))
-        self.nodes[sector_id].add_ue(ue_id, ROLE_MN, ue.tn_mcs)
+        self.nodes[sector_id].add_ue(ue_id, ROLE_MN,
+                                     _mcs_or_none(self.mcs_table, sinr))
         self.ues[ue_id] = ue
 
     def _make_deliver_cb(self, ue):
@@ -189,15 +186,16 @@ class Scenario:
             self.sim.schedule_in(flow.interval_ns, self._on_arrival, flow)
 
     def _ingest_app_packet(self, ue, bits, t_ns):
-        """Admit one app packet at the anchor: free granted backlog first,
-        drop if the anchor queue cannot take it (packets are only sequence
-        numbered once admitted, so drops never punch holes at the receiver),
-        then let the forwarding rule steer it."""
+        """Admit one app packet at the anchor, or drop it if the anchor queue
+        cannot take it (packets are only sequence numbered once admitted, so
+        drops never punch holes at the receiver), then let the forwarding
+        rule steer it. There is nothing to forward before admission: every
+        drain leaves the queue empty or the grant short of one PDU, all
+        PDUs have one size, and only the data-request cycle, which drains at
+        once, refills a grant."""
         cfg = self.cfg
         ue.counters.generated_bits += bits
         mn = self.nodes[ue.mn_node_id]
-        if ue.sn_bound:
-            ts.drain_forward(mn, self.ntn_node, self.book, ue.ue_id, t_ns)
         q = mn.queues[ue.ue_id]
         if q.queued_bits + bits > cfg.ue_queue_bytes * 8:
             ue.counters.dropped_bits += bits
@@ -206,7 +204,7 @@ class Scenario:
         pdu = PdcpPdu(ue.ue_id, ue.next_sn, bits, t_ns, PATH_MN)
         ue.next_sn += 1
         q.push(pdu)
-        if ue.sn_bound:
+        if ue.ue_id in self.bindings:
             ts.drain_forward(mn, self.ntn_node, self.book, ue.ue_id, t_ns)
 
     # ---- air interface ------------------------------------------------
@@ -267,7 +265,7 @@ class Scenario:
         served = self.nodes[ue.mn_node_id].roles
         mc.on_measurement_report(mn_ctrl, served, ue.ue_id, NTN_CELL_ID, meas)
         self.ntn_node.ue_sinr_db[ue.ue_id] = sinr + e_ntn
-        if ue.sn_bound:
+        if ue.ue_id in self.bindings:
             self.ntn_node.ue_mcs[ue.ue_id] = _mcs_or_none(self.mcs_table, sinr)
 
         reported = _mcs_or_none(self.mcs_table, ue.tn_sinr_db + e_tn)
@@ -296,7 +294,7 @@ class Scenario:
         t = self.sim.now
         node = self.nodes[ctrl.node_id]
         single = [u for u in node.roles
-                  if u not in ctrl.bound_sn and not self.ues[u].pending_reconfig]
+                  if u not in self.bindings and not self.ues[u].pending_reconfig]
         for req in self.policy.evaluate(ctrl, node, single, t, self.cfg):
             self._dispatch_request(ctrl, req, t)
         mc.advance_eval_clock(ctrl, period, jitter, self._eval_rng)
@@ -311,7 +309,6 @@ class Scenario:
         if decision.verdict == mc.ACK:
             self._start_reconfiguration(mn_ctrl, req)
         else:
-            self.sn_rejects += 1
             self._log(t_ns, mc.EV_REJECT, req.ue_id, req.mn_node_id,
                       req.candidate_cell, decision.cause)
 
@@ -324,18 +321,12 @@ class Scenario:
         t = self.sim.now
         ue = self.ues[req.ue_id]
         ue.pending_reconfig = False
-        cand_ctrl = self.ctrls[NTN_CELL_ID]
-        if req.ue_id in cand_ctrl.bindings:
-            cand_ctrl.aborted_reconfigs += 1
+        if req.ue_id in self.bindings:
+            self.ctrls[NTN_CELL_ID].aborted_reconfigs += 1
             return
-        cand_ctrl.bindings[req.ue_id] = mc.SecondaryBinding(
-            req.ue_id, req.mn_node_id, mn_ctrl.reported_mcs.get(req.ue_id), t)
-        mn_ctrl.bound_sn[req.ue_id] = NTN_CELL_ID
+        self.bindings[req.ue_id] = mn_ctrl.reported_mcs.get(req.ue_id)
         ntn_mcs = _mcs_or_none(self.mcs_table, ue.ntn_sinr_db)
         self.ntn_node.add_ue(req.ue_id, ROLE_SN, ntn_mcs)
-        ue.sn_bound = True
-        self.bound_ever.add(req.ue_id)
-        self.sn_adds += 1
         self._log(t, mc.EV_ADD, req.ue_id, req.mn_node_id, NTN_CELL_ID,
                   self.policy.add_cause)
 
@@ -348,10 +339,7 @@ class Scenario:
                                         ue_id, cause)
         if requeued is None:
             return
-        self.ctrls[ue.mn_node_id].bound_sn.pop(ue_id, None)
         self.book.cancel(ue_id)
-        ue.sn_bound = False
-        self.sn_releases += 1
         self._log(t, mc.EV_RELEASE, ue_id, ue.mn_node_id, NTN_CELL_ID, cause)
 
     # ---- data requests -------------------------------------------------
@@ -413,15 +401,17 @@ class Scenario:
                       for u in ue_ids]
         eligible = sum(1 for u in ue_ids
                        if self.ues[u].best_ntn_rsrp_dbm >= cfg.rsrp_min_dbm)
+        kinds = [ev[1] for ev in self.events]
         return RunResult(
             policy=cfg.policy,
             seed=self.seed,
             ue_ids=ue_ids,
             throughput_kbps=throughput,
-            sn_adds=self.sn_adds,
-            sn_releases=self.sn_releases,
-            sn_rejects=self.sn_rejects,
-            distinct_bound_ues=len(self.bound_ever),
+            sn_adds=kinds.count(mc.EV_ADD),
+            sn_releases=kinds.count(mc.EV_RELEASE),
+            sn_rejects=kinds.count(mc.EV_REJECT),
+            distinct_bound_ues=len({ev[2] for ev in self.events
+                                    if ev[1] == mc.EV_ADD}),
             eligible_ues=eligible,
             events=sorted(self.events),
             grant_windows=self.book.windows_checked,

@@ -20,9 +20,9 @@ from ntnmc.campaign import run_campaign
 from ntnmc.dataplane import Node, PdcpPdu, PdcpReceiver, ROLE_SN
 from ntnmc.engine import Simulator, millis, seconds
 from ntnmc.geometry import slant_range_m
-from ntnmc.mc_control import (ACK, ControllerState, Measurement, REJECT,
-                              SecondaryBinding, SnAdditionRequest,
-                              evaluate_mcs_based, handle_sn_addition_request)
+from ntnmc.mc_control import (ACK, PREEMPTIVE, ControllerState, Measurement,
+                              REJECT, SnAdditionRequest, evaluate_mcs_based,
+                              handle_sn_addition_request, release_secondary)
 from ntnmc.simulation import Scenario
 from ntnmc.traffic_split import compute_request_amount
 
@@ -185,34 +185,32 @@ def test_scripted_anchor_evaluations():
 
 def test_scripted_candidate_decisions():
     cfg = ScenarioConfig()
+    anchor = Node("tn0", "tn_sector", 52, TABLE, 100)
+
+    def admit(cand, ctrl, t_ns):
+        return handle_sn_addition_request(
+            cand, ctrl, SnAdditionRequest(7, "tn0", 100, 5), t_ns, cfg,
+            PREEMPTIVE,
+            lambda ue, cause: release_secondary(cand, ctrl, anchor, ue, cause))
 
     ctrl = ControllerState("ntn")
-    d = handle_sn_addition_request(_cand_at_load(0.5), ctrl,
-                                   SnAdditionRequest(7, "tn0", 100, 5, 0),
-                                   0, cfg)
+    d = admit(_cand_at_load(0.5), ctrl, 0)
     assert (d.verdict, d.cause) == (ACK, "headroom")
 
     gated = ControllerState("ntn")
     gated.last_ack_ns = 0
-    d = handle_sn_addition_request(_cand_at_load(0.1), gated,
-                                   SnAdditionRequest(7, "tn0", 100, 5,
-                                                     millis(50)),
-                                   millis(50), cfg)
+    d = admit(_cand_at_load(0.1), gated, millis(50))
     assert (d.verdict, d.cause) == (REJECT, "recent-ack")
 
     crowded = ControllerState("ntn")
-    crowded.bindings[3] = SecondaryBinding(3, "tn1", 20, 0)
-    d = handle_sn_addition_request(_cand_at_load(1.0), crowded,
-                                   SnAdditionRequest(7, "tn0", 100, 5, 0),
-                                   0, cfg)
+    crowded.bindings[3] = 20
+    d = admit(_cand_at_load(1.0), crowded, 0)
     assert (d.verdict, d.cause, d.released_ue) == (ACK, "preempted-weakest", 3)
     assert 3 not in crowded.bindings
 
     hopeless = ControllerState("ntn")
-    hopeless.bindings[3] = SecondaryBinding(3, "tn1", 3, 0)
-    d = handle_sn_addition_request(_cand_at_load(1.0), hopeless,
-                                   SnAdditionRequest(7, "tn0", 100, 5, 0),
-                                   0, cfg)
+    hopeless.bindings[3] = 3
+    d = admit(_cand_at_load(1.0), hopeless, 0)
     assert (d.verdict, d.cause) == (REJECT, "overloaded")
     assert 3 in hopeless.bindings
 

@@ -90,6 +90,18 @@ def test_bad_config_file_is_usage_error(tmp_path):
                  "--seeds", "1"]) == 2
 
 
+def test_run_past_satellite_pass_is_usage_error(tmp_path, capsys):
+    # with the default layout the satellite leaves the first UE's sky
+    # between 384 and 385 s
+    p = tmp_path / "long.cfg"
+    p.write_text("sim_duration_s = 400\n")
+    out = tmp_path / "x"
+    assert main(["run", "--config", str(p), "--out", str(out),
+                 "--seeds", "1"]) == 2
+    assert "sim_duration_s" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_jobs_is_usage_error(tmp_path):
     assert main(["run", "--out", str(tmp_path / "x"), "--seeds", "1",
                  "--jobs", "0"]) == 2

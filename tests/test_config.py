@@ -101,6 +101,20 @@ def test_range_checks():
         load_config(None, environ={}, ue_drop_min_m=100.0, ue_drop_max_m=50.0)
 
 
+def test_n_sites_limited_to_one_triangle():
+    for n in (1, 2, 3):
+        assert load_config(None, environ={}, n_sites=n).n_sites == n
+    with pytest.raises(ConfigError, match="n_sites"):
+        load_config(None, environ={}, n_sites=4)
+
+
+def test_bandwidth_must_match_prb_count():
+    assert load_config(None, environ={}, bandwidth_mhz=20.0, n_prb=106)
+    for mhz, prb in ((10.0, 106), (20.0, 52), (12.0, 52)):
+        with pytest.raises(ConfigError, match="bandwidth_mhz/n_prb"):
+            load_config(None, environ={}, bandwidth_mhz=mhz, n_prb=prb)
+
+
 def test_config_is_plain_dataclass():
     # campaign code relies on dataclasses.replace for per-policy variants
     cfg = load_config(None, environ={})

@@ -6,7 +6,7 @@ from ntnmc.config import POLICIES, ScenarioConfig
 from ntnmc.dataplane import Node, PdcpPdu, ROLE_MN, ROLE_SN, compute_load
 from ntnmc.engine import Simulator, millis
 from ntnmc.mc_control import (ACK, COVERAGE, GATED, PREEMPTIVE, REJECT,
-                              ControllerState, Measurement, SecondaryBinding,
+                              ControllerState, Measurement,
                               SnAdditionRequest, advance_eval_clock,
                               complete_reconfiguration, evaluate_bo_based,
                               evaluate_mcs_based, evaluate_rsrp_based,
@@ -36,8 +36,17 @@ def _cand_at_load(fraction, n_prb=52):
     return node
 
 
-def _req(ue=7, mn_mcs=5, t=0):
-    return SnAdditionRequest(ue, "tn0", NTN_CELL, mn_mcs, t)
+def _req(ue=7, mn_mcs=5):
+    return SnAdditionRequest(ue, "tn0", NTN_CELL, mn_mcs)
+
+
+def _admit(cand, ctrl, req, t_ns, mode=PREEMPTIVE):
+    """Admission as a scenario runs it: a preempted binding ends through
+    `release_secondary`."""
+    anchor = Node("tn0", "tn_sector", 52, TABLE, 100)
+    return handle_sn_addition_request(
+        cand, ctrl, req, t_ns, CFG, mode,
+        lambda ue, cause: release_secondary(cand, ctrl, anchor, ue, cause))
 
 
 def _anchor_with_occupancy(occupancy):
@@ -153,7 +162,7 @@ def test_unknown_ue_report_is_dropped_and_counted():
 
 def test_ack_when_candidate_has_headroom():
     ctrl = ControllerState("ntn")
-    d = handle_sn_addition_request(_cand_at_load(0.5), ctrl, _req(), 0, CFG)
+    d = _admit(_cand_at_load(0.5), ctrl, _req(), 0)
     assert (d.verdict, d.cause) == (ACK, "headroom")
     assert ctrl.last_ack_ns == 0
 
@@ -161,8 +170,7 @@ def test_ack_when_candidate_has_headroom():
 def test_recent_ack_gates_regardless_of_load():
     ctrl = ControllerState("ntn")
     ctrl.last_ack_ns = 0
-    d = handle_sn_addition_request(_cand_at_load(0.1), ctrl, _req(),
-                                   millis(50), CFG)
+    d = _admit(_cand_at_load(0.1), ctrl, _req(), millis(50))
     assert (d.verdict, d.cause) == (REJECT, "recent-ack")
     assert ctrl.last_ack_ns == 0
 
@@ -171,42 +179,40 @@ def test_add_gate_boundary_is_inclusive():
     ctrl = ControllerState("ntn")
     ctrl.last_ack_ns = 0
     at_gate = millis(CFG.add_gate_ms)
-    d = handle_sn_addition_request(_cand_at_load(0.1), ctrl, _req(), at_gate, CFG)
+    d = _admit(_cand_at_load(0.1), ctrl, _req(), at_gate)
     assert d.cause == "recent-ack"
-    d = handle_sn_addition_request(_cand_at_load(0.1), ctrl, _req(),
-                                   at_gate + 1, CFG)
+    d = _admit(_cand_at_load(0.1), ctrl, _req(), at_gate + 1)
     assert (d.verdict, d.cause) == (ACK, "headroom")
 
 
 def test_overloaded_candidate_preempts_strongest_served_ue():
     ctrl = ControllerState("ntn")
-    ctrl.bindings[3] = SecondaryBinding(3, "tn1", 20, 0)
-    ctrl.bindings[4] = SecondaryBinding(4, "tn2", 8, 0)
-    d = handle_sn_addition_request(_cand_at_load(1.0), ctrl,
-                                   _req(ue=7, mn_mcs=5), 0, CFG)
+    ctrl.bindings[3] = 20
+    ctrl.bindings[4] = 8
+    d = _admit(_cand_at_load(1.0), ctrl, _req(ue=7, mn_mcs=5), 0)
     assert (d.verdict, d.cause, d.released_ue) == (ACK, "preempted-weakest", 3)
-    assert 3 not in ctrl.bindings  # default path drops the binding itself
+    assert 3 not in ctrl.bindings  # released through release_secondary
     assert 4 in ctrl.bindings
     assert ctrl.last_ack_ns == 0
 
 
 def test_preemption_calls_release_hook_when_given():
     ctrl = ControllerState("ntn")
-    ctrl.bindings[3] = SecondaryBinding(3, "tn1", 20, 0)
+    ctrl.bindings[3] = 20
     released = []
     d = handle_sn_addition_request(_cand_at_load(1.0), ctrl,
-                                   _req(ue=7, mn_mcs=5), 0, CFG,
-                                   release_fn=lambda ue, cause:
+                                   _req(ue=7, mn_mcs=5), 0, CFG, PREEMPTIVE,
+                                   lambda ue, cause:
                                    released.append((ue, cause)))
     assert d.released_ue == 3
     assert released == [(3, "preempted")]
+    assert 3 in ctrl.bindings   # only the hook ends a binding
 
 
 def test_overloaded_candidate_refuses_when_requester_is_not_weaker():
     ctrl = ControllerState("ntn")
-    ctrl.bindings[3] = SecondaryBinding(3, "tn1", 3, 0)
-    d = handle_sn_addition_request(_cand_at_load(1.0), ctrl,
-                                   _req(ue=7, mn_mcs=5), 0, CFG)
+    ctrl.bindings[3] = 3
+    d = _admit(_cand_at_load(1.0), ctrl, _req(ue=7, mn_mcs=5), 0)
     assert (d.verdict, d.cause, d.released_ue) == (REJECT, "overloaded", None)
     assert 3 in ctrl.bindings
     assert ctrl.last_ack_ns is None
@@ -214,9 +220,8 @@ def test_overloaded_candidate_refuses_when_requester_is_not_weaker():
 
 def test_equal_mcs_does_not_preempt():
     ctrl = ControllerState("ntn")
-    ctrl.bindings[3] = SecondaryBinding(3, "tn1", 5, 0)
-    d = handle_sn_addition_request(_cand_at_load(1.0), ctrl,
-                                   _req(ue=7, mn_mcs=5), 0, CFG)
+    ctrl.bindings[3] = 5
+    d = _admit(_cand_at_load(1.0), ctrl, _req(ue=7, mn_mcs=5), 0)
     assert (d.verdict, d.cause) == (REJECT, "overloaded")
 
 
@@ -228,17 +233,15 @@ def test_equal_mcs_does_not_preempt():
 def test_admission_modes_on_overloaded_candidate(mode, verdict, cause,
                                                  released, acked_at):
     ctrl = ControllerState("ntn")
-    ctrl.bindings[3] = SecondaryBinding(3, "tn1", 20, 0)
-    d = handle_sn_addition_request(_cand_at_load(1.0), ctrl,
-                                   _req(ue=7, mn_mcs=5), 0, CFG, mode=mode)
+    ctrl.bindings[3] = 20
+    d = _admit(_cand_at_load(1.0), ctrl, _req(ue=7, mn_mcs=5), 0, mode=mode)
     assert (d.verdict, d.cause, d.released_ue) == (verdict, cause, released)
     assert ctrl.last_ack_ns == acked_at
     assert (3 in ctrl.bindings) == (released is None)
 
     bound = ControllerState("ntn")
-    bound.bindings[7] = SecondaryBinding(7, "tn0", 5, 0)
-    d = handle_sn_addition_request(_cand_at_load(1.0), bound, _req(ue=7), 0,
-                                   CFG, mode=mode)
+    bound.bindings[7] = 5
+    d = _admit(_cand_at_load(1.0), bound, _req(ue=7), 0, mode=mode)
     assert (d.verdict, d.cause) == (REJECT, "already-bound")
 
 
@@ -253,8 +256,8 @@ def test_policy_table_covers_every_setting(monkeypatch):
 
 def test_duplicate_binding_rejected_before_anything_else():
     ctrl = ControllerState("ntn")
-    ctrl.bindings[7] = SecondaryBinding(7, "tn0", 5, 0)
-    d = handle_sn_addition_request(_cand_at_load(0.1), ctrl, _req(ue=7), 0, CFG)
+    ctrl.bindings[7] = 5
+    d = _admit(_cand_at_load(0.1), ctrl, _req(ue=7), 0)
     assert (d.verdict, d.cause) == (REJECT, "already-bound")
     assert ctrl.last_ack_ns is None
 
@@ -304,7 +307,7 @@ def test_release_moves_leftover_pdus_back_to_anchor():
     for i in range(3):
         cand.queues[1].push(PdcpPdu(1, i, 12000, 0))
     ctrl = ControllerState("ntn")
-    ctrl.bindings[1] = SecondaryBinding(1, "tn0", 10, 0)
+    ctrl.bindings[1] = 10
     n = release_secondary(cand, ctrl, anchor, 1, "preempted")
     assert n == 3
     assert 1 not in ctrl.bindings
@@ -322,8 +325,8 @@ def test_release_of_unbound_ue_is_counted_noop():
 
 def test_anchor_mcs_refresh_reaches_binding():
     ctrl = ControllerState("ntn")
-    ctrl.bindings[1] = SecondaryBinding(1, "tn0", 10, 0)
+    ctrl.bindings[1] = 10
     update_mn_mcs(ctrl, 1, 2)
-    assert ctrl.bindings[1].last_known_mn_mcs == 2
+    assert ctrl.bindings[1] == 2
     update_mn_mcs(ctrl, 2, 9)  # unbound UE, silently ignored
     assert 2 not in ctrl.bindings

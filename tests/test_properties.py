@@ -6,12 +6,20 @@ from ntnmc.channel import McsTable
 from ntnmc.config import ScenarioConfig
 from ntnmc.dataplane import Node, PdcpPdu, PdcpReceiver, _equal_share
 from ntnmc.engine import Simulator, millis
-from ntnmc.mc_control import (ACK, ControllerState, SecondaryBinding,
-                              SnAdditionRequest, handle_sn_addition_request)
+from ntnmc.mc_control import (ACK, PREEMPTIVE, ControllerState,
+                              SnAdditionRequest, handle_sn_addition_request,
+                              release_secondary)
 from ntnmc.stats import percentile
 
 CFG = ScenarioConfig()
 TABLE = McsTable.default()
+
+
+def _admit(cand, ctrl, req, t_ns):
+    anchor = Node("tn0", "tn_sector", 52, TABLE, 100)
+    return handle_sn_addition_request(
+        cand, ctrl, req, t_ns, CFG, PREEMPTIVE,
+        lambda ue, cause: release_secondary(cand, ctrl, anchor, ue, cause))
 
 
 @settings(deadline=None, max_examples=100)
@@ -61,11 +69,10 @@ def test_acks_never_violate_the_add_gate(reqs):
     for dt, load, ue, mcs in reqs:
         t += dt
         node.load.record(round(load * node.n_res), 0)
-        d = handle_sn_addition_request(
-            node, ctrl, SnAdditionRequest(ue, "tn0", 100, mcs, t), t, CFG)
+        d = _admit(node, ctrl, SnAdditionRequest(ue, "tn0", 100, mcs), t)
         if d.verdict == ACK:
             ack_times.append(t)
-            ctrl.bindings[ue] = SecondaryBinding(ue, "tn0", mcs, t)
+            ctrl.bindings[ue] = mcs
     for a, b in zip(ack_times, ack_times[1:]):
         assert b - a > gate_ns
 
@@ -81,12 +88,11 @@ def test_bound_ue_never_gets_a_second_ack(reqs):
     for dt, load, ue, mcs in reqs:
         t += dt
         node.load.record(round(load * node.n_res), 0)
-        d = handle_sn_addition_request(
-            node, ctrl, SnAdditionRequest(ue, "tn0", 100, mcs, t), t, CFG)
+        d = _admit(node, ctrl, SnAdditionRequest(ue, "tn0", 100, mcs), t)
         if ue in ctrl.bindings and d.released_ue != ue:
             assert d.verdict != ACK
         if d.verdict == ACK:
-            ctrl.bindings[ue] = SecondaryBinding(ue, "tn0", mcs, t)
+            ctrl.bindings[ue] = mcs
 
 
 def water_filling(order, needs, total):

@@ -75,6 +75,14 @@ def test_request_amount_requires_served_ues():
         compute_request_amount(node, 1, 0, CFG)
 
 
+def test_request_amount_after_release_and_re_add():
+    node = _sn_node(1, sinr_db=10.0)
+    before = compute_request_amount(node, 1, 0, CFG)
+    node.remove_ue(1)
+    node.add_ue(1, ROLE_SN, 22)
+    assert compute_request_amount(node, 1, 0, CFG) == before
+
+
 def test_request_amount_halves_when_membership_doubles():
     a = compute_request_amount(_sn_node(3, sinr_db=10.0), 1, 0, CFG)
     b = compute_request_amount(_sn_node(6, sinr_db=10.0), 1, 0, CFG)
