@@ -9,6 +9,7 @@ for fixed geometry.
 """
 
 import math
+from bisect import bisect_right
 
 from .geometry import bearing_deg, elevation_and_slant, ground_distance_m
 
@@ -126,18 +127,11 @@ class McsTable:
         self.thresholds_db = list(thresholds_db)
         self.efficiencies = list(efficiencies)
 
-    def __len__(self):
-        return len(self.thresholds_db)
-
     def mcs_for_sinr(self, sinr_db):
-        """Highest index whose threshold is met; clamps at both ends."""
-        idx = 0
-        for i, th in enumerate(self.thresholds_db):
-            if sinr_db >= th:
-                idx = i
-            else:
-                break
-        return idx
+        """Highest index whose threshold is met; None below the first
+        threshold (no decodable MCS), clamps at the top."""
+        idx = bisect_right(self.thresholds_db, sinr_db) - 1
+        return idx if idx >= 0 else None
 
     def efficiency(self, mcs):
         return self.efficiencies[mcs]
@@ -151,15 +145,14 @@ class TnChannel:
     """Static per-(UE, sector) terrestrial link state.
 
     LOS state and shadowing are drawn once per pair when a UE is attached and
-    never redrawn (drop-time channel realization, no fast fading). RSRP and
-    SINR are therefore precomputed constants.
+    never redrawn (drop-time channel realization, no fast fading). SINR is
+    therefore a precomputed constant.
     """
 
     def __init__(self, cfg, sectors, rng):
         self.cfg = cfg
         self.sectors = sectors
         self.rng = rng
-        self.rsrp = {}      # (ue_id, sector_id) -> dBm per RE
         self.sinr = {}      # (ue_id, serving sector_id) -> dB
         self._n_re_grid = cfg.n_prb * SUBCARRIERS_PER_PRB
 
@@ -178,9 +171,7 @@ class TnChannel:
             offaxis = bearing_deg(sec.position, ue_pos) - sec.boresight_deg
             gain = cfg.tn_sector_gain_dbi + sector_pattern_db(
                 offaxis, cfg.tn_sector_beamwidth_deg, cfg.tn_sector_floor_db)
-            rsrp = per_re_tx + gain - pl + shadow
-            self.rsrp[(ue_id, sec.sector_id)] = rsrp
-            powers.append(db_to_linear(rsrp))
+            powers.append(db_to_linear(per_re_tx + gain - pl + shadow))
 
         noise = db_to_linear(noise_per_re_dbm(cfg.ue_noise_figure_db))
         total = sum(powers)

@@ -14,7 +14,6 @@ import hashlib
 import heapq
 import random
 
-NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
 NS_PER_S = 1_000_000_000
 

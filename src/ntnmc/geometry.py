@@ -19,7 +19,6 @@ M_PER_DEG = EARTH_RADIUS_M * math.pi / 180.0  # ~111194.93 m per degree of arc
 class GroundPosition:
     lat_deg: float
     lon_deg: float
-    alt_m: float = 0.0
 
 
 def central_angle_rad(a, b):
@@ -53,7 +52,7 @@ def destination(pos, bearing_deg, distance_m):
         lon -= 360.0
     elif lon < -180.0:
         lon += 360.0
-    return GroundPosition(math.degrees(la2), lon, pos.alt_m)
+    return GroundPosition(math.degrees(la2), lon)
 
 
 def local_offset(ref, east_m, north_m):

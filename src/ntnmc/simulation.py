@@ -83,12 +83,6 @@ class RunResult:
     skipped_sns: int
 
 
-def _mcs_or_none(table, sinr_db):
-    if sinr_db < table.thresholds_db[0]:
-        return None
-    return table.mcs_for_sinr(sinr_db)
-
-
 class Scenario:
     """A fully wired single run; `run_to_end` drives it and returns results."""
 
@@ -128,9 +122,9 @@ class Scenario:
                              window_ttis)
         self.nodes[NTN_CELL_ID] = self.ntn_node
 
-        self.ctrls = {nid: mc.ControllerState(nid) for nid in self.nodes}
-        # The candidate's bindings are the one record of a secondary leg.
-        self.bindings = self.ctrls[NTN_CELL_ID].bindings
+        self.anchors = {sec.sector_id: mc.AnchorState(sec.sector_id)
+                        for sec in self.sectors}
+        self.cand = mc.CandidateState()
         self.book = ts.GrantBook()
 
         drop_rng = self.rngs.stream("ue-drop")
@@ -160,7 +154,7 @@ class Scenario:
             ue_id, self.sim, millis(cfg.pdcp_reorder_timer_ms),
             cfg.pdcp_reorder_buffer_pdus, self._make_deliver_cb(ue))
         self.nodes[sector_id].add_ue(ue_id, ROLE_MN,
-                                     _mcs_or_none(self.mcs_table, sinr))
+                                     self.mcs_table.mcs_for_sinr(sinr))
         self.ues[ue_id] = ue
 
     def _make_deliver_cb(self, ue):
@@ -204,7 +198,7 @@ class Scenario:
         pdu = PdcpPdu(ue.ue_id, ue.next_sn, bits, t_ns, PATH_MN)
         ue.next_sn += 1
         q.push(pdu)
-        if ue.ue_id in self.bindings:
+        if ue.ue_id in self.cand.bindings:
             ts.drain_forward(mn, self.ntn_node, self.book, ue.ue_id, t_ns)
 
     # ---- air interface ------------------------------------------------
@@ -259,20 +253,16 @@ class Scenario:
         # quantities derived from it; schedulers keep using the true link.
         e_ntn = self._meas_err.gauss(0.0, cfg.meas_error_sigma_db)
         e_tn = self._meas_err.gauss(0.0, cfg.meas_error_sigma_db)
-        meas = mc.Measurement(t, rsrp + e_ntn, sinr + e_ntn)
-
-        mn_ctrl = self.ctrls[ue.mn_node_id]
-        served = self.nodes[ue.mn_node_id].roles
-        mc.on_measurement_report(mn_ctrl, served, ue.ue_id, NTN_CELL_ID, meas)
+        anchor = self.anchors[ue.mn_node_id]
+        anchor.reports[ue.ue_id] = mc.Measurement(t, rsrp + e_ntn)
         self.ntn_node.ue_sinr_db[ue.ue_id] = sinr + e_ntn
-        if ue.ue_id in self.bindings:
-            self.ntn_node.ue_mcs[ue.ue_id] = _mcs_or_none(self.mcs_table, sinr)
+        if ue.ue_id in self.cand.bindings:
+            self.ntn_node.ue_mcs[ue.ue_id] = self.mcs_table.mcs_for_sinr(sinr)
 
-        reported = _mcs_or_none(self.mcs_table, ue.tn_sinr_db + e_tn)
-        if mn_ctrl.reported_mcs.get(ue.ue_id, "unset") != reported:
-            mn_ctrl.reported_mcs[ue.ue_id] = reported
-            cand_ctrl = self.ctrls[NTN_CELL_ID]
-            mc.update_mn_mcs(cand_ctrl, ue.ue_id, reported)
+        reported = self.mcs_table.mcs_for_sinr(ue.tn_sinr_db + e_tn)
+        if anchor.reported_mcs.get(ue.ue_id, "unset") != reported:
+            anchor.reported_mcs[ue.ue_id] = reported
+            mc.update_mn_mcs(self.cand, ue.ue_id, reported)
 
         if t + period <= self.end_ns:
             self.sim.schedule_in(period, self._on_measurement, ue, period)
@@ -285,62 +275,55 @@ class Scenario:
         period = millis(cfg.eval_period_ms)
         jitter = millis(cfg.eval_jitter_ms)
         for sec in self.sectors:
-            ctrl = self.ctrls[sec.sector_id]
-            mc.init_eval_clock(ctrl, jitter, self._eval_rng)
-            self.sim.schedule_at(ctrl.next_eval_ns, self._on_eval, ctrl,
+            anchor = self.anchors[sec.sector_id]
+            mc.init_eval_clock(anchor, jitter, self._eval_rng)
+            self.sim.schedule_at(anchor.next_eval_ns, self._on_eval, anchor,
                                  period, jitter)
 
-    def _on_eval(self, ctrl, period, jitter):
+    def _on_eval(self, anchor, period, jitter):
         t = self.sim.now
-        node = self.nodes[ctrl.node_id]
-        single = [u for u in node.roles
-                  if u not in self.bindings and not self.ues[u].pending_reconfig]
-        for req in self.policy.evaluate(ctrl, node, single, t, self.cfg):
-            self._dispatch_request(ctrl, req, t)
-        mc.advance_eval_clock(ctrl, period, jitter, self._eval_rng)
-        if ctrl.next_eval_ns <= self.end_ns:
-            self.sim.schedule_at(ctrl.next_eval_ns, self._on_eval, ctrl,
+        node = self.nodes[anchor.node_id]
+        single = [u for u in node.roles if u not in self.cand.bindings
+                  and not self.ues[u].pending_reconfig]
+        for req in self.policy.evaluate(anchor, node, single, t, self.cfg):
+            self._dispatch_request(req, t)
+        mc.advance_eval_clock(anchor, period, jitter, self._eval_rng)
+        if anchor.next_eval_ns <= self.end_ns:
+            self.sim.schedule_at(anchor.next_eval_ns, self._on_eval, anchor,
                                  period, jitter)
 
-    def _dispatch_request(self, mn_ctrl, req, t_ns):
+    def _dispatch_request(self, req, t_ns):
         decision = mc.handle_sn_addition_request(
-            self.ntn_node, self.ctrls[NTN_CELL_ID], req, t_ns, self.cfg,
+            self.ntn_node, self.cand, req, t_ns, self.cfg,
             self.policy.admission, self._release)
         if decision.verdict == mc.ACK:
-            self._start_reconfiguration(mn_ctrl, req)
+            self.ues[req.ue_id].pending_reconfig = True
+            mc.complete_reconfiguration(
+                self.sim, millis(self.cfg.ctrl_latency_ms),
+                self._finalize_binding, req)
         else:
             self._log(t_ns, mc.EV_REJECT, req.ue_id, req.mn_node_id,
-                      req.candidate_cell, decision.cause)
+                      NTN_CELL_ID, decision.cause)
 
-    def _start_reconfiguration(self, mn_ctrl, req):
-        self.ues[req.ue_id].pending_reconfig = True
-        mc.complete_reconfiguration(self.sim, millis(self.cfg.ctrl_latency_ms),
-                                    self._finalize_binding, mn_ctrl, req)
-
-    def _finalize_binding(self, mn_ctrl, req):
-        t = self.sim.now
+    def _finalize_binding(self, req):
         ue = self.ues[req.ue_id]
         ue.pending_reconfig = False
-        if req.ue_id in self.bindings:
-            self.ctrls[NTN_CELL_ID].aborted_reconfigs += 1
-            return
-        self.bindings[req.ue_id] = mn_ctrl.reported_mcs.get(req.ue_id)
-        ntn_mcs = _mcs_or_none(self.mcs_table, ue.ntn_sinr_db)
+        # `_on_eval` asks only for UEs that are unbound and not pending.
+        assert req.ue_id not in self.cand.bindings
+        self.cand.bindings[req.ue_id] = (
+            self.anchors[req.mn_node_id].reported_mcs.get(req.ue_id))
+        ntn_mcs = self.mcs_table.mcs_for_sinr(ue.ntn_sinr_db)
         self.ntn_node.add_ue(req.ue_id, ROLE_SN, ntn_mcs)
-        self._log(t, mc.EV_ADD, req.ue_id, req.mn_node_id, NTN_CELL_ID,
-                  self.policy.add_cause)
+        self._log(self.sim.now, mc.EV_ADD, req.ue_id, req.mn_node_id,
+                  NTN_CELL_ID, self.policy.add_cause)
 
     def _release(self, ue_id, cause):
-        t = self.sim.now
         ue = self.ues[ue_id]
-        cand_ctrl = self.ctrls[NTN_CELL_ID]
-        mn_node = self.nodes[ue.mn_node_id]
-        requeued = mc.release_secondary(self.ntn_node, cand_ctrl, mn_node,
-                                        ue_id, cause)
-        if requeued is None:
-            return
+        mc.release_secondary(self.ntn_node, self.cand,
+                             self.nodes[ue.mn_node_id], ue_id)
         self.book.cancel(ue_id)
-        self._log(t, mc.EV_RELEASE, ue_id, ue.mn_node_id, NTN_CELL_ID, cause)
+        self._log(self.sim.now, mc.EV_RELEASE, ue_id, ue.mn_node_id,
+                  NTN_CELL_ID, cause)
 
     # ---- data requests -------------------------------------------------
 

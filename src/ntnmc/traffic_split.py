@@ -133,13 +133,11 @@ def mn_forwarding_decision(book, pdu, t_ns):
 
 
 def drain_forward(mn_node, sn_node, book, ue_id, t_ns):
-    """Move whole pending PDUs from the anchor queue to the secondary node
-    while the live allowance covers them. The PDU currently on the air is
-    never taken."""
-    src = mn_node.queues.get(ue_id)
-    dst = sn_node.queues.get(ue_id)
-    if src is None or dst is None:
-        return 0
+    """Move whole pending PDUs of bound UE `ue_id` from the anchor queue to
+    the secondary node while the live allowance covers them. The PDU
+    currently on the air is never taken."""
+    src = mn_node.queues[ue_id]
+    dst = sn_node.queues[ue_id]
     moved = 0
     while src.pending and mn_forwarding_decision(book, src.pending[0], t_ns) == FORWARD:
         pdu = src.pop_pending()
@@ -153,10 +151,7 @@ def reroute_secondary_queue(sn_node, mn_node, ue_id):
     """On release, send every secondary-queued PDU back to the anchor queue
     front (oldest first, ahead of younger anchor traffic; the cap does not
     apply because these bits were already admitted once)."""
-    q = sn_node.queues.get(ue_id)
-    if q is None:
-        return 0
-    pdus = q.drain_all()
+    pdus = sn_node.queues[ue_id].drain_all()
     dst = mn_node.queues[ue_id]
     for pdu in reversed(pdus):
         pdu.path = PATH_MN

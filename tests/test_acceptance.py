@@ -17,12 +17,13 @@ from ntnmc.channel import McsTable, ntn_fspl_db
 from ntnmc.cli import main
 from ntnmc.config import ScenarioConfig, load_config
 from ntnmc.campaign import run_campaign
-from ntnmc.dataplane import Node, PdcpPdu, PdcpReceiver, ROLE_SN
+from ntnmc.dataplane import Node, PdcpPdu, PdcpReceiver, ROLE_MN, ROLE_SN
 from ntnmc.engine import Simulator, millis, seconds
 from ntnmc.geometry import slant_range_m
-from ntnmc.mc_control import (ACK, PREEMPTIVE, ControllerState, Measurement,
-                              REJECT, SnAdditionRequest, evaluate_mcs_based,
-                              handle_sn_addition_request, release_secondary)
+from ntnmc.mc_control import (ACK, PREEMPTIVE, REJECT, AnchorState,
+                              CandidateState, Measurement, SnAdditionRequest,
+                              evaluate_mcs_based, handle_sn_addition_request,
+                              release_secondary)
 from ntnmc.simulation import Scenario
 from ntnmc.traffic_split import compute_request_amount
 
@@ -150,12 +151,12 @@ def test_request_amount_matches_closed_form():
 # --- scripted control-plane decisions ----------------------------------------
 
 
-def _ctrl_with_reports(reports, mcs_by_ue):
-    ctrl = ControllerState("tn0")
-    for (ue, cell), (age_ms, rsrp) in reports.items():
-        ctrl.reports[(ue, cell)] = Measurement(-millis(age_ms), rsrp, 10.0)
-    ctrl.reported_mcs.update(mcs_by_ue)
-    return ctrl
+def _anchor_with_reports(reports, mcs_by_ue):
+    anchor = AnchorState("tn0")
+    for ue, (age_ms, rsrp) in reports.items():
+        anchor.reports[ue] = Measurement(-millis(age_ms), rsrp)
+    anchor.reported_mcs.update(mcs_by_ue)
+    return anchor
 
 
 def _cand_at_load(fraction):
@@ -167,19 +168,19 @@ def _cand_at_load(fraction):
 def test_scripted_anchor_evaluations():
     cfg = ScenarioConfig()
 
-    healthy = _ctrl_with_reports({(u, 100): (50, -110.0) for u in range(4)},
-                                 {u: 16 for u in range(4)})
+    healthy = _anchor_with_reports({u: (50, -110.0) for u in range(4)},
+                                   {u: 16 for u in range(4)})
     assert evaluate_mcs_based(healthy, None, list(range(4)), 0, cfg) == []
 
-    no_single = _ctrl_with_reports({(1, 100): (50, -110.0)}, {1: 3})
+    no_single = _anchor_with_reports({1: (50, -110.0)}, {1: 3})
     assert evaluate_mcs_based(no_single, None, [], 0, cfg) == []
 
-    weak = _ctrl_with_reports({(1, 100): (50, -110.0)}, {1: 3})
+    weak = _anchor_with_reports({1: (50, -110.0)}, {1: 3})
     reqs = evaluate_mcs_based(weak, None, [1], 0, cfg)
     assert len(reqs) == 1
-    assert (reqs[0].ue_id, reqs[0].candidate_cell, reqs[0].mn_mcs) == (1, 100, 3)
+    assert (reqs[0].ue_id, reqs[0].mn_node_id, reqs[0].mn_mcs) == (1, "tn0", 3)
 
-    faint = _ctrl_with_reports({(1, 100): (50, -112.0)}, {1: 3})
+    faint = _anchor_with_reports({1: (50, -112.0)}, {1: 3})
     assert evaluate_mcs_based(faint, None, [1], 0, cfg) == []
 
 
@@ -188,27 +189,30 @@ def test_scripted_candidate_decisions():
     anchor = Node("tn0", "tn_sector", 52, TABLE, 100)
 
     def admit(cand, ctrl, t_ns):
+        for ue in ctrl.bindings:    # served at both nodes, as in a scenario
+            anchor.add_ue(ue, ROLE_MN, 10)
+            cand.add_ue(ue, ROLE_SN, 22)
         return handle_sn_addition_request(
-            cand, ctrl, SnAdditionRequest(7, "tn0", 100, 5), t_ns, cfg,
+            cand, ctrl, SnAdditionRequest(7, "tn0", 5), t_ns, cfg,
             PREEMPTIVE,
-            lambda ue, cause: release_secondary(cand, ctrl, anchor, ue, cause))
+            lambda ue, cause: release_secondary(cand, ctrl, anchor, ue))
 
-    ctrl = ControllerState("ntn")
+    ctrl = CandidateState()
     d = admit(_cand_at_load(0.5), ctrl, 0)
     assert (d.verdict, d.cause) == (ACK, "headroom")
 
-    gated = ControllerState("ntn")
+    gated = CandidateState()
     gated.last_ack_ns = 0
     d = admit(_cand_at_load(0.1), gated, millis(50))
     assert (d.verdict, d.cause) == (REJECT, "recent-ack")
 
-    crowded = ControllerState("ntn")
+    crowded = CandidateState()
     crowded.bindings[3] = 20
     d = admit(_cand_at_load(1.0), crowded, 0)
-    assert (d.verdict, d.cause, d.released_ue) == (ACK, "preempted-weakest", 3)
+    assert (d.verdict, d.cause) == (ACK, "preempted-weakest")
     assert 3 not in crowded.bindings
 
-    hopeless = ControllerState("ntn")
+    hopeless = CandidateState()
     hopeless.bindings[3] = 3
     d = admit(_cand_at_load(1.0), hopeless, 0)
     assert (d.verdict, d.cause) == (REJECT, "overloaded")

@@ -1,6 +1,8 @@
-"""The benchmark's layer probes (perfbench/probes.py) patch functions of the
-package by name; these runs check that every probe behind an exact work
-counter, and the reconfiguration event kind, still sees calls."""
+"""The benchmark (perfbench/) patches functions of the package by name and
+reads fields of its results. These runs check that every probe behind an
+exact work counter, and the reconfiguration event kind, still sees calls,
+and that the benchmark's result path (`bench.run_repeat`, `Checker.check`,
+`fingerprint`) runs on the package as it is."""
 
 import importlib.util
 from pathlib import Path
@@ -10,15 +12,19 @@ import pytest
 from ntnmc import dataplane, simulation
 from ntnmc.config import load_config
 
-PROBES_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "probes.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_probes():
-    spec = importlib.util.spec_from_file_location("perfbench_probes",
-                                                  PROBES_PATH)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_probes():
+    return _load("probes")
 
 
 @pytest.mark.parametrize("policy", ["rsrp", "mcs"])
@@ -35,3 +41,18 @@ def test_probes_see_every_work_counter(policy):
     acks = tracer.records["mc_control.admission"][1]
     assert tracer.records["simulation.reconfig"][0] == 3 * acks > 0
     assert simulation.schedule_tti is dataplane.schedule_tti
+
+
+def test_benchmark_result_path(tmp_path, monkeypatch):
+    # bench.py imports probes.py by plain name, as perfbench/run.py runs it
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    bench = _load("bench")
+    spec = dict(policies=("mcs", "off"), jobs=1,
+                overrides=dict(sim_duration_s=0.6, warmup_s=0.3,
+                               n_ue_per_sector=2))
+    rep = bench.run_repeat(spec, 1, bench.COUNT, 1, tmp_path)
+    assert rep.error is None
+    checker = bench.Checker(len(spec["policies"]) * len(bench.RUN_SEEDS))
+    checker.check("count", rep)
+    assert (checker.attempted, checker.failed) == (2, 0), checker.notes
+    assert [f[0] for f in bench.fingerprint(spec, rep)] == ["mcs", "off"]

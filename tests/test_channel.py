@@ -43,8 +43,12 @@ def test_mcs_table_defaults():
     assert table.efficiency(22) == 4.8164
     assert table.mcs_for_sinr(12.7) == 22
     assert table.mcs_for_sinr(-9.5) == 0
-    assert table.mcs_for_sinr(-50.0) == 0
+    assert table.mcs_for_sinr(-50.0) is None
     assert table.mcs_for_sinr(200.0) == 31
+    for i, th in enumerate(DEFAULT_MCS_THRESHOLDS_DB):
+        assert table.mcs_for_sinr(th) == i
+        below = table.mcs_for_sinr(math.nextafter(th, -math.inf))
+        assert below == (i - 1 if i else None)
 
 
 def test_mcs_table_rejects_non_monotone_input():
@@ -76,7 +80,6 @@ def test_tn_channel_populates_every_sector():
     pos = GroundPosition(cfg.center_lat_deg + 0.01, cfg.center_lon_deg)
     ch.attach_ue(0, pos)
     for sec in sectors:
-        assert (0, sec.sector_id) in ch.rsrp
         assert (0, sec.sector_id) in ch.sinr
 
 

@@ -6,26 +6,25 @@ from ntnmc.config import POLICIES, ScenarioConfig
 from ntnmc.dataplane import Node, PdcpPdu, ROLE_MN, ROLE_SN, compute_load
 from ntnmc.engine import Simulator, millis
 from ntnmc.mc_control import (ACK, COVERAGE, GATED, PREEMPTIVE, REJECT,
-                              ControllerState, Measurement,
+                              AnchorState, CandidateState, Measurement,
                               SnAdditionRequest, advance_eval_clock,
                               complete_reconfiguration, evaluate_bo_based,
                               evaluate_mcs_based, evaluate_rsrp_based,
                               handle_sn_addition_request, init_eval_clock,
-                              on_measurement_report, policy_for,
-                              release_secondary, update_mn_mcs)
+                              policy_for, release_secondary, update_mn_mcs)
 
 CFG = ScenarioConfig()
 TABLE = McsTable.default()
-NTN_CELL = 100
 
 
-def _ctrl_with_reports(reports, mcs_by_ue, t=0):
-    """Anchor controller preloaded with candidate measurements."""
-    ctrl = ControllerState("tn0")
-    for (ue, cell), (age_ms, rsrp) in reports.items():
-        ctrl.reports[(ue, cell)] = Measurement(t - millis(age_ms), rsrp, 10.0)
-    ctrl.reported_mcs.update(mcs_by_ue)
-    return ctrl
+def _anchor_with_reports(reports, mcs_by_ue, t=0):
+    """Anchor state preloaded with satellite-beam measurements, given per UE
+    as (age_ms, rsrp_dbm)."""
+    anchor = AnchorState("tn0")
+    for ue, (age_ms, rsrp) in reports.items():
+        anchor.reports[ue] = Measurement(t - millis(age_ms), rsrp)
+    anchor.reported_mcs.update(mcs_by_ue)
+    return anchor
 
 
 def _cand_at_load(fraction, n_prb=52):
@@ -37,16 +36,20 @@ def _cand_at_load(fraction, n_prb=52):
 
 
 def _req(ue=7, mn_mcs=5):
-    return SnAdditionRequest(ue, "tn0", NTN_CELL, mn_mcs)
+    return SnAdditionRequest(ue, "tn0", mn_mcs)
 
 
 def _admit(cand, ctrl, req, t_ns, mode=PREEMPTIVE):
-    """Admission as a scenario runs it: a preempted binding ends through
+    """Admission as a scenario runs it: the candidate and the anchor serve
+    every bound UE, and a preempted binding ends through
     `release_secondary`."""
     anchor = Node("tn0", "tn_sector", 52, TABLE, 100)
+    for ue in ctrl.bindings:
+        anchor.add_ue(ue, ROLE_MN, 10)
+        cand.add_ue(ue, ROLE_SN, 22)
     return handle_sn_addition_request(
         cand, ctrl, req, t_ns, CFG, mode,
-        lambda ue, cause: release_secondary(cand, ctrl, anchor, ue, cause))
+        lambda ue, cause: release_secondary(cand, ctrl, anchor, ue))
 
 
 def _anchor_with_occupancy(occupancy):
@@ -62,62 +65,60 @@ def _anchor_with_occupancy(occupancy):
 # --- anchor-side evaluation ------------------------------------------------
 
 def test_no_requests_when_all_links_are_healthy():
-    ctrl = _ctrl_with_reports({(u, NTN_CELL): (50, -110.0) for u in range(4)},
-                              {u: 16 for u in range(4)})
+    ctrl = _anchor_with_reports({u: (50, -110.0) for u in range(4)},
+                                {u: 16 for u in range(4)})
     assert evaluate_mcs_based(ctrl, None, list(range(4)), 0, CFG) == []
 
 
 def test_no_requests_without_single_connectivity_ues():
-    ctrl = _ctrl_with_reports({(1, NTN_CELL): (50, -110.0)}, {1: 3})
+    ctrl = _anchor_with_reports({1: (50, -110.0)}, {1: 3})
     assert evaluate_mcs_based(ctrl, None, [], 0, CFG) == []
 
 
 def test_weak_ue_with_qualified_candidate_triggers_one_request():
-    ctrl = _ctrl_with_reports({(1, NTN_CELL): (50, -110.0)}, {1: 3})
+    ctrl = _anchor_with_reports({1: (50, -110.0)}, {1: 3})
     reqs = evaluate_mcs_based(ctrl, None, [1], 0, CFG)
     assert len(reqs) == 1
     req = reqs[0]
-    assert (req.ue_id, req.candidate_cell, req.mn_mcs) == (1, NTN_CELL, 3)
-    assert ctrl.last_request[NTN_CELL] == 0
+    assert (req.ue_id, req.mn_node_id, req.mn_mcs) == (1, "tn0", 3)
+    assert ctrl.last_request_ns == 0
 
 
 def test_weak_ue_with_faint_candidate_stays_single():
-    ctrl = _ctrl_with_reports({(1, NTN_CELL): (50, -112.0)}, {1: 3})
+    ctrl = _anchor_with_reports({1: (50, -112.0)}, {1: 3})
     assert evaluate_mcs_based(ctrl, None, [1], 0, CFG) == []
-    # the faint candidate must not burn the per-cell request gate
-    assert NTN_CELL not in ctrl.last_request
+    # the faint candidate must not burn the request gate
+    assert ctrl.last_request_ns is None
 
 
 def test_rsrp_floor_is_inclusive():
-    ctrl = _ctrl_with_reports({(1, NTN_CELL): (50, CFG.rsrp_min_dbm)}, {1: 3})
+    ctrl = _anchor_with_reports({1: (50, CFG.rsrp_min_dbm)}, {1: 3})
     assert len(evaluate_mcs_based(ctrl, None, [1], 0, CFG)) == 1
 
 
 def test_measurement_staleness_boundary():
-    fresh = _ctrl_with_reports({(1, NTN_CELL): (CFG.meas_staleness_ms, -110.0)},
-                               {1: 3})
+    fresh = _anchor_with_reports({1: (CFG.meas_staleness_ms, -110.0)}, {1: 3})
     assert len(evaluate_mcs_based(fresh, None, [1], 0, CFG)) == 1
-    stale = ControllerState("tn0")
-    stale.reports[(1, NTN_CELL)] = Measurement(-millis(CFG.meas_staleness_ms) - 1,
-                                               -110.0, 10.0)
+    stale = AnchorState("tn0")
+    stale.reports[1] = Measurement(-millis(CFG.meas_staleness_ms) - 1, -110.0)
     stale.reported_mcs[1] = 3
     assert evaluate_mcs_based(stale, None, [1], 0, CFG) == []
 
 
 def test_request_gate_blocks_repeat_asks_to_same_cell():
-    ctrl = _ctrl_with_reports({(1, NTN_CELL): (50, -110.0)}, {1: 3, 2: 3})
+    ctrl = _anchor_with_reports({1: (50, -110.0)}, {1: 3, 2: 3})
     assert len(evaluate_mcs_based(ctrl, None, [1], 0, CFG)) == 1
     later = millis(50)
-    ctrl.reports[(2, NTN_CELL)] = Measurement(later, -110.0, 10.0)
+    ctrl.reports[2] = Measurement(later, -110.0)
     assert evaluate_mcs_based(ctrl, None, [2], later, CFG) == []
     at_gate = millis(CFG.request_gate_ms)
-    ctrl.reports[(2, NTN_CELL)] = Measurement(at_gate, -110.0, 10.0)
+    ctrl.reports[2] = Measurement(at_gate, -110.0)
     assert len(evaluate_mcs_based(ctrl, None, [2], at_gate, CFG)) == 1
 
 
 def test_weakest_reported_ue_goes_first():
-    ctrl = _ctrl_with_reports({(u, NTN_CELL): (10, -110.0) for u in (1, 2, 3)},
-                              {1: 5, 3: 3})  # ue 2 has no decodable anchor link
+    ctrl = _anchor_with_reports({u: (10, -110.0) for u in (1, 2, 3)},
+                                {1: 5, 3: 3})  # ue 2 has no decodable anchor link
     reqs = evaluate_mcs_based(ctrl, None, [1, 2, 3], 0, CFG)
     # one cell, so the gate leaves exactly one request: the unreported UE
     assert [r.ue_id for r in reqs] == [2]
@@ -125,50 +126,37 @@ def test_weakest_reported_ue_goes_first():
 
 
 def test_rsrp_policy_asks_for_every_covered_ue():
-    ctrl = _ctrl_with_reports({(1, NTN_CELL): (10, -110.0),
-                               (2, NTN_CELL): (10, -112.0)},
-                              {1: 20, 2: 20})
+    ctrl = _anchor_with_reports({1: (10, -110.0), 2: (10, -112.0)},
+                                {1: 20, 2: 20})
     reqs = evaluate_rsrp_based(ctrl, None, [1, 2], 0, CFG)
     assert [r.ue_id for r in reqs] == [1]
 
 
 def test_bo_policy_prefers_the_most_backlogged():
-    ctrl = _ctrl_with_reports({(u, NTN_CELL): (10, -110.0) for u in (1, 2, 3)},
-                              {u: 20 for u in (1, 2, 3)})
+    ctrl = _anchor_with_reports({u: (10, -110.0) for u in (1, 2, 3)},
+                                {u: 20 for u in (1, 2, 3)})
     anchor = _anchor_with_occupancy({1: 0.85, 2: 0.99, 3: 0.2})
     reqs = evaluate_bo_based(ctrl, anchor, [1, 2, 3], 0, CFG)
     assert [r.ue_id for r in reqs] == [2]  # gate spent on the fullest queue
 
 
 def test_bo_policy_ignores_queues_below_threshold():
-    ctrl = _ctrl_with_reports({(1, NTN_CELL): (10, -110.0)}, {1: 20})
+    ctrl = _anchor_with_reports({1: (10, -110.0)}, {1: 20})
     anchor = _anchor_with_occupancy({1: 0.5})
     assert evaluate_bo_based(ctrl, anchor, [1], 0, CFG) == []
-
-
-def test_unknown_ue_report_is_dropped_and_counted():
-    ctrl = ControllerState("tn0")
-    ok = on_measurement_report(ctrl, {1}, 2, NTN_CELL,
-                               Measurement(0, -110.0, 10.0))
-    assert ok is False
-    assert ctrl.unknown_ue_reports == 1
-    assert ctrl.reports == {}
-    assert on_measurement_report(ctrl, {1}, 1, NTN_CELL,
-                                 Measurement(0, -110.0, 10.0)) is True
-    assert (1, NTN_CELL) in ctrl.reports
 
 
 # --- candidate-side admission ----------------------------------------------
 
 def test_ack_when_candidate_has_headroom():
-    ctrl = ControllerState("ntn")
+    ctrl = CandidateState()
     d = _admit(_cand_at_load(0.5), ctrl, _req(), 0)
     assert (d.verdict, d.cause) == (ACK, "headroom")
     assert ctrl.last_ack_ns == 0
 
 
 def test_recent_ack_gates_regardless_of_load():
-    ctrl = ControllerState("ntn")
+    ctrl = CandidateState()
     ctrl.last_ack_ns = 0
     d = _admit(_cand_at_load(0.1), ctrl, _req(), millis(50))
     assert (d.verdict, d.cause) == (REJECT, "recent-ack")
@@ -176,7 +164,7 @@ def test_recent_ack_gates_regardless_of_load():
 
 
 def test_add_gate_boundary_is_inclusive():
-    ctrl = ControllerState("ntn")
+    ctrl = CandidateState()
     ctrl.last_ack_ns = 0
     at_gate = millis(CFG.add_gate_ms)
     d = _admit(_cand_at_load(0.1), ctrl, _req(), at_gate)
@@ -186,40 +174,40 @@ def test_add_gate_boundary_is_inclusive():
 
 
 def test_overloaded_candidate_preempts_strongest_served_ue():
-    ctrl = ControllerState("ntn")
+    ctrl = CandidateState()
     ctrl.bindings[3] = 20
     ctrl.bindings[4] = 8
     d = _admit(_cand_at_load(1.0), ctrl, _req(ue=7, mn_mcs=5), 0)
-    assert (d.verdict, d.cause, d.released_ue) == (ACK, "preempted-weakest", 3)
+    assert (d.verdict, d.cause) == (ACK, "preempted-weakest")
     assert 3 not in ctrl.bindings  # released through release_secondary
     assert 4 in ctrl.bindings
     assert ctrl.last_ack_ns == 0
 
 
 def test_preemption_calls_release_hook_when_given():
-    ctrl = ControllerState("ntn")
+    ctrl = CandidateState()
     ctrl.bindings[3] = 20
     released = []
     d = handle_sn_addition_request(_cand_at_load(1.0), ctrl,
                                    _req(ue=7, mn_mcs=5), 0, CFG, PREEMPTIVE,
                                    lambda ue, cause:
                                    released.append((ue, cause)))
-    assert d.released_ue == 3
+    assert d.verdict == ACK
     assert released == [(3, "preempted")]
     assert 3 in ctrl.bindings   # only the hook ends a binding
 
 
 def test_overloaded_candidate_refuses_when_requester_is_not_weaker():
-    ctrl = ControllerState("ntn")
+    ctrl = CandidateState()
     ctrl.bindings[3] = 3
     d = _admit(_cand_at_load(1.0), ctrl, _req(ue=7, mn_mcs=5), 0)
-    assert (d.verdict, d.cause, d.released_ue) == (REJECT, "overloaded", None)
+    assert (d.verdict, d.cause) == (REJECT, "overloaded")
     assert 3 in ctrl.bindings
     assert ctrl.last_ack_ns is None
 
 
 def test_equal_mcs_does_not_preempt():
-    ctrl = ControllerState("ntn")
+    ctrl = CandidateState()
     ctrl.bindings[3] = 5
     d = _admit(_cand_at_load(1.0), ctrl, _req(ue=7, mn_mcs=5), 0)
     assert (d.verdict, d.cause) == (REJECT, "overloaded")
@@ -232,17 +220,12 @@ def test_equal_mcs_does_not_preempt():
 ])
 def test_admission_modes_on_overloaded_candidate(mode, verdict, cause,
                                                  released, acked_at):
-    ctrl = ControllerState("ntn")
+    ctrl = CandidateState()
     ctrl.bindings[3] = 20
     d = _admit(_cand_at_load(1.0), ctrl, _req(ue=7, mn_mcs=5), 0, mode=mode)
-    assert (d.verdict, d.cause, d.released_ue) == (verdict, cause, released)
+    assert (d.verdict, d.cause) == (verdict, cause)
     assert ctrl.last_ack_ns == acked_at
-    assert (3 in ctrl.bindings) == (released is None)
-
-    bound = ControllerState("ntn")
-    bound.bindings[7] = 5
-    d = _admit(_cand_at_load(1.0), bound, _req(ue=7), 0, mode=mode)
-    assert (d.verdict, d.cause) == (REJECT, "already-bound")
+    assert sorted(ctrl.bindings) == ([3] if released is None else [])
 
 
 def test_policy_table_covers_every_setting(monkeypatch):
@@ -252,14 +235,6 @@ def test_policy_table_covers_every_setting(monkeypatch):
     sentinel = object()
     monkeypatch.setattr(mc_control, "evaluate_bo_based", sentinel)
     assert policy_for("bo").evaluate is sentinel
-
-
-def test_duplicate_binding_rejected_before_anything_else():
-    ctrl = ControllerState("ntn")
-    ctrl.bindings[7] = 5
-    d = _admit(_cand_at_load(0.1), ctrl, _req(ue=7), 0)
-    assert (d.verdict, d.cause) == (REJECT, "already-bound")
-    assert ctrl.last_ack_ns is None
 
 
 # --- clocks, reconfiguration, release --------------------------------------
@@ -273,7 +248,7 @@ class _StubRng:
 
 
 def test_eval_clock_jitter_resampled_each_period():
-    ctrl = ControllerState("tn0")
+    ctrl = AnchorState("tn0")
     init_eval_clock(ctrl, millis(1.0), _StubRng([0.25, 0.75]))
     assert ctrl.next_eval_ns == 250_000
     advance_eval_clock(ctrl, millis(10.0), millis(1.0), _StubRng([0.75]))
@@ -306,25 +281,17 @@ def test_release_moves_leftover_pdus_back_to_anchor():
     cand.add_ue(1, ROLE_SN, 22)
     for i in range(3):
         cand.queues[1].push(PdcpPdu(1, i, 12000, 0))
-    ctrl = ControllerState("ntn")
+    ctrl = CandidateState()
     ctrl.bindings[1] = 10
-    n = release_secondary(cand, ctrl, anchor, 1, "preempted")
+    n = release_secondary(cand, ctrl, anchor, 1)
     assert n == 3
     assert 1 not in ctrl.bindings
     assert 1 not in cand.roles
     assert anchor.queues[1].remaining_bits() == 36000
 
 
-def test_release_of_unbound_ue_is_counted_noop():
-    cand = Node("ntn", "ntn_beam", 52, TABLE, 100)
-    anchor = Node("tn0", "tn_sector", 52, TABLE, 100)
-    ctrl = ControllerState("ntn")
-    assert release_secondary(cand, ctrl, anchor, 9, "preempted") is None
-    assert ctrl.noop_releases == 1
-
-
 def test_anchor_mcs_refresh_reaches_binding():
-    ctrl = ControllerState("ntn")
+    ctrl = CandidateState()
     ctrl.bindings[1] = 10
     update_mn_mcs(ctrl, 1, 2)
     assert ctrl.bindings[1] == 2

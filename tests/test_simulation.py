@@ -1,8 +1,10 @@
 import dataclasses
 
-from ntnmc.config import load_config
+from ntnmc.config import POLICIES, load_config
 from ntnmc.engine import millis
 from ntnmc.simulation import NTN_CELL_ID, Scenario, run_single
+
+from test_golden import TEN_MS_CTRL_LATENCY
 
 
 def _tiny(policy="mcs"):
@@ -98,3 +100,26 @@ def test_periodic_events_keep_their_same_instant_order(monkeypatch):
     assert kinds_at(30) == ["arrival", "tti"]
     assert [t for t, kind in log if kind == "tti"] == [
         millis(ms) for ms in range(31)]
+
+
+def test_each_ue_alternates_add_and_release():
+    # A UE gets a secondary leg only while it has none and no
+    # reconfiguration is pending, so its ADD and RELEASE events alternate,
+    # starting with ADD. With a 40 ms control latency, the three-message
+    # reconfiguration outlasts the 100 ms request gate, and an anchor asks
+    # for a UE again while its reconfiguration is pending.
+    for latency_ms in (TEN_MS_CTRL_LATENCY["ctrl_latency_ms"], 40.0):
+        for policy in POLICIES:
+            cfg = load_config(None, environ={}, policy=policy,
+                              **dict(TEN_MS_CTRL_LATENCY,
+                                     ctrl_latency_ms=latency_ms))
+            r = run_single(cfg, 1)
+            legs = {}
+            for _t, kind, ue, _mn, _sn, _cause in r.events:
+                if kind != "REJECT":
+                    legs.setdefault(ue, []).append(kind)
+            for ue, kinds in legs.items():
+                want = ["ADD", "RELEASE"] * len(kinds)
+                assert kinds == want[:len(kinds)], (latency_ms, policy, ue)
+            if policy == "mcs":
+                assert r.sn_releases > 0, latency_ms

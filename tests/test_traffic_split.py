@@ -164,15 +164,6 @@ def test_drain_forward_leaves_in_service_pdu_alone():
     assert [p.sn for p in sn.queues[1].pending] == [1, 2]
 
 
-def test_drain_forward_without_counterpart_is_a_noop():
-    mn, _ = _mn_sn_pair()
-    mn.queues[1].push(PdcpPdu(1, 0, 12_000, 0))
-    book = GrantBook()
-    book.replace(DataRequest(1, 100_000.0, 0, 50_000_000))
-    assert drain_forward(mn, Node("ntn", "ntn_beam", 52, TABLE, 100),
-                         book, 1, 10) == 0
-
-
 def test_reroute_returns_pdus_to_anchor_in_order():
     mn, sn = _mn_sn_pair()
     mn.queues[1].push(PdcpPdu(1, 9, 12_000, 0))
