@@ -306,10 +306,10 @@ class Scenario:
                       NTN_CELL_ID, decision.cause)
 
     def _finalize_binding(self, req):
-        ue = self.ues[req.ue_id]
-        ue.pending_reconfig = False
         # `_on_eval` asks only for UEs that are unbound and not pending.
         assert req.ue_id not in self.cand.bindings
+        ue = self.ues[req.ue_id]
+        ue.pending_reconfig = False
         self.cand.bindings[req.ue_id] = (
             self.anchors[req.mn_node_id].reported_mcs.get(req.ue_id))
         ntn_mcs = self.mcs_table.mcs_for_sinr(ue.ntn_sinr_db)

@@ -1,8 +1,10 @@
+import dataclasses
+
 import pytest
 
 from ntnmc import mc_control
 from ntnmc.channel import McsTable
-from ntnmc.config import POLICIES, ScenarioConfig
+from ntnmc.config import POLICIES, ScenarioConfig, load_config
 from ntnmc.dataplane import Node, PdcpPdu, ROLE_MN, ROLE_SN, compute_load
 from ntnmc.engine import Simulator, millis
 from ntnmc.mc_control import (ACK, COVERAGE, GATED, PREEMPTIVE, REJECT,
@@ -12,6 +14,7 @@ from ntnmc.mc_control import (ACK, COVERAGE, GATED, PREEMPTIVE, REJECT,
                               evaluate_mcs_based, evaluate_rsrp_based,
                               handle_sn_addition_request, init_eval_clock,
                               policy_for, release_secondary, update_mn_mcs)
+from ntnmc.simulation import Scenario
 
 CFG = ScenarioConfig()
 TABLE = McsTable.default()
@@ -226,6 +229,32 @@ def test_admission_modes_on_overloaded_candidate(mode, verdict, cause,
     assert (d.verdict, d.cause) == (verdict, cause)
     assert ctrl.last_ack_ns == acked_at
     assert sorted(ctrl.bindings) == ([3] if released is None else [])
+
+
+def test_duplicate_binding_rejected_before_anything_else():
+    # Admission does not look for an existing binding: a UE with a secondary
+    # leg or a pending reconfiguration is left out before evaluation, and a
+    # second binding is refused before it changes any state.
+    cfg = load_config(None, environ={}, sim_duration_s=0.6, warmup_s=0.3,
+                      n_ue_per_sector=3, policy="rsrp")
+    sc = Scenario(cfg, 1)
+    bound, pending, free = sorted(sc.nodes[0].roles)
+    req = SnAdditionRequest(bound, 0, sc.anchors[0].reported_mcs.get(bound))
+    sc.ues[bound].pending_reconfig = True
+    sc._finalize_binding(req)
+    sc.ues[pending].pending_reconfig = True
+    asked = []
+    sc.policy = dataclasses.replace(
+        sc.policy, evaluate=lambda a, n, single, t, c: asked.extend(single) or [])
+    sc._on_eval(sc.anchors[0], millis(cfg.eval_period_ms), 0)
+    assert asked == [free]
+
+    before = (dict(sc.cand.bindings), dict(sc.ntn_node.roles),
+              list(sc.events), sc.ues[bound].pending_reconfig)
+    with pytest.raises(AssertionError):
+        sc._finalize_binding(req)
+    assert (dict(sc.cand.bindings), dict(sc.ntn_node.roles),
+            list(sc.events), sc.ues[bound].pending_reconfig) == before
 
 
 def test_policy_table_covers_every_setting(monkeypatch):

@@ -3,13 +3,14 @@
 from hypothesis import given, settings, strategies as st
 
 from ntnmc.channel import McsTable
-from ntnmc.config import ScenarioConfig
+from ntnmc.config import ScenarioConfig, load_config
 from ntnmc.dataplane import (ROLE_MN, ROLE_SN, Node, PdcpPdu, PdcpReceiver,
                              _equal_share)
 from ntnmc.engine import Simulator, millis
 from ntnmc.mc_control import (ACK, PREEMPTIVE, CandidateState,
                               SnAdditionRequest, handle_sn_addition_request,
                               release_secondary)
+from ntnmc.simulation import Scenario
 from ntnmc.stats import percentile
 
 CFG = ScenarioConfig()
@@ -82,6 +83,46 @@ def test_acks_never_violate_the_add_gate(reqs):
             ctrl.bindings[ue] = mcs
     for a, b in zip(ack_times, ack_times[1:]):
         assert b - a > gate_ns
+
+
+class _RequestLedger(Scenario):
+    """A scenario that notes every addition request that reaches admission
+    for a UE already holding a secondary leg or a pending reconfiguration."""
+
+    def _build(self):
+        self.engaged_requests = []
+        super()._build()
+
+    def _dispatch_request(self, req, t_ns):
+        if (req.ue_id in self.cand.bindings
+                or self.ues[req.ue_id].pending_reconfig):
+            self.engaged_requests.append((t_ns, req.ue_id))
+        super()._dispatch_request(req, t_ns)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.sampled_from(["mcs", "rsrp", "bo"]),
+       st.sampled_from([0.0, 10.0, 40.0, 60.0]),   # control latency, ms
+       st.integers(10, 100),                       # request gate, ms
+       st.integers(1, 1000))                       # seed
+def test_bound_ue_never_gets_a_second_ack(policy, latency_ms, gate_ms, seed):
+    # Admission does not check for a binding, so a UE must never be asked
+    # for while it has one or while its reconfiguration is pending; a
+    # control latency above a third of the request gate is where the
+    # pending check matters.
+    cfg = load_config(None, environ={}, sim_duration_s=0.6, warmup_s=0.3,
+                      n_ue_per_sector=2, policy=policy,
+                      ctrl_latency_ms=latency_ms,
+                      request_gate_ms=float(gate_ms))
+    sc = _RequestLedger(cfg, seed)
+    sc.run_to_end()
+    assert sc.engaged_requests == []
+    legs = {}
+    for _t, kind, ue, _mn, _sn, _cause in sc.events:
+        if kind != "REJECT":
+            legs.setdefault(ue, []).append(kind)
+    for kinds in legs.values():
+        assert kinds == (["ADD", "RELEASE"] * len(kinds))[:len(kinds)]
 
 
 def water_filling(order, needs, total):
