@@ -12,10 +12,12 @@ import dataclasses
 import math
 import os
 
+from .engine import millis, seconds
 from .geometry import (EARTH_RADIUS_M, M_PER_DEG, GroundPosition,
                        SatelliteTrack, ground_distance_m)
 
 POLICIES = ("mcs", "rsrp", "bo", "off")
+MIN_PERIOD_NS = 1000  # floor of every period, a thousandth of a TTI
 
 # Channel bandwidth (MHz) -> transmission bandwidth in PRBs at 15 kHz
 # subcarrier spacing, 3GPP TS 38.101-1 Table 5.3.2-1.
@@ -115,12 +117,26 @@ class ScenarioConfig:
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        # A period rounded to 0 ns fires forever at one instant; one of a few
+        # ns (1500 B at 1e13 b/s: 1.2 ns) dispatches an event per few ns.
+        periods = {name: millis(getattr(self, name))
+                   for name in positive if name.endswith("_ms")}
+        periods["the CBR interval packet_bytes * 8 / cbr_rate_bps"] = seconds(
+            self.packet_bytes * 8 / self.cbr_rate_bps)
+        for name, ns in periods.items():
+            if ns < MIN_PERIOD_NS:
+                raise ConfigError(f"{name} must be at least 1 us, got {ns} ns")
         nonneg = ["warmup_s", "eval_jitter_ms", "tn_latency_ms",
                   "ue_drop_min_m", "sat_speed_ms", "meas_error_sigma_db",
                   "ctrl_latency_ms"]
         for name in nonneg:
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
+        if self.eval_jitter_ms >= self.eval_period_ms:
+            raise ConfigError("eval_jitter_ms must be below eval_period_ms")
+        for name in ("center_lat_deg", "sat_epoch_lat_deg"):
+            if not -90.0 <= getattr(self, name) <= 90.0:
+                raise ConfigError(f"{name} must be a latitude in [-90, 90]")
         if self.warmup_s >= self.sim_duration_s:
             raise ConfigError("warmup_s must be below sim_duration_s")
         if self.ue_drop_max_m <= self.ue_drop_min_m:

@@ -93,14 +93,20 @@ def advance_eval_clock(anchor, period_ns, jitter_ns, rng):
     anchor.t_prev_ns = t_del
 
 
+def request_gate_open(anchor, t_ns, cfg):
+    """Whether `anchor` may send an addition request at `t_ns`, at most one
+    per gate period; while it is closed, an evaluation can change nothing."""
+    last = anchor.last_request_ns
+    return last is None or t_ns - last >= millis(cfg.request_gate_ms)
+
+
 def _try_request(anchor, ue_id, t_ns, cfg):
-    """A request for `ue_id` if its latest report is fresh and at or above
-    the RSRP floor and the request gate is open; it closes the gate."""
+    """A request for `ue_id` if the request gate is open and its latest
+    report is fresh and at or above the RSRP floor; it closes the gate."""
+    if not request_gate_open(anchor, t_ns, cfg):
+        return None
     meas = anchor.reports.get(ue_id)
     if meas is None or t_ns - meas.t_ns > millis(cfg.meas_staleness_ms):
-        return None
-    last = anchor.last_request_ns
-    if last is not None and t_ns - last < millis(cfg.request_gate_ms):
         return None
     if meas.rsrp_dbm < cfg.rsrp_min_dbm:
         return None

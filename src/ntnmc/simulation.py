@@ -40,6 +40,11 @@ from .geometry import (GroundPosition, SatelliteTrack, build_tn_layout,
 NTN_CELL_ID = 100
 BEAM_PITCH_OVER_RADIUS = 3.0 ** 0.5  # adjacent-beam spacing / beam radius
 
+# Run totals summed by name over every UE's `UeCounters` and `PdcpReceiver`.
+UE_COUNTERS = ("generated_bits", "dropped_bits", "dropped_pdus")
+RECEIVER_COUNTERS = ("delivered_bits", "delivered_pdus", "stale_bits",
+                     "stale_pdus", "duplicate_pdus", "skipped_sns")
+
 
 class ConservationError(AssertionError):
     pass
@@ -67,20 +72,12 @@ class RunResult:
     seed: int
     ue_ids: list
     throughput_kbps: list
-    sn_adds: int
-    sn_releases: int
-    sn_rejects: int
-    distinct_bound_ues: int
-    eligible_ues: int
     events: list                        # (t_ns, kind, ue, mn, sn, cause)
-    grant_windows: int
-    grant_violations: int
-    grant_max_used: float
-    generated_bits: int
-    delivered_bits: int
-    dropped_bits: int
-    stale_bits: int
-    skipped_sns: int
+    counters: dict                      # run totals by name, see `finish`
+
+    @property
+    def grant_violations(self):
+        return self.counters["grant_violations"]
 
 
 class Scenario:
@@ -282,11 +279,14 @@ class Scenario:
 
     def _on_eval(self, anchor, period, jitter):
         t = self.sim.now
-        node = self.nodes[anchor.node_id]
-        single = [u for u in node.roles if u not in self.cand.bindings
-                  and not self.ues[u].pending_reconfig]
-        for req in self.policy.evaluate(anchor, node, single, t, self.cfg):
-            self._dispatch_request(req, t)
+        if mc.request_gate_open(anchor, t, self.cfg):
+            node = self.nodes[anchor.node_id]
+            single = [u for u in node.roles if u not in self.cand.bindings
+                      and not self.ues[u].pending_reconfig]
+            for req in self.policy.evaluate(anchor, node, single, t,
+                                            self.cfg):
+                self._dispatch_request(req, t)
+        # Every evaluation draws its next jitter, gate open or not.
         mc.advance_eval_clock(anchor, period, jitter, self._eval_rng)
         if anchor.next_eval_ns <= self.end_ns:
             self.sim.schedule_at(anchor.next_eval_ns, self._on_eval, anchor,
@@ -382,30 +382,26 @@ class Scenario:
         ue_ids = sorted(self.ues)
         throughput = [self.ues[u].post_warmup_bits / window_s / 1000.0
                       for u in ue_ids]
-        eligible = sum(1 for u in ue_ids
-                       if self.ues[u].best_ntn_rsrp_dbm >= cfg.rsrp_min_dbm)
+        ues = self.ues.values()
         kinds = [ev[1] for ev in self.events]
-        return RunResult(
-            policy=cfg.policy,
-            seed=self.seed,
-            ue_ids=ue_ids,
-            throughput_kbps=throughput,
-            sn_adds=kinds.count(mc.EV_ADD),
-            sn_releases=kinds.count(mc.EV_RELEASE),
-            sn_rejects=kinds.count(mc.EV_REJECT),
-            distinct_bound_ues=len({ev[2] for ev in self.events
-                                    if ev[1] == mc.EV_ADD}),
-            eligible_ues=eligible,
-            events=sorted(self.events),
-            grant_windows=self.book.windows_checked,
-            grant_violations=self.book.violations,
-            grant_max_used=self.book.max_used_fraction,
-            generated_bits=sum(u.counters.generated_bits for u in self.ues.values()),
-            delivered_bits=sum(u.receiver.delivered_bits for u in self.ues.values()),
-            dropped_bits=sum(u.counters.dropped_bits for u in self.ues.values()),
-            stale_bits=sum(u.receiver.stale_bits for u in self.ues.values()),
-            skipped_sns=sum(u.receiver.skipped_sns for u in self.ues.values()),
-        )
+        counters = {
+            "sn_adds": kinds.count(mc.EV_ADD),
+            "sn_releases": kinds.count(mc.EV_RELEASE),
+            "sn_rejects": kinds.count(mc.EV_REJECT),
+            "distinct_bound_ues": len({ev[2] for ev in self.events
+                                       if ev[1] == mc.EV_ADD}),
+            "eligible_ues": sum(1 for ue in ues
+                                if ue.best_ntn_rsrp_dbm >= cfg.rsrp_min_dbm),
+            "grant_windows": self.book.windows_checked,
+            "grant_violations": self.book.violations,
+            "grant_max_used": self.book.max_used_fraction,
+        }
+        for name in UE_COUNTERS:
+            counters[name] = sum(getattr(ue.counters, name) for ue in ues)
+        for name in RECEIVER_COUNTERS:
+            counters[name] = sum(getattr(ue.receiver, name) for ue in ues)
+        return RunResult(cfg.policy, self.seed, ue_ids, throughput,
+                         sorted(self.events), counters)
 
 
 def run_single(cfg: ScenarioConfig, seed: int) -> RunResult:

@@ -1,10 +1,11 @@
 """Result aggregation and artifact writing.
 
 Per-UE throughput records are pooled across the runs of a setting before
-computing distribution statistics (mean, percentiles, CDF); per-run scalar
-counters (adds, releases) are averaged over runs. All files use
-fixed float formats so that repeated identical invocations are byte for
-byte identical.
+computing distribution statistics (mean, percentiles, CDF); the add and
+release counts are averaged over runs. Each run's ledger of counters
+(`RunResult.counters`) goes whole into the manifest. All files use fixed
+float formats so that repeated identical invocations are byte for byte
+identical.
 """
 
 import dataclasses
@@ -37,15 +38,11 @@ def mean(values):
 @dataclass
 class SettingSummary:
     setting: str
-    n_runs: int
     pooled_kbps: list
     mean_kbps: float
     p5_kbps: float
     avg_sn_adds: float
     avg_sn_releases: float
-    grant_windows: int
-    grant_violations: int
-    grant_max_used: float
 
 
 def summarize_setting(setting, results):
@@ -59,15 +56,11 @@ def summarize_setting(setting, results):
     n = len(results)
     return SettingSummary(
         setting=setting,
-        n_runs=n,
         pooled_kbps=pooled,
         mean_kbps=mean(pooled),
         p5_kbps=percentile(pooled, 5.0),
-        avg_sn_adds=sum(r.sn_adds for r in results) / n,
-        avg_sn_releases=sum(r.sn_releases for r in results) / n,
-        grant_windows=sum(r.grant_windows for r in results),
-        grant_violations=sum(r.grant_violations for r in results),
-        grant_max_used=max(r.grant_max_used for r in results),
+        avg_sn_adds=sum(r.counters["sn_adds"] for r in results) / n,
+        avg_sn_releases=sum(r.counters["sn_releases"] for r in results) / n,
     )
 
 
@@ -124,20 +117,8 @@ def emit_results(out_dir, cfg, policies, seeds, summaries, results):
         "policies": list(policies),
         "seeds": list(seeds),
         "config": dataclasses.asdict(cfg),
-        "runs": [
-            {
-                "setting": r.policy,
-                "seed": r.seed,
-                "sn_adds": r.sn_adds,
-                "sn_releases": r.sn_releases,
-                "sn_rejects": r.sn_rejects,
-                "distinct_bound_ues": r.distinct_bound_ues,
-                "eligible_ues": r.eligible_ues,
-                "grant_windows": r.grant_windows,
-                "grant_violations": r.grant_violations,
-            }
-            for r in results
-        ],
+        "runs": [dict(r.counters, setting=r.policy, seed=r.seed)
+                 for r in results],
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

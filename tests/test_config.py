@@ -115,6 +115,36 @@ def test_bandwidth_must_match_prb_count():
             load_config(None, environ={}, bandwidth_mhz=mhz, n_prb=prb)
 
 
+# 0.3 s with 2 UEs per sector: each of these would otherwise validate and
+# then hang or raise `SchedulingError` mid-run.
+PROBE = dict(sim_duration_s=0.3, warmup_s=0.1, n_ue_per_sector=2)
+
+
+@pytest.mark.parametrize("overrides, match", [
+    (dict(meas_period_ms=1e-7), "meas_period_ms"),
+    (dict(split_delta_ms=1e-7), "split_delta_ms"),
+    (dict(cbr_rate_bps=1e13), "CBR interval"),
+    (dict(eval_period_ms=1e-7), "eval_period_ms"),
+    (dict(eval_jitter_ms=12.0), "eval_jitter_ms"),
+    (dict(center_lat_deg=120.0), "center_lat_deg.*latitude"),
+    (dict(center_lat_deg=-90.5, sat_epoch_lat_deg=-90.5),
+     "center_lat_deg.*latitude"),
+    (dict(sat_epoch_lat_deg=91.0), "sat_epoch_lat_deg.*latitude"),
+])
+def test_configs_that_would_fail_mid_run_are_rejected(overrides, match):
+    with pytest.raises(ConfigError, match=match):
+        load_config(None, environ={}, **PROBE, **overrides)
+
+
+def test_periods_at_their_floor_validate():
+    cfg = load_config(None, environ={}, **PROBE, meas_period_ms=1e-3,
+                      split_delta_ms=1e-3, eval_period_ms=1e-3,
+                      eval_jitter_ms=0.0, packet_bytes=1,
+                      cbr_rate_bps=8e6)
+    assert cfg.cbr_rate_bps == 8e6
+    assert load_config(None, environ={}, eval_jitter_ms=9.999)
+
+
 def test_config_is_plain_dataclass():
     # campaign code relies on dataclasses.replace for per-policy variants
     cfg = load_config(None, environ={})

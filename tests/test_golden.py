@@ -58,23 +58,23 @@ ARTIFACT_SHA256 = {
     "events_rsrp_2.csv":
         "1a9e1f388aa41a2631b9f7fca08df7daf6c9f25b71adbb722f6798eded933dd9",
     "manifest.json":
-        "2b51478e6aca69c80bc9b2cb3b9130a5f1863267cf1ae348206f9c8ad238f07c",
+        "acd0d07e626f408adf03e1074c711b4d61ea48a5ac480b10d05fd26185323827",
     "summary.csv":
         "03c1bf5c888a19844482952008eda702a91128f4f24b9e8e6bb5b24c18520588",
 }
 
 TN_LATENCY_ONE_TTI_SHA256 = {
-    "mcs": "4f5e32321ebfbec4421b24188ed4bd57db3a8ddb792f2fb83f460f93b3f46a17",
-    "rsrp": "49094518955c47f863085341f5ff2e39e2307fdc50c459eec8a1aea3ca313dd5",
-    "bo": "9a04e13c00da476cf8d9efa9e3cbcf5c2b41de539dcbb29f22dee5be5797e770",
-    "off": "afd2e79446efa82f4b1f4325f0d19785c945e55f496e530aa649c3982ffdee04",
+    "mcs": "25a9906be30a224184297176d90c60912a285c2714dcbcdc6947da8f36834a27",
+    "rsrp": "2deb7f4013ef67ca79c22890a29104277d7eff8c6a6a78556de0bc63a3ec4a88",
+    "bo": "073c5cf06d2742d40a9f3f5ffd6926324be2b1b578fb7571512299845023e006",
+    "off": "c3a00195cb21c25d13ed69de0e9ecfa9ace369fc05c93d289b2c164f44807cf6",
 }
 
 CTRL_LATENCY_TEN_MS_SHA256 = {
-    "mcs": "7f42d883912e86ae3150714e28be4e18c27945ad8e00d982a02e316ba32d65fc",
-    "rsrp": "8c6d0762eb2e547934de714f772d8d17762422425a32fdf1ea2d08f2230dd606",
-    "bo": "26200271e3b8dd87b79ab84f23624420b9b7b8d81eeebc14d8d3b784d5420240",
-    "off": "a69ac8bb273fd3dbd4ceb274f8db3a99a600d2b2492d0832db5c47f974bd8ff2",
+    "mcs": "423a83df94c8be441399fd372b8fc1a6e100573ea481fb35c2cdf60a87f4b057",
+    "rsrp": "fb79c24e36d7155f9bd0c7a08becd4860e2894411903e928d65b1105f92cb3b5",
+    "bo": "55448e67cccf174e0471eee3790898fc923fc5a598e47634a13654e08a36a651",
+    "off": "682b0f916cf68aebe8be104f8c05ba52d9554773189c3e65a3fda049279fe686",
 }
 
 

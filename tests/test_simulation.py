@@ -28,16 +28,17 @@ def test_run_result_shape():
     assert r.seed == 2
     assert r.ue_ids == sorted(r.ue_ids)
     assert len(r.throughput_kbps) == len(r.ue_ids) == 18
-    assert r.generated_bits > 0
-    assert r.delivered_bits > 0
+    assert r.counters["generated_bits"] > 0
+    assert r.counters["delivered_bits"] > 0
 
 
 def test_single_connectivity_setting_touches_no_secondary_machinery():
     r = run_single(_tiny("off"), 2)
-    assert r.sn_adds == r.sn_releases == r.sn_rejects == 0
-    assert r.distinct_bound_ues == 0
+    c = r.counters
+    assert c["sn_adds"] == c["sn_releases"] == c["sn_rejects"] == 0
+    assert c["distinct_bound_ues"] == 0
     assert r.events == []
-    assert r.grant_windows == 0
+    assert c["grant_windows"] == 0
 
 
 def test_same_seed_same_result_at_library_level():
@@ -66,7 +67,7 @@ def test_different_seeds_give_different_drops():
 def test_events_are_time_ordered_and_well_formed():
     cfg = dataclasses.replace(_tiny("rsrp"), sim_duration_s=1.2, warmup_s=0.3)
     r = run_single(cfg, 3)
-    assert r.sn_adds > 0
+    assert r.counters["sn_adds"] > 0
     times = [e[0] for e in r.events]
     assert times == sorted(times)
     for _t, kind, ue, mn, sn, _cause in r.events:
@@ -122,4 +123,22 @@ def test_each_ue_alternates_add_and_release():
                 want = ["ADD", "RELEASE"] * len(kinds)
                 assert kinds == want[:len(kinds)], (latency_ms, policy, ue)
             if policy == "mcs":
-                assert r.sn_releases > 0, latency_ms
+                assert r.counters["sn_releases"] > 0, latency_ms
+
+
+def test_run_ledger_has_one_key_set_and_counts_whole_pdus():
+    # Every PDU carries one app packet of one size, so each bit total is
+    # its PDU total times the packet size. A small anchor queue makes `mcs`
+    # and `off` drop packets within the run.
+    key_sets, dropped = set(), 0
+    for policy in POLICIES:
+        cfg = dataclasses.replace(_tiny(policy), ue_queue_bytes=60_000)
+        c = run_single(cfg, 1).counters
+        key_sets.add(frozenset(c))
+        packet_bits = cfg.packet_bytes * 8
+        for kind in ("dropped", "delivered", "stale"):
+            assert c[f"{kind}_bits"] == c[f"{kind}_pdus"] * packet_bits
+        assert c["delivered_pdus"] > 0
+        dropped += c["dropped_pdus"]
+    assert len(key_sets) == 1
+    assert dropped > 0

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from ntnmc.config import ScenarioConfig
@@ -44,26 +46,25 @@ def test_cdf_points_collapse_duplicates_and_end_at_one():
 
 
 def _result(policy, seed, tp, adds=0, releases=0):
+    counters = dict(sn_adds=adds, sn_releases=releases, sn_rejects=1,
+                    distinct_bound_ues=adds, eligible_ues=len(tp),
+                    grant_windows=10, grant_violations=0, grant_max_used=0.5,
+                    generated_bits=1000, dropped_bits=50, dropped_pdus=1,
+                    delivered_bits=900, skipped_sns=0)
     return RunResult(policy=policy, seed=seed,
                      ue_ids=list(range(len(tp))), throughput_kbps=list(tp),
-                     sn_adds=adds, sn_releases=releases, sn_rejects=1,
-                     distinct_bound_ues=adds, eligible_ues=len(tp),
                      events=[(0, "ADD", 0, "tn0", "ntn", "admitted")],
-                     grant_windows=10, grant_violations=0, grant_max_used=0.5,
-                     generated_bits=1000, delivered_bits=900, dropped_bits=50,
-                     stale_bits=0, skipped_sns=0)
+                     counters=counters)
 
 
 def test_summarize_pools_per_ue_records():
     runs = [_result("mcs", 1, [100.0, 200.0], adds=2),
             _result("mcs", 2, [300.0, 400.0], adds=4)]
     s = summarize_setting("mcs", runs)
-    assert s.n_runs == 2
+    assert s.pooled_kbps == [100.0, 200.0, 300.0, 400.0]
     assert s.mean_kbps == 250.0
     assert s.p5_kbps == percentile([100.0, 200.0, 300.0, 400.0], 5.0)
     assert s.avg_sn_adds == 3.0
-    assert s.grant_windows == 20
-    assert s.grant_violations == 0
 
 
 def test_summarize_rejects_ragged_runs():
@@ -103,3 +104,6 @@ def test_emit_results_is_deterministic(tmp_path):
                            "events_mcs_2.csv", "manifest.json"}
     header = files1["summary.csv"].decode().splitlines()[0]
     assert header == "setting,mean_kbps,p5_kbps,avg_sn_adds,avg_sn_releases"
+    manifest = json.loads(files1["manifest.json"])
+    assert manifest["runs"] == [dict(r.counters, setting=r.policy, seed=r.seed)
+                                for r in runs]
