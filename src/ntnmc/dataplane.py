@@ -16,14 +16,6 @@ from .engine import NS_PER_MS
 
 TTI_NS = NS_PER_MS
 
-# Node kinds.
-TN_SECTOR = "tn_sector"
-NTN_BEAM = "ntn_beam"
-
-# Role of a node toward a UE (anchor leg vs secondary leg of the split bearer).
-ROLE_MN = "mn"
-ROLE_SN = "sn"
-
 # Which leg carried a PDU.
 PATH_MN = "mn_direct"
 PATH_SN = "via_sn"
@@ -123,90 +115,59 @@ class LoadTracker:
     """RE utilization over a trailing window of TTIs.
 
     `record` must be called once per TTI, including idle ones, so the window
-    is always densely populated. Total and primary-only fractions are kept
-    separately; the primary share feeds the data-request formula.
+    is always densely populated.
     """
 
     def __init__(self, window_ttis, res_per_tti_):
         self.window = window_ttis
         self.res_per_tti = res_per_tti_
         self._hist = deque()
-        self._sum_total = 0
-        self._sum_primary = 0
+        self._sum = 0
 
-    def record(self, granted_total, granted_primary):
-        self._hist.append((granted_total, granted_primary))
-        self._sum_total += granted_total
-        self._sum_primary += granted_primary
+    def record(self, granted):
+        self._hist.append(granted)
+        self._sum += granted
         if len(self._hist) > self.window:
-            t, p = self._hist.popleft()
-            self._sum_total -= t
-            self._sum_primary -= p
+            self._sum -= self._hist.popleft()
 
-    def _available(self):
-        return len(self._hist) * self.res_per_tti
-
-    def total_fraction(self):
-        avail = self._available()
-        return self._sum_total / avail if avail else 0.0
-
-    def primary_fraction(self):
-        avail = self._available()
-        return self._sum_primary / avail if avail else 0.0
+    def fraction(self):
+        """Fraction of REs granted over the window so far."""
+        avail = len(self._hist) * self.res_per_tti
+        return self._sum / avail if avail else 0.0
 
 
 class Node:
-    """One downlink transmitter: a terrestrial sector or the satellite beam.
+    """One downlink transmitter serving one class of UEs: a terrestrial
+    sector serves the UEs anchored at it, the satellite beam the UEs it
+    holds a secondary leg for.
 
-    Holds per-UE transmit queues, each UE's role (anchor or secondary), the
-    true link MCS used by the scheduler and the latest reported SINR used by
-    the data-request formula.
+    The keys of `queues` are the node's UEs, in the order they were added;
+    `ue_mcs` holds each one's true link MCS, used by the scheduler, and
+    `ue_sinr_db` the latest reported SINR, used by the data-request formula.
     """
 
-    def __init__(self, node_id, kind, n_prb, mcs_table, load_window_ttis):
-        self.node_id = node_id
-        self.kind = kind
+    def __init__(self, n_prb, mcs_table, load_window_ttis):
         self.n_res = res_per_tti(n_prb)
         self.mcs_table = mcs_table
         self.queues = {}
-        self.roles = {}
         self.ue_mcs = {}        # true link MCS, None = below the table floor
         # latest reported downlink SINR; kept across remove_ue, since every
-        # measurement writes it whatever the UE's role
+        # measurement writes it whether or not the UE is served here
         self.ue_sinr_db = {}
         self.load = LoadTracker(load_window_ttis, self.n_res)
-        self._rr = {ROLE_MN: 0, ROLE_SN: 0}
-        self._n_secondary = 0   # UEs in `roles` with ROLE_SN
+        self._rr = 0
 
-    def add_ue(self, ue_id, role, mcs):
+    def add_ue(self, ue_id, mcs):
         self.queues[ue_id] = UeTxQueue()
-        if self.roles.get(ue_id) == ROLE_SN:
-            self._n_secondary -= 1
-        if role == ROLE_SN:
-            self._n_secondary += 1
-        self.roles[ue_id] = role
         self.ue_mcs[ue_id] = mcs
 
     def remove_ue(self, ue_id):
         self.queues.pop(ue_id, None)
-        if self.roles.pop(ue_id, None) == ROLE_SN:
-            self._n_secondary -= 1
         self.ue_mcs.pop(ue_id, None)
-
-    def secondary_count(self):
-        return self._n_secondary
-
-    def secondary_ues(self):
-        return sorted(u for u, r in self.roles.items() if r == ROLE_SN)
 
     def queued_bits(self, ue_id):
         q = self.queues.get(ue_id)
         return q.queued_bits if q else 0
-
-
-def compute_load(node):
-    """Fraction of REs granted over the trailing load window."""
-    return node.load.total_fraction()
 
 
 def buffer_occupancy(node, ue_id, max_queue_bytes):
@@ -250,54 +211,42 @@ def _equal_share(order, needs, total):
 def schedule_tti(node, t_ns):
     """Run one TTI of round-robin scheduling at `node`.
 
-    Anchor-role UEs are served strictly before secondary-role UEs. Within a
-    role class, backlogged UEs split the remaining REs equally with the
-    remainder rotating. Returns [(ue_id, n_res, mcs, completed_pdus)] and
-    records this TTI in the node's load tracker.
-
-    One pass over the roles finds the backlogged UEs of both classes: a UE
-    has exactly one role at a node, so serving the anchor class never
-    changes a secondary-class queue.
+    Backlogged UEs split the node's REs equally with the remainder rotating.
+    Returns [(ue_id, n_res, mcs, completed_pdus)] and records this TTI in
+    the node's load tracker.
     """
     queues = node.queues
     ue_mcs = node.ue_mcs
     eff = node.mcs_table.efficiencies
-    hungry = {ROLE_MN: [], ROLE_SN: []}
+    hungry = []
     needs = {}
-    for ue_id, role in node.roles.items():
-        mcs = ue_mcs.get(ue_id)
+    for ue_id, q in queues.items():
+        mcs = ue_mcs[ue_id]
         if mcs is None:
             continue
-        bits = queues[ue_id].remaining_bits()
+        bits = q.remaining_bits()
         if bits <= 0:
             continue
-        hungry[role].append(ue_id)
+        hungry.append(ue_id)
         needs[ue_id] = math.ceil(bits / eff[mcs])
 
-    remaining = node.n_res
     out = []
-    granted = {ROLE_MN: 0, ROLE_SN: 0}
-    for role in (ROLE_MN, ROLE_SN):
-        if remaining <= 0:
-            break
-        ues = hungry[role]
-        if not ues:
-            continue
-        cur = node._rr[role] % len(ues)
-        node._rr[role] += 1
-        order = ues[cur:] + ues[:cur]
-        alloc = _equal_share(order, needs, remaining)
-        for ue_id in ues:
+    granted = 0
+    if hungry:
+        cur = node._rr % len(hungry)
+        node._rr += 1
+        order = hungry[cur:] + hungry[:cur]
+        alloc = _equal_share(order, needs, node.n_res)
+        for ue_id in hungry:
             n_res = alloc[ue_id]
             if n_res <= 0:
                 continue
-            remaining -= n_res
-            granted[role] += n_res
+            granted += n_res
             mcs = ue_mcs[ue_id]
             tb_bits = transport_block_bits(eff[mcs], n_res)
             done = queues[ue_id].take(tb_bits)
             out.append((ue_id, n_res, mcs, done))
-    node.load.record(granted[ROLE_MN] + granted[ROLE_SN], granted[ROLE_MN])
+    node.load.record(granted)
     return out
 
 

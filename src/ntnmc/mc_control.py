@@ -16,7 +16,7 @@ it strictly exceeds the requester's.
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .dataplane import buffer_occupancy, compute_load
+from .dataplane import buffer_occupancy
 from .engine import millis
 
 ACK = "ACK"
@@ -207,7 +207,7 @@ def handle_sn_addition_request(cand_node, cand, req, t_ns, cfg, mode,
     if (cand.last_ack_ns is not None
             and t_ns - cand.last_ack_ns <= millis(cfg.add_gate_ms)):
         return Decision(REJECT, "recent-ack")
-    if compute_load(cand_node) <= cfg.load_ack_max:
+    if cand_node.load.fraction() <= cfg.load_ack_max:
         cand.last_ack_ns = t_ns
         return Decision(ACK, "headroom")
     if mode == PREEMPTIVE and cand.bindings:

@@ -30,9 +30,8 @@ from . import mc_control as mc
 from . import traffic_split as ts
 from .channel import McsTable, NtnChannel, TnChannel
 from .config import ScenarioConfig
-from .dataplane import (NTN_BEAM, PATH_MN, ROLE_MN, ROLE_SN, TN_SECTOR,
-                        TTI_NS, CbrFlow, Node, PdcpPdu, PdcpReceiver,
-                        UeCounters, schedule_tti)
+from .dataplane import (PATH_MN, TTI_NS, CbrFlow, Node, PdcpPdu,
+                        PdcpReceiver, UeCounters, schedule_tti)
 from .engine import RngStreams, Simulator, millis, seconds
 from .geometry import (GroundPosition, SatelliteTrack, build_tn_layout,
                        drop_ues_in_sector, ntn_beam_grid)
@@ -113,10 +112,9 @@ class Scenario:
         window_ttis = max(1, round(cfg.load_window_ms))
         self.nodes = {}
         for sec in self.sectors:
-            self.nodes[sec.sector_id] = Node(
-                sec.sector_id, TN_SECTOR, cfg.n_prb, self.mcs_table, window_ttis)
-        self.ntn_node = Node(NTN_CELL_ID, NTN_BEAM, cfg.n_prb, self.mcs_table,
-                             window_ttis)
+            self.nodes[sec.sector_id] = Node(cfg.n_prb, self.mcs_table,
+                                             window_ttis)
+        self.ntn_node = Node(cfg.n_prb, self.mcs_table, window_ttis)
         self.nodes[NTN_CELL_ID] = self.ntn_node
 
         self.anchors = {sec.sector_id: mc.AnchorState(sec.sector_id)
@@ -150,8 +148,7 @@ class Scenario:
         ue.receiver = PdcpReceiver(
             ue_id, self.sim, millis(cfg.pdcp_reorder_timer_ms),
             cfg.pdcp_reorder_buffer_pdus, self._make_deliver_cb(ue))
-        self.nodes[sector_id].add_ue(ue_id, ROLE_MN,
-                                     self.mcs_table.mcs_for_sinr(sinr))
+        self.nodes[sector_id].add_ue(ue_id, self.mcs_table.mcs_for_sinr(sinr))
         self.ues[ue_id] = ue
 
     def _make_deliver_cb(self, ue):
@@ -214,10 +211,10 @@ class Scenario:
 
     def _launch_tb(self, node, ue_id, pdus, t_ns):
         ue = self.ues[ue_id]
-        if node.kind == TN_SECTOR:
-            latency = self.tn_latency_ns
-        else:
+        if node is self.ntn_node:
             latency = ue.ntn_delay_ns
+        else:
+            latency = self.tn_latency_ns
         for pdu in pdus:
             ue.counters.in_flight_bits += pdu.bits
         self.sim.schedule_in(latency, self._deliver_tb, ue, pdus)
@@ -281,7 +278,7 @@ class Scenario:
         t = self.sim.now
         if mc.request_gate_open(anchor, t, self.cfg):
             node = self.nodes[anchor.node_id]
-            single = [u for u in node.roles if u not in self.cand.bindings
+            single = [u for u in node.queues if u not in self.cand.bindings
                       and not self.ues[u].pending_reconfig]
             for req in self.policy.evaluate(anchor, node, single, t,
                                             self.cfg):
@@ -313,7 +310,7 @@ class Scenario:
         self.cand.bindings[req.ue_id] = (
             self.anchors[req.mn_node_id].reported_mcs.get(req.ue_id))
         ntn_mcs = self.mcs_table.mcs_for_sinr(ue.ntn_sinr_db)
-        self.ntn_node.add_ue(req.ue_id, ROLE_SN, ntn_mcs)
+        self.ntn_node.add_ue(req.ue_id, ntn_mcs)
         self._log(self.sim.now, mc.EV_ADD, req.ue_id, req.mn_node_id,
                   NTN_CELL_ID, self.policy.add_cause)
 

@@ -5,9 +5,10 @@ it is willing to absorb over the next delta_t + t_offset:
 
     D = alpha * (1 - L_pr) / n_s * B * log2(1 + SINR) * (delta_t + t_offset)
 
-with L_pr the secondary's primary-role load, n_s its current number of
-secondary UEs, B its bandwidth and SINR its latest reported downlink SINR
-toward the UE. A fresh request replaces the previous one (allowances do not
+with L_pr the load of the UEs the secondary anchors itself, n_s its current
+number of secondary UEs, B its bandwidth and SINR its latest reported
+downlink SINR toward the UE. The satellite beam anchors no UE here, so
+L_pr = 0. A fresh request replaces the previous one (allowances do not
 accumulate). The anchor forwards whole untouched PDUs from the queue head
 while the live allowance covers them; everything else stays on the anchor.
 """
@@ -26,20 +27,16 @@ SEND_LOCAL = "send_local"
 def compute_request_amount(sn_node, ue_id, t_ns, params):
     """Bits the secondary node requests for one UE for the next window.
 
-    Clamps to zero when the secondary's primary-role load has no headroom.
     Raises if the node currently serves no secondary UEs (callers only issue
     requests on behalf of served UEs).
     """
-    n_s = sn_node.secondary_count()
+    n_s = len(sn_node.queues)
     if n_s <= 0:
         raise ValueError("request amount undefined with no secondary UEs")
-    l_pr = sn_node.load.primary_fraction()
-    if l_pr >= 1.0:
-        return 0.0
     sinr = db_to_linear(sn_node.ue_sinr_db[ue_id])
     window_s = (params.split_delta_ms + params.split_toff_ms) * 1e-3
     bandwidth_hz = params.bandwidth_mhz * 1e6
-    return (params.split_alpha * (1.0 - l_pr) / n_s
+    return (params.split_alpha / n_s
             * bandwidth_hz * math.log2(1.0 + sinr) * window_s)
 
 
@@ -55,7 +52,7 @@ def send_periodic_requests(sn_node, t_ns, params):
     """One request per served secondary UE, valid for delta_t + t_offset."""
     out = []
     horizon = millis(params.split_delta_ms + params.split_toff_ms)
-    for ue_id in sn_node.secondary_ues():
+    for ue_id in sorted(sn_node.queues):
         amount = compute_request_amount(sn_node, ue_id, t_ns, params)
         out.append(DataRequest(ue_id, amount, t_ns, t_ns + horizon))
     return out

@@ -17,7 +17,7 @@ from ntnmc.channel import McsTable, ntn_fspl_db
 from ntnmc.cli import main
 from ntnmc.config import ScenarioConfig, load_config
 from ntnmc.campaign import run_campaign
-from ntnmc.dataplane import Node, PdcpPdu, PdcpReceiver, ROLE_MN, ROLE_SN
+from ntnmc.dataplane import Node, PdcpPdu, PdcpReceiver
 from ntnmc.engine import Simulator, millis, seconds
 from ntnmc.geometry import slant_range_m
 from ntnmc.mc_control import (ACK, PREEMPTIVE, REJECT, AnchorState,
@@ -108,9 +108,9 @@ def test_every_grant_window_is_respected(campaign):
 
 
 def _sn_node(n_secondary, sinr_db):
-    node = Node("ntn", "ntn_beam", 52, TABLE, 100)
+    node = Node(52, TABLE, 100)
     for ue in range(1, n_secondary + 1):
-        node.add_ue(ue, ROLE_SN, 22)
+        node.add_ue(ue, 22)
         node.ue_sinr_db[ue] = sinr_db
     return node
 
@@ -126,19 +126,12 @@ def test_request_amount_matches_closed_form():
         node = _sn_node(n_s, sinr_db)
         for _ in range(rng.randint(0, 100)):
             k = rng.randint(0, node.n_res)
-            node.load.record(k, k)
-        l_pr = node.load.primary_fraction()
-        want = (cfg.split_alpha * (1.0 - l_pr) / n_s * bandwidth_hz
+            node.load.record(k)
+        want = (cfg.split_alpha / n_s * bandwidth_hz
                 * math.log2(1.0 + 10.0 ** (sinr_db / 10.0)) * window_s)
         got = compute_request_amount(node, 1, 0, cfg)
         assert isinstance(got, float)
         assert got == pytest.approx(want, rel=1e-9)
-
-    # saturated primary load leaves nothing to request
-    full = _sn_node(2, 10.0)
-    for _ in range(100):
-        full.load.record(full.n_res, full.n_res)
-    assert compute_request_amount(full, 1, 0, cfg) == 0.0
 
     # amount halves when the served set doubles
     a = compute_request_amount(_sn_node(3, 10.0), 1, 0, cfg)
@@ -146,7 +139,7 @@ def test_request_amount_matches_closed_form():
     assert a == pytest.approx(2.0 * b, rel=1e-12)
 
     with pytest.raises(ValueError):
-        compute_request_amount(Node("ntn", "ntn_beam", 52, TABLE, 100),
+        compute_request_amount(Node(52, TABLE, 100),
                                1, 0, cfg)
 
 
@@ -162,8 +155,8 @@ def _anchor_with_reports(reports, mcs_by_ue):
 
 
 def _cand_at_load(fraction):
-    node = Node("ntn", "ntn_beam", 52, TABLE, 100)
-    node.load.record(round(fraction * node.n_res), 0)
+    node = Node(52, TABLE, 100)
+    node.load.record(round(fraction * node.n_res))
     return node
 
 
@@ -188,12 +181,12 @@ def test_scripted_anchor_evaluations():
 
 def test_scripted_candidate_decisions():
     cfg = ScenarioConfig()
-    anchor = Node("tn0", "tn_sector", 52, TABLE, 100)
+    anchor = Node(52, TABLE, 100)
 
     def admit(cand, ctrl, t_ns):
         for ue in ctrl.bindings:    # served at both nodes, as in a scenario
-            anchor.add_ue(ue, ROLE_MN, 10)
-            cand.add_ue(ue, ROLE_SN, 22)
+            anchor.add_ue(ue, 10)
+            cand.add_ue(ue, 22)
         return handle_sn_addition_request(
             cand, ctrl, SnAdditionRequest(7, "tn0", 5), t_ns, cfg,
             PREEMPTIVE,

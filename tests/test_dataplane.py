@@ -1,10 +1,7 @@
-import math
-
 from ntnmc.channel import McsTable
 from ntnmc.dataplane import (CbrFlow, LoadTracker, Node, PdcpPdu,
-                             PdcpReceiver, ROLE_MN, ROLE_SN, UeTxQueue,
-                             buffer_occupancy, compute_load, res_per_tti,
-                             schedule_tti, transport_block_bits)
+                             PdcpReceiver, UeTxQueue, buffer_occupancy,
+                             res_per_tti, schedule_tti, transport_block_bits)
 from ntnmc.engine import Simulator, millis
 
 TABLE = McsTable.default()
@@ -21,8 +18,8 @@ def test_transport_block_floors_to_whole_bytes():
     assert transport_block_bits(1.0, 7) == 0
 
 
-def _node(node_id="tn0", n_prb=52, window=100):
-    return Node(node_id, "tn_sector", n_prb, TABLE, window)
+def _node(n_prb=52, window=100):
+    return Node(n_prb, TABLE, window)
 
 
 def _backlog(node, ue_id, n_pdus=20, bits=12000):
@@ -32,8 +29,8 @@ def _backlog(node, ue_id, n_pdus=20, bits=12000):
 
 def test_two_backlogged_ues_split_the_grid_evenly():
     node = _node()
-    node.add_ue(1, ROLE_MN, 10)
-    node.add_ue(2, ROLE_MN, 10)
+    node.add_ue(1, 10)
+    node.add_ue(2, 10)
     _backlog(node, 1)
     _backlog(node, 2)
     grants = {ue: n_res for ue, n_res, _m, _d in schedule_tti(node, 0)}
@@ -43,7 +40,7 @@ def test_two_backlogged_ues_split_the_grid_evenly():
 def test_equal_share_remainder_rotates():
     node = _node(n_prb=52)
     for ue in (1, 2, 3, 4, 5):
-        node.add_ue(ue, ROLE_MN, 10)
+        node.add_ue(ue, 10)
         _backlog(node, ue, n_pdus=200)
     totals = {ue: 0 for ue in (1, 2, 3, 4, 5)}
     for t in range(5):
@@ -53,53 +50,38 @@ def test_equal_share_remainder_rotates():
     assert set(totals.values()) == {5 * 1747 + 1}
 
 
-def test_anchor_role_served_before_secondary():
-    node = _node()
-    node.add_ue(1, ROLE_MN, 21)
-    node.add_ue(2, ROLE_SN, 21)
-    node.queues[1].push(PdcpPdu(1, 0, 12000, 0))
-    _backlog(node, 2, n_pdus=50)
-    grants = {ue: n_res for ue, n_res, _m, _d in schedule_tti(node, 0)}
-    need_mn = math.ceil(12000 / TABLE.efficiency(21))
-    assert grants[1] == need_mn
-    assert grants[2] == 8736 - need_mn
-
-
 def test_ue_without_mcs_is_never_scheduled():
     node = _node()
-    node.add_ue(1, ROLE_MN, None)
+    node.add_ue(1, None)
     _backlog(node, 1)
     assert schedule_tti(node, 0) == []
     # the idle TTI still lands in the load window
-    assert node.load.total_fraction() == 0.0
-    assert compute_load(node) == 0.0
+    assert node.load.fraction() == 0.0
 
 
 def test_empty_queues_leave_load_at_zero():
     node = _node()
-    node.add_ue(1, ROLE_MN, 10)
+    node.add_ue(1, 10)
     assert schedule_tti(node, 0) == []
-    assert node.load.total_fraction() == 0.0
+    assert node.load.fraction() == 0.0
 
 
 def test_load_tracker_fractions_and_eviction():
     lt = LoadTracker(100, 8736)
-    assert lt.total_fraction() == 0.0
-    assert lt.primary_fraction() == 0.0
+    assert lt.fraction() == 0.0
     for _ in range(50):
-        lt.record(8736, 4368)
+        lt.record(8736)
     for _ in range(50):
-        lt.record(0, 0)
-    assert lt.total_fraction() == 0.5
-    assert lt.primary_fraction() == 0.25
+        lt.record(0)
+    assert lt.fraction() == 0.5
 
     small = LoadTracker(4, 8736)
     for _ in range(4):
-        small.record(8736, 8736)
-    assert small.total_fraction() == 1.0
+        small.record(8736)
+    assert small.fraction() == 1.0
     for _ in range(4):
-        small.record(0, 0)
-    assert small.total_fraction() == 0.0
+        small.record(0)
+    assert small.fraction() == 0.0
 
 
 def test_tx_queue_segmentation_and_accounting():
@@ -142,7 +124,7 @@ def test_tx_queue_push_front_orders_ahead():
 
 def test_buffer_occupancy_fraction():
     node = _node()
-    node.add_ue(1, ROLE_MN, 10)
+    node.add_ue(1, 10)
     node.queues[1].push(PdcpPdu(1, 0, 400_000 * 8, 0))
     assert buffer_occupancy(node, 1, 1_000_000) == 0.4
     assert buffer_occupancy(node, 2, 1_000_000) == 0.0
@@ -223,26 +205,6 @@ def test_flush_counts_every_gap():
     assert [sn for sn, _t in delivered] == [5, 7]
     assert rx.skipped_sns == 6  # sns 0-4 and 6
     assert rx.buffered_bits == 0
-
-
-def test_secondary_count_follows_adds_and_removes():
-    node = _node("ntn")
-    node.add_ue(1, ROLE_SN, 10)
-    node.add_ue(2, ROLE_SN, 10)
-    node.add_ue(3, ROLE_MN, 10)
-    assert node.secondary_count() == 2
-    node.remove_ue(1)
-    assert node.secondary_count() == 1
-    node.add_ue(1, ROLE_SN, 12)
-    assert node.secondary_count() == 2
-    node.remove_ue(99)
-    node.remove_ue(3)
-    assert node.secondary_count() == 2
-    node.add_ue(2, ROLE_MN, 10)
-    node.add_ue(3, ROLE_SN, 10)
-    node.add_ue(3, ROLE_SN, 10)
-    assert node.secondary_count() == 2
-    assert node.secondary_count() == len(node.secondary_ues())
 
 
 def test_cbr_flow_packetization():

@@ -5,7 +5,7 @@ import pytest
 from ntnmc import mc_control
 from ntnmc.channel import McsTable
 from ntnmc.config import POLICIES, ScenarioConfig, load_config
-from ntnmc.dataplane import Node, PdcpPdu, ROLE_MN, ROLE_SN, compute_load
+from ntnmc.dataplane import Node, PdcpPdu
 from ntnmc.engine import Simulator, millis
 from ntnmc.mc_control import (ACK, COVERAGE, GATED, PREEMPTIVE, REJECT,
                               AnchorState, CandidateState, Measurement,
@@ -32,9 +32,9 @@ def _anchor_with_reports(reports, mcs_by_ue, t=0):
 
 def _cand_at_load(fraction, n_prb=52):
     """Candidate node whose tracked load reads exactly `fraction`."""
-    node = Node("ntn", "ntn_beam", n_prb, TABLE, 100)
-    node.load.record(round(fraction * node.n_res), 0)
-    assert compute_load(node) == pytest.approx(fraction, abs=1e-3)
+    node = Node(n_prb, TABLE, 100)
+    node.load.record(round(fraction * node.n_res))
+    assert node.load.fraction() == pytest.approx(fraction, abs=1e-3)
     return node
 
 
@@ -46,10 +46,10 @@ def _admit(cand, ctrl, req, t_ns, mode=PREEMPTIVE):
     """Admission as a scenario runs it: the candidate and the anchor serve
     every bound UE, and a preempted binding ends through
     `release_secondary`."""
-    anchor = Node("tn0", "tn_sector", 52, TABLE, 100)
+    anchor = Node(52, TABLE, 100)
     for ue in ctrl.bindings:
-        anchor.add_ue(ue, ROLE_MN, 10)
-        cand.add_ue(ue, ROLE_SN, 22)
+        anchor.add_ue(ue, 10)
+        cand.add_ue(ue, 22)
     return handle_sn_addition_request(
         cand, ctrl, req, t_ns, CFG, mode,
         lambda ue, cause: release_secondary(cand, ctrl, anchor, ue))
@@ -58,9 +58,9 @@ def _admit(cand, ctrl, req, t_ns, mode=PREEMPTIVE):
 def _anchor_with_occupancy(occupancy):
     """Anchor node whose transmit queues are filled to the given fractions
     of the configured cap."""
-    node = Node("tn0", "tn_sector", 52, TABLE, 100)
+    node = Node(52, TABLE, 100)
     for ue, frac in occupancy.items():
-        node.add_ue(ue, ROLE_MN, 20)
+        node.add_ue(ue, 20)
         node.queues[ue].push(PdcpPdu(ue, 0, round(frac * CFG.ue_queue_bytes) * 8, 0))
     return node
 
@@ -238,7 +238,7 @@ def test_duplicate_binding_rejected_before_anything_else():
     cfg = load_config(None, environ={}, sim_duration_s=0.6, warmup_s=0.3,
                       n_ue_per_sector=3, policy="rsrp")
     sc = Scenario(cfg, 1)
-    bound, pending, free = sorted(sc.nodes[0].roles)
+    bound, pending, free = sorted(sc.nodes[0].queues)
     req = SnAdditionRequest(bound, 0, sc.anchors[0].reported_mcs.get(bound))
     sc.ues[bound].pending_reconfig = True
     sc._finalize_binding(req)
@@ -249,11 +249,11 @@ def test_duplicate_binding_rejected_before_anything_else():
     sc._on_eval(sc.anchors[0], millis(cfg.eval_period_ms), 0)
     assert asked == [free]
 
-    before = (dict(sc.cand.bindings), dict(sc.ntn_node.roles),
+    before = (dict(sc.cand.bindings), dict(sc.ntn_node.queues),
               list(sc.events), sc.ues[bound].pending_reconfig)
     with pytest.raises(AssertionError):
         sc._finalize_binding(req)
-    assert (dict(sc.cand.bindings), dict(sc.ntn_node.roles),
+    assert (dict(sc.cand.bindings), dict(sc.ntn_node.queues),
             list(sc.events), sc.ues[bound].pending_reconfig) == before
 
 
@@ -304,10 +304,10 @@ def test_zero_latency_reconfiguration_completes_same_timestamp():
 
 
 def test_release_moves_leftover_pdus_back_to_anchor():
-    cand = Node("ntn", "ntn_beam", 52, TABLE, 100)
-    anchor = Node("tn0", "tn_sector", 52, TABLE, 100)
-    anchor.add_ue(1, ROLE_MN, 10)
-    cand.add_ue(1, ROLE_SN, 22)
+    cand = Node(52, TABLE, 100)
+    anchor = Node(52, TABLE, 100)
+    anchor.add_ue(1, 10)
+    cand.add_ue(1, 22)
     for i in range(3):
         cand.queues[1].push(PdcpPdu(1, i, 12000, 0))
     ctrl = CandidateState()
@@ -315,7 +315,7 @@ def test_release_moves_leftover_pdus_back_to_anchor():
     n = release_secondary(cand, ctrl, anchor, 1)
     assert n == 3
     assert 1 not in ctrl.bindings
-    assert 1 not in cand.roles
+    assert 1 not in cand.queues
     assert anchor.queues[1].remaining_bits() == 36000
 
 

@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from ntnmc.channel import McsTable
 from ntnmc.config import ScenarioConfig, load_config
-from ntnmc.dataplane import (ROLE_MN, ROLE_SN, Node, PdcpPdu, PdcpReceiver,
-                             _equal_share)
+from ntnmc.dataplane import Node, PdcpPdu, PdcpReceiver, _equal_share
 from ntnmc.engine import Simulator, millis
 from ntnmc.mc_control import (ACK, PREEMPTIVE, CandidateState,
                               SnAdditionRequest, handle_sn_addition_request,
@@ -21,10 +20,10 @@ def _admit(cand, ctrl, req, t_ns):
     """Admission as a scenario runs it: the candidate and the anchor serve
     every bound UE, and a preempted binding ends through
     `release_secondary`."""
-    anchor = Node("tn0", "tn_sector", 52, TABLE, 100)
+    anchor = Node(52, TABLE, 100)
     for ue in ctrl.bindings:
-        anchor.add_ue(ue, ROLE_MN, 10)
-        cand.add_ue(ue, ROLE_SN, 22)
+        anchor.add_ue(ue, 10)
+        cand.add_ue(ue, 22)
     return handle_sn_addition_request(
         cand, ctrl, req, t_ns, CFG, PREEMPTIVE,
         lambda ue, cause: release_secondary(cand, ctrl, anchor, ue))
@@ -69,14 +68,14 @@ def test_receiver_accounts_for_every_pdu(sns):
                           st.integers(0, 31)),          # its anchor mcs
                 max_size=40))
 def test_acks_never_violate_the_add_gate(reqs):
-    node = Node("ntn", "ntn_beam", 52, TABLE, 100)
+    node = Node(52, TABLE, 100)
     ctrl = CandidateState()
     gate_ns = millis(CFG.add_gate_ms)
     t = 0
     ack_times = []
     for dt, load, ue, mcs in reqs:
         t += dt
-        node.load.record(round(load * node.n_res), 0)
+        node.load.record(round(load * node.n_res))
         d = _admit(node, ctrl, SnAdditionRequest(ue, "tn0", mcs), t)
         if d.verdict == ACK:
             ack_times.append(t)

@@ -16,7 +16,7 @@ def test_scenario_builds_expected_population():
     sc = Scenario(_tiny(), 1)
     assert len(sc.ues) == 18
     assert sorted(sc.nodes) == list(range(9)) + [NTN_CELL_ID]
-    assert sc.ntn_node.node_id == NTN_CELL_ID
+    assert sc.nodes[NTN_CELL_ID] is sc.ntn_node
     # every UE anchors at a terrestrial sector
     for ue in sc.ues.values():
         assert ue.mn_node_id in range(9)

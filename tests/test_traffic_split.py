@@ -5,7 +5,7 @@ import pytest
 
 from ntnmc.channel import McsTable
 from ntnmc.config import ScenarioConfig
-from ntnmc.dataplane import Node, PdcpPdu, PATH_MN, PATH_SN, ROLE_MN, ROLE_SN
+from ntnmc.dataplane import Node, PdcpPdu, PATH_MN, PATH_SN
 from ntnmc.traffic_split import (DataRequest, FORWARD, GrantBook, SEND_LOCAL,
                                  compute_request_amount, drain_forward,
                                  mn_forwarding_decision,
@@ -16,32 +16,27 @@ TABLE = McsTable.default()
 CFG = ScenarioConfig()
 
 
-def _sn_node(n_secondary, sinr_db=0.0, primary_res=0):
-    node = Node("ntn", "ntn_beam", CFG.n_prb, TABLE, 100)
+def _sn_node(n_secondary, sinr_db=0.0):
+    node = Node(CFG.n_prb, TABLE, 100)
     for ue in range(1, n_secondary + 1):
-        node.add_ue(ue, ROLE_SN, 22)
+        node.add_ue(ue, 22)
         node.ue_sinr_db[ue] = sinr_db
-    if primary_res:
-        node.load.record(primary_res, primary_res)
     return node
 
 
-def request_amount_oracle(alpha, l_pr, n_s, bandwidth_hz, sinr_db, window_s):
-    share = alpha * (1.0 - l_pr) / n_s
+def request_amount_oracle(alpha, n_s, bandwidth_hz, sinr_db, window_s):
+    share = alpha / n_s
     rate = bandwidth_hz * math.log2(1.0 + 10.0 ** (sinr_db / 10.0))
     return share * rate * window_s
 
 
 def test_request_amount_fixed_point():
-    # two served UEs, half the primary window busy, 0 dB link:
-    # 0.6 * 0.5 / 2 * 1e7 * log2(2) * 0.05 s = 75000 bits
+    # two served UEs, 0 dB link:
+    # 0.6 / 2 * 1e7 * log2(2) * 0.05 s = 150000 bits
     node = _sn_node(2, sinr_db=0.0)
-    for _ in range(100):
-        node.load.record(4368, 4368)
-    assert node.load.primary_fraction() == 0.5
     got = compute_request_amount(node, 1, 0, CFG)
     assert isinstance(got, float)
-    assert got == pytest.approx(75_000.0, rel=1e-12)
+    assert got == pytest.approx(150_000.0, rel=1e-12)
 
 
 def test_request_amount_matches_oracle_on_random_draws():
@@ -53,24 +48,15 @@ def test_request_amount_matches_oracle_on_random_draws():
         node = _sn_node(n_s, sinr_db=sinr_db)
         for _ in range(rng.randint(0, 100)):
             k = rng.randint(0, node.n_res)
-            node.load.record(k, k)
-        l_pr = node.load.primary_fraction()
-        want = request_amount_oracle(CFG.split_alpha, l_pr, n_s,
+            node.load.record(k)
+        want = request_amount_oracle(CFG.split_alpha, n_s,
                                      CFG.bandwidth_mhz * 1e6, sinr_db, window_s)
         got = compute_request_amount(node, 1, 0, CFG)
         assert got == pytest.approx(want, rel=1e-9)
 
 
-def test_request_amount_zero_when_primary_saturated():
-    node = _sn_node(2)
-    for _ in range(100):
-        node.load.record(8736, 8736)
-    assert node.load.primary_fraction() == 1.0
-    assert compute_request_amount(node, 1, 0, CFG) == 0.0
-
-
 def test_request_amount_requires_served_ues():
-    node = Node("ntn", "ntn_beam", CFG.n_prb, TABLE, 100)
+    node = Node(CFG.n_prb, TABLE, 100)
     with pytest.raises(ValueError):
         compute_request_amount(node, 1, 0, CFG)
 
@@ -79,7 +65,7 @@ def test_request_amount_after_release_and_re_add():
     node = _sn_node(1, sinr_db=10.0)
     before = compute_request_amount(node, 1, 0, CFG)
     node.remove_ue(1)
-    node.add_ue(1, ROLE_SN, 22)
+    node.add_ue(1, 22)
     assert compute_request_amount(node, 1, 0, CFG) == before
 
 
@@ -131,10 +117,10 @@ def test_grant_audit_tracks_usage_fraction():
 
 
 def _mn_sn_pair():
-    mn = Node("tn0", "tn_sector", CFG.n_prb, TABLE, 100)
-    sn = Node("ntn", "ntn_beam", CFG.n_prb, TABLE, 100)
-    mn.add_ue(1, ROLE_MN, 10)
-    sn.add_ue(1, ROLE_SN, 22)
+    mn = Node(CFG.n_prb, TABLE, 100)
+    sn = Node(CFG.n_prb, TABLE, 100)
+    mn.add_ue(1, 10)
+    sn.add_ue(1, 22)
     return mn, sn
 
 
