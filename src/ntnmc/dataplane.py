@@ -349,13 +349,14 @@ class PdcpReceiver:
         self._update_timer()
 
     def flush(self, t_ns):
-        """End of run: release everything still buffered, in sequence order."""
+        """End of run: release everything still buffered, in sequence order.
+
+        A gap below a buffered SN is a PDU still in flight or queued at a
+        node, where the conservation ledger books it, so none is skipped.
+        """
         self._stop_timer()
         for sn in sorted(self.buffer):
-            if sn > self.rx_deliv:
-                self.skipped_sns += sn - self.rx_deliv
             self._deliver_from_buffer(sn, t_ns)
-            self.rx_deliv = sn + 1
 
 
 class CbrFlow:

@@ -381,10 +381,13 @@ class Scenario:
                       for u in ue_ids]
         ues = self.ues.values()
         kinds = [ev[1] for ev in self.events]
+        reject_causes = [ev[5] for ev in self.events if ev[1] == mc.EV_REJECT]
         counters = {
             "sn_adds": kinds.count(mc.EV_ADD),
             "sn_releases": kinds.count(mc.EV_RELEASE),
-            "sn_rejects": kinds.count(mc.EV_REJECT),
+            "sn_rejects": len(reject_causes),
+            "rejects_recent_ack": reject_causes.count("recent-ack"),
+            "rejects_overloaded": reject_causes.count("overloaded"),
             "distinct_bound_ues": len({ev[2] for ev in self.events
                                        if ev[1] == mc.EV_ADD}),
             "eligible_ues": sum(1 for ue in ues
@@ -392,6 +395,8 @@ class Scenario:
             "grant_windows": self.book.windows_checked,
             "grant_violations": self.book.violations,
             "grant_max_used": self.book.max_used_fraction,
+            "zero_throughput_ues": sum(1 for ue in ues
+                                       if ue.post_warmup_bits == 0),
         }
         for name in UE_COUNTERS:
             counters[name] = sum(getattr(ue.counters, name) for ue in ues)

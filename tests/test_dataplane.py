@@ -196,14 +196,14 @@ def test_buffer_overflow_forces_oldest_run_out():
     assert rx.delivered_pdus == 4
 
 
-def test_flush_counts_every_gap():
+def test_flush_delivers_the_buffer_without_skipping():
     sim = Simulator()
     rx, delivered = _receiver(sim)
     rx.receive(PdcpPdu(1, 5, 12000, 0), 0)
     rx.receive(PdcpPdu(1, 7, 12000, 0), 0)
     rx.flush(0)
     assert [sn for sn, _t in delivered] == [5, 7]
-    assert rx.skipped_sns == 6  # sns 0-4 and 6
+    assert rx.skipped_sns == 0  # sns 0-4 and 6 are still on their way
     assert rx.buffered_bits == 0
 
 

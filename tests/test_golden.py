@@ -58,23 +58,23 @@ ARTIFACT_SHA256 = {
     "events_rsrp_2.csv":
         "1a9e1f388aa41a2631b9f7fca08df7daf6c9f25b71adbb722f6798eded933dd9",
     "manifest.json":
-        "acd0d07e626f408adf03e1074c711b4d61ea48a5ac480b10d05fd26185323827",
+        "592d44b4df24c529f423149c43a634a2315ab038b2e27e3171d1334da769f934",
     "summary.csv":
         "03c1bf5c888a19844482952008eda702a91128f4f24b9e8e6bb5b24c18520588",
 }
 
 TN_LATENCY_ONE_TTI_SHA256 = {
-    "mcs": "25a9906be30a224184297176d90c60912a285c2714dcbcdc6947da8f36834a27",
-    "rsrp": "2deb7f4013ef67ca79c22890a29104277d7eff8c6a6a78556de0bc63a3ec4a88",
-    "bo": "073c5cf06d2742d40a9f3f5ffd6926324be2b1b578fb7571512299845023e006",
-    "off": "c3a00195cb21c25d13ed69de0e9ecfa9ace369fc05c93d289b2c164f44807cf6",
+    "mcs": "d4fd1960a04ea7a979d86fafa4c0578f1d0e4234a77bc0d6814c15a762abf7a2",
+    "rsrp": "5153c79569eb6af2bab97ea96d7bf5c74ffef3e1378d2eb797d164eabe94de4f",
+    "bo": "046f009ef2f759c943ed2d7ee54d415b6bd5f58dad90bda60e53acf139417947",
+    "off": "3a95084ffc3b0e412992939e44cb917fdc17c540535d3fd78af61485211f4509",
 }
 
 CTRL_LATENCY_TEN_MS_SHA256 = {
-    "mcs": "423a83df94c8be441399fd372b8fc1a6e100573ea481fb35c2cdf60a87f4b057",
-    "rsrp": "fb79c24e36d7155f9bd0c7a08becd4860e2894411903e928d65b1105f92cb3b5",
-    "bo": "55448e67cccf174e0471eee3790898fc923fc5a598e47634a13654e08a36a651",
-    "off": "682b0f916cf68aebe8be104f8c05ba52d9554773189c3e65a3fda049279fe686",
+    "mcs": "8560a07f8b635db7f5d4988ba4aa5646522583296bd140b4c96e496c58659aad",
+    "rsrp": "d38380904be194e0ba010475c086ff1e5fb48d503c8b09b74233475a2440e0ab",
+    "bo": "b43936b02ce9d41bd689eb4364597f17be1086c2b9b7903d4e226458d68a2065",
+    "off": "b28b9a08cd311c774af0e88640732d8b33b50a6ceccf7bc3ed20f9b13c6df237",
 }
 
 

@@ -133,12 +133,27 @@ def test_run_ledger_has_one_key_set_and_counts_whole_pdus():
     key_sets, dropped = set(), 0
     for policy in POLICIES:
         cfg = dataclasses.replace(_tiny(policy), ue_queue_bytes=60_000)
-        c = run_single(cfg, 1).counters
+        r = run_single(cfg, 1)
+        c = r.counters
         key_sets.add(frozenset(c))
         packet_bits = cfg.packet_bytes * 8
         for kind in ("dropped", "delivered", "stale"):
             assert c[f"{kind}_bits"] == c[f"{kind}_pdus"] * packet_bits
         assert c["delivered_pdus"] > 0
         dropped += c["dropped_pdus"]
+        # every REJECT names one of the two causes a candidate refuses with
+        assert c["rejects_recent_ack"] + c["rejects_overloaded"] == c["sn_rejects"]
+        assert c["zero_throughput_ues"] == r.throughput_kbps.count(0.0)
     assert len(key_sets) == 1
     assert dropped > 0
+
+
+def test_end_of_run_flush_skips_no_sequence_number():
+    # At the end of a run every gap below a buffered SN is a PDU still in
+    # flight or queued at a node, so the flush must not count it as skipped.
+    cfg = dataclasses.replace(_tiny("rsrp"), sim_duration_s=1.0, warmup_s=0.5)
+    sc = Scenario(cfg, 1)
+    sc.sim.run_until(sc.end_ns)
+    assert any(ue.receiver.buffer for ue in sc.ues.values())
+    skipped = sum(ue.receiver.skipped_sns for ue in sc.ues.values())
+    assert sc.finish().counters["skipped_sns"] == skipped
