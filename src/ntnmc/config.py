@@ -137,6 +137,11 @@ class ScenarioConfig:
         for name in ("center_lat_deg", "sat_epoch_lat_deg"):
             if not -90.0 <= getattr(self, name) <= 90.0:
                 raise ConfigError(f"{name} must be a latitude in [-90, 90]")
+        reach_m = _layout_reach_m(self)
+        if abs(self.center_lat_deg) + reach_m / M_PER_DEG >= 90.0:
+            raise ConfigError(
+                f"center_lat_deg = {self.center_lat_deg} puts a pole within "
+                f"the layout's reach of {reach_m:.0f} m from its center")
         if self.warmup_s >= self.sim_duration_s:
             raise ConfigError("warmup_s must be below sim_duration_s")
         if self.ue_drop_max_m <= self.ue_drop_min_m:
@@ -168,6 +173,15 @@ class ScenarioConfig:
         return self
 
 
+def _layout_reach_m(cfg):
+    """Farthest ground distance from the center a UE can be dropped at:
+    the site circumradius plus the drop radius."""
+    reach_m = cfg.ue_drop_max_m
+    if cfg.n_sites > 1:
+        reach_m += cfg.isd_m / math.sqrt(3.0)
+    return reach_m
+
+
 def _satellite_pass_s(cfg):
     """Time from t = 0 for which the satellite is certain to stay above the
     horizon of every point a UE can be dropped at (inf if it never moves).
@@ -182,9 +196,7 @@ def _satellite_pass_s(cfg):
     """
     center = GroundPosition(cfg.center_lat_deg, cfg.center_lon_deg)
     epoch = GroundPosition(cfg.sat_epoch_lat_deg, cfg.sat_epoch_lon_deg)
-    reach_m = cfg.ue_drop_max_m
-    if cfg.n_sites > 1:
-        reach_m += cfg.isd_m / math.sqrt(3.0)
+    reach_m = _layout_reach_m(cfg)
     lat = abs(math.radians(cfg.center_lat_deg))
     spread = math.radians(reach_m / M_PER_DEG)
     reach_m *= math.cos(max(0.0, lat - spread)) / math.cos(lat + spread)

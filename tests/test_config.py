@@ -130,6 +130,8 @@ PROBE = dict(sim_duration_s=0.3, warmup_s=0.1, n_ue_per_sector=2)
     (dict(center_lat_deg=-90.5, sat_epoch_lat_deg=-90.5),
      "center_lat_deg.*latitude"),
     (dict(sat_epoch_lat_deg=91.0), "sat_epoch_lat_deg.*latitude"),
+    # sites past the pole, at longitudes of order 1e14 degrees
+    (dict(center_lat_deg=90.0, sat_epoch_lat_deg=89.0), "center_lat_deg.*pole"),
 ])
 def test_configs_that_would_fail_mid_run_are_rejected(overrides, match):
     with pytest.raises(ConfigError, match=match):

@@ -1,11 +1,16 @@
 """Invariant checks on randomized inputs (hypothesis)."""
 
-from hypothesis import given, settings, strategies as st
+import math
+from unittest import mock
 
+from hypothesis import event, example, given, settings, strategies as st
+
+from ntnmc import simulation
 from ntnmc.channel import McsTable
-from ntnmc.config import ScenarioConfig, load_config
-from ntnmc.dataplane import Node, PdcpPdu, PdcpReceiver, _equal_share
-from ntnmc.engine import Simulator, millis
+from ntnmc.config import (POLICIES, PRBS_BY_BANDWIDTH_MHZ, ConfigError,
+                          ScenarioConfig, load_config)
+from ntnmc.dataplane import CbrFlow, Node, PdcpPdu, PdcpReceiver, _equal_share
+from ntnmc.engine import Simulator, millis, seconds
 from ntnmc.mc_control import (ACK, PREEMPTIVE, CandidateState,
                               SnAdditionRequest, handle_sn_addition_request,
                               release_secondary)
@@ -192,3 +197,133 @@ def test_percentile_bounded_and_monotone(values, p1, p2):
     lo, hi = sorted((p1, p2))
     a, b = percentile(values, lo), percentile(values, hi)
     assert min(values) <= a <= b <= max(values)
+
+
+# --- every config that validates runs to completion ---------------------------
+
+PERIODS_MS = ("pdcp_reorder_timer_ms", "load_window_ms", "eval_period_ms",
+              "meas_period_ms", "meas_staleness_ms", "request_gate_ms",
+              "add_gate_ms", "split_delta_ms", "split_toff_ms")
+FRACTIONS = ("load_ack_max", "bo_threshold_frac", "split_alpha")
+
+
+def _edge_or(valid, *edges):
+    """Mostly `valid`; in one draw of 16, one of `edges`, the values at or
+    just past a validation edge. Rare enough that about one example in
+    five passes every rule and runs."""
+    return st.integers(0, 15).flatmap(
+        lambda k: st.sampled_from(edges) if k == 15 else valid)
+
+
+@st.composite
+def config_overrides(draw):
+    """Every field with a validation rule, drawn from its valid range or at
+    and just past its edges. Valid periods stay at 0.5 ms or more (the 1 us
+    floor has its own test), runs at 0.3 s or less with 1-3 UEs per sector."""
+    o = {"policy": draw(st.sampled_from(POLICIES)),
+         "n_ue_per_sector": draw(st.integers(1, 3)),
+         "n_sites": draw(_edge_or(st.integers(1, 3), 0, 4))}
+    for name in PERIODS_MS:
+        o[name] = draw(_edge_or(st.floats(0.5, 150.0), 0.0, -0.5, 0.0009))
+    period = o["eval_period_ms"]
+    o["eval_jitter_ms"] = draw(_edge_or(
+        st.floats(0.0, 1.0).map(lambda f: f * period),
+        -1e-6, period, math.nextafter(period, 0.0)))
+    for name in ("tn_latency_ms", "ctrl_latency_ms"):
+        o[name] = draw(_edge_or(st.floats(0.0, 50.0), -1e-6))
+
+    o["packet_bytes"] = draw(_edge_or(st.integers(1, 9000), 0, -1))
+    bits = max(o["packet_bytes"], 1) * 8
+    o["cbr_rate_bps"] = draw(_edge_or(
+        st.floats(0.5e-3, 0.1).map(lambda interval_s: bits / interval_s),
+        0.0, -1.0, bits / 0.999e-6))
+
+    lat = draw(_edge_or(st.floats(-90.0, 90.0), -90.0, 90.0,
+                        math.nextafter(-90.0, -91.0),
+                        math.nextafter(90.0, 91.0)))
+    o["center_lat_deg"] = lat
+    o["sat_epoch_lat_deg"] = draw(_edge_or(
+        st.floats(-30.0, 30.0).map(lambda d: lat + d),
+        math.nextafter(-90.0, -91.0), math.nextafter(90.0, 91.0)))
+
+    mhz = draw(_edge_or(st.sampled_from(sorted(PRBS_BY_BANDWIDTH_MHZ)), 0, 7))
+    o["bandwidth_mhz"] = float(mhz)
+    o["n_prb"] = (PRBS_BY_BANDWIDTH_MHZ.get(mhz, 52)
+                  + draw(_edge_or(st.just(0), -1, 1)))
+
+    duration = draw(_edge_or(st.floats(0.001, 0.3), 0.0, -0.1))
+    o["sim_duration_s"] = duration
+    o["warmup_s"] = draw(_edge_or(
+        st.floats(0.0, 1.0).map(lambda f: f * duration), -1e-9, duration))
+
+    lo = draw(_edge_or(st.floats(0.0, 3000.0), -1e-6))
+    o["ue_drop_min_m"] = lo
+    o["ue_drop_max_m"] = lo + draw(_edge_or(st.floats(1.0, 5000.0), 0.0, -1e-6))
+
+    for name in FRACTIONS:
+        o[name] = draw(_edge_or(st.floats(0.0, 1.0, exclude_min=True),
+                                0.0, 1.0, math.nextafter(1.0, 2.0), -0.1))
+    return o
+
+
+def event_bound(cfg):
+    """Twice the most events a run of `cfg` can schedule: a TTI event per
+    TTI and a transport block per UE and node in it, an arrival event per
+    CBR interval and a reordering timer per PDU received, a measurement per
+    UE and period, a reordering timer per UE and timer period, an
+    evaluation per sector and period plus the three reconfiguration
+    messages of the one request it may send, and a data-request cycle per
+    period. Periods count as no shorter than 0.5 ms, the shortest valid one
+    drawn, so a shorter period that `validate` lets through fails fast."""
+    end = seconds(cfg.sim_duration_s)
+
+    def ticks(period_ns):
+        return end // max(period_ns, millis(0.5)) + 1
+
+    n_sectors = 3 * cfg.n_sites
+    n_ue = n_sectors * cfg.n_ue_per_sector
+    arrivals = ticks(CbrFlow(cfg.packet_bytes, cfg.cbr_rate_bps).interval_ns)
+    return 2 * (ticks(millis(1.0)) * (1 + 2 * n_ue)
+                + arrivals * (1 + n_ue)
+                + n_ue * ticks(millis(cfg.meas_period_ms))
+                + n_ue * ticks(millis(cfg.pdcp_reorder_timer_ms))
+                + 4 * n_sectors * ticks(millis(cfg.eval_period_ms))
+                + ticks(millis(cfg.split_delta_ms)))
+
+
+def bounded_simulator(limit):
+    """A `Simulator` that fails once it is asked to schedule more than
+    `limit` events, so a run that would never end fails fast."""
+    class BoundedSimulator(Simulator):
+        def __init__(self):
+            super().__init__()
+            self.scheduled = 0
+
+        def schedule_at(self, t, fn, *args):
+            self.scheduled += 1
+            if self.scheduled > limit:
+                raise AssertionError(f"more than {limit} events scheduled")
+            return super().schedule_at(t, fn, *args)
+    return BoundedSimulator
+
+
+@settings(deadline=None, max_examples=200)
+@given(config_overrides())
+# a layout centred on a pole put sites past it
+@example(dict(center_lat_deg=90.0, sat_epoch_lat_deg=89.0, n_ue_per_sector=1,
+              sim_duration_s=0.01, warmup_s=0.0))
+def test_every_accepted_config_runs_to_completion(overrides):
+    try:
+        cfg = load_config(None, environ={}, **overrides)
+    except ConfigError as exc:
+        event(f"rejected: {str(exc).split()[0]}")
+        return
+    event("accepted")
+    with mock.patch.object(simulation, "Simulator",
+                           bounded_simulator(event_bound(cfg))):
+        sc = Scenario(cfg, 1)
+        sc.run_to_end()     # checks conservation at the end
+    # no site or UE placed past a pole
+    for pos in ([s.position for s in sc.sectors]
+                + [ue.pos for ue in sc.ues.values()]):
+        assert -90.0 <= pos.lat_deg <= 90.0
