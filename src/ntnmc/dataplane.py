@@ -142,8 +142,7 @@ class Node:
     holds a secondary leg for.
 
     The keys of `queues` are the node's UEs, in the order they were added;
-    `ue_mcs` holds each one's true link MCS, used by the scheduler, and
-    `ue_sinr_db` the latest reported SINR, used by the data-request formula.
+    `ue_mcs` holds each one's true link MCS, used by the scheduler.
     """
 
     def __init__(self, n_prb, mcs_table, load_window_ttis):
@@ -151,9 +150,6 @@ class Node:
         self.mcs_table = mcs_table
         self.queues = {}
         self.ue_mcs = {}        # true link MCS, None = below the table floor
-        # latest reported downlink SINR; kept across remove_ue, since every
-        # measurement writes it whether or not the UE is served here
-        self.ue_sinr_db = {}
         self.load = LoadTracker(load_window_ttis, self.n_res)
         self._rr = 0
 

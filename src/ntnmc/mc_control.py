@@ -2,15 +2,18 @@
 policies and the table that names them, candidate-side admission,
 reconfiguration and release.
 
-Requester side (`AnchorState`, one per anchor sector): keeps each UE's latest
-satellite-beam report, evaluates its single-connectivity UEs on a jittered
-period and issues addition requests, at most one per request-gate period.
+Both sides share one run-wide map of each UE's latest `Measurement`. A UE
+has a secondary leg if and only if the satellite beam's node has its queue.
+
+Requester side (`AnchorState`, one per anchor sector): evaluates its
+single-connectivity UEs on a jittered period and issues addition requests,
+at most one per request-gate period.
 
 Candidate side (`CandidateState`, the satellite beam, the only candidate
 cell): refuses anything within the add-gate of its previous acknowledgement,
 admits freely while its load leaves headroom, and above that may free a slot
-by releasing the served secondary whose anchor-link MCS is highest, provided
-it strictly exceeds the requester's.
+by releasing the served secondary whose reported anchor-link MCS is highest,
+provided it strictly exceeds the requester's.
 """
 
 from dataclasses import dataclass
@@ -33,22 +36,24 @@ GATED = "GATED"
 PREEMPTIVE = "PREEMPTIVE"
 
 
-def _mcs_key(mcs):
-    # UEs whose anchor link is below the MCS table floor sort before MCS 0.
-    return -1 if mcs is None else mcs
+def _mcs_key(report):
+    # Unreported UEs and anchor links below the MCS floor sort before MCS 0.
+    return -1 if report is None or report.mn_mcs is None else report.mn_mcs
 
 
 @dataclass(frozen=True)
 class Measurement:
+    """One UE report: satellite-beam RSRP and SINR, anchor-link MCS."""
     t_ns: int
     rsrp_dbm: float
+    sinr_db: float
+    mn_mcs: Optional[int]
 
 
 @dataclass
 class SnAdditionRequest:
     ue_id: int
     mn_node_id: int
-    mn_mcs: Optional[int]
 
 
 @dataclass
@@ -60,10 +65,9 @@ class Decision:
 class AnchorState:
     """Requester-side control state of one anchor sector."""
 
-    def __init__(self, node_id):
+    def __init__(self, node_id, reports):
         self.node_id = node_id
-        self.reports = {}        # ue_id -> latest satellite-beam Measurement
-        self.reported_mcs = {}   # ue_id -> anchor-link MCS from the last report
+        self.reports = reports   # ue_id -> latest Measurement, run-wide
         self.last_request_ns = None  # when the last addition request was sent
         self.next_eval_ns = 0
         self.t_prev_ns = 0
@@ -72,11 +76,9 @@ class AnchorState:
 class CandidateState:
     """Admission state of the satellite beam, the one candidate cell."""
 
-    def __init__(self):
+    def __init__(self, reports):
         self.last_ack_ns = None
-        # ue_id -> last-known anchor-link MCS of every UE the beam serves as
-        # a secondary; the one record of who has a secondary leg
-        self.bindings = {}
+        self.reports = reports   # ue_id -> latest Measurement, run-wide
 
 
 def init_eval_clock(anchor, jitter_ns, rng):
@@ -111,18 +113,17 @@ def _try_request(anchor, ue_id, t_ns, cfg):
     if meas.rsrp_dbm < cfg.rsrp_min_dbm:
         return None
     anchor.last_request_ns = t_ns
-    return SnAdditionRequest(ue_id, anchor.node_id,
-                             anchor.reported_mcs.get(ue_id))
+    return SnAdditionRequest(ue_id, anchor.node_id)
 
 
 def evaluate_mcs_based(anchor, node, single_ues, t_ns, cfg):
     """Scan single-connectivity UEs in ascending anchor-MCS order (ties by
     UE id) and stop at the first whose MCS exceeds the threshold."""
     requests = []
-    order = sorted(single_ues,
-                   key=lambda u: (_mcs_key(anchor.reported_mcs.get(u)), u))
+    reports = anchor.reports
+    order = sorted(single_ues, key=lambda u: (_mcs_key(reports.get(u)), u))
     for ue_id in order:
-        if _mcs_key(anchor.reported_mcs.get(ue_id)) > cfg.mcs_threshold:
+        if _mcs_key(reports.get(ue_id)) > cfg.mcs_threshold:
             break
         req = _try_request(anchor, ue_id, t_ns, cfg)
         if req is not None:
@@ -210,11 +211,11 @@ def handle_sn_addition_request(cand_node, cand, req, t_ns, cfg, mode,
     if cand_node.load.fraction() <= cfg.load_ack_max:
         cand.last_ack_ns = t_ns
         return Decision(ACK, "headroom")
-    if mode == PREEMPTIVE and cand.bindings:
-        victim_id, victim_mcs = max(
-            cand.bindings.items(),
-            key=lambda kv: (_mcs_key(kv[1]), -kv[0]))
-        if _mcs_key(victim_mcs) > _mcs_key(req.mn_mcs):
+    if mode == PREEMPTIVE and cand_node.queues:
+        reports = cand.reports
+        victim_id = max(cand_node.queues,
+                        key=lambda u: (_mcs_key(reports[u]), -u))
+        if _mcs_key(reports[victim_id]) > _mcs_key(reports[req.ue_id]):
             release_fn(victim_id, "preempted")
             cand.last_ack_ns = t_ns
             return Decision(ACK, "preempted-weakest")
@@ -244,19 +245,11 @@ def complete_reconfiguration(sim, latency_ns, finalize, *args):
     sim.schedule_in(latency_ns, msg1)
 
 
-def release_secondary(cand_node, cand, mn_node, ue_id):
+def release_secondary(cand_node, mn_node, ue_id):
     """Tear down the binding of `ue_id`, which must be bound; its
     secondary-queued PDUs go back to the anchor. Returns their number."""
     from .traffic_split import reroute_secondary_queue
 
-    del cand.bindings[ue_id]
     requeued = reroute_secondary_queue(cand_node, mn_node, ue_id)
     cand_node.remove_ue(ue_id)
     return requeued
-
-
-def update_mn_mcs(cand, ue_id, mcs):
-    """Anchor-link MCS refresh for a served secondary (sent by the anchor on
-    change); feeds the preemption comparison."""
-    if ue_id in cand.bindings:
-        cand.bindings[ue_id] = mcs

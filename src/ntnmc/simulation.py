@@ -117,9 +117,10 @@ class Scenario:
         self.ntn_node = Node(cfg.n_prb, self.mcs_table, window_ttis)
         self.nodes[NTN_CELL_ID] = self.ntn_node
 
-        self.anchors = {sec.sector_id: mc.AnchorState(sec.sector_id)
-                        for sec in self.sectors}
-        self.cand = mc.CandidateState()
+        self.reports = {}       # ue_id -> latest mc.Measurement
+        self.anchors = {s.sector_id: mc.AnchorState(s.sector_id, self.reports)
+                        for s in self.sectors}
+        self.cand = mc.CandidateState(self.reports)
         self.book = ts.GrantBook()
 
         drop_rng = self.rngs.stream("ue-drop")
@@ -192,7 +193,7 @@ class Scenario:
         pdu = PdcpPdu(ue.ue_id, ue.next_sn, bits, t_ns, PATH_MN)
         ue.next_sn += 1
         q.push(pdu)
-        if ue.ue_id in self.cand.bindings:
+        if ue.ue_id in self.ntn_node.queues:
             ts.drain_forward(mn, self.ntn_node, self.book, ue.ue_id, t_ns)
 
     # ---- air interface ------------------------------------------------
@@ -247,16 +248,11 @@ class Scenario:
         # quantities derived from it; schedulers keep using the true link.
         e_ntn = self._meas_err.gauss(0.0, cfg.meas_error_sigma_db)
         e_tn = self._meas_err.gauss(0.0, cfg.meas_error_sigma_db)
-        anchor = self.anchors[ue.mn_node_id]
-        anchor.reports[ue.ue_id] = mc.Measurement(t, rsrp + e_ntn)
-        self.ntn_node.ue_sinr_db[ue.ue_id] = sinr + e_ntn
-        if ue.ue_id in self.cand.bindings:
+        self.reports[ue.ue_id] = mc.Measurement(
+            t, rsrp + e_ntn, sinr + e_ntn,
+            self.mcs_table.mcs_for_sinr(ue.tn_sinr_db + e_tn))
+        if ue.ue_id in self.ntn_node.queues:
             self.ntn_node.ue_mcs[ue.ue_id] = self.mcs_table.mcs_for_sinr(sinr)
-
-        reported = self.mcs_table.mcs_for_sinr(ue.tn_sinr_db + e_tn)
-        if anchor.reported_mcs.get(ue.ue_id, "unset") != reported:
-            anchor.reported_mcs[ue.ue_id] = reported
-            mc.update_mn_mcs(self.cand, ue.ue_id, reported)
 
         if t + period <= self.end_ns:
             self.sim.schedule_in(period, self._on_measurement, ue, period)
@@ -278,7 +274,7 @@ class Scenario:
         t = self.sim.now
         if mc.request_gate_open(anchor, t, self.cfg):
             node = self.nodes[anchor.node_id]
-            single = [u for u in node.queues if u not in self.cand.bindings
+            single = [u for u in node.queues if u not in self.ntn_node.queues
                       and not self.ues[u].pending_reconfig]
             for req in self.policy.evaluate(anchor, node, single, t,
                                             self.cfg):
@@ -304,11 +300,9 @@ class Scenario:
 
     def _finalize_binding(self, req):
         # `_on_eval` asks only for UEs that are unbound and not pending.
-        assert req.ue_id not in self.cand.bindings
+        assert req.ue_id not in self.ntn_node.queues
         ue = self.ues[req.ue_id]
         ue.pending_reconfig = False
-        self.cand.bindings[req.ue_id] = (
-            self.anchors[req.mn_node_id].reported_mcs.get(req.ue_id))
         ntn_mcs = self.mcs_table.mcs_for_sinr(ue.ntn_sinr_db)
         self.ntn_node.add_ue(req.ue_id, ntn_mcs)
         self._log(self.sim.now, mc.EV_ADD, req.ue_id, req.mn_node_id,
@@ -316,8 +310,7 @@ class Scenario:
 
     def _release(self, ue_id, cause):
         ue = self.ues[ue_id]
-        mc.release_secondary(self.ntn_node, self.cand,
-                             self.nodes[ue.mn_node_id], ue_id)
+        mc.release_secondary(self.ntn_node, self.nodes[ue.mn_node_id], ue_id)
         self.book.cancel(ue_id)
         self._log(self.sim.now, mc.EV_RELEASE, ue_id, ue.mn_node_id,
                   NTN_CELL_ID, cause)
@@ -330,11 +323,12 @@ class Scenario:
 
     def _on_data_request_cycle(self, period):
         t = self.sim.now
-        for req in ts.send_periodic_requests(self.ntn_node, t, self.cfg):
-            self.book.replace(req)
-            ue = self.ues[req.ue_id]
+        for grant in ts.send_periodic_requests(self.ntn_node, self.reports,
+                                               t, self.cfg):
+            self.book.replace(grant)
+            ue = self.ues[grant.ue_id]
             ts.drain_forward(self.nodes[ue.mn_node_id], self.ntn_node,
-                             self.book, req.ue_id, t)
+                             self.book, grant.ue_id, t)
         if t + period <= self.end_ns:
             self.sim.schedule_in(period, self._on_data_request_cycle, period)
 

@@ -6,11 +6,11 @@ it is willing to absorb over the next delta_t + t_offset:
     D = alpha * (1 - L_pr) / n_s * B * log2(1 + SINR) * (delta_t + t_offset)
 
 with L_pr the load of the UEs the secondary anchors itself, n_s its current
-number of secondary UEs, B its bandwidth and SINR its latest reported
-downlink SINR toward the UE. The satellite beam anchors no UE here, so
-L_pr = 0. A fresh request replaces the previous one (allowances do not
-accumulate). The anchor forwards whole untouched PDUs from the queue head
-while the live allowance covers them; everything else stays on the anchor.
+number of secondary UEs, B its bandwidth and SINR the UE's latest reported
+downlink SINR. The satellite beam anchors no UE here, so L_pr = 0. A fresh
+request (`Grant`) replaces the previous one: allowances do not accumulate.
+The anchor forwards whole untouched PDUs from the queue head while the live
+grant covers them; everything else stays on the anchor.
 """
 
 import math
@@ -20,12 +20,10 @@ from .channel import db_to_linear
 from .dataplane import PATH_MN, PATH_SN
 from .engine import millis
 
-FORWARD = "forward"
-SEND_LOCAL = "send_local"
 
-
-def compute_request_amount(sn_node, ue_id, t_ns, params):
-    """Bits the secondary node requests for one UE for the next window.
+def compute_request_amount(sn_node, sinr_db, params):
+    """Bits the secondary node requests for the next window for one UE
+    that reported `sinr_db`.
 
     Raises if the node currently serves no secondary UEs (callers only issue
     requests on behalf of served UEs).
@@ -33,41 +31,38 @@ def compute_request_amount(sn_node, ue_id, t_ns, params):
     n_s = len(sn_node.queues)
     if n_s <= 0:
         raise ValueError("request amount undefined with no secondary UEs")
-    sinr = db_to_linear(sn_node.ue_sinr_db[ue_id])
+    sinr = db_to_linear(sinr_db)
     window_s = (params.split_delta_ms + params.split_toff_ms) * 1e-3
     bandwidth_hz = params.bandwidth_mhz * 1e6
     return (params.split_alpha / n_s
             * bandwidth_hz * math.log2(1.0 + sinr) * window_s)
 
 
-@dataclass
-class DataRequest:
+@dataclass(slots=True)
+class Grant:
+    """One data request: up to `amount_bits` of `ue_id`'s PDUs may be
+    forwarded until `expires_ns` (inclusive); `forwarded_bits` have been."""
     ue_id: int
     amount_bits: float
-    issued_ns: int
     expires_ns: int
+    forwarded_bits: int = 0
+
+    def covers(self, bits, t_ns):
+        """Whether a whole PDU of `bits` may be forwarded at `t_ns`."""
+        return (t_ns <= self.expires_ns
+                and self.amount_bits - self.forwarded_bits >= bits)
 
 
-def send_periodic_requests(sn_node, t_ns, params):
-    """One request per served secondary UE, valid for delta_t + t_offset."""
+def send_periodic_requests(sn_node, reports, t_ns, params):
+    """One grant per served secondary UE, sized from its latest report in
+    `reports` and valid for delta_t + t_offset."""
     out = []
     horizon = millis(params.split_delta_ms + params.split_toff_ms)
     for ue_id in sorted(sn_node.queues):
-        amount = compute_request_amount(sn_node, ue_id, t_ns, params)
-        out.append(DataRequest(ue_id, amount, t_ns, t_ns + horizon))
+        amount = compute_request_amount(sn_node, reports[ue_id].sinr_db,
+                                        params)
+        out.append(Grant(ue_id, amount, t_ns + horizon))
     return out
-
-
-class _Grant:
-    __slots__ = ("amount_bits", "remaining_bits", "forwarded_bits",
-                 "issued_ns", "expires_ns")
-
-    def __init__(self, req):
-        self.amount_bits = req.amount_bits
-        self.remaining_bits = req.amount_bits
-        self.forwarded_bits = 0
-        self.issued_ns = req.issued_ns
-        self.expires_ns = req.expires_ns
 
 
 class GrantBook:
@@ -79,7 +74,7 @@ class GrantBook:
     """
 
     def __init__(self):
-        self._grants = {}
+        self.grants = {}        # ue_id -> its latest Grant
         self.windows_checked = 0
         self.violations = 0
         self.max_used_fraction = 0.0
@@ -93,51 +88,33 @@ class GrantBook:
             if used > self.max_used_fraction:
                 self.max_used_fraction = used
 
-    def replace(self, req):
-        old = self._grants.pop(req.ue_id, None)
-        if old is not None:
-            self._finalize(old)
-        self._grants[req.ue_id] = _Grant(req)
+    def replace(self, grant):
+        self.cancel(grant.ue_id)
+        self.grants[grant.ue_id] = grant
 
     def cancel(self, ue_id):
-        old = self._grants.pop(ue_id, None)
+        old = self.grants.pop(ue_id, None)
         if old is not None:
             self._finalize(old)
 
     def close(self):
-        for ue_id in list(self._grants):
+        for ue_id in list(self.grants):
             self.cancel(ue_id)
-
-    def live_grant(self, ue_id, t_ns):
-        grant = self._grants.get(ue_id)
-        if grant is None or t_ns > grant.expires_ns:
-            return None
-        return grant
-
-
-def mn_forwarding_decision(book, pdu, t_ns):
-    """Route one PDU: forward against a live allowance or keep it local.
-
-    Only whole PDUs are forwarded; a PDU larger than the remaining allowance
-    stays on the anchor.
-    """
-    grant = book.live_grant(pdu.ue_id, t_ns)
-    if grant is None or grant.remaining_bits < pdu.bits:
-        return SEND_LOCAL
-    grant.remaining_bits -= pdu.bits
-    grant.forwarded_bits += pdu.bits
-    return FORWARD
 
 
 def drain_forward(mn_node, sn_node, book, ue_id, t_ns):
     """Move whole pending PDUs of bound UE `ue_id` from the anchor queue to
-    the secondary node while the live allowance covers them. The PDU
-    currently on the air is never taken."""
+    the secondary node while its grant covers them. The PDU currently on
+    the air is never taken."""
+    grant = book.grants.get(ue_id)
+    if grant is None:
+        return 0
     src = mn_node.queues[ue_id]
     dst = sn_node.queues[ue_id]
     moved = 0
-    while src.pending and mn_forwarding_decision(book, src.pending[0], t_ns) == FORWARD:
+    while src.pending and grant.covers(src.pending[0].bits, t_ns):
         pdu = src.pop_pending()
+        grant.forwarded_bits += pdu.bits
         pdu.path = PATH_SN
         dst.push(pdu)
         moved += 1

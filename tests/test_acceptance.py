@@ -107,11 +107,10 @@ def test_every_grant_window_is_respected(campaign):
 # --- request-amount formula --------------------------------------------------
 
 
-def _sn_node(n_secondary, sinr_db):
+def _sn_node(n_secondary):
     node = Node(52, TABLE, 100)
     for ue in range(1, n_secondary + 1):
         node.add_ue(ue, 22)
-        node.ue_sinr_db[ue] = sinr_db
     return node
 
 
@@ -123,35 +122,32 @@ def test_request_amount_matches_closed_form():
     for _ in range(1000):
         n_s = rng.randint(1, 20)
         sinr_db = rng.uniform(-10.0, 25.0)
-        node = _sn_node(n_s, sinr_db)
+        node = _sn_node(n_s)
         for _ in range(rng.randint(0, 100)):
             k = rng.randint(0, node.n_res)
             node.load.record(k)
         want = (cfg.split_alpha / n_s * bandwidth_hz
                 * math.log2(1.0 + 10.0 ** (sinr_db / 10.0)) * window_s)
-        got = compute_request_amount(node, 1, 0, cfg)
+        got = compute_request_amount(node, sinr_db, cfg)
         assert isinstance(got, float)
         assert got == pytest.approx(want, rel=1e-9)
 
     # amount halves when the served set doubles
-    a = compute_request_amount(_sn_node(3, 10.0), 1, 0, cfg)
-    b = compute_request_amount(_sn_node(6, 10.0), 1, 0, cfg)
+    a = compute_request_amount(_sn_node(3), 10.0, cfg)
+    b = compute_request_amount(_sn_node(6), 10.0, cfg)
     assert a == pytest.approx(2.0 * b, rel=1e-12)
 
     with pytest.raises(ValueError):
-        compute_request_amount(Node(52, TABLE, 100),
-                               1, 0, cfg)
+        compute_request_amount(Node(52, TABLE, 100), 0.0, cfg)
 
 
 # --- scripted control-plane decisions ----------------------------------------
 
 
 def _anchor_with_reports(reports, mcs_by_ue):
-    anchor = AnchorState("tn0")
-    for ue, (age_ms, rsrp) in reports.items():
-        anchor.reports[ue] = Measurement(-millis(age_ms), rsrp)
-    anchor.reported_mcs.update(mcs_by_ue)
-    return anchor
+    return AnchorState("tn0", {
+        ue: Measurement(-millis(age_ms), rsrp, 0.0, mcs_by_ue.get(ue))
+        for ue, (age_ms, rsrp) in reports.items()})
 
 
 def _cand_at_load(fraction):
@@ -173,7 +169,7 @@ def test_scripted_anchor_evaluations():
     weak = _anchor_with_reports({1: (50, -110.0)}, {1: 3})
     reqs = evaluate_mcs_based(weak, None, [1], 0, cfg)
     assert len(reqs) == 1
-    assert (reqs[0].ue_id, reqs[0].mn_node_id, reqs[0].mn_mcs) == (1, "tn0", 3)
+    assert (reqs[0].ue_id, reqs[0].mn_node_id) == (1, "tn0")
 
     faint = _anchor_with_reports({1: (50, -112.0)}, {1: 3})
     assert evaluate_mcs_based(faint, None, [1], 0, cfg) == []
@@ -183,35 +179,34 @@ def test_scripted_candidate_decisions():
     cfg = ScenarioConfig()
     anchor = Node(52, TABLE, 100)
 
-    def admit(cand, ctrl, t_ns):
-        for ue in ctrl.bindings:    # served at both nodes, as in a scenario
+    def admit(load, mcs_by_bound_ue, t_ns, last_ack_ns=None):
+        """Admission of UE 7 at anchor MCS 5; the UEs of `mcs_by_bound_ue`
+        are served at both nodes, as in a scenario."""
+        cand = _cand_at_load(load)
+        ctrl = CandidateState({7: Measurement(0, -110.0, 0.0, 5)})
+        ctrl.last_ack_ns = last_ack_ns
+        for ue, mcs in mcs_by_bound_ue.items():
             anchor.add_ue(ue, 10)
             cand.add_ue(ue, 22)
-        return handle_sn_addition_request(
-            cand, ctrl, SnAdditionRequest(7, "tn0", 5), t_ns, cfg,
-            PREEMPTIVE,
-            lambda ue, cause: release_secondary(cand, ctrl, anchor, ue))
+            ctrl.reports[ue] = Measurement(0, -110.0, 0.0, mcs)
+        d = handle_sn_addition_request(
+            cand, ctrl, SnAdditionRequest(7, "tn0"), t_ns, cfg, PREEMPTIVE,
+            lambda ue, cause: release_secondary(cand, anchor, ue))
+        return d, cand
 
-    ctrl = CandidateState()
-    d = admit(_cand_at_load(0.5), ctrl, 0)
+    d, _ = admit(0.5, {}, 0)
     assert (d.verdict, d.cause) == (ACK, "headroom")
 
-    gated = CandidateState()
-    gated.last_ack_ns = 0
-    d = admit(_cand_at_load(0.1), gated, millis(50))
+    d, _ = admit(0.1, {}, millis(50), last_ack_ns=0)
     assert (d.verdict, d.cause) == (REJECT, "recent-ack")
 
-    crowded = CandidateState()
-    crowded.bindings[3] = 20
-    d = admit(_cand_at_load(1.0), crowded, 0)
+    d, crowded = admit(1.0, {3: 20}, 0)
     assert (d.verdict, d.cause) == (ACK, "preempted-weakest")
-    assert 3 not in crowded.bindings
+    assert 3 not in crowded.queues
 
-    hopeless = CandidateState()
-    hopeless.bindings[3] = 3
-    d = admit(_cand_at_load(1.0), hopeless, 0)
+    d, hopeless = admit(1.0, {3: 3}, 0)
     assert (d.verdict, d.cause) == (REJECT, "overloaded")
-    assert 3 in hopeless.bindings
+    assert 3 in hopeless.queues
 
 
 # --- determinism ---------------------------------------------------------------

@@ -13,21 +13,23 @@ from ntnmc.mc_control import (ACK, COVERAGE, GATED, PREEMPTIVE, REJECT,
                               complete_reconfiguration, evaluate_bo_based,
                               evaluate_mcs_based, evaluate_rsrp_based,
                               handle_sn_addition_request, init_eval_clock,
-                              policy_for, release_secondary, update_mn_mcs)
+                              policy_for, release_secondary)
 from ntnmc.simulation import Scenario
 
 CFG = ScenarioConfig()
 TABLE = McsTable.default()
 
 
+def _report(mn_mcs, t_ns=0, rsrp_dbm=-110.0):
+    return Measurement(t_ns, rsrp_dbm, 0.0, mn_mcs)
+
+
 def _anchor_with_reports(reports, mcs_by_ue, t=0):
-    """Anchor state preloaded with satellite-beam measurements, given per UE
-    as (age_ms, rsrp_dbm)."""
-    anchor = AnchorState("tn0")
-    for ue, (age_ms, rsrp) in reports.items():
-        anchor.reports[ue] = Measurement(t - millis(age_ms), rsrp)
-    anchor.reported_mcs.update(mcs_by_ue)
-    return anchor
+    """Anchor state preloaded with reports, given per UE as
+    (age_ms, rsrp_dbm) plus the anchor MCS in `mcs_by_ue` (None if absent)."""
+    return AnchorState("tn0", {
+        ue: _report(mcs_by_ue.get(ue), t - millis(age_ms), rsrp)
+        for ue, (age_ms, rsrp) in reports.items()})
 
 
 def _cand_at_load(fraction, n_prb=52):
@@ -38,21 +40,34 @@ def _cand_at_load(fraction, n_prb=52):
     return node
 
 
-def _req(ue=7, mn_mcs=5):
-    return SnAdditionRequest(ue, "tn0", mn_mcs)
+def _candidate(fraction, mcs_by_bound_ue=None):
+    """The satellite beam at load `fraction`, serving a secondary leg for
+    each UE of `mcs_by_bound_ue`, and its admission state, whose reports
+    give each of those UEs that anchor MCS."""
+    node = _cand_at_load(fraction)
+    ctrl = CandidateState({})
+    for ue, mcs in (mcs_by_bound_ue or {}).items():
+        node.add_ue(ue, 22)
+        ctrl.reports[ue] = _report(mcs)
+    return node, ctrl
+
+
+def _req(ctrl, ue=7, mn_mcs=5):
+    """A request for `ue`, whose latest report gives anchor MCS `mn_mcs`."""
+    ctrl.reports[ue] = _report(mn_mcs)
+    return SnAdditionRequest(ue, "tn0")
 
 
 def _admit(cand, ctrl, req, t_ns, mode=PREEMPTIVE):
-    """Admission as a scenario runs it: the candidate and the anchor serve
-    every bound UE, and a preempted binding ends through
+    """Admission as a scenario runs it: the anchor also serves every UE
+    bound at the candidate, and a preempted binding ends through
     `release_secondary`."""
     anchor = Node(52, TABLE, 100)
-    for ue in ctrl.bindings:
+    for ue in cand.queues:
         anchor.add_ue(ue, 10)
-        cand.add_ue(ue, 22)
     return handle_sn_addition_request(
         cand, ctrl, req, t_ns, CFG, mode,
-        lambda ue, cause: release_secondary(cand, ctrl, anchor, ue))
+        lambda ue, cause: release_secondary(cand, anchor, ue))
 
 
 def _anchor_with_occupancy(occupancy):
@@ -83,7 +98,7 @@ def test_weak_ue_with_qualified_candidate_triggers_one_request():
     reqs = evaluate_mcs_based(ctrl, None, [1], 0, CFG)
     assert len(reqs) == 1
     req = reqs[0]
-    assert (req.ue_id, req.mn_node_id, req.mn_mcs) == (1, "tn0", 3)
+    assert (req.ue_id, req.mn_node_id) == (1, "tn0")
     assert ctrl.last_request_ns == 0
 
 
@@ -102,9 +117,8 @@ def test_rsrp_floor_is_inclusive():
 def test_measurement_staleness_boundary():
     fresh = _anchor_with_reports({1: (CFG.meas_staleness_ms, -110.0)}, {1: 3})
     assert len(evaluate_mcs_based(fresh, None, [1], 0, CFG)) == 1
-    stale = AnchorState("tn0")
-    stale.reports[1] = Measurement(-millis(CFG.meas_staleness_ms) - 1, -110.0)
-    stale.reported_mcs[1] = 3
+    stale = AnchorState("tn0", {
+        1: _report(3, -millis(CFG.meas_staleness_ms) - 1)})
     assert evaluate_mcs_based(stale, None, [1], 0, CFG) == []
 
 
@@ -112,10 +126,10 @@ def test_request_gate_blocks_repeat_asks_to_same_cell():
     ctrl = _anchor_with_reports({1: (50, -110.0)}, {1: 3, 2: 3})
     assert len(evaluate_mcs_based(ctrl, None, [1], 0, CFG)) == 1
     later = millis(50)
-    ctrl.reports[2] = Measurement(later, -110.0)
+    ctrl.reports[2] = _report(3, later)
     assert evaluate_mcs_based(ctrl, None, [2], later, CFG) == []
     at_gate = millis(CFG.request_gate_ms)
-    ctrl.reports[2] = Measurement(at_gate, -110.0)
+    ctrl.reports[2] = _report(3, at_gate)
     assert len(evaluate_mcs_based(ctrl, None, [2], at_gate, CFG)) == 1
 
 
@@ -125,7 +139,7 @@ def test_weakest_reported_ue_goes_first():
     reqs = evaluate_mcs_based(ctrl, None, [1, 2, 3], 0, CFG)
     # one cell, so the gate leaves exactly one request: the unreported UE
     assert [r.ue_id for r in reqs] == [2]
-    assert reqs[0].mn_mcs is None
+    assert ctrl.reports[2].mn_mcs is None
 
 
 def test_rsrp_policy_asks_for_every_covered_ue():
@@ -152,67 +166,62 @@ def test_bo_policy_ignores_queues_below_threshold():
 # --- candidate-side admission ----------------------------------------------
 
 def test_ack_when_candidate_has_headroom():
-    ctrl = CandidateState()
-    d = _admit(_cand_at_load(0.5), ctrl, _req(), 0)
+    node, ctrl = _candidate(0.5)
+    d = _admit(node, ctrl, _req(ctrl), 0)
     assert (d.verdict, d.cause) == (ACK, "headroom")
     assert ctrl.last_ack_ns == 0
 
 
 def test_recent_ack_gates_regardless_of_load():
-    ctrl = CandidateState()
+    node, ctrl = _candidate(0.1)
     ctrl.last_ack_ns = 0
-    d = _admit(_cand_at_load(0.1), ctrl, _req(), millis(50))
+    d = _admit(node, ctrl, _req(ctrl), millis(50))
     assert (d.verdict, d.cause) == (REJECT, "recent-ack")
     assert ctrl.last_ack_ns == 0
 
 
 def test_add_gate_boundary_is_inclusive():
-    ctrl = CandidateState()
+    node, ctrl = _candidate(0.1)
     ctrl.last_ack_ns = 0
     at_gate = millis(CFG.add_gate_ms)
-    d = _admit(_cand_at_load(0.1), ctrl, _req(), at_gate)
+    d = _admit(node, ctrl, _req(ctrl), at_gate)
     assert d.cause == "recent-ack"
-    d = _admit(_cand_at_load(0.1), ctrl, _req(), at_gate + 1)
+    d = _admit(node, ctrl, _req(ctrl), at_gate + 1)
     assert (d.verdict, d.cause) == (ACK, "headroom")
 
 
 def test_overloaded_candidate_preempts_strongest_served_ue():
-    ctrl = CandidateState()
-    ctrl.bindings[3] = 20
-    ctrl.bindings[4] = 8
-    d = _admit(_cand_at_load(1.0), ctrl, _req(ue=7, mn_mcs=5), 0)
+    node, ctrl = _candidate(1.0, {3: 20, 4: 8})
+    d = _admit(node, ctrl, _req(ctrl, ue=7, mn_mcs=5), 0)
     assert (d.verdict, d.cause) == (ACK, "preempted-weakest")
-    assert 3 not in ctrl.bindings  # released through release_secondary
-    assert 4 in ctrl.bindings
+    assert 3 not in node.queues  # released through release_secondary
+    assert 4 in node.queues
     assert ctrl.last_ack_ns == 0
 
 
 def test_preemption_calls_release_hook_when_given():
-    ctrl = CandidateState()
-    ctrl.bindings[3] = 20
+    node, ctrl = _candidate(1.0, {3: 20})
     released = []
-    d = handle_sn_addition_request(_cand_at_load(1.0), ctrl,
-                                   _req(ue=7, mn_mcs=5), 0, CFG, PREEMPTIVE,
+    d = handle_sn_addition_request(node, ctrl, _req(ctrl, ue=7, mn_mcs=5),
+                                   0, CFG, PREEMPTIVE,
                                    lambda ue, cause:
                                    released.append((ue, cause)))
     assert d.verdict == ACK
     assert released == [(3, "preempted")]
-    assert 3 in ctrl.bindings   # only the hook ends a binding
+    assert 3 in node.queues   # only the hook ends a binding
 
 
 def test_overloaded_candidate_refuses_when_requester_is_not_weaker():
-    ctrl = CandidateState()
-    ctrl.bindings[3] = 3
-    d = _admit(_cand_at_load(1.0), ctrl, _req(ue=7, mn_mcs=5), 0)
+    node, ctrl = _candidate(1.0, {3: 3})
+    d = _admit(node, ctrl, _req(ctrl, ue=7, mn_mcs=5), 0)
     assert (d.verdict, d.cause) == (REJECT, "overloaded")
-    assert 3 in ctrl.bindings
+    assert 3 in node.queues
     assert ctrl.last_ack_ns is None
 
 
 def test_equal_mcs_does_not_preempt():
-    ctrl = CandidateState()
-    ctrl.bindings[3] = 5
-    d = _admit(_cand_at_load(1.0), ctrl, _req(ue=7, mn_mcs=5), 0)
+    node, ctrl = _candidate(1.0, {3: 5})
+    d = _admit(node, ctrl, _req(ctrl, ue=7, mn_mcs=5), 0)
     assert (d.verdict, d.cause) == (REJECT, "overloaded")
 
 
@@ -223,12 +232,11 @@ def test_equal_mcs_does_not_preempt():
 ])
 def test_admission_modes_on_overloaded_candidate(mode, verdict, cause,
                                                  released, acked_at):
-    ctrl = CandidateState()
-    ctrl.bindings[3] = 20
-    d = _admit(_cand_at_load(1.0), ctrl, _req(ue=7, mn_mcs=5), 0, mode=mode)
+    node, ctrl = _candidate(1.0, {3: 20})
+    d = _admit(node, ctrl, _req(ctrl, ue=7, mn_mcs=5), 0, mode=mode)
     assert (d.verdict, d.cause) == (verdict, cause)
     assert ctrl.last_ack_ns == acked_at
-    assert sorted(ctrl.bindings) == ([3] if released is None else [])
+    assert sorted(node.queues) == ([3] if released is None else [])
 
 
 def test_duplicate_binding_rejected_before_anything_else():
@@ -239,7 +247,7 @@ def test_duplicate_binding_rejected_before_anything_else():
                       n_ue_per_sector=3, policy="rsrp")
     sc = Scenario(cfg, 1)
     bound, pending, free = sorted(sc.nodes[0].queues)
-    req = SnAdditionRequest(bound, 0, sc.anchors[0].reported_mcs.get(bound))
+    req = SnAdditionRequest(bound, 0)
     sc.ues[bound].pending_reconfig = True
     sc._finalize_binding(req)
     sc.ues[pending].pending_reconfig = True
@@ -249,12 +257,12 @@ def test_duplicate_binding_rejected_before_anything_else():
     sc._on_eval(sc.anchors[0], millis(cfg.eval_period_ms), 0)
     assert asked == [free]
 
-    before = (dict(sc.cand.bindings), dict(sc.ntn_node.queues),
-              list(sc.events), sc.ues[bound].pending_reconfig)
+    before = (dict(sc.ntn_node.queues), list(sc.events),
+              sc.ues[bound].pending_reconfig)
     with pytest.raises(AssertionError):
         sc._finalize_binding(req)
-    assert (dict(sc.cand.bindings), dict(sc.ntn_node.queues),
-            list(sc.events), sc.ues[bound].pending_reconfig) == before
+    assert (dict(sc.ntn_node.queues), list(sc.events),
+            sc.ues[bound].pending_reconfig) == before
 
 
 def test_policy_table_covers_every_setting(monkeypatch):
@@ -277,7 +285,7 @@ class _StubRng:
 
 
 def test_eval_clock_jitter_resampled_each_period():
-    ctrl = AnchorState("tn0")
+    ctrl = AnchorState("tn0", {})
     init_eval_clock(ctrl, millis(1.0), _StubRng([0.25, 0.75]))
     assert ctrl.next_eval_ns == 250_000
     advance_eval_clock(ctrl, millis(10.0), millis(1.0), _StubRng([0.75]))
@@ -310,19 +318,43 @@ def test_release_moves_leftover_pdus_back_to_anchor():
     cand.add_ue(1, 22)
     for i in range(3):
         cand.queues[1].push(PdcpPdu(1, i, 12000, 0))
-    ctrl = CandidateState()
-    ctrl.bindings[1] = 10
-    n = release_secondary(cand, ctrl, anchor, 1)
+    n = release_secondary(cand, anchor, 1)
     assert n == 3
-    assert 1 not in ctrl.bindings
     assert 1 not in cand.queues
     assert anchor.queues[1].remaining_bits() == 36000
 
 
 def test_anchor_mcs_refresh_reaches_binding():
-    ctrl = CandidateState()
-    ctrl.bindings[1] = 10
-    update_mn_mcs(ctrl, 1, 2)
-    assert ctrl.bindings[1] == 2
-    update_mn_mcs(ctrl, 2, 9)  # unbound UE, silently ignored
-    assert 2 not in ctrl.bindings
+    # Preemption compares the victim's latest report, not the one it was
+    # bound with: a bound UE whose anchor MCS falls from 10 to 2 is no
+    # longer preempted by a requester at MCS 5.
+    cfg = load_config(None, environ={}, sim_duration_s=0.6, warmup_s=0.3,
+                      n_ue_per_sector=2, policy="mcs",
+                      meas_error_sigma_db=0.0)
+    sc = Scenario(cfg, 1)
+    bound, requester = sorted(sc.nodes[0].queues)
+    ue = sc.ues[bound]
+    ue.tn_sinr_db = TABLE.thresholds_db[10]
+    sc._on_measurement(ue, millis(cfg.meas_period_ms))
+    ue.pending_reconfig = True
+    sc._finalize_binding(SnAdditionRequest(bound, 0))
+    sc.reports[requester] = _report(5)
+    sc.ntn_node.load.record(sc.ntn_node.n_res)
+
+    def admit():
+        return handle_sn_addition_request(
+            sc.ntn_node, sc.cand, SnAdditionRequest(requester, 0), 0, cfg,
+            PREEMPTIVE, sc._release)
+
+    ue.tn_sinr_db = TABLE.thresholds_db[2]
+    sc._on_measurement(ue, millis(cfg.meas_period_ms))
+    assert sc.reports[bound].mn_mcs == 2
+    d = admit()
+    assert (d.verdict, d.cause) == (REJECT, "overloaded")
+    assert bound in sc.ntn_node.queues
+
+    ue.tn_sinr_db = TABLE.thresholds_db[10]
+    sc._on_measurement(ue, millis(cfg.meas_period_ms))
+    d = admit()
+    assert (d.verdict, d.cause) == (ACK, "preempted-weakest")
+    assert bound not in sc.ntn_node.queues

@@ -11,7 +11,7 @@ from ntnmc.config import (POLICIES, PRBS_BY_BANDWIDTH_MHZ, ConfigError,
                           ScenarioConfig, load_config)
 from ntnmc.dataplane import CbrFlow, Node, PdcpPdu, PdcpReceiver, _equal_share
 from ntnmc.engine import Simulator, millis, seconds
-from ntnmc.mc_control import (ACK, PREEMPTIVE, CandidateState,
+from ntnmc.mc_control import (ACK, PREEMPTIVE, CandidateState, Measurement,
                               SnAdditionRequest, handle_sn_addition_request,
                               release_secondary)
 from ntnmc.simulation import Scenario
@@ -22,16 +22,15 @@ TABLE = McsTable.default()
 
 
 def _admit(cand, ctrl, req, t_ns):
-    """Admission as a scenario runs it: the candidate and the anchor serve
-    every bound UE, and a preempted binding ends through
+    """Admission as a scenario runs it: the anchor also serves every UE
+    bound at the candidate, and a preempted binding ends through
     `release_secondary`."""
     anchor = Node(52, TABLE, 100)
-    for ue in ctrl.bindings:
+    for ue in cand.queues:
         anchor.add_ue(ue, 10)
-        cand.add_ue(ue, 22)
     return handle_sn_addition_request(
         cand, ctrl, req, t_ns, CFG, PREEMPTIVE,
-        lambda ue, cause: release_secondary(cand, ctrl, anchor, ue))
+        lambda ue, cause: release_secondary(cand, anchor, ue))
 
 
 @settings(deadline=None, max_examples=100)
@@ -74,17 +73,18 @@ def test_receiver_accounts_for_every_pdu(sns):
                 max_size=40))
 def test_acks_never_violate_the_add_gate(reqs):
     node = Node(52, TABLE, 100)
-    ctrl = CandidateState()
+    ctrl = CandidateState({})
     gate_ns = millis(CFG.add_gate_ms)
     t = 0
     ack_times = []
     for dt, load, ue, mcs in reqs:
         t += dt
         node.load.record(round(load * node.n_res))
-        d = _admit(node, ctrl, SnAdditionRequest(ue, "tn0", mcs), t)
+        ctrl.reports[ue] = Measurement(t, -110.0, 0.0, mcs)
+        d = _admit(node, ctrl, SnAdditionRequest(ue, "tn0"), t)
         if d.verdict == ACK:
             ack_times.append(t)
-            ctrl.bindings[ue] = mcs
+            node.add_ue(ue, 22)
     for a, b in zip(ack_times, ack_times[1:]):
         assert b - a > gate_ns
 
@@ -98,7 +98,7 @@ class _RequestLedger(Scenario):
         super()._build()
 
     def _dispatch_request(self, req, t_ns):
-        if (req.ue_id in self.cand.bindings
+        if (req.ue_id in self.ntn_node.queues
                 or self.ues[req.ue_id].pending_reconfig):
             self.engaged_requests.append((t_ns, req.ue_id))
         super()._dispatch_request(req, t_ns)

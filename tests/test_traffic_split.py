@@ -6,22 +6,33 @@ import pytest
 from ntnmc.channel import McsTable
 from ntnmc.config import ScenarioConfig
 from ntnmc.dataplane import Node, PdcpPdu, PATH_MN, PATH_SN
-from ntnmc.traffic_split import (DataRequest, FORWARD, GrantBook, SEND_LOCAL,
-                                 compute_request_amount, drain_forward,
-                                 mn_forwarding_decision,
-                                 reroute_secondary_queue,
+from ntnmc.mc_control import Measurement
+from ntnmc.traffic_split import (Grant, GrantBook, compute_request_amount,
+                                 drain_forward, reroute_secondary_queue,
                                  send_periodic_requests)
 
 TABLE = McsTable.default()
 CFG = ScenarioConfig()
 
 
-def _sn_node(n_secondary, sinr_db=0.0):
+def _sn_node(n_secondary):
     node = Node(CFG.n_prb, TABLE, 100)
     for ue in range(1, n_secondary + 1):
         node.add_ue(ue, 22)
-        node.ue_sinr_db[ue] = sinr_db
     return node
+
+
+def _reports(n_secondary, sinr_db):
+    return {ue: Measurement(0, -110.0, sinr_db, 10)
+            for ue in range(1, n_secondary + 1)}
+
+
+def _mn_sn_pair():
+    mn = Node(CFG.n_prb, TABLE, 100)
+    sn = Node(CFG.n_prb, TABLE, 100)
+    mn.add_ue(1, 10)
+    sn.add_ue(1, 22)
+    return mn, sn
 
 
 def request_amount_oracle(alpha, n_s, bandwidth_hz, sinr_db, window_s):
@@ -33,8 +44,8 @@ def request_amount_oracle(alpha, n_s, bandwidth_hz, sinr_db, window_s):
 def test_request_amount_fixed_point():
     # two served UEs, 0 dB link:
     # 0.6 / 2 * 1e7 * log2(2) * 0.05 s = 150000 bits
-    node = _sn_node(2, sinr_db=0.0)
-    got = compute_request_amount(node, 1, 0, CFG)
+    node = _sn_node(2)
+    got = compute_request_amount(node, 0.0, CFG)
     assert isinstance(got, float)
     assert got == pytest.approx(150_000.0, rel=1e-12)
 
@@ -45,83 +56,78 @@ def test_request_amount_matches_oracle_on_random_draws():
     for _ in range(1000):
         n_s = rng.randint(1, 20)
         sinr_db = rng.uniform(-10.0, 25.0)
-        node = _sn_node(n_s, sinr_db=sinr_db)
+        node = _sn_node(n_s)
         for _ in range(rng.randint(0, 100)):
             k = rng.randint(0, node.n_res)
             node.load.record(k)
         want = request_amount_oracle(CFG.split_alpha, n_s,
                                      CFG.bandwidth_mhz * 1e6, sinr_db, window_s)
-        got = compute_request_amount(node, 1, 0, CFG)
+        got = compute_request_amount(node, sinr_db, CFG)
         assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_request_amount_requires_served_ues():
     node = Node(CFG.n_prb, TABLE, 100)
     with pytest.raises(ValueError):
-        compute_request_amount(node, 1, 0, CFG)
+        compute_request_amount(node, 0.0, CFG)
 
 
 def test_request_amount_after_release_and_re_add():
-    node = _sn_node(1, sinr_db=10.0)
-    before = compute_request_amount(node, 1, 0, CFG)
+    # the amount comes from the UE's report, which outlives its binding
+    node, reports = _sn_node(1), _reports(1, 10.0)
+    [before] = send_periodic_requests(node, reports, 0, CFG)
     node.remove_ue(1)
     node.add_ue(1, 22)
-    assert compute_request_amount(node, 1, 0, CFG) == before
+    [after] = send_periodic_requests(node, reports, 0, CFG)
+    assert after.amount_bits == before.amount_bits
 
 
 def test_request_amount_halves_when_membership_doubles():
-    a = compute_request_amount(_sn_node(3, sinr_db=10.0), 1, 0, CFG)
-    b = compute_request_amount(_sn_node(6, sinr_db=10.0), 1, 0, CFG)
+    a = compute_request_amount(_sn_node(3), 10.0, CFG)
+    b = compute_request_amount(_sn_node(6), 10.0, CFG)
     assert a == pytest.approx(2.0 * b, rel=1e-12)
 
 
 def test_periodic_requests_cover_every_secondary():
-    node = _sn_node(3, sinr_db=10.0)
-    reqs = send_periodic_requests(node, 1_000, CFG)
+    node = _sn_node(3)
+    reqs = send_periodic_requests(node, _reports(3, 10.0), 1_000, CFG)
     assert sorted(r.ue_id for r in reqs) == [1, 2, 3]
     horizon = round((CFG.split_delta_ms + CFG.split_toff_ms) * 1e6)
     for r in reqs:
-        assert r.issued_ns == 1_000
         assert r.expires_ns == 1_000 + horizon
-        assert r.amount_bits > 0
+        assert r.amount_bits == compute_request_amount(node, 10.0, CFG)
+        assert r.forwarded_bits == 0
 
 
 def test_grant_lifetime_is_inclusive_at_expiry():
-    book = GrantBook()
-    book.replace(DataRequest(1, 30_000.0, 0, 50_000_000))
-    assert book.live_grant(1, 50_000_000) is not None
-    assert book.live_grant(1, 50_000_001) is None
-    assert book.live_grant(2, 0) is None
+    grant = Grant(1, 30_000.0, 50_000_000)
+    assert grant.covers(12_000, 50_000_000)
+    assert not grant.covers(12_000, 50_000_001)
 
 
 def test_forwarding_decision_decrements_and_stops():
+    mn, sn = _mn_sn_pair()
     book = GrantBook()
-    book.replace(DataRequest(1, 30_000.0, 0, 50_000_000))
-    pdu = PdcpPdu(1, 0, 12_000, 0)
-    assert mn_forwarding_decision(book, pdu, 10) == FORWARD
-    assert mn_forwarding_decision(book, pdu, 10) == FORWARD
-    # 6000 bits left, a 12000-bit unit no longer fits
-    assert mn_forwarding_decision(book, pdu, 10) == SEND_LOCAL
-    assert mn_forwarding_decision(book, pdu, 60_000_000) == SEND_LOCAL
+    book.replace(Grant(1, 30_000.0, 50_000_000))
+    moved = []
+    for i, t in enumerate((10, 10, 10, 60_000_000)):
+        mn.queues[1].push(PdcpPdu(1, i, 12_000, 0))
+        moved.append(drain_forward(mn, sn, book, 1, t))
+    # 6000 bits left after two, a 12000-bit unit no longer fits
+    assert moved == [1, 1, 0, 0]
+    assert book.grants[1].forwarded_bits == 24_000
 
 
 def test_grant_audit_tracks_usage_fraction():
+    mn, sn = _mn_sn_pair()
+    mn.queues[1].push(PdcpPdu(1, 0, 12_000, 0))
     book = GrantBook()
-    book.replace(DataRequest(1, 24_000.0, 0, 50_000_000))
-    pdu = PdcpPdu(1, 0, 12_000, 0)
-    mn_forwarding_decision(book, pdu, 10)
+    book.replace(Grant(1, 24_000.0, 50_000_000))
+    drain_forward(mn, sn, book, 1, 10)
     book.close()
     assert book.windows_checked == 1
     assert book.violations == 0
     assert book.max_used_fraction == pytest.approx(0.5)
-
-
-def _mn_sn_pair():
-    mn = Node(CFG.n_prb, TABLE, 100)
-    sn = Node(CFG.n_prb, TABLE, 100)
-    mn.add_ue(1, 10)
-    sn.add_ue(1, 22)
-    return mn, sn
 
 
 def test_drain_forward_moves_whole_pdus_up_to_grant():
@@ -129,7 +135,7 @@ def test_drain_forward_moves_whole_pdus_up_to_grant():
     for i in range(4):
         mn.queues[1].push(PdcpPdu(1, i, 12_000, 0))
     book = GrantBook()
-    book.replace(DataRequest(1, 30_000.0, 0, 50_000_000))
+    book.replace(Grant(1, 30_000.0, 50_000_000))
     moved = drain_forward(mn, sn, book, 1, 10)
     assert moved == 2
     assert [p.sn for p in sn.queues[1].pending] == [0, 1]
@@ -143,7 +149,7 @@ def test_drain_forward_leaves_in_service_pdu_alone():
         mn.queues[1].push(PdcpPdu(1, i, 12_000, 0))
     mn.queues[1].take(3_000)  # pdu 0 now partially transmitted
     book = GrantBook()
-    book.replace(DataRequest(1, 100_000.0, 0, 50_000_000))
+    book.replace(Grant(1, 100_000.0, 50_000_000))
     moved = drain_forward(mn, sn, book, 1, 10)
     assert moved == 2
     assert mn.queues[1].in_service.sn == 0
@@ -164,11 +170,12 @@ def test_reroute_returns_pdus_to_anchor_in_order():
 
 
 def test_replacing_a_grant_finalizes_the_old_window():
+    mn, sn = _mn_sn_pair()
+    mn.queues[1].push(PdcpPdu(1, 0, 12_000, 0))
     book = GrantBook()
-    book.replace(DataRequest(1, 12_000.0, 0, 50_000_000))
-    pdu = PdcpPdu(1, 0, 12_000, 0)
-    assert mn_forwarding_decision(book, pdu, 10) == FORWARD
-    book.replace(DataRequest(1, 12_000.0, 50_000_000, 100_000_000))
+    book.replace(Grant(1, 12_000.0, 50_000_000))
+    assert drain_forward(mn, sn, book, 1, 10) == 1
+    book.replace(Grant(1, 12_000.0, 100_000_000))
     book.close()
     assert book.windows_checked == 2
     assert book.violations == 0
