@@ -178,10 +178,10 @@ class Scenario:
         """Admit one app packet at the anchor, or drop it if the anchor queue
         cannot take it (packets are only sequence numbered once admitted, so
         drops never punch holes at the receiver), then let the forwarding
-        rule steer it. There is nothing to forward before admission: every
-        drain leaves the queue empty or the grant short of one PDU, all
-        PDUs have one size, and only the data-request cycle, which drains at
-        once, refills a grant."""
+        rule steer it. Every drain leaves the queue empty or the grant short
+        of one PDU, all PDUs have one size, and only the data-request cycle,
+        which drains at once, refills a grant; so a drain here moves a PDU
+        exactly when the grant covers the packet just admitted."""
         cfg = self.cfg
         ue.counters.generated_bits += bits
         mn = self.nodes[ue.mn_node_id]
@@ -193,8 +193,9 @@ class Scenario:
         pdu = PdcpPdu(ue.ue_id, ue.next_sn, bits, t_ns, PATH_MN)
         ue.next_sn += 1
         q.push(pdu)
-        if ue.ue_id in self.ntn_node.queues:
-            ts.drain_forward(mn, self.ntn_node, self.book, ue.ue_id, t_ns)
+        grant = self.book.grants.get(ue.ue_id)
+        if grant is not None and grant.covers(bits, t_ns):
+            ts.drain_forward(mn, self.ntn_node, grant, t_ns)
 
     # ---- air interface ------------------------------------------------
 
@@ -326,9 +327,8 @@ class Scenario:
         for grant in ts.send_periodic_requests(self.ntn_node, self.reports,
                                                t, self.cfg):
             self.book.replace(grant)
-            ue = self.ues[grant.ue_id]
-            ts.drain_forward(self.nodes[ue.mn_node_id], self.ntn_node,
-                             self.book, grant.ue_id, t)
+            mn = self.nodes[self.ues[grant.ue_id].mn_node_id]
+            ts.drain_forward(mn, self.ntn_node, grant, t)
         if t + period <= self.end_ns:
             self.sim.schedule_in(period, self._on_data_request_cycle, period)
 

@@ -66,7 +66,8 @@ def send_periodic_requests(sn_node, reports, t_ns, params):
 
 
 class GrantBook:
-    """Per-UE forwarding allowances held at an anchor node.
+    """Per-UE forwarding allowances held at an anchor node; only a bound UE
+    has one, since a release cancels it.
 
     Tracks, for every allowance window, how many bits were actually forwarded
     against it; `windows_checked`/`violations` feed the soundness audit that
@@ -102,15 +103,12 @@ class GrantBook:
             self.cancel(ue_id)
 
 
-def drain_forward(mn_node, sn_node, book, ue_id, t_ns):
-    """Move whole pending PDUs of bound UE `ue_id` from the anchor queue to
-    the secondary node while its grant covers them. The PDU currently on
+def drain_forward(mn_node, sn_node, grant, t_ns):
+    """Move whole pending PDUs of the grant's UE from the anchor queue to
+    the secondary node while the grant covers them. The PDU currently on
     the air is never taken."""
-    grant = book.grants.get(ue_id)
-    if grant is None:
-        return 0
-    src = mn_node.queues[ue_id]
-    dst = sn_node.queues[ue_id]
+    src = mn_node.queues[grant.ue_id]
+    dst = sn_node.queues[grant.ue_id]
     moved = 0
     while src.pending and grant.covers(src.pending[0].bits, t_ns):
         pdu = src.pop_pending()

@@ -157,3 +157,28 @@ def test_end_of_run_flush_skips_no_sequence_number():
     assert any(ue.receiver.buffer for ue in sc.ues.values())
     skipped = sum(ue.receiver.skipped_sns for ue in sc.ues.values())
     assert sc.finish().counters["skipped_sns"] == skipped
+
+
+def test_ingest_drains_only_when_a_pdu_can_move(monkeypatch):
+    # A drain at ingest runs only when the grant covers the packet just
+    # admitted, and then it moves at least that packet's PDU.
+    from ntnmc import traffic_split
+    moved, ingesting = [], []
+
+    def drain(*args, _orig=traffic_split.drain_forward):
+        n = _orig(*args)
+        if ingesting:
+            moved.append(n)
+        return n
+
+    def ingest(self, *args, _orig=Scenario._ingest_app_packet):
+        ingesting.append(True)
+        try:
+            return _orig(self, *args)
+        finally:
+            ingesting.pop()
+
+    monkeypatch.setattr(traffic_split, "drain_forward", drain)
+    monkeypatch.setattr(Scenario, "_ingest_app_packet", ingest)
+    Scenario(_tiny("rsrp"), 1).run_to_end()
+    assert moved and min(moved) >= 1

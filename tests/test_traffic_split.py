@@ -107,15 +107,14 @@ def test_grant_lifetime_is_inclusive_at_expiry():
 
 def test_forwarding_decision_decrements_and_stops():
     mn, sn = _mn_sn_pair()
-    book = GrantBook()
-    book.replace(Grant(1, 30_000.0, 50_000_000))
+    grant = Grant(1, 30_000.0, 50_000_000)
     moved = []
     for i, t in enumerate((10, 10, 10, 60_000_000)):
         mn.queues[1].push(PdcpPdu(1, i, 12_000, 0))
-        moved.append(drain_forward(mn, sn, book, 1, t))
+        moved.append(drain_forward(mn, sn, grant, t))
     # 6000 bits left after two, a 12000-bit unit no longer fits
     assert moved == [1, 1, 0, 0]
-    assert book.grants[1].forwarded_bits == 24_000
+    assert grant.forwarded_bits == 24_000
 
 
 def test_grant_audit_tracks_usage_fraction():
@@ -123,7 +122,7 @@ def test_grant_audit_tracks_usage_fraction():
     mn.queues[1].push(PdcpPdu(1, 0, 12_000, 0))
     book = GrantBook()
     book.replace(Grant(1, 24_000.0, 50_000_000))
-    drain_forward(mn, sn, book, 1, 10)
+    drain_forward(mn, sn, book.grants[1], 10)
     book.close()
     assert book.windows_checked == 1
     assert book.violations == 0
@@ -134,9 +133,7 @@ def test_drain_forward_moves_whole_pdus_up_to_grant():
     mn, sn = _mn_sn_pair()
     for i in range(4):
         mn.queues[1].push(PdcpPdu(1, i, 12_000, 0))
-    book = GrantBook()
-    book.replace(Grant(1, 30_000.0, 50_000_000))
-    moved = drain_forward(mn, sn, book, 1, 10)
+    moved = drain_forward(mn, sn, Grant(1, 30_000.0, 50_000_000), 10)
     assert moved == 2
     assert [p.sn for p in sn.queues[1].pending] == [0, 1]
     assert all(p.path == PATH_SN for p in sn.queues[1].pending)
@@ -148,9 +145,7 @@ def test_drain_forward_leaves_in_service_pdu_alone():
     for i in range(3):
         mn.queues[1].push(PdcpPdu(1, i, 12_000, 0))
     mn.queues[1].take(3_000)  # pdu 0 now partially transmitted
-    book = GrantBook()
-    book.replace(Grant(1, 100_000.0, 50_000_000))
-    moved = drain_forward(mn, sn, book, 1, 10)
+    moved = drain_forward(mn, sn, Grant(1, 100_000.0, 50_000_000), 10)
     assert moved == 2
     assert mn.queues[1].in_service.sn == 0
     assert [p.sn for p in sn.queues[1].pending] == [1, 2]
@@ -174,7 +169,7 @@ def test_replacing_a_grant_finalizes_the_old_window():
     mn.queues[1].push(PdcpPdu(1, 0, 12_000, 0))
     book = GrantBook()
     book.replace(Grant(1, 12_000.0, 50_000_000))
-    assert drain_forward(mn, sn, book, 1, 10) == 1
+    assert drain_forward(mn, sn, book.grants[1], 10) == 1
     book.replace(Grant(1, 12_000.0, 100_000_000))
     book.close()
     assert book.windows_checked == 2
