@@ -186,12 +186,12 @@ class NtnChannel:
     (slowly) with time through the slant range.
     """
 
-    def __init__(self, cfg, track, beams, serving_color=0):
+    def __init__(self, cfg, track, beams):
         self.cfg = cfg
         self.track = track
         # Interferers: same color as the serving beam, excluding beam 0 itself.
         self.serving_beam = beams[0]
-        self.cochannel = [b for b in beams[1:] if b[3] == serving_color]
+        self.cochannel = [b for b in beams[1:] if b[3] == beams[0][3]]
         self._n_re_grid = cfg.n_prb * SUBCARRIERS_PER_PRB
         self._eirp_dbm = (cfg.ntn_eirp_dbw_mhz + linear_to_db(cfg.bandwidth_mhz) + 30.0)
         self._noise = db_to_linear(noise_per_re_dbm(cfg.ue_noise_figure_db))

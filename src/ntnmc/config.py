@@ -49,7 +49,6 @@ class ScenarioConfig:
     # phy, terrestrial
     carrier_ghz: float = 2.0
     bandwidth_mhz: float = 10.0
-    n_prb: int = 52
     tn_tx_power_dbm: float = 43.0
     tn_sector_gain_dbi: float = 14.0
     tn_sector_beamwidth_deg: float = 65.0
@@ -102,13 +101,18 @@ class ScenarioConfig:
     # campaign
     base_seed: int = 1
 
+    @property
+    def n_prb(self):
+        """Transmission bandwidth in PRBs, fixed by `bandwidth_mhz`."""
+        return PRBS_BY_BANDWIDTH_MHZ[self.bandwidth_mhz]
+
     def validate(self):
         if self.policy not in POLICIES:
             raise ConfigError(f"policy must be one of {POLICIES}, got {self.policy!r}")
         positive = [
             "sim_duration_s", "isd_m", "n_sites", "n_ue_per_sector",
             "cbr_rate_bps", "packet_bytes", "carrier_ghz", "bandwidth_mhz",
-            "n_prb", "sat_altitude_m", "ntn_beam_radius_m", "ue_queue_bytes",
+            "sat_altitude_m", "ntn_beam_radius_m", "ue_queue_bytes",
             "pdcp_reorder_timer_ms", "pdcp_reorder_buffer_pdus",
             "load_window_ms", "eval_period_ms", "meas_period_ms",
             "meas_staleness_ms", "request_gate_ms", "add_gate_ms",
@@ -158,12 +162,10 @@ class ScenarioConfig:
             raise ConfigError(
                 f"n_sites must be 1, 2 or 3, got {self.n_sites}: the layout "
                 "places sites on the vertices of one triangle")
-        if PRBS_BY_BANDWIDTH_MHZ.get(self.bandwidth_mhz) != self.n_prb:
-            pairs = ", ".join(f"{mhz}/{prb}"
-                              for mhz, prb in PRBS_BY_BANDWIDTH_MHZ.items())
+        if self.bandwidth_mhz not in PRBS_BY_BANDWIDTH_MHZ:
             raise ConfigError(
-                f"bandwidth_mhz/n_prb = {self.bandwidth_mhz}/{self.n_prb} is "
-                f"not a 15 kHz carrier; expected one of {pairs}")
+                f"bandwidth_mhz = {self.bandwidth_mhz} is not a 15 kHz "
+                f"carrier; expected one of {list(PRBS_BY_BANDWIDTH_MHZ)}")
         pass_s = _satellite_pass_s(self)
         if self.sim_duration_s >= pass_s:
             raise ConfigError(

@@ -124,7 +124,7 @@ class Sector:
     boresight_deg: float
 
 
-def build_tn_layout(center, isd_m, n_sites=3, sectors_per_site=3):
+def build_tn_layout(center, isd_m, n_sites=3):
     """Tri-sector sites with the given inter-site distance.
 
     One site sits at `center`; two or three sit on the vertices of an
@@ -146,8 +146,8 @@ def build_tn_layout(center, isd_m, n_sites=3, sectors_per_site=3):
     sectors = []
     sid = 0
     for site_id, pos in enumerate(site_positions):
-        for k in range(sectors_per_site):
-            sectors.append(Sector(sid, site_id, pos, (360.0 / sectors_per_site) * k))
+        for k in range(3):
+            sectors.append(Sector(sid, site_id, pos, 120.0 * k))
             sid += 1
     return sectors
 

@@ -109,10 +109,14 @@ def test_n_sites_limited_to_one_triangle():
 
 
 def test_bandwidth_must_match_prb_count():
-    assert load_config(None, environ={}, bandwidth_mhz=20.0, n_prb=106)
-    for mhz, prb in ((10.0, 106), (20.0, 52), (12.0, 52)):
-        with pytest.raises(ConfigError, match="bandwidth_mhz/n_prb"):
-            load_config(None, environ={}, bandwidth_mhz=mhz, n_prb=prb)
+    # the PRB count follows from the bandwidth and cannot be set
+    assert load_config(None, environ={}, bandwidth_mhz=20.0).n_prb == 106
+    assert load_config(None, environ={}).n_prb == 52
+    for mhz in (12.0, 7.0, 10.5):
+        with pytest.raises(ConfigError, match="bandwidth_mhz"):
+            load_config(None, environ={}, bandwidth_mhz=mhz)
+    with pytest.raises(ConfigError, match="unknown key 'n_prb'"):
+        parse_config_text("n_prb = 52\n")
 
 
 # 0.3 s with 2 UEs per sector: each of these would otherwise validate and

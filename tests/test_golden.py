@@ -58,7 +58,7 @@ ARTIFACT_SHA256 = {
     "events_rsrp_2.csv":
         "1a9e1f388aa41a2631b9f7fca08df7daf6c9f25b71adbb722f6798eded933dd9",
     "manifest.json":
-        "592d44b4df24c529f423149c43a634a2315ab038b2e27e3171d1334da769f934",
+        "69e7b33677fae0ee9da8fb0039a122c4359500d9c036ca2282c6b04d45c968fe",
     "summary.csv":
         "03c1bf5c888a19844482952008eda702a91128f4f24b9e8e6bb5b24c18520588",
 }

@@ -246,10 +246,9 @@ def config_overrides(draw):
         st.floats(-30.0, 30.0).map(lambda d: lat + d),
         math.nextafter(-90.0, -91.0), math.nextafter(90.0, 91.0)))
 
-    mhz = draw(_edge_or(st.sampled_from(sorted(PRBS_BY_BANDWIDTH_MHZ)), 0, 7))
-    o["bandwidth_mhz"] = float(mhz)
-    o["n_prb"] = (PRBS_BY_BANDWIDTH_MHZ.get(mhz, 52)
-                  + draw(_edge_or(st.just(0), -1, 1)))
+    o["bandwidth_mhz"] = draw(_edge_or(
+        st.sampled_from(sorted(PRBS_BY_BANDWIDTH_MHZ)).map(float),
+        0.0, 7.0, 10.5))
 
     duration = draw(_edge_or(st.floats(0.001, 0.3), 0.0, -0.1))
     o["sim_duration_s"] = duration
