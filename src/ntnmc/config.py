@@ -107,6 +107,12 @@ class ScenarioConfig:
         return PRBS_BY_BANDWIDTH_MHZ[self.bandwidth_mhz]
 
     def validate(self):
+        # Comparisons with NaN are all false, so no range rule below would
+        # catch one; an infinite period overflows `millis`.
+        for name in _FLOAT_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if self.policy not in POLICIES:
             raise ConfigError(f"policy must be one of {POLICIES}, got {self.policy!r}")
         positive = [
@@ -212,6 +218,7 @@ def _satellite_pass_s(cfg):
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ScenarioConfig)}
+_FLOAT_FIELDS = [name for name, f in _FIELDS.items() if f.type is float]
 
 
 def _coerce(field, raw, where):

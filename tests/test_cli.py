@@ -90,6 +90,14 @@ def test_bad_config_file_is_usage_error(tmp_path):
                  "--seeds", "1"]) == 2
 
 
+def test_infinite_period_is_usage_error(tmp_path, capsys):
+    # `validate` used to raise OverflowError on it, a traceback at the CLI
+    p = tmp_path / "inf.cfg"
+    p.write_text("eval_period_ms = inf\n")
+    assert main(["validate", "--config", str(p)]) == 2
+    assert "eval_period_ms must be finite" in capsys.readouterr().err
+
+
 def test_run_past_satellite_pass_is_usage_error(tmp_path, capsys):
     # with the default layout the satellite leaves the first UE's sky
     # between 384 and 385 s

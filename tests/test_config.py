@@ -1,9 +1,13 @@
 import dataclasses
+import math
 
 import pytest
 
 from ntnmc.config import (ConfigError, ScenarioConfig, load_config,
                           parse_config_text)
+
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig)
+                if f.type is float]
 
 
 def test_defaults_validate():
@@ -149,6 +153,18 @@ def test_periods_at_their_floor_validate():
                       cbr_rate_bps=8e6)
     assert cfg.cbr_rate_bps == 8e6
     assert load_config(None, environ={}, eval_jitter_ms=9.999)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_non_finite_float_rejected(name, value):
+    with pytest.raises(ConfigError, match=rf"^{name} must be finite"):
+        load_config(None, environ={}, **{name: value})
+
+
+def test_non_finite_float_from_environment_rejected():
+    with pytest.raises(ConfigError, match="isd_m must be finite"):
+        load_config(None, environ={"SIM_ISD_M": "nan"})
 
 
 def test_config_is_plain_dataclass():
