@@ -2,9 +2,11 @@
 
 Every artifact that `run_campaign` + `emit_results` write for all four
 settings at seeds 1..2 (1 s simulated) is pinned by SHA-256, and so is the
-per-run result of two 2 s variants, long enough for `mcs` to preempt and
+per-run result of three 2 s variants, long enough for `mcs` to preempt and
 release: one whose terrestrial latency is exactly one TTI, so that every
-terrestrial delivery lands on the same instant as the next TTI, and one with
+terrestrial delivery lands on the same instant as the next TTI; one with no
+terrestrial latency, so that every terrestrial delivery lands on the instant
+of the TTI that launched it; and one with
 a control latency of 10 ms and no evaluation jitter. In the latter the three
 reconfiguration messages land on three distinct instants, and bindings start
 on the 25 ms data-request grid, so the order of a binding against the other
@@ -29,6 +31,7 @@ SEEDS = [1, 2]
 SMALL = dict(sim_duration_s=1.0, warmup_s=0.5, ue_queue_bytes=280_000)
 TWO_SECONDS = dict(sim_duration_s=2.0, warmup_s=1.0, ue_queue_bytes=560_000)
 ONE_TTI_TN_LATENCY = dict(TWO_SECONDS, tn_latency_ms=1.0)
+ZERO_TN_LATENCY = dict(TWO_SECONDS, tn_latency_ms=0.0)
 TEN_MS_CTRL_LATENCY = dict(TWO_SECONDS, ctrl_latency_ms=10.0,
                            eval_jitter_ms=0.0)
 
@@ -70,6 +73,13 @@ TN_LATENCY_ONE_TTI_SHA256 = {
     "off": "3a95084ffc3b0e412992939e44cb917fdc17c540535d3fd78af61485211f4509",
 }
 
+TN_LATENCY_ZERO_SHA256 = {
+    "mcs": "999fe0e238e112d99d5be12fb8fdbe29d873c33dd0172ad29e5b29f1df2f57f3",
+    "rsrp": "7dcbae9ee004649eaf3533ea49c38e634ff50290286af0deabf7db21313b7569",
+    "bo": "7d8937801a649c7678b16b15e8f8cf718e56a9af34506a9e5f39b1326a4eb323",
+    "off": "09d92bcd769119d3018c3d06a7f8e982f9675d0e414feb7a260a9d6d96ed9772",
+}
+
 CTRL_LATENCY_TEN_MS_SHA256 = {
     "mcs": "8560a07f8b635db7f5d4988ba4aa5646522583296bd140b4c96e496c58659aad",
     "rsrp": "d38380904be194e0ba010475c086ff1e5fb48d503c8b09b74233475a2440e0ab",
@@ -107,6 +117,10 @@ def _variant_digests(overrides):
 
 def test_tn_latency_of_one_tti_matches_golden_digests():
     assert _variant_digests(ONE_TTI_TN_LATENCY) == TN_LATENCY_ONE_TTI_SHA256
+
+
+def test_zero_tn_latency_matches_golden_digests():
+    assert _variant_digests(ZERO_TN_LATENCY) == TN_LATENCY_ZERO_SHA256
 
 
 def test_ctrl_latency_of_ten_ms_matches_golden_digests():
