@@ -172,18 +172,15 @@ def buffer_occupancy(node, ue_id, max_queue_bytes):
 
 
 def _equal_share(order, needs, total):
-    """Split `total` REs equally over `order`, capped by per-UE need.
+    """Split `total` REs equally over `order`, capped by per-UE need, by
+    water-filling: repeated equal rounds over the UEs whose need is not met
+    yet.
 
-    The integer remainder goes to the earliest entries of `order`; callers
-    rotate `order` across TTIs so the remainder circulates and any two
-    backlogged UEs stay within one RE of each other over a 10 TTI window.
+    The integer remainder of each round goes to the earliest entries of
+    `order`; callers rotate `order` across TTIs so the remainder circulates
+    and any two backlogged UEs stay within one RE of each other over a 10
+    TTI window.
     """
-    if order:
-        # Common round: every need exceeds the first equal share, so the
-        # water-filling below would end after one round with this result.
-        share, extra = divmod(total, len(order))
-        if min(needs[u] for u in order) > share:
-            return {ue: share + (i < extra) for i, ue in enumerate(order)}
     alloc = dict.fromkeys(order, 0)
     active = [u for u in order if needs[u] > 0]
     remaining = total
@@ -210,38 +207,61 @@ def schedule_tti(node, t_ns):
     Backlogged UEs split the node's REs equally with the remainder rotating.
     Returns [(ue_id, n_res, mcs, completed_pdus)] and records this TTI in
     the node's load tracker.
+
+    A UE's need is ceil(x) REs, x = its unsent bits over its efficiency.
+    The equal share is an integer, so ceil(x) > share exactly when
+    x > share: when the smallest x exceeds it, every UE takes the share in
+    one round (the common case under load) and the needs are never built.
+    Otherwise `_equal_share` water-fills over the needs.
     """
-    queues = node.queues
     ue_mcs = node.ue_mcs
     eff = node.mcs_table.efficiencies
-    hungry = []
-    needs = {}
-    for ue_id, q in queues.items():
+    hungry = []             # (ue_id, queue, mcs, x) of each backlogged UE
+    min_x = math.inf
+    for ue_id, q in node.queues.items():
         mcs = ue_mcs[ue_id]
         if mcs is None:
             continue
-        bits = q.remaining_bits()
+        bits = q.queued_bits - q.served_bits
         if bits <= 0:
             continue
-        hungry.append(ue_id)
-        needs[ue_id] = math.ceil(bits / eff[mcs])
+        x = bits / eff[mcs]
+        if x < min_x:
+            min_x = x
+        hungry.append((ue_id, q, mcs, x))
+    n = len(hungry)
+    if not n:
+        node.load.record(0)
+        return []
+
+    total = node.n_res
+    cur = node._rr % n
+    node._rr += 1
+    share, extra = divmod(total, n)
+    if min_x > share:
+        # The remainder goes to the first `extra` UEs from the rotation
+        # point `cur` on.
+        alloc = [share + ((j - cur) % n < extra) for j in range(n)]
+    else:
+        ids = [h[0] for h in hungry]
+        needs = {ue_id: math.ceil(x) for ue_id, _q, _mcs, x in hungry}
+        by_ue = _equal_share(ids[cur:] + ids[:cur], needs, total)
+        alloc = [by_ue[ue_id] for ue_id in ids]
 
     out = []
     granted = 0
-    if hungry:
-        cur = node._rr % len(hungry)
-        node._rr += 1
-        order = hungry[cur:] + hungry[:cur]
-        alloc = _equal_share(order, needs, node.n_res)
-        for ue_id in hungry:
-            n_res = alloc[ue_id]
-            if n_res <= 0:
-                continue
-            granted += n_res
-            mcs = ue_mcs[ue_id]
-            tb_bits = transport_block_bits(eff[mcs], n_res)
-            done = queues[ue_id].take(tb_bits)
-            out.append((ue_id, n_res, mcs, done))
+    for (ue_id, q, mcs, _x), n_res in zip(hungry, alloc):
+        if n_res <= 0:
+            continue
+        granted += n_res
+        tb_bits = (int(eff[mcs] * n_res) // 8) * 8  # transport_block_bits
+        head = q.in_service
+        if head is not None and q.served_bits + tb_bits < head.bits:
+            # The PDU in service does not complete: the common case.
+            q.served_bits += tb_bits
+            out.append((ue_id, n_res, mcs, ()))
+        else:
+            out.append((ue_id, n_res, mcs, q.take(tb_bits)))
     node.load.record(granted)
     return out
 
