@@ -22,6 +22,16 @@ before them. With a terrestrial latency of exactly one TTI, the deliveries
 launched in a TTI fire before the next TTI event, at the same instant; the
 two commute, because a delivery touches only the UE's receiver and a TTI
 only the nodes' queues.
+
+Every sector has the same latency, so the transport blocks the sectors
+complete in one TTI all land at one instant; they travel as one delivery
+event, scheduled after the last sector and before the beam's blocks. One
+event per block would take consecutive sequence numbers from that point
+on, since the sectors' scheduling schedules nothing: no other event could
+fire between them, and whatever a delivery schedules for their instant
+fires after the last of them either way. So one event that delivers them
+in launch order fires the same calls in the same order. The beam's blocks
+keep one event each, because their delay is per UE.
 """
 
 from dataclasses import dataclass, field
@@ -110,10 +120,10 @@ class Scenario:
         self.ntn = NtnChannel(cfg, track, beams)
 
         window_ttis = max(1, round(cfg.load_window_ms))
-        self.nodes = {}
-        for sec in self.sectors:
-            self.nodes[sec.sector_id] = Node(cfg.n_prb, self.mcs_table,
-                                             window_ttis)
+        self.nodes = {sec.sector_id: Node(cfg.n_prb, self.mcs_table,
+                                          window_ttis)
+                      for sec in self.sectors}
+        self.sector_nodes = list(self.nodes.values())
         self.ntn_node = Node(cfg.n_prb, self.mcs_table, window_ttis)
         self.nodes[NTN_CELL_ID] = self.ntn_node
 
@@ -204,28 +214,33 @@ class Scenario:
 
     def _on_tti(self):
         t = self.sim.now
-        for node in self.nodes.values():
+        ues = self.ues
+        tbs = []
+        for node in self.sector_nodes:
             for ue_id, _res, _mcs, done in schedule_tti(node, t):
                 if done:
-                    self._launch_tb(node, ue_id, done, t)
+                    tbs.append(self._launch_tb(ues[ue_id], done))
+        if tbs:
+            self.sim.schedule_in(self.tn_latency_ns, self._deliver_tb, tbs)
+        for ue_id, _res, _mcs, done in schedule_tti(self.ntn_node, t):
+            if done:
+                ue = ues[ue_id]
+                self.sim.schedule_in(ue.ntn_delay_ns, self._deliver_tb,
+                                     [self._launch_tb(ue, done)])
         if t + TTI_NS <= self.end_ns:
             self.sim.schedule_in(TTI_NS, self._on_tti)
 
-    def _launch_tb(self, node, ue_id, pdus, t_ns):
-        ue = self.ues[ue_id]
-        if node is self.ntn_node:
-            latency = ue.ntn_delay_ns
-        else:
-            latency = self.tn_latency_ns
+    def _launch_tb(self, ue, pdus):
         for pdu in pdus:
             ue.counters.in_flight_bits += pdu.bits
-        self.sim.schedule_in(latency, self._deliver_tb, ue, pdus)
+        return ue, pdus
 
-    def _deliver_tb(self, ue, pdus):
+    def _deliver_tb(self, tbs):
         t = self.sim.now
-        for pdu in pdus:
-            ue.counters.in_flight_bits -= pdu.bits
-            ue.receiver.receive(pdu, t)
+        for ue, pdus in tbs:
+            for pdu in pdus:
+                ue.counters.in_flight_bits -= pdu.bits
+                ue.receiver.receive(pdu, t)
 
     # ---- measurements -------------------------------------------------
 
