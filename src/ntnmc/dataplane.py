@@ -396,3 +396,4 @@ class UeCounters:
     dropped_bits: int = 0
     dropped_pdus: int = 0
     in_flight_bits: int = 0
+    post_warmup_bits: int = 0           # delivered in order after warmup

@@ -84,6 +84,10 @@ class Simulator:
             ev.fn(*ev.args)
         self.now = t_end
 
+    def drop_pending(self):
+        """Discard every event not yet fired."""
+        self._queue.clear()
+
     def pending(self):
         return sum(1 for _t, _seq, ev in self._queue if not ev.cancelled)
 

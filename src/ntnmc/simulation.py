@@ -72,7 +72,6 @@ class UeState:
     ntn_sinr_db: float = 0.0
     ntn_delay_ns: int = 0
     best_ntn_rsrp_dbm: float = -999.0
-    post_warmup_bits: int = 0
 
 
 @dataclass
@@ -158,16 +157,18 @@ class Scenario:
             self.ntn.link_state(pos, 0))
         ue.receiver = PdcpReceiver(
             ue_id, self.sim, millis(cfg.pdcp_reorder_timer_ms),
-            cfg.pdcp_reorder_buffer_pdus, self._make_deliver_cb(ue))
+            cfg.pdcp_reorder_buffer_pdus, self._make_deliver_cb(ue.counters))
         self.nodes[sector_id].add_ue(ue_id, self.mcs_table.mcs_for_sinr(sinr))
         self.ues[ue_id] = ue
 
-    def _make_deliver_cb(self, ue):
+    def _make_deliver_cb(self, counters):
+        # Closing over the counters, not the UE that holds the receiver,
+        # keeps a finished run free of reference cycles.
         warmup = self.warmup_ns
 
         def deliver(pdu, t_ns):
             if t_ns >= warmup:
-                ue.post_warmup_bits += pdu.bits
+                counters.post_warmup_bits += pdu.bits
         return deliver
 
     # ---- traffic ------------------------------------------------------
@@ -378,6 +379,9 @@ class Scenario:
         return self.finish()
 
     def finish(self):
+        # The events past the end hold bound methods of this scenario;
+        # dropping them lets reference counting free the run.
+        self.sim.drop_pending()
         cfg = self.cfg
         for ue in self.ues.values():
             ue.receiver.flush(self.sim.now)
@@ -386,7 +390,7 @@ class Scenario:
 
         window_s = cfg.sim_duration_s - cfg.warmup_s
         ue_ids = sorted(self.ues)
-        throughput = [self.ues[u].post_warmup_bits / window_s / 1000.0
+        throughput = [self.ues[u].counters.post_warmup_bits / window_s / 1000.0
                       for u in ue_ids]
         ues = self.ues.values()
         kinds = [ev[1] for ev in self.events]
@@ -405,7 +409,7 @@ class Scenario:
             "grant_violations": self.book.violations,
             "grant_max_used": self.book.max_used_fraction,
             "zero_throughput_ues": sum(1 for ue in ues
-                                       if ue.post_warmup_bits == 0),
+                                       if ue.counters.post_warmup_bits == 0),
         }
         for name in UE_COUNTERS:
             counters[name] = sum(getattr(ue.counters, name) for ue in ues)

@@ -112,7 +112,8 @@ def node_specs(draw):
     rr = draw(st.integers(0, 50))
     ues = []
     for _ in range(draw(st.integers(0, 40))):
-        mcs = draw(st.one_of(st.none(), st.integers(0, len(TABLE.efficiencies) - 1)))
+        mcs = draw(st.one_of(st.none(),
+                             st.integers(0, len(TABLE.efficiencies) - 1)))
         pdus = draw(st.lists(PDU_BITS, max_size=6))
         sent = draw(st.integers(0, pdus[0] - 1)) if pdus else 0
         ues.append((mcs, pdus, sent))

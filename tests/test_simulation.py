@@ -1,4 +1,8 @@
 import dataclasses
+import gc
+import weakref
+
+import pytest
 
 from ntnmc.config import POLICIES, load_config
 from ntnmc.engine import millis
@@ -20,6 +24,22 @@ def test_scenario_builds_expected_population():
     # every UE anchors at a terrestrial sector
     for ue in sc.ues.values():
         assert ue.mn_node_id in range(9)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_finished_run_is_freed_without_the_cycle_collector(policy):
+    # A run left as cyclic garbage keeps every queue and PDU alive until a
+    # full collection, which a campaign of many runs pays for in memory.
+    sc = Scenario(_tiny(policy), 1)
+    gc.disable()
+    try:
+        sc.run_to_end()
+        refs = [weakref.ref(sc), weakref.ref(sc.sim),
+                weakref.ref(next(iter(sc.ues.values())))]
+        del sc
+        assert [r() for r in refs] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 def test_run_result_shape():
