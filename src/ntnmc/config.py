@@ -5,10 +5,12 @@ headers (cosmetic, keys are globally unique). Unknown keys, bad types and
 out-of-range values are rejected with the offending line number so a typo in
 a sweep definition fails loudly instead of silently running defaults.
 Environment variables ``SIM_<KEY>`` (upper-cased field name) override both
-defaults and file values.
+defaults and file values; a ``SIM_`` variable that names no field is
+rejected the same way.
 """
 
 import dataclasses
+import difflib
 import math
 import os
 
@@ -259,13 +261,18 @@ def parse_config_text(text, source="<config>"):
 
 
 def env_overrides(environ=None):
+    """`SIM_<KEY>` variables as overrides; a `SIM_` variable that names no
+    field is an error, as an unknown key in a config file is."""
     environ = os.environ if environ is None else environ
-    overrides = {}
-    for name, field in _FIELDS.items():
-        env_key = "SIM_" + name.upper()
-        if env_key in environ:
-            overrides[name] = _coerce(field, environ[env_key], f"env {env_key}")
-    return overrides
+    env_keys = {"SIM_" + name.upper(): name for name in _FIELDS}
+    for env_key in environ:
+        if env_key.startswith("SIM_") and env_key not in env_keys:
+            close = difflib.get_close_matches(env_key[4:].lower(), _FIELDS,
+                                              n=1)
+            hint = f"; did you mean SIM_{close[0].upper()}?" if close else ""
+            raise ConfigError(f"env {env_key}: unknown setting{hint}")
+    return {name: _coerce(_FIELDS[name], environ[env_key], f"env {env_key}")
+            for env_key, name in env_keys.items() if env_key in environ}
 
 
 def load_config(path=None, environ=None, **extra):

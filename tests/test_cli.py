@@ -98,6 +98,12 @@ def test_infinite_period_is_usage_error(tmp_path, capsys):
     assert "eval_period_ms must be finite" in capsys.readouterr().err
 
 
+def test_misspelt_env_setting_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("SIM_ISDM", "5000")
+    assert main(["validate"]) == 2
+    assert "SIM_ISDM" in capsys.readouterr().err
+
+
 def test_run_past_satellite_pass_is_usage_error(tmp_path, capsys):
     # with the default layout the satellite leaves the first UE's sky
     # between 384 and 385 s

@@ -58,7 +58,7 @@ def test_missing_equals_rejected():
 def test_file_then_env_then_kwargs_precedence(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text("policy = bo\nisd_m = 5000\nn_ue_per_sector = 4\n")
-    env = {"SIM_POLICY": "rsrp", "SIM_ISD_M": "6000", "SIM_UNRELATED": "x"}
+    env = {"SIM_POLICY": "rsrp", "SIM_ISD_M": "6000", "UNRELATED": "x"}
     cfg = load_config(str(p), environ=env, isd_m=6500.0)
     assert cfg.policy == "rsrp"          # env beats file
     assert cfg.isd_m == 6500.0           # kwargs beat env
@@ -77,6 +77,19 @@ def test_env_alone(tmp_path):
 def test_bad_env_value_rejected():
     with pytest.raises(ConfigError):
         load_config(None, environ={"SIM_N_SITES": "3.7"})
+
+
+@pytest.mark.parametrize("env_key, hint", [
+    ("SIM_ISDM", "did you mean SIM_ISD_M"),
+    ("SIM_policy", "did you mean SIM_POLICY"),
+    ("SIM_N_PRB", ""),          # was a field until the PRB count was derived
+    ("SIM_UNRELATED", ""),
+])
+def test_unknown_env_setting_rejected(env_key, hint):
+    with pytest.raises(ConfigError, match=f"env {env_key}: unknown setting"
+                       ) as err:
+        load_config(None, environ={env_key: "5000"})
+    assert hint in str(err.value)
 
 
 def test_unknown_policy_rejected():
