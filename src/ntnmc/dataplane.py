@@ -171,30 +171,30 @@ def buffer_occupancy(node, ue_id, max_queue_bytes):
     return (node.queued_bits(ue_id) / 8.0) / max_queue_bytes
 
 
-def _equal_share(order, needs, total):
-    """Split `total` REs equally over `order`, capped by per-UE need, by
-    water-filling: repeated equal rounds over the UEs whose need is not met
-    yet.
+def _equal_share(needs, total):
+    """Split `total` REs over UEs whose needs in REs are `needs`, listed in
+    priority order, by water-filling: repeated equal rounds over the UEs
+    whose need is not met yet. Returns the grants in the same order.
 
-    The integer remainder of each round goes to the earliest entries of
-    `order`; callers rotate `order` across TTIs so the remainder circulates
-    and any two backlogged UEs stay within one RE of each other over a 10
-    TTI window.
+    The integer remainder of each round goes to the earliest UEs; callers
+    rotate the priority order across TTIs so the remainder circulates and
+    any two backlogged UEs stay within one RE of each other over a 10 TTI
+    window.
     """
-    alloc = dict.fromkeys(order, 0)
-    active = [u for u in order if needs[u] > 0]
+    alloc = [0] * len(needs)
+    active = [i for i, need in enumerate(needs) if need > 0]
     remaining = total
     while remaining > 0 and active:
         share, extra = divmod(remaining, len(active))
-        if share == 0 and extra == 0:
-            break
         still = []
-        for i, ue in enumerate(active):
-            give = min(needs[ue] - alloc[ue], share + (1 if i < extra else 0))
-            alloc[ue] += give
+        for k, i in enumerate(active):
+            give = needs[i] - alloc[i]
+            cap = share + (k < extra)
+            if give > cap:
+                give = cap
+                still.append(i)
+            alloc[i] += give
             remaining -= give
-            if alloc[ue] < needs[ue]:
-                still.append(ue)
         if len(still) == len(active):
             break
         active = still
@@ -211,8 +211,8 @@ def schedule_tti(node, t_ns):
     A UE's need is ceil(x) REs, x = its unsent bits over its efficiency.
     The equal share is an integer, so ceil(x) > share exactly when
     x > share: when the smallest x exceeds it, every UE takes the share in
-    one round (the common case under load) and the needs are never built.
-    Otherwise `_equal_share` water-fills over the needs.
+    one round and the needs are never built. Otherwise `_equal_share`
+    water-fills over the needs.
     """
     ue_mcs = node.ue_mcs
     eff = node.mcs_table.efficiencies
@@ -243,10 +243,9 @@ def schedule_tti(node, t_ns):
         # point `cur` on.
         alloc = [share + ((j - cur) % n < extra) for j in range(n)]
     else:
-        ids = [h[0] for h in hungry]
-        needs = {ue_id: math.ceil(x) for ue_id, _q, _mcs, x in hungry}
-        by_ue = _equal_share(ids[cur:] + ids[:cur], needs, total)
-        alloc = [by_ue[ue_id] for ue_id in ids]
+        needs = [math.ceil(h[3]) for h in hungry]
+        alloc = _equal_share(needs[cur:] + needs[:cur], total)
+        alloc = alloc[n - cur:] + alloc[:n - cur]
 
     out = []
     granted = 0

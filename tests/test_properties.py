@@ -175,7 +175,7 @@ def test_equal_share_is_feasible_and_fair(case):
     needs_list, total = case
     order = list(range(len(needs_list)))
     needs = dict(enumerate(needs_list))
-    alloc = _equal_share(order, needs, total)
+    alloc = dict(zip(order, _equal_share(needs_list, total)))
     assert alloc == water_filling(order, needs, total)
     assert set(alloc) == set(order)
     assert all(0 <= alloc[u] <= needs[u] for u in order)
