@@ -176,10 +176,11 @@ def _equal_share(needs, total):
     priority order, by water-filling: repeated equal rounds over the UEs
     whose need is not met yet. Returns the grants in the same order.
 
-    The integer remainder of each round goes to the earliest UEs; callers
-    rotate the priority order across TTIs so the remainder circulates and
-    any two backlogged UEs stay within one RE of each other over a 10 TTI
-    window.
+    Within one round the caps differ by at most one RE, the remainder going
+    to the earliest UEs; a later round's remainder can go back to those same
+    UEs, so grants of one call can differ by more (`[1, 100, 100, 100]`
+    over 11 REs gives `[1, 4, 4, 2]`). Callers rotate the priority order
+    across TTIs so the remainder circulates.
     """
     alloc = [0] * len(needs)
     active = [i for i, need in enumerate(needs) if need > 0]
@@ -379,13 +380,12 @@ class CbrFlow:
 
     The interval is rounded to integer nanoseconds once (1500 B at 3.2 Mb/s
     gives exactly 3.75 ms) so arrivals never drift. The first packet arrives
-    at `start_ns`.
+    at t = 0.
     """
 
-    def __init__(self, packet_bytes, rate_bps, start_ns=0):
+    def __init__(self, packet_bytes, rate_bps):
         self.packet_bits = packet_bytes * 8
         self.interval_ns = round(self.packet_bits / rate_bps * 1_000_000_000)
-        self.start_ns = start_ns
 
 
 @dataclass

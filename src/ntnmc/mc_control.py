@@ -5,15 +5,16 @@ reconfiguration and release.
 Both sides share one run-wide map of each UE's latest `Measurement`. A UE
 has a secondary leg if and only if the satellite beam's node has its queue.
 
-Requester side (`AnchorState`, one per anchor sector): evaluates its
-single-connectivity UEs on a jittered period and issues addition requests,
-at most one per request-gate period.
+Requester side (`AnchorState`, one per anchor sector): while its request
+gate is open, an evaluation ranks the sector's single-connectivity UEs and
+names at most one to ask a secondary leg for; the scenario runs the
+evaluations on a jittered period.
 
 Candidate side (`CandidateState`, the satellite beam, the only candidate
 cell): refuses anything within the add-gate of its previous acknowledgement,
 admits freely while its load leaves headroom, and above that may free a slot
-by releasing the served secondary whose reported anchor-link MCS is highest,
-provided it strictly exceeds the requester's.
+by naming for release the served secondary whose reported anchor-link MCS
+is highest, provided it strictly exceeds the requester's.
 """
 
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ from typing import Callable, Optional
 
 from .dataplane import buffer_occupancy
 from .engine import millis
+from .traffic_split import reroute_secondary_queue
 
 ACK = "ACK"
 REJECT = "REJECT"
@@ -51,26 +53,19 @@ class Measurement:
 
 
 @dataclass
-class SnAdditionRequest:
-    ue_id: int
-    mn_node_id: int
-
-
-@dataclass
 class Decision:
     verdict: str
     cause: str
+    victim: Optional[int] = None    # the UE whose leg an ACK preempts
 
 
 class AnchorState:
-    """Requester-side control state of one anchor sector."""
+    """Requester-side control state of one anchor sector: its request gate."""
 
     def __init__(self, node_id, reports):
         self.node_id = node_id
         self.reports = reports   # ue_id -> latest Measurement, run-wide
         self.last_request_ns = None  # when the last addition request was sent
-        self.next_eval_ns = 0
-        self.t_prev_ns = 0
 
 
 class CandidateState:
@@ -81,20 +76,6 @@ class CandidateState:
         self.reports = reports   # ue_id -> latest Measurement, run-wide
 
 
-def init_eval_clock(anchor, jitter_ns, rng):
-    t_del = round(rng.random() * jitter_ns)
-    anchor.next_eval_ns = t_del
-    anchor.t_prev_ns = t_del
-
-
-def advance_eval_clock(anchor, period_ns, jitter_ns, rng):
-    """next = t + period - t_prev + t_del: the fresh jitter replaces the old
-    one so evaluation k fires at k*period + t_del_k and jitter never drifts."""
-    t_del = round(rng.random() * jitter_ns)
-    anchor.next_eval_ns += period_ns - anchor.t_prev_ns + t_del
-    anchor.t_prev_ns = t_del
-
-
 def request_gate_open(anchor, t_ns, cfg):
     """Whether `anchor` may send an addition request at `t_ns`, at most one
     per gate period; while it is closed, an evaluation can change nothing."""
@@ -102,59 +83,42 @@ def request_gate_open(anchor, t_ns, cfg):
     return last is None or t_ns - last >= millis(cfg.request_gate_ms)
 
 
-def _try_request(anchor, ue_id, t_ns, cfg):
-    """A request for `ue_id` if the request gate is open and its latest
-    report is fresh and at or above the RSRP floor; it closes the gate."""
-    if not request_gate_open(anchor, t_ns, cfg):
-        return None
-    meas = anchor.reports.get(ue_id)
-    if meas is None or t_ns - meas.t_ns > millis(cfg.meas_staleness_ms):
-        return None
-    if meas.rsrp_dbm < cfg.rsrp_min_dbm:
-        return None
-    anchor.last_request_ns = t_ns
-    return SnAdditionRequest(ue_id, anchor.node_id)
+def _first_eligible(anchor, ue_ids, t_ns, cfg):
+    """The first UE of `ue_ids` whose latest report is fresh and at or above
+    the RSRP floor, or None; naming one closes the request gate."""
+    stale_ns = millis(cfg.meas_staleness_ms)
+    for ue_id in ue_ids:
+        meas = anchor.reports.get(ue_id)
+        if (meas is not None and t_ns - meas.t_ns <= stale_ns
+                and meas.rsrp_dbm >= cfg.rsrp_min_dbm):
+            anchor.last_request_ns = t_ns
+            return ue_id
+    return None
 
 
 def evaluate_mcs_based(anchor, node, single_ues, t_ns, cfg):
-    """Scan single-connectivity UEs in ascending anchor-MCS order (ties by
-    UE id) and stop at the first whose MCS exceeds the threshold."""
-    requests = []
+    """The first eligible UE whose anchor MCS is at or below the threshold,
+    in ascending MCS order (ties by UE id)."""
     reports = anchor.reports
-    order = sorted(single_ues, key=lambda u: (_mcs_key(reports.get(u)), u))
-    for ue_id in order:
-        if _mcs_key(reports.get(ue_id)) > cfg.mcs_threshold:
-            break
-        req = _try_request(anchor, ue_id, t_ns, cfg)
-        if req is not None:
-            requests.append(req)
-    return requests
+    weak = [u for u in single_ues
+            if _mcs_key(reports.get(u)) <= cfg.mcs_threshold]
+    weak.sort(key=lambda u: (_mcs_key(reports.get(u)), u))
+    return _first_eligible(anchor, weak, t_ns, cfg)
 
 
 def evaluate_rsrp_based(anchor, node, single_ues, t_ns, cfg):
-    """Request a secondary for every single-connectivity UE with a fresh
-    candidate at or above the RSRP floor."""
-    requests = []
-    for ue_id in sorted(single_ues):
-        req = _try_request(anchor, ue_id, t_ns, cfg)
-        if req is not None:
-            requests.append(req)
-    return requests
+    """The eligible UE of lowest id."""
+    return _first_eligible(anchor, sorted(single_ues), t_ns, cfg)
 
 
 def evaluate_bo_based(anchor, node, single_ues, t_ns, cfg):
-    """Like the RSRP policy but only for UEs whose transmit queue at the
-    anchor `node` has filled past the occupancy threshold, most backlogged
-    first."""
+    """The first eligible UE whose transmit queue at the anchor `node` has
+    filled past the occupancy threshold, most backlogged first."""
     occupancy = {u: buffer_occupancy(node, u, cfg.ue_queue_bytes)
                  for u in single_ues}
     crossed = [u for u in single_ues if occupancy[u] >= cfg.bo_threshold_frac]
-    requests = []
-    for ue_id in sorted(crossed, key=lambda u: (-occupancy[u], u)):
-        req = _try_request(anchor, ue_id, t_ns, cfg)
-        if req is not None:
-            requests.append(req)
-    return requests
+    crossed.sort(key=lambda u: (-occupancy[u], u))
+    return _first_eligible(anchor, crossed, t_ns, cfg)
 
 
 @dataclass(frozen=True)
@@ -163,6 +127,9 @@ class Policy:
 
     `evaluate(anchor, node, single_ues, t_ns, cfg)` is the anchor-side
     evaluator; None (`off`) disables evaluation and data requests entirely.
+    It ranks `single_ues` and returns the first whose report is fresh and
+    at or above the RSRP floor, or None; it is called only while the
+    anchor's request gate is open, which the caller checks.
     `admission` is the candidate-side mode. The MCS policy goes through the
     full admission (add gate, load headroom, preemptive release). The
     occupancy policy uses the same admission without preemption, so it never
@@ -191,17 +158,16 @@ def policy_for(name):
     }[name]
 
 
-def handle_sn_addition_request(cand_node, cand, req, t_ns, cfg, mode,
-                               release_fn):
-    """Candidate-side admission for one addition request, made for a UE
-    that is unbound and has no reconfiguration pending.
+def handle_sn_addition_request(cand_node, cand, ue_id, t_ns, cfg, mode):
+    """Candidate-side admission for one addition request, made for `ue_id`,
+    which is unbound and has no reconfiguration pending.
 
     `COVERAGE` accepts without load or add-gate checks and leaves the add
     gate alone. `GATED` and `PREEMPTIVE` check, in order, the recent-ack
     gate, load headroom and, for `PREEMPTIVE` only, preemption; an
     overloaded `GATED` candidate simply refuses. Only their ACKs re-arm the
-    add gate. `release_fn(ue_id, cause)` tears down a preempted binding; it
-    must end in `release_secondary`.
+    add gate. A preemptive ACK names its `victim`, whose binding the caller
+    releases; admission itself ends no binding.
     """
     if mode == COVERAGE:
         return Decision(ACK, "coverage")
@@ -215,10 +181,9 @@ def handle_sn_addition_request(cand_node, cand, req, t_ns, cfg, mode,
         reports = cand.reports
         victim_id = max(cand_node.queues,
                         key=lambda u: (_mcs_key(reports[u]), -u))
-        if _mcs_key(reports[victim_id]) > _mcs_key(reports[req.ue_id]):
-            release_fn(victim_id, "preempted")
+        if _mcs_key(reports[victim_id]) > _mcs_key(reports[ue_id]):
             cand.last_ack_ns = t_ns
-            return Decision(ACK, "preempted-weakest")
+            return Decision(ACK, "preempted-weakest", victim_id)
     return Decision(REJECT, "overloaded")
 
 
@@ -248,8 +213,6 @@ def complete_reconfiguration(sim, latency_ns, finalize, *args):
 def release_secondary(cand_node, mn_node, ue_id):
     """Tear down the binding of `ue_id`, which must be bound; its
     secondary-queued PDUs go back to the anchor. Returns their number."""
-    from .traffic_split import reroute_secondary_queue
-
     requeued = reroute_secondary_queue(cand_node, mn_node, ue_id)
     cand_node.remove_ue(ue_id)
     return requeued

@@ -175,7 +175,7 @@ class Scenario:
 
     def _schedule_traffic(self):
         flow = CbrFlow(self.cfg.packet_bytes, self.cfg.cbr_rate_bps)
-        self.sim.schedule_at(flow.start_ns, self._on_arrival, flow)
+        self.sim.schedule_at(0, self._on_arrival, flow)
 
     def _on_arrival(self, flow):
         t = self.sim.now
@@ -277,52 +277,53 @@ class Scenario:
     # ---- secondary-node control ----------------------------------------
 
     def _schedule_evaluations(self):
-        cfg = self.cfg
         self._eval_rng = self.rngs.stream("eval-jitter")
-        period = millis(cfg.eval_period_ms)
-        jitter = millis(cfg.eval_jitter_ms)
-        for sec in self.sectors:
-            anchor = self.anchors[sec.sector_id]
-            mc.init_eval_clock(anchor, jitter, self._eval_rng)
-            self.sim.schedule_at(anchor.next_eval_ns, self._on_eval, anchor,
-                                 period, jitter)
+        for anchor in self.anchors.values():
+            self._schedule_eval(anchor, 0)
 
-    def _on_eval(self, anchor, period, jitter):
+    def _schedule_eval(self, anchor, grid_ns):
+        """The evaluation of grid point `grid_ns` fires after a fresh jitter,
+        so evaluation k fires at k * period + jitter_k and never drifts."""
+        t = grid_ns + round(self._eval_rng.random()
+                            * millis(self.cfg.eval_jitter_ms))
+        if t <= self.end_ns:
+            self.sim.schedule_at(t, self._on_eval, anchor, grid_ns)
+
+    def _on_eval(self, anchor, grid_ns):
         t = self.sim.now
         if mc.request_gate_open(anchor, t, self.cfg):
             node = self.nodes[anchor.node_id]
             single = [u for u in node.queues if u not in self.ntn_node.queues
                       and not self.ues[u].pending_reconfig]
-            for req in self.policy.evaluate(anchor, node, single, t,
-                                            self.cfg):
-                self._dispatch_request(req, t)
+            ue_id = self.policy.evaluate(anchor, node, single, t, self.cfg)
+            if ue_id is not None:
+                self._dispatch_request(ue_id, t)
         # Every evaluation draws its next jitter, gate open or not.
-        mc.advance_eval_clock(anchor, period, jitter, self._eval_rng)
-        if anchor.next_eval_ns <= self.end_ns:
-            self.sim.schedule_at(anchor.next_eval_ns, self._on_eval, anchor,
-                                 period, jitter)
+        self._schedule_eval(anchor, grid_ns + millis(self.cfg.eval_period_ms))
 
-    def _dispatch_request(self, req, t_ns):
+    def _dispatch_request(self, ue_id, t_ns):
         decision = mc.handle_sn_addition_request(
-            self.ntn_node, self.cand, req, t_ns, self.cfg,
-            self.policy.admission, self._release)
+            self.ntn_node, self.cand, ue_id, t_ns, self.cfg,
+            self.policy.admission)
+        ue = self.ues[ue_id]
         if decision.verdict == mc.ACK:
-            self.ues[req.ue_id].pending_reconfig = True
+            if decision.victim is not None:
+                self._release(decision.victim, "preempted")
+            ue.pending_reconfig = True
             mc.complete_reconfiguration(
                 self.sim, millis(self.cfg.ctrl_latency_ms),
-                self._finalize_binding, req)
+                self._finalize_binding, ue)
         else:
-            self._log(t_ns, mc.EV_REJECT, req.ue_id, req.mn_node_id,
-                      NTN_CELL_ID, decision.cause)
+            self._log(t_ns, mc.EV_REJECT, ue_id, ue.mn_node_id, NTN_CELL_ID,
+                      decision.cause)
 
-    def _finalize_binding(self, req):
+    def _finalize_binding(self, ue):
         # `_on_eval` asks only for UEs that are unbound and not pending.
-        assert req.ue_id not in self.ntn_node.queues
-        ue = self.ues[req.ue_id]
+        assert ue.ue_id not in self.ntn_node.queues
         ue.pending_reconfig = False
         ntn_mcs = self.mcs_table.mcs_for_sinr(ue.ntn_sinr_db)
-        self.ntn_node.add_ue(req.ue_id, ntn_mcs)
-        self._log(self.sim.now, mc.EV_ADD, req.ue_id, req.mn_node_id,
+        self.ntn_node.add_ue(ue.ue_id, ntn_mcs)
+        self._log(self.sim.now, mc.EV_ADD, ue.ue_id, ue.mn_node_id,
                   NTN_CELL_ID, self.policy.add_cause)
 
     def _release(self, ue_id, cause):

@@ -21,9 +21,8 @@ from ntnmc.dataplane import Node, PdcpPdu, PdcpReceiver
 from ntnmc.engine import Simulator, millis, seconds
 from ntnmc.geometry import slant_range_m
 from ntnmc.mc_control import (ACK, PREEMPTIVE, REJECT, AnchorState,
-                              CandidateState, Measurement, SnAdditionRequest,
-                              evaluate_mcs_based, handle_sn_addition_request,
-                              release_secondary)
+                              CandidateState, Measurement, evaluate_mcs_based,
+                              handle_sn_addition_request, release_secondary)
 from ntnmc.simulation import Scenario
 from ntnmc.traffic_split import compute_request_amount
 
@@ -161,18 +160,16 @@ def test_scripted_anchor_evaluations():
 
     healthy = _anchor_with_reports({u: (50, -110.0) for u in range(4)},
                                    {u: 16 for u in range(4)})
-    assert evaluate_mcs_based(healthy, None, list(range(4)), 0, cfg) == []
+    assert evaluate_mcs_based(healthy, None, list(range(4)), 0, cfg) is None
 
     no_single = _anchor_with_reports({1: (50, -110.0)}, {1: 3})
-    assert evaluate_mcs_based(no_single, None, [], 0, cfg) == []
+    assert evaluate_mcs_based(no_single, None, [], 0, cfg) is None
 
     weak = _anchor_with_reports({1: (50, -110.0)}, {1: 3})
-    reqs = evaluate_mcs_based(weak, None, [1], 0, cfg)
-    assert len(reqs) == 1
-    assert (reqs[0].ue_id, reqs[0].mn_node_id) == (1, "tn0")
+    assert evaluate_mcs_based(weak, None, [1], 0, cfg) == 1
 
     faint = _anchor_with_reports({1: (50, -112.0)}, {1: 3})
-    assert evaluate_mcs_based(faint, None, [1], 0, cfg) == []
+    assert evaluate_mcs_based(faint, None, [1], 0, cfg) is None
 
 
 def test_scripted_candidate_decisions():
@@ -189,9 +186,9 @@ def test_scripted_candidate_decisions():
             anchor.add_ue(ue, 10)
             cand.add_ue(ue, 22)
             ctrl.reports[ue] = Measurement(0, -110.0, 0.0, mcs)
-        d = handle_sn_addition_request(
-            cand, ctrl, SnAdditionRequest(7, "tn0"), t_ns, cfg, PREEMPTIVE,
-            lambda ue, cause: release_secondary(cand, anchor, ue))
+        d = handle_sn_addition_request(cand, ctrl, 7, t_ns, cfg, PREEMPTIVE)
+        if d.victim is not None:
+            release_secondary(cand, anchor, d.victim)
         return d, cand
 
     d, _ = admit(0.5, {}, 0)

@@ -2,18 +2,17 @@ import dataclasses
 
 import pytest
 
-from ntnmc import mc_control
+from ntnmc import mc_control, simulation
 from ntnmc.channel import McsTable
 from ntnmc.config import POLICIES, ScenarioConfig, load_config
 from ntnmc.dataplane import Node, PdcpPdu
 from ntnmc.engine import Simulator, millis
 from ntnmc.mc_control import (ACK, COVERAGE, GATED, PREEMPTIVE, REJECT,
                               AnchorState, CandidateState, Measurement,
-                              SnAdditionRequest, advance_eval_clock,
                               complete_reconfiguration, evaluate_bo_based,
                               evaluate_mcs_based, evaluate_rsrp_based,
-                              handle_sn_addition_request, init_eval_clock,
-                              policy_for, release_secondary)
+                              handle_sn_addition_request, policy_for,
+                              release_secondary, request_gate_open)
 from ntnmc.simulation import Scenario
 
 CFG = ScenarioConfig()
@@ -55,19 +54,20 @@ def _candidate(fraction, mcs_by_bound_ue=None):
 def _req(ctrl, ue=7, mn_mcs=5):
     """A request for `ue`, whose latest report gives anchor MCS `mn_mcs`."""
     ctrl.reports[ue] = _report(mn_mcs)
-    return SnAdditionRequest(ue, "tn0")
+    return ue
 
 
-def _admit(cand, ctrl, req, t_ns, mode=PREEMPTIVE):
+def _admit(cand, ctrl, ue_id, t_ns, mode=PREEMPTIVE):
     """Admission as a scenario runs it: the anchor also serves every UE
-    bound at the candidate, and a preempted binding ends through
+    bound at the candidate, and the victim an ACK names is released through
     `release_secondary`."""
     anchor = Node(52, TABLE, 100)
     for ue in cand.queues:
         anchor.add_ue(ue, 10)
-    return handle_sn_addition_request(
-        cand, ctrl, req, t_ns, CFG, mode,
-        lambda ue, cause: release_secondary(cand, anchor, ue))
+    d = handle_sn_addition_request(cand, ctrl, ue_id, t_ns, CFG, mode)
+    if d.victim is not None:
+        release_secondary(cand, anchor, d.victim)
+    return d
 
 
 def _anchor_with_occupancy(occupancy):
@@ -85,82 +85,91 @@ def _anchor_with_occupancy(occupancy):
 def test_no_requests_when_all_links_are_healthy():
     ctrl = _anchor_with_reports({u: (50, -110.0) for u in range(4)},
                                 {u: 16 for u in range(4)})
-    assert evaluate_mcs_based(ctrl, None, list(range(4)), 0, CFG) == []
+    assert evaluate_mcs_based(ctrl, None, list(range(4)), 0, CFG) is None
 
 
 def test_no_requests_without_single_connectivity_ues():
     ctrl = _anchor_with_reports({1: (50, -110.0)}, {1: 3})
-    assert evaluate_mcs_based(ctrl, None, [], 0, CFG) == []
+    assert evaluate_mcs_based(ctrl, None, [], 0, CFG) is None
 
 
 def test_weak_ue_with_qualified_candidate_triggers_one_request():
     ctrl = _anchor_with_reports({1: (50, -110.0)}, {1: 3})
-    reqs = evaluate_mcs_based(ctrl, None, [1], 0, CFG)
-    assert len(reqs) == 1
-    req = reqs[0]
-    assert (req.ue_id, req.mn_node_id) == (1, "tn0")
+    assert evaluate_mcs_based(ctrl, None, [1], 0, CFG) == 1
     assert ctrl.last_request_ns == 0
 
 
 def test_weak_ue_with_faint_candidate_stays_single():
     ctrl = _anchor_with_reports({1: (50, -112.0)}, {1: 3})
-    assert evaluate_mcs_based(ctrl, None, [1], 0, CFG) == []
+    assert evaluate_mcs_based(ctrl, None, [1], 0, CFG) is None
     # the faint candidate must not burn the request gate
     assert ctrl.last_request_ns is None
 
 
 def test_rsrp_floor_is_inclusive():
     ctrl = _anchor_with_reports({1: (50, CFG.rsrp_min_dbm)}, {1: 3})
-    assert len(evaluate_mcs_based(ctrl, None, [1], 0, CFG)) == 1
+    assert evaluate_mcs_based(ctrl, None, [1], 0, CFG) == 1
 
 
 def test_measurement_staleness_boundary():
     fresh = _anchor_with_reports({1: (CFG.meas_staleness_ms, -110.0)}, {1: 3})
-    assert len(evaluate_mcs_based(fresh, None, [1], 0, CFG)) == 1
+    assert evaluate_mcs_based(fresh, None, [1], 0, CFG) == 1
     stale = AnchorState("tn0", {
         1: _report(3, -millis(CFG.meas_staleness_ms) - 1)})
-    assert evaluate_mcs_based(stale, None, [1], 0, CFG) == []
+    assert evaluate_mcs_based(stale, None, [1], 0, CFG) is None
 
 
 def test_request_gate_blocks_repeat_asks_to_same_cell():
-    ctrl = _anchor_with_reports({1: (50, -110.0)}, {1: 3, 2: 3})
-    assert len(evaluate_mcs_based(ctrl, None, [1], 0, CFG)) == 1
-    later = millis(50)
-    ctrl.reports[2] = _report(3, later)
-    assert evaluate_mcs_based(ctrl, None, [2], later, CFG) == []
+    ctrl = _anchor_with_reports({1: (50, -110.0)}, {1: 3})
+    assert request_gate_open(ctrl, 0, CFG)
+    assert evaluate_mcs_based(ctrl, None, [1], 0, CFG) == 1
     at_gate = millis(CFG.request_gate_ms)
-    ctrl.reports[2] = _report(3, at_gate)
-    assert len(evaluate_mcs_based(ctrl, None, [2], at_gate, CFG)) == 1
+    assert not request_gate_open(ctrl, millis(50), CFG)
+    assert not request_gate_open(ctrl, at_gate - 1, CFG)
+    assert request_gate_open(ctrl, at_gate, CFG)
 
 
 def test_weakest_reported_ue_goes_first():
     ctrl = _anchor_with_reports({u: (10, -110.0) for u in (1, 2, 3)},
                                 {1: 5, 3: 3})  # ue 2 has no decodable anchor link
-    reqs = evaluate_mcs_based(ctrl, None, [1, 2, 3], 0, CFG)
-    # one cell, so the gate leaves exactly one request: the unreported UE
-    assert [r.ue_id for r in reqs] == [2]
+    # the unreported UE ranks below every decodable anchor link
+    assert evaluate_mcs_based(ctrl, None, [1, 2, 3], 0, CFG) == 2
     assert ctrl.reports[2].mn_mcs is None
 
 
 def test_rsrp_policy_asks_for_every_covered_ue():
     ctrl = _anchor_with_reports({1: (10, -110.0), 2: (10, -112.0)},
                                 {1: 20, 2: 20})
-    reqs = evaluate_rsrp_based(ctrl, None, [1, 2], 0, CFG)
-    assert [r.ue_id for r in reqs] == [1]
+    assert evaluate_rsrp_based(ctrl, None, [1, 2], 0, CFG) == 1
 
 
 def test_bo_policy_prefers_the_most_backlogged():
     ctrl = _anchor_with_reports({u: (10, -110.0) for u in (1, 2, 3)},
                                 {u: 20 for u in (1, 2, 3)})
     anchor = _anchor_with_occupancy({1: 0.85, 2: 0.99, 3: 0.2})
-    reqs = evaluate_bo_based(ctrl, anchor, [1, 2, 3], 0, CFG)
-    assert [r.ue_id for r in reqs] == [2]  # gate spent on the fullest queue
+    assert evaluate_bo_based(ctrl, anchor, [1, 2, 3], 0, CFG) == 2
 
 
 def test_bo_policy_ignores_queues_below_threshold():
     ctrl = _anchor_with_reports({1: (10, -110.0)}, {1: 20})
     anchor = _anchor_with_occupancy({1: 0.5})
-    assert evaluate_bo_based(ctrl, anchor, [1], 0, CFG) == []
+    assert evaluate_bo_based(ctrl, anchor, [1], 0, CFG) is None
+
+
+@pytest.mark.parametrize("evaluate", [evaluate_mcs_based,
+                                      evaluate_rsrp_based, evaluate_bo_based])
+@pytest.mark.parametrize("top_report", [
+    (CFG.meas_staleness_ms + 1, -110.0),
+    (10, CFG.rsrp_min_dbm - 0.5),
+], ids=["stale", "below-rsrp-floor"])
+def test_ineligible_top_ranked_ue_passes_the_ask_on(evaluate, top_report):
+    # UE 1 ranks first under every policy: lower MCS, lower id, fuller
+    # queue. When its report rules it out, UE 2 is asked for instead.
+    ctrl = _anchor_with_reports({1: top_report, 2: (10, -110.0)},
+                                {1: 2, 2: 3})
+    anchor = _anchor_with_occupancy({1: 0.99, 2: 0.9})
+    assert evaluate(ctrl, anchor, [2, 1], 0, CFG) == 2
+    assert ctrl.last_request_ns == 0
 
 
 # --- candidate-side admission ----------------------------------------------
@@ -193,22 +202,18 @@ def test_add_gate_boundary_is_inclusive():
 def test_overloaded_candidate_preempts_strongest_served_ue():
     node, ctrl = _candidate(1.0, {3: 20, 4: 8})
     d = _admit(node, ctrl, _req(ctrl, ue=7, mn_mcs=5), 0)
-    assert (d.verdict, d.cause) == (ACK, "preempted-weakest")
+    assert (d.verdict, d.cause, d.victim) == (ACK, "preempted-weakest", 3)
     assert 3 not in node.queues  # released through release_secondary
     assert 4 in node.queues
     assert ctrl.last_ack_ns == 0
 
 
-def test_preemption_calls_release_hook_when_given():
+def test_preemption_names_its_victim_and_ends_no_binding():
     node, ctrl = _candidate(1.0, {3: 20})
-    released = []
     d = handle_sn_addition_request(node, ctrl, _req(ctrl, ue=7, mn_mcs=5),
-                                   0, CFG, PREEMPTIVE,
-                                   lambda ue, cause:
-                                   released.append((ue, cause)))
-    assert d.verdict == ACK
-    assert released == [(3, "preempted")]
-    assert 3 in node.queues   # only the hook ends a binding
+                                   0, CFG, PREEMPTIVE)
+    assert (d.verdict, d.victim) == (ACK, 3)
+    assert 3 in node.queues   # only the caller's release ends a binding
 
 
 def test_overloaded_candidate_refuses_when_requester_is_not_weaker():
@@ -247,20 +252,20 @@ def test_duplicate_binding_rejected_before_anything_else():
                       n_ue_per_sector=3, policy="rsrp")
     sc = Scenario(cfg, 1)
     bound, pending, free = sorted(sc.nodes[0].queues)
-    req = SnAdditionRequest(bound, 0)
-    sc.ues[bound].pending_reconfig = True
-    sc._finalize_binding(req)
+    ue = sc.ues[bound]
+    ue.pending_reconfig = True
+    sc._finalize_binding(ue)
     sc.ues[pending].pending_reconfig = True
     asked = []
     sc.policy = dataclasses.replace(
-        sc.policy, evaluate=lambda a, n, single, t, c: asked.extend(single) or [])
-    sc._on_eval(sc.anchors[0], millis(cfg.eval_period_ms), 0)
+        sc.policy, evaluate=lambda a, n, single, t, c: asked.extend(single))
+    sc._on_eval(sc.anchors[0], 0)
     assert asked == [free]
 
     before = (dict(sc.ntn_node.queues), list(sc.events),
               sc.ues[bound].pending_reconfig)
     with pytest.raises(AssertionError):
-        sc._finalize_binding(req)
+        sc._finalize_binding(ue)
     assert (dict(sc.ntn_node.queues), list(sc.events),
             sc.ues[bound].pending_reconfig) == before
 
@@ -284,13 +289,31 @@ class _StubRng:
         return self._vals.pop(0)
 
 
-def test_eval_clock_jitter_resampled_each_period():
-    ctrl = AnchorState("tn0", {})
-    init_eval_clock(ctrl, millis(1.0), _StubRng([0.25, 0.75]))
-    assert ctrl.next_eval_ns == 250_000
-    advance_eval_clock(ctrl, millis(10.0), millis(1.0), _StubRng([0.75]))
+def test_eval_clock_jitter_resampled_each_period(monkeypatch):
+    # One draw per sector at build, in sector order, then one per
+    # evaluation, including the draws for the grid point past the end.
+    stub = _StubRng([0.25] * 3 + [0.75] * 3 + [0.5] * 3 + [0.0] * 3
+                    + [0.9] * 3)
+    streams = simulation.RngStreams.stream
+    monkeypatch.setattr(
+        simulation.RngStreams, "stream",
+        lambda rngs, name: stub if name == "eval-jitter"
+        else streams(rngs, name))
+    fired = []
+    original = Scenario._on_eval
+
+    def on_eval(sc, anchor, grid_ns):
+        fired.append((sc.sim.now, anchor.node_id))
+        original(sc, anchor, grid_ns)
+
+    monkeypatch.setattr(Scenario, "_on_eval", on_eval)
+    cfg = load_config(None, environ={}, n_sites=1, sim_duration_s=0.035,
+                      warmup_s=0.01, eval_period_ms=10.0, eval_jitter_ms=1.0)
+    Scenario(cfg, 1).run_to_end()
     # period anchors at multiples of 10 ms, jitter re-drawn each time
-    assert ctrl.next_eval_ns == 10_750_000
+    assert fired == [(millis(t), s) for t in (0.25, 10.75, 20.5, 30.0)
+                     for s in range(3)]
+    assert stub._vals == []
 
 
 def test_reconfiguration_completes_after_three_message_delays():
@@ -337,14 +360,16 @@ def test_anchor_mcs_refresh_reaches_binding():
     ue.tn_sinr_db = TABLE.thresholds_db[10]
     sc._on_measurement(ue, millis(cfg.meas_period_ms))
     ue.pending_reconfig = True
-    sc._finalize_binding(SnAdditionRequest(bound, 0))
+    sc._finalize_binding(ue)
     sc.reports[requester] = _report(5)
     sc.ntn_node.load.record(sc.ntn_node.n_res)
 
     def admit():
-        return handle_sn_addition_request(
-            sc.ntn_node, sc.cand, SnAdditionRequest(requester, 0), 0, cfg,
-            PREEMPTIVE, sc._release)
+        d = handle_sn_addition_request(sc.ntn_node, sc.cand, requester, 0,
+                                       cfg, PREEMPTIVE)
+        if d.victim is not None:
+            sc._release(d.victim, "preempted")
+        return d
 
     ue.tn_sinr_db = TABLE.thresholds_db[2]
     sc._on_measurement(ue, millis(cfg.meas_period_ms))

@@ -12,8 +12,7 @@ from ntnmc.config import (POLICIES, PRBS_BY_BANDWIDTH_MHZ, ConfigError,
 from ntnmc.dataplane import CbrFlow, Node, PdcpPdu, PdcpReceiver, _equal_share
 from ntnmc.engine import Simulator, millis, seconds
 from ntnmc.mc_control import (ACK, PREEMPTIVE, CandidateState, Measurement,
-                              SnAdditionRequest, handle_sn_addition_request,
-                              release_secondary)
+                              handle_sn_addition_request, release_secondary)
 from ntnmc.simulation import Scenario
 from ntnmc.stats import percentile
 
@@ -21,16 +20,17 @@ CFG = ScenarioConfig()
 TABLE = McsTable.default()
 
 
-def _admit(cand, ctrl, req, t_ns):
+def _admit(cand, ctrl, ue_id, t_ns):
     """Admission as a scenario runs it: the anchor also serves every UE
-    bound at the candidate, and a preempted binding ends through
+    bound at the candidate, and the victim an ACK names is released through
     `release_secondary`."""
     anchor = Node(52, TABLE, 100)
     for ue in cand.queues:
         anchor.add_ue(ue, 10)
-    return handle_sn_addition_request(
-        cand, ctrl, req, t_ns, CFG, PREEMPTIVE,
-        lambda ue, cause: release_secondary(cand, anchor, ue))
+    d = handle_sn_addition_request(cand, ctrl, ue_id, t_ns, CFG, PREEMPTIVE)
+    if d.victim is not None:
+        release_secondary(cand, anchor, d.victim)
+    return d
 
 
 @settings(deadline=None, max_examples=100)
@@ -81,7 +81,7 @@ def test_acks_never_violate_the_add_gate(reqs):
         t += dt
         node.load.record(round(load * node.n_res))
         ctrl.reports[ue] = Measurement(t, -110.0, 0.0, mcs)
-        d = _admit(node, ctrl, SnAdditionRequest(ue, "tn0"), t)
+        d = _admit(node, ctrl, ue, t)
         if d.verdict == ACK:
             ack_times.append(t)
             node.add_ue(ue, 22)
@@ -97,11 +97,10 @@ class _RequestLedger(Scenario):
         self.engaged_requests = []
         super()._build()
 
-    def _dispatch_request(self, req, t_ns):
-        if (req.ue_id in self.ntn_node.queues
-                or self.ues[req.ue_id].pending_reconfig):
-            self.engaged_requests.append((t_ns, req.ue_id))
-        super()._dispatch_request(req, t_ns)
+    def _dispatch_request(self, ue_id, t_ns):
+        if ue_id in self.ntn_node.queues or self.ues[ue_id].pending_reconfig:
+            self.engaged_requests.append((t_ns, ue_id))
+        super()._dispatch_request(ue_id, t_ns)
 
 
 @settings(deadline=None, max_examples=25)
