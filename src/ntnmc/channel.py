@@ -133,9 +133,6 @@ class McsTable:
         idx = bisect_right(self.thresholds_db, sinr_db) - 1
         return idx if idx >= 0 else None
 
-    def efficiency(self, mcs):
-        return self.efficiencies[mcs]
-
     @classmethod
     def default(cls):
         return cls(DEFAULT_MCS_THRESHOLDS_DB, DEFAULT_MCS_EFFICIENCIES)

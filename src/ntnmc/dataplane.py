@@ -7,7 +7,7 @@ blocks are sized as floor(efficiency * REs) bytes; PDUs may be segmented
 across TTIs and count as delivered when their last byte arrives.
 """
 
-import math
+from math import ceil
 from collections import deque
 from dataclasses import dataclass
 
@@ -23,11 +23,6 @@ PATH_SN = "via_sn"
 
 def res_per_tti(n_prb):
     return n_prb * SUBCARRIERS_PER_PRB * SYMBOLS_PER_TTI
-
-
-def transport_block_bits(efficiency, n_res):
-    """TB size for an allocation, floored to whole bytes."""
-    return (int(efficiency * n_res) // 8) * 8
 
 
 class PdcpPdu:
@@ -73,9 +68,6 @@ class UeTxQueue:
         pdu = self.pending.popleft()
         self.queued_bits -= pdu.bits
         return pdu
-
-    def remaining_bits(self):
-        return self.queued_bits - self.served_bits
 
     def take(self, budget_bits):
         """Consume up to `budget_bits`; returns the PDUs completed."""
@@ -171,54 +163,53 @@ def buffer_occupancy(node, ue_id, max_queue_bytes):
     return (node.queued_bits(ue_id) / 8.0) / max_queue_bytes
 
 
-def _equal_share(needs, total):
-    """Split `total` REs over UEs whose needs in REs are `needs`, listed in
-    priority order, by water-filling: repeated equal rounds over the UEs
-    whose need is not met yet. Returns the grants in the same order.
+def max_min_share(needs, total, first):
+    """Max-min fair split of `total` REs over UEs whose needs in REs are
+    `needs`; returns the grants in the same order.
 
-    Within one round the caps differ by at most one RE, the remainder going
-    to the earliest UEs; a later round's remainder can go back to those same
-    UEs, so grants of one call can differ by more (`[1, 100, 100, 100]`
-    over 11 REs gives `[1, 4, 4, 2]`). Callers rotate the priority order
-    across TTIs so the remainder circulates.
+    Walking the needs in ascending order, a need is granted in full while
+    it fits under the equal share of what is left (`need * left <=
+    remaining`). The UEs whose needs do not fit split the rest equally, and
+    the REs that do not divide go one each to the first of them in cyclic
+    order from position `first`. When the smallest need exceeds the equal
+    share of `total`, no need fits and the sort is skipped.
     """
-    alloc = [0] * len(needs)
-    active = [i for i, need in enumerate(needs) if need > 0]
+    n = left = len(needs)
     remaining = total
-    while remaining > 0 and active:
-        share, extra = divmod(remaining, len(active))
-        still = []
-        for k, i in enumerate(active):
-            give = needs[i] - alloc[i]
-            cap = share + (k < extra)
-            if give > cap:
-                give = cap
-                still.append(i)
-            alloc[i] += give
-            remaining -= give
-        if len(still) == len(active):
-            break
-        active = still
-    return alloc
+    if min(needs) * n <= total:
+        for need in sorted(needs):
+            if need * left > remaining:
+                break
+            remaining -= need
+            left -= 1
+        else:
+            return list(needs)
+    # Granted needs are at or below `share`, the others above it.
+    share, extra = divmod(remaining, left)
+    grants = [need if need <= share else share for need in needs]
+    j = first
+    while extra:
+        if needs[j] > share:
+            grants[j] += 1
+            extra -= 1
+        j = (j + 1) % n
+    return grants
 
 
-def schedule_tti(node, t_ns):
-    """Run one TTI of round-robin scheduling at `node`.
+def schedule_tti(node):
+    """Run one TTI of max-min fair scheduling at `node`.
 
-    Backlogged UEs split the node's REs equally with the remainder rotating.
-    Returns [(ue_id, n_res, mcs, completed_pdus)] and records this TTI in
-    the node's load tracker.
-
-    A UE's need is ceil(x) REs, x = its unsent bits over its efficiency.
-    The equal share is an integer, so ceil(x) > share exactly when
-    x > share: when the smallest x exceeds it, every UE takes the share in
-    one round and the needs are never built. Otherwise `_equal_share`
-    water-fills over the needs.
+    Each backlogged UE needs ceil(unsent bits / efficiency) REs, and
+    `max_min_share` splits the node's REs over those needs, the remainder
+    starting at a position that advances by one every TTI. Returns
+    [(ue_id, n_res, mcs, completed_pdus)] and records this TTI in the
+    node's load tracker. A transport block is floor(efficiency * REs)
+    bits, floored to whole bytes.
     """
     ue_mcs = node.ue_mcs
     eff = node.mcs_table.efficiencies
-    hungry = []             # (ue_id, queue, mcs, x) of each backlogged UE
-    min_x = math.inf
+    hungry = []             # (ue_id, queue, mcs) of each backlogged UE
+    needs = []
     for ue_id, q in node.queues.items():
         mcs = ue_mcs[ue_id]
         if mcs is None:
@@ -226,35 +217,21 @@ def schedule_tti(node, t_ns):
         bits = q.queued_bits - q.served_bits
         if bits <= 0:
             continue
-        x = bits / eff[mcs]
-        if x < min_x:
-            min_x = x
-        hungry.append((ue_id, q, mcs, x))
-    n = len(hungry)
-    if not n:
+        hungry.append((ue_id, q, mcs))
+        needs.append(ceil(bits / eff[mcs]))
+    if not hungry:
         node.load.record(0)
         return []
 
-    total = node.n_res
-    cur = node._rr % n
+    alloc = max_min_share(needs, node.n_res, node._rr % len(hungry))
     node._rr += 1
-    share, extra = divmod(total, n)
-    if min_x > share:
-        # The remainder goes to the first `extra` UEs from the rotation
-        # point `cur` on.
-        alloc = [share + ((j - cur) % n < extra) for j in range(n)]
-    else:
-        needs = [math.ceil(h[3]) for h in hungry]
-        alloc = _equal_share(needs[cur:] + needs[:cur], total)
-        alloc = alloc[n - cur:] + alloc[:n - cur]
-
     out = []
     granted = 0
-    for (ue_id, q, mcs, _x), n_res in zip(hungry, alloc):
+    for (ue_id, q, mcs), n_res in zip(hungry, alloc):
         if n_res <= 0:
             continue
         granted += n_res
-        tb_bits = (int(eff[mcs] * n_res) // 8) * 8  # transport_block_bits
+        tb_bits = (int(eff[mcs] * n_res) // 8) * 8
         head = q.in_service
         if head is not None and q.served_bits + tb_bits < head.bits:
             # The PDU in service does not complete: the common case.

@@ -88,9 +88,6 @@ class Simulator:
         """Discard every event not yet fired."""
         self._queue.clear()
 
-    def pending(self):
-        return sum(1 for _t, _seq, ev in self._queue if not ev.cancelled)
-
 
 def _derive_seed(campaign_seed, run_index, name):
     # SHA-256 keyed by (campaign seed, run, stream name): platform-stable and

@@ -218,12 +218,12 @@ class Scenario:
         ues = self.ues
         tbs = []
         for node in self.sector_nodes:
-            for ue_id, _res, _mcs, done in schedule_tti(node, t):
+            for ue_id, _res, _mcs, done in schedule_tti(node):
                 if done:
                     tbs.append(self._launch_tb(ues[ue_id], done))
         if tbs:
             self.sim.schedule_in(self.tn_latency_ns, self._deliver_tb, tbs)
-        for ue_id, _res, _mcs, done in schedule_tti(self.ntn_node, t):
+        for ue_id, _res, _mcs, done in schedule_tti(self.ntn_node):
             if done:
                 ue = ues[ue_id]
                 self.sim.schedule_in(ue.ntn_delay_ns, self._deliver_tb,

@@ -1,8 +1,8 @@
 """End-to-end acceptance checks on the default campaign.
 
 The module fixture runs the full default campaign (four settings, seeds
-1..15) once; the comparative tests read from it. Expect a few minutes of
-wall time for this module.
+1..15) once, over two worker processes; the comparative tests read from
+it. Expect a minute or two of wall time for this module.
 """
 
 import dataclasses
@@ -35,7 +35,7 @@ TABLE = McsTable.default()
 def campaign():
     cfg = load_config(None, environ={})
     t0 = time.monotonic()
-    summaries, results = run_campaign(cfg, list(SETTINGS), SEEDS, jobs=1)
+    summaries, results = run_campaign(cfg, list(SETTINGS), SEEDS, jobs=2)
     elapsed = time.monotonic() - t0
     by_setting = {s.setting: s for s in summaries}
     runs = {p: [r for r in results if r.policy == p] for p in SETTINGS}

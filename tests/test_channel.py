@@ -39,8 +39,8 @@ def test_mcs_table_defaults():
     assert len(DEFAULT_MCS_EFFICIENCIES) == 32
     assert table.thresholds_db[0] == -9.5
     assert table.thresholds_db[22] == 12.5
-    assert table.efficiency(21) == 4.5234
-    assert table.efficiency(22) == 4.8164
+    assert table.efficiencies[21] == 4.5234
+    assert table.efficiencies[22] == 4.8164
     assert table.mcs_for_sinr(12.7) == 22
     assert table.mcs_for_sinr(-9.5) == 0
     assert table.mcs_for_sinr(-50.0) is None

@@ -1,7 +1,7 @@
 from ntnmc.channel import McsTable
 from ntnmc.dataplane import (CbrFlow, LoadTracker, Node, PdcpPdu,
                              PdcpReceiver, UeTxQueue, buffer_occupancy,
-                             res_per_tti, schedule_tti, transport_block_bits)
+                             res_per_tti, schedule_tti)
 from ntnmc.engine import Simulator, millis
 
 TABLE = McsTable.default()
@@ -9,13 +9,6 @@ TABLE = McsTable.default()
 
 def test_resource_grid_size():
     assert res_per_tti(52) == 8736
-
-
-def test_transport_block_floors_to_whole_bytes():
-    # int(4.5234 * 8736) = 39516, floored to a byte multiple
-    assert transport_block_bits(4.5234, 8736) == 39512
-    assert transport_block_bits(4.5234, 8736) % 8 == 0
-    assert transport_block_bits(1.0, 7) == 0
 
 
 def _node(n_prb=52, window=100):
@@ -33,8 +26,10 @@ def test_two_backlogged_ues_split_the_grid_evenly():
     node.add_ue(2, 10)
     _backlog(node, 1)
     _backlog(node, 2)
-    grants = {ue: n_res for ue, n_res, _m, _d in schedule_tti(node, 0)}
+    grants = {ue: n_res for ue, n_res, _m, _d in schedule_tti(node)}
     assert grants == {1: 4368, 2: 4368}
+    # int(1.6953 * 4368) = 7405 bits, floored to a whole byte
+    assert [node.queues[ue].served_bits for ue in (1, 2)] == [7400, 7400]
 
 
 def test_equal_share_remainder_rotates():
@@ -43,8 +38,8 @@ def test_equal_share_remainder_rotates():
         node.add_ue(ue, 10)
         _backlog(node, ue, n_pdus=200)
     totals = {ue: 0 for ue in (1, 2, 3, 4, 5)}
-    for t in range(5):
-        for ue, n_res, _m, _d in schedule_tti(node, t):
+    for _ in range(5):
+        for ue, n_res, _m, _d in schedule_tti(node):
             totals[ue] += n_res
     # 8736 = 5 * 1747 + 1; over 5 TTIs the +1 visits every UE once
     assert set(totals.values()) == {5 * 1747 + 1}
@@ -54,7 +49,7 @@ def test_ue_without_mcs_is_never_scheduled():
     node = _node()
     node.add_ue(1, None)
     _backlog(node, 1)
-    assert schedule_tti(node, 0) == []
+    assert schedule_tti(node) == []
     # the idle TTI still lands in the load window
     assert node.load.fraction() == 0.0
 
@@ -62,7 +57,7 @@ def test_ue_without_mcs_is_never_scheduled():
 def test_empty_queues_leave_load_at_zero():
     node = _node()
     node.add_ue(1, 10)
-    assert schedule_tti(node, 0) == []
+    assert schedule_tti(node) == []
     assert node.load.fraction() == 0.0
 
 
@@ -90,16 +85,16 @@ def test_tx_queue_segmentation_and_accounting():
     b = PdcpPdu(1, 1, 12000, 0)
     q.push(a)
     q.push(b)
-    assert q.remaining_bits() == 24000
+    assert q.queued_bits - q.served_bits == 24000
 
     done = q.take(15000)
     assert done == [a]
     assert q.in_service is b
-    assert q.remaining_bits() == 9000
+    assert q.queued_bits - q.served_bits == 9000
 
     done = q.take(9000)
     assert done == [b]
-    assert q.remaining_bits() == 0
+    assert q.queued_bits - q.served_bits == 0
     assert q.in_service is None
 
 
@@ -110,7 +105,7 @@ def test_tx_queue_drain_returns_service_slot_first():
         q.push(p)
     q.take(3000)  # partially serve pdus[0]
     assert q.drain_all() == pdus
-    assert q.remaining_bits() == 0
+    assert q.queued_bits - q.served_bits == 0
 
 
 def test_tx_queue_push_front_orders_ahead():

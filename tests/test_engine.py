@@ -4,6 +4,11 @@ from ntnmc.engine import (NS_PER_MS, NS_PER_S, RngStreams, SchedulingError,
                           Simulator, millis, seconds)
 
 
+def live_events(sim):
+    """Events queued and not cancelled."""
+    return sum(1 for _t, _seq, ev in sim._queue if not ev.cancelled)
+
+
 def test_time_helpers_round_to_integer_ns():
     assert seconds(5.0) == 5 * NS_PER_S
     assert millis(2.5) == 2_500_000
@@ -47,12 +52,12 @@ def test_cancelled_events_do_not_fire():
     fired = []
     ev = sim.schedule_at(10, fired.append, "x")
     sim.schedule_at(10, fired.append, "y")
-    assert sim.pending() == 2
+    assert live_events(sim) == 2
     ev.cancel()
-    assert sim.pending() == 1
+    assert live_events(sim) == 1
     sim.run_until(20)
     assert fired == ["y"]
-    assert sim.pending() == 0
+    assert live_events(sim) == 0
 
 
 def test_handler_can_schedule_at_current_time():
@@ -76,7 +81,7 @@ def test_run_until_does_not_dispatch_future_events():
     sim.schedule_at(30, fired.append, "later")
     sim.run_until(20)
     assert fired == ["now"]
-    assert sim.pending() == 1
+    assert live_events(sim) == 1
 
 
 def test_rng_streams_are_reproducible_and_independent():

@@ -37,17 +37,17 @@ TEN_MS_CTRL_LATENCY = dict(TWO_SECONDS, ctrl_latency_ms=10.0,
 
 ARTIFACT_SHA256 = {
     "cdf_bo.csv":
-        "b75aed8930c3d0a762cdd09e862fc9d8089fc45709d6df30f4e70a4c9e85abec",
+        "353fd443e017a577824371b14dfb9136c131a5f5791ca14a64bb12ff57f9a636",
     "cdf_mcs.csv":
-        "a3f973eb437ef5352feb3f6b575dc9e6f4676a00ba60cb658b3a1ef2b07573cd",
+        "8d4e175538305407ad2aed10ed40f83f8d7af1e6e363624509a0b9f12bbc1e64",
     "cdf_off.csv":
-        "c8ec2ea7fef8cbf3f64ff24e45e7420b61fa435d4a4f0729b7b1ad3b2e51b62e",
+        "f9a91fbde7e1f920c0c69fc30f226fe5f76beb1dff1fa9d05363437d64de12d7",
     "cdf_rsrp.csv":
         "1d7b2046c3d8705a8f0a058e1b60c2280d3b6335030f97e584df967da9d706c5",
     "events_bo_1.csv":
         "df2555696259fe86dfc50987735ba30b6851a1da50fac15c207c0bd4d27bb05f",
     "events_bo_2.csv":
-        "f5c31cc8f50e1385551b669f16289f81aeeb7be3be1f26427b1793a9ef366d21",
+        "07b6726a77727984cdebc1c2b3b92277fc933a3e8e5e5d640dc4c73a2615f8fb",
     "events_mcs_1.csv":
         "04136837dc858e4d9d4c454dcfad13367c6bb4c332e504cc6a110220a08304d7",
     "events_mcs_2.csv":
@@ -61,30 +61,30 @@ ARTIFACT_SHA256 = {
     "events_rsrp_2.csv":
         "1a9e1f388aa41a2631b9f7fca08df7daf6c9f25b71adbb722f6798eded933dd9",
     "manifest.json":
-        "69e7b33677fae0ee9da8fb0039a122c4359500d9c036ca2282c6b04d45c968fe",
+        "36a4a897e8bf1419dca30d033182175ae31b4b87dc7cc73be96796c51750c760",
     "summary.csv":
-        "03c1bf5c888a19844482952008eda702a91128f4f24b9e8e6bb5b24c18520588",
+        "f20fa83ca1ecb05f6ece2f38db2703c3d337f1df1874355ed341d945d587db09",
 }
 
 TN_LATENCY_ONE_TTI_SHA256 = {
-    "mcs": "d4fd1960a04ea7a979d86fafa4c0578f1d0e4234a77bc0d6814c15a762abf7a2",
-    "rsrp": "5153c79569eb6af2bab97ea96d7bf5c74ffef3e1378d2eb797d164eabe94de4f",
-    "bo": "046f009ef2f759c943ed2d7ee54d415b6bd5f58dad90bda60e53acf139417947",
-    "off": "3a95084ffc3b0e412992939e44cb917fdc17c540535d3fd78af61485211f4509",
+    "mcs": "bbeb5635d32b7e5be12d9932e7ca7a0897a688c8cbf536e771f1d12ca05b4462",
+    "rsrp": "3274837f32ca4ed7f62b039de30add9cb9d25a45e4b0f4b1b986fab648de9c12",
+    "bo": "ecfe700f5bdbd12d2369d26076b81d50bfaa6c3930f4c60db4bbbe64b7dc5e99",
+    "off": "9a6de91d326be7159d19dfdca7f8384f665a637871a8a3b1a1b0588dd99b91ca",
 }
 
 TN_LATENCY_ZERO_SHA256 = {
-    "mcs": "999fe0e238e112d99d5be12fb8fdbe29d873c33dd0172ad29e5b29f1df2f57f3",
+    "mcs": "70dae7b90344fbe860bc56146f43af8c7d23847fa516a275963cb17f91f8c080",
     "rsrp": "7dcbae9ee004649eaf3533ea49c38e634ff50290286af0deabf7db21313b7569",
-    "bo": "7d8937801a649c7678b16b15e8f8cf718e56a9af34506a9e5f39b1326a4eb323",
-    "off": "09d92bcd769119d3018c3d06a7f8e982f9675d0e414feb7a260a9d6d96ed9772",
+    "bo": "6ae7d0cfd04fbda900c5b4c15e8234940a427dab89bb830d310541cd828fb5d2",
+    "off": "d96659147784360ff0394350d9599017058b40cd22df7e0708e3b06f2b60ed63",
 }
 
 CTRL_LATENCY_TEN_MS_SHA256 = {
-    "mcs": "8560a07f8b635db7f5d4988ba4aa5646522583296bd140b4c96e496c58659aad",
-    "rsrp": "d38380904be194e0ba010475c086ff1e5fb48d503c8b09b74233475a2440e0ab",
-    "bo": "b43936b02ce9d41bd689eb4364597f17be1086c2b9b7903d4e226458d68a2065",
-    "off": "b28b9a08cd311c774af0e88640732d8b33b50a6ceccf7bc3ed20f9b13c6df237",
+    "mcs": "7103c95fae588d31400c53e7ab37e6a3dc25a56673030daba41a55c83e59fd92",
+    "rsrp": "8894d1d91e4efcf952189b6459fb3fdf7a12353fa2474f62c75bd618ed2c43e9",
+    "bo": "dee0a07454165f91d9a92ac69e4e64f4dc44768804929bec3f11e262b41f6163",
+    "off": "0cef19ed093d128b68d23a08aa394637c21e7c5152efa4782bbf3056b5c189be",
 }
 
 

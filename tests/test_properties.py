@@ -9,7 +9,8 @@ from ntnmc import simulation
 from ntnmc.channel import McsTable
 from ntnmc.config import (POLICIES, PRBS_BY_BANDWIDTH_MHZ, ConfigError,
                           ScenarioConfig, load_config)
-from ntnmc.dataplane import CbrFlow, Node, PdcpPdu, PdcpReceiver, _equal_share
+from ntnmc.dataplane import (CbrFlow, Node, PdcpPdu, PdcpReceiver,
+                             max_min_share)
 from ntnmc.engine import Simulator, millis, seconds
 from ntnmc.mc_control import (ACK, PREEMPTIVE, CandidateState, Measurement,
                               handle_sn_addition_request, release_secondary)
@@ -128,33 +129,10 @@ def test_bound_ue_never_gets_a_second_ack(policy, latency_ms, gate_ms, seed):
         assert kinds == (["ADD", "RELEASE"] * len(kinds))[:len(kinds)]
 
 
-def water_filling(order, needs, total):
-    """Reference for `_equal_share`: repeated equal rounds over the UEs whose
-    need is not met yet, the remainder of each round to the earliest."""
-    alloc = dict.fromkeys(order, 0)
-    active = [u for u in order if needs[u] > 0]
-    remaining = total
-    while remaining > 0 and active:
-        share, extra = divmod(remaining, len(active))
-        if share == 0 and extra == 0:
-            break
-        still = []
-        for i, ue in enumerate(active):
-            give = min(needs[ue] - alloc[ue], share + (1 if i < extra else 0))
-            alloc[ue] += give
-            remaining -= give
-            if alloc[ue] < needs[ue]:
-                still.append(ue)
-        if len(still) == len(active):
-            break
-        active = still
-    return alloc
-
-
 @st.composite
 def share_inputs(draw):
-    """(needs, total) with needs drawn freely or right at the first equal
-    share of `total`, where the single-round result and water-filling
+    """(needs, total, first) with needs drawn freely or right at the equal
+    share of `total`, where granting a need in full and splitting equally
     could part."""
     n = draw(st.integers(1, 12))
     total = draw(st.integers(0, 30_000))
@@ -162,30 +140,35 @@ def share_inputs(draw):
     near = st.sampled_from([max(0, share - 1), share, share + 1])
     needs = draw(st.lists(st.one_of(st.integers(0, 20_000), near),
                           min_size=n, max_size=n))
-    return needs, total
+    return needs, total, draw(st.integers(0, n - 1))
 
 
 @settings(deadline=None, max_examples=300)
-@given(st.one_of(st.tuples(st.lists(st.integers(0, 20_000), min_size=1,
-                                    max_size=12),
-                           st.integers(0, 30_000)),
-                 share_inputs()))
-def test_equal_share_is_feasible_and_fair(case):
-    needs_list, total = case
-    order = list(range(len(needs_list)))
-    needs = dict(enumerate(needs_list))
-    alloc = dict(zip(order, _equal_share(needs_list, total)))
-    assert alloc == water_filling(order, needs, total)
-    assert set(alloc) == set(order)
-    assert all(0 <= alloc[u] <= needs[u] for u in order)
-    assert sum(alloc.values()) <= total
-    if sum(needs.values()) >= total:
-        assert sum(alloc.values()) == total
-    else:
-        assert alloc == needs
-    if needs_list and len(set(needs_list)) == 1 and sum(needs.values()) >= total:
-        spread = max(alloc.values()) - min(alloc.values())
-        assert spread <= 1
+@given(share_inputs())
+@example(([1, 100, 100, 100], 11, 0))
+@example(([924, 926, 925, 926, 926], 4_626, 3))
+def test_max_min_share_is_feasible_and_fair(case):
+    needs, total, first = case
+    grants = max_min_share(needs, total, first)
+    assert len(grants) == len(needs)
+    assert all(0 <= g <= need for g, need in zip(grants, needs))
+    assert sum(grants) == min(total, sum(needs))
+    # max-min: a UE left short of its need is at most one RE below any grant
+    top = max(grants)
+    assert all(g >= top - 1 for g, need in zip(grants, needs) if g < need)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 12), st.integers(0, 30_000), st.integers(1, 10_000))
+def test_max_min_share_rotates_the_remainder(n, total, above):
+    # n equal needs above the share: over n calls with `first` rotating,
+    # each UE takes the remainder RE equally often.
+    needs = [total // n + above] * n
+    totals = [0] * n
+    for first in range(n):
+        for j, g in enumerate(max_min_share(needs, total, first)):
+            totals[j] += g
+    assert totals == [total] * n
 
 
 @settings(deadline=None, max_examples=100)

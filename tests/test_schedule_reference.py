@@ -1,12 +1,12 @@
-"""`schedule_tti` against a reference copy of the scheduler.
+"""`schedule_tti` against a plain max-min fair oracle.
 
-`reference_schedule_tti` and `reference_equal_share` are the scheduler as
-it stood before the one-pass rewrite, copied verbatim: one loop building
-each backlogged UE's need in REs, a rotated order, the equal share
-(single round or water-filling) in a dict, and `take` for every grant. The
-property drives both on equal copies of a random node for several TTIs and
-requires the same grants, the same queue state, the same rotation counter
-and the same load window.
+`max_min_oracle` water-fills in rounds, written for clarity rather than
+speed; `reference_schedule_tti` computes each backlogged UE's need in REs,
+asks the oracle for the grants, and sends a whole-byte transport block per
+grant through `take`. The property drives the scheduler and the reference
+on equal copies of a random node for several TTIs and requires the same
+grants, the same queue state, the same rotation counter and the same load
+window.
 """
 
 import math
@@ -15,83 +15,61 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ntnmc.channel import McsTable
-from ntnmc.dataplane import (Node, PdcpPdu, res_per_tti, schedule_tti,
-                             transport_block_bits)
+from ntnmc.dataplane import (Node, PdcpPdu, max_min_share, res_per_tti,
+                             schedule_tti)
 
 TABLE = McsTable.default()
 
 
-def reference_equal_share(order, needs, total):
-    """Split `total` REs equally over `order`, capped by per-UE need.
-
-    The integer remainder goes to the earliest entries of `order`; callers
-    rotate `order` across TTIs so the remainder circulates and any two
-    backlogged UEs stay within one RE of each other over a 10 TTI window.
-    """
-    if order:
-        # Common round: every need exceeds the first equal share, so the
-        # water-filling below would end after one round with this result.
-        share, extra = divmod(total, len(order))
-        if min(needs[u] for u in order) > share:
-            return {ue: share + (i < extra) for i, ue in enumerate(order)}
-    alloc = dict.fromkeys(order, 0)
-    active = [u for u in order if needs[u] > 0]
-    remaining = total
-    while remaining > 0 and active:
-        share, extra = divmod(remaining, len(active))
-        if share == 0 and extra == 0:
+def max_min_oracle(needs, total, first):
+    """Max-min fair grants of `total` REs over `needs`, by rounds: each
+    round gives every UE still short of its need an equal share of the REs
+    left, capped at what it still needs. When the REs left are fewer than
+    the UEs short, they go one each to those UEs in cyclic order from
+    position `first`."""
+    n = len(needs)
+    grants = [0] * n
+    left = total
+    while left > 0:
+        short = [j for j in range(n) if grants[j] < needs[j]]
+        if not short:
             break
-        still = []
-        for i, ue in enumerate(active):
-            give = min(needs[ue] - alloc[ue], share + (1 if i < extra else 0))
-            alloc[ue] += give
-            remaining -= give
-            if alloc[ue] < needs[ue]:
-                still.append(ue)
-        if len(still) == len(active):
+        share = left // len(short)
+        if share == 0:
+            short.sort(key=lambda j: (j - first) % n)
+            for j in short[:left]:
+                grants[j] += 1
             break
-        active = still
-    return alloc
+        for j in short:
+            give = min(share, needs[j] - grants[j])
+            grants[j] += give
+            left -= give
+    return grants
 
 
-def reference_schedule_tti(node, t_ns):
-    """Run one TTI of round-robin scheduling at `node`.
-
-    Backlogged UEs split the node's REs equally with the remainder rotating.
-    Returns [(ue_id, n_res, mcs, completed_pdus)] and records this TTI in
-    the node's load tracker.
-    """
-    queues = node.queues
-    ue_mcs = node.ue_mcs
+def reference_schedule_tti(node):
+    """One TTI at `node`, the grants taken from `max_min_oracle`."""
     eff = node.mcs_table.efficiencies
-    hungry = []
-    needs = {}
-    for ue_id, q in queues.items():
-        mcs = ue_mcs[ue_id]
-        if mcs is None:
-            continue
-        bits = q.remaining_bits()
-        if bits <= 0:
-            continue
-        hungry.append(ue_id)
-        needs[ue_id] = math.ceil(bits / eff[mcs])
-
+    hungry = [ue for ue, q in node.queues.items()
+              if node.ue_mcs[ue] is not None
+              and q.queued_bits - q.served_bits > 0]
     out = []
     granted = 0
     if hungry:
-        cur = node._rr % len(hungry)
+        needs = []
+        for ue in hungry:
+            q = node.queues[ue]
+            bits = q.queued_bits - q.served_bits
+            needs.append(math.ceil(bits / eff[node.ue_mcs[ue]]))
+        alloc = max_min_oracle(needs, node.n_res, node._rr % len(hungry))
         node._rr += 1
-        order = hungry[cur:] + hungry[:cur]
-        alloc = reference_equal_share(order, needs, node.n_res)
-        for ue_id in hungry:
-            n_res = alloc[ue_id]
+        for ue, n_res in zip(hungry, alloc):
             if n_res <= 0:
                 continue
             granted += n_res
-            mcs = ue_mcs[ue_id]
-            tb_bits = transport_block_bits(eff[mcs], n_res)
-            done = queues[ue_id].take(tb_bits)
-            out.append((ue_id, n_res, mcs, done))
+            mcs = node.ue_mcs[ue]
+            tb_bits = int(eff[mcs] * n_res) // 8 * 8
+            out.append((ue, n_res, mcs, node.queues[ue].take(tb_bits)))
     node.load.record(granted)
     return out
 
@@ -155,8 +133,17 @@ def state(node):
 @given(node_specs(), st.integers(1, 6))
 def test_schedule_tti_matches_reference(spec, n_ttis):
     node, ref = build_node(spec), build_node(spec)
-    for tti in range(n_ttis):
-        got = schedule_tti(node, tti)
-        want = reference_schedule_tti(ref, tti)
+    for _ in range(n_ttis):
+        got = schedule_tti(node)
+        want = reference_schedule_tti(ref)
         assert grants(got) == grants(want)
         assert state(node) == state(ref)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.integers(0, 60), min_size=1, max_size=12),
+       st.integers(0, 300), st.integers(0, 11))
+def test_max_min_share_matches_oracle(needs, total, first):
+    first %= len(needs)
+    assert (max_min_share(needs, total, first)
+            == max_min_oracle(needs, total, first))
