@@ -2,14 +2,15 @@
 trailing-window load tracking, receive-side reordering and CBR sources.
 
 Time granularity is one 1 ms TTI (numerology 0). A 10 MHz carrier carries
-52 PRBs, so one TTI holds 52 * 12 * 14 = 8736 resource elements. Transport
-blocks are sized as floor(efficiency * REs) bytes; PDUs may be segmented
-across TTIs and count as delivered when their last byte arrives.
+52 PRBs, so one TTI holds 52 * 12 * 14 = 8736 resource elements. A
+transport block is floor(efficiency * REs) bits, floored to whole bytes;
+PDUs may be segmented across TTIs and count as delivered when their last
+byte arrives.
 """
 
-from math import ceil
 from collections import deque
 from dataclasses import dataclass
+from math import ceil
 
 from .channel import SUBCARRIERS_PER_PRB, SYMBOLS_PER_TTI
 from .engine import NS_PER_MS
@@ -203,8 +204,7 @@ def schedule_tti(node):
     `max_min_share` splits the node's REs over those needs, the remainder
     starting at a position that advances by one every TTI. Returns
     [(ue_id, n_res, mcs, completed_pdus)] and records this TTI in the
-    node's load tracker. A transport block is floor(efficiency * REs)
-    bits, floored to whole bytes.
+    node's load tracker.
     """
     ue_mcs = node.ue_mcs
     eff = node.mcs_table.efficiencies
