@@ -50,17 +50,15 @@ def max_min_oracle(needs, total, first):
 def reference_schedule_tti(node):
     """One TTI at `node`, the grants taken from `max_min_oracle`."""
     eff = node.mcs_table.efficiencies
-    hungry = [ue for ue, q in node.queues.items()
-              if node.ue_mcs[ue] is not None
-              and q.queued_bits - q.served_bits > 0]
+    hungry, needs = [], []
+    for ue, q in node.queues.items():
+        bits = q.queued_bits - q.served_bits
+        if node.ue_mcs[ue] is not None and bits > 0:
+            hungry.append(ue)
+            needs.append(math.ceil(bits / eff[node.ue_mcs[ue]]))
     out = []
     granted = 0
     if hungry:
-        needs = []
-        for ue in hungry:
-            q = node.queues[ue]
-            bits = q.queued_bits - q.served_bits
-            needs.append(math.ceil(bits / eff[node.ue_mcs[ue]]))
         alloc = max_min_oracle(needs, node.n_res, node._rr % len(hungry))
         node._rr += 1
         for ue, n_res in zip(hungry, alloc):
