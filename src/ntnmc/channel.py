@@ -11,7 +11,7 @@ for fixed geometry.
 import math
 from bisect import bisect_right
 
-from .geometry import bearing_deg, elevation_and_slant, ground_distance_m
+from .geometry import bearing_deg, ground_distance_m, satellite_slant_m
 
 SPEED_OF_LIGHT = 299_792_458.0
 SUBCARRIER_HZ = 15_000.0
@@ -104,38 +104,22 @@ def noise_per_re_dbm(noise_figure_db):
 
 # 32-step SINR-to-MCS ladder. Thresholds are 1.0 dB apart starting at -9.5 dB;
 # spectral efficiencies (bits per resource element) follow the standard
-# low-SE + 256QAM ladder, 0.0586 .. 7.4063.
-DEFAULT_MCS_THRESHOLDS_DB = [-9.5 + 1.0 * i for i in range(32)]
-DEFAULT_MCS_EFFICIENCIES = [
+# low-SE + 256QAM ladder, 0.0586 .. 7.4063. Both strictly increase, which
+# `bisect` in `mcs_for_sinr` relies on.
+MCS_THRESHOLDS_DB = tuple(-9.5 + 1.0 * i for i in range(32))
+MCS_EFFICIENCIES = (
     0.0586, 0.0977, 0.1523, 0.1885, 0.2344, 0.3770, 0.6016, 0.8770,
     1.1758, 1.4766, 1.6953, 1.9141, 2.1602, 2.4063, 2.5703, 2.7305,
     3.0293, 3.3223, 3.6094, 3.9023, 4.2129, 4.5234, 4.8164, 5.1152,
     5.3320, 5.5547, 5.8906, 6.2266, 6.5703, 6.9141, 7.1602, 7.4063,
-]
+)
 
 
-class McsTable:
-    """Monotone SINR threshold table mapping link quality to an MCS index."""
-
-    def __init__(self, thresholds_db, efficiencies):
-        if len(thresholds_db) != len(efficiencies):
-            raise ValueError("thresholds and efficiencies must have equal length")
-        if any(b <= a for a, b in zip(thresholds_db, thresholds_db[1:])):
-            raise ValueError("MCS thresholds must be strictly increasing")
-        if any(b <= a for a, b in zip(efficiencies, efficiencies[1:])):
-            raise ValueError("MCS efficiencies must be strictly increasing")
-        self.thresholds_db = list(thresholds_db)
-        self.efficiencies = list(efficiencies)
-
-    def mcs_for_sinr(self, sinr_db):
-        """Highest index whose threshold is met; None below the first
-        threshold (no decodable MCS), clamps at the top."""
-        idx = bisect_right(self.thresholds_db, sinr_db) - 1
-        return idx if idx >= 0 else None
-
-    @classmethod
-    def default(cls):
-        return cls(DEFAULT_MCS_THRESHOLDS_DB, DEFAULT_MCS_EFFICIENCIES)
+def mcs_for_sinr(sinr_db):
+    """Highest MCS index whose threshold `sinr_db` meets; None below the
+    first threshold (no decodable MCS), clamps at the top."""
+    idx = bisect_right(MCS_THRESHOLDS_DB, sinr_db) - 1
+    return idx if idx >= 0 else None
 
 
 class TnChannel:
@@ -177,7 +161,8 @@ class TnChannel:
 
 
 class NtnChannel:
-    """Satellite link state: serving center beam plus co-channel wrap-around beams.
+    """Satellite link state: the serving beam `beams[0]`, every later beam
+    co-channel (see `geometry.ntn_beam_grid`).
 
     Beam centers are earth-fixed; only the satellite moves, so RSRP/SINR vary
     (slowly) with time through the slant range.
@@ -186,9 +171,8 @@ class NtnChannel:
     def __init__(self, cfg, track, beams):
         self.cfg = cfg
         self.track = track
-        # Interferers: same color as the serving beam, excluding beam 0 itself.
         self.serving_beam = beams[0]
-        self.cochannel = [b for b in beams[1:] if b[3] == beams[0][3]]
+        self.cochannel = beams[1:]
         self._n_re_grid = cfg.n_prb * SUBCARRIERS_PER_PRB
         self._eirp_dbm = (cfg.ntn_eirp_dbw_mhz + linear_to_db(cfg.bandwidth_mhz) + 30.0)
         self._noise = db_to_linear(noise_per_re_dbm(cfg.ue_noise_figure_db))
@@ -203,13 +187,12 @@ class NtnChannel:
     def link_state(self, ue_pos, t_ns):
         """(rsrp_dbm, sinr_db, one_way_delay_ns) or None if below horizon."""
         subpoint = self.track.subpoint_at(t_ns)
-        es = elevation_and_slant(ue_pos, subpoint, self.track.altitude_m)
-        if es is None:
+        slant = satellite_slant_m(ue_pos, subpoint, self.track.altitude_m)
+        if slant is None:
             return None
-        _, slant = es
-        rsrp = self._per_re_rx_dbm(ue_pos, self.serving_beam[2], slant)
+        rsrp = self._per_re_rx_dbm(ue_pos, self.serving_beam, slant)
         interference = sum(
-            db_to_linear(self._per_re_rx_dbm(ue_pos, b[2], slant))
+            db_to_linear(self._per_re_rx_dbm(ue_pos, b, slant))
             for b in self.cochannel)
         sinr = linear_to_db(db_to_linear(rsrp) / (interference + self._noise))
         # Transparent payload: gateway-satellite-UE, two slant hops.

@@ -16,7 +16,8 @@ import os
 import sys
 
 from .campaign import run_campaign
-from .channel import McsTable, noise_per_re_dbm, ntn_fspl_db
+from .channel import (MCS_EFFICIENCIES, MCS_THRESHOLDS_DB, noise_per_re_dbm,
+                      ntn_fspl_db)
 from .config import POLICIES, ConfigError, load_config
 from .stats import emit_results, ensure_writable_dir
 
@@ -92,9 +93,8 @@ def cmd_validate(args):
 
 
 def cmd_table_dump(_args):
-    table = McsTable.default()
     print("mcs,min_sinr_db,efficiency_bits_per_re")
-    for i, (th, eff) in enumerate(zip(table.thresholds_db, table.efficiencies)):
+    for i, (th, eff) in enumerate(zip(MCS_THRESHOLDS_DB, MCS_EFFICIENCIES)):
         print(f"{i},{th:.2f},{eff:.4f}")
     print()
     print("constant,value")

@@ -1,5 +1,6 @@
 """RAN data plane: PDCP PDUs, per-UE transmit queues, the TTI scheduler,
-trailing-window load tracking, receive-side reordering and CBR sources.
+the trailing-window load tracker that the satellite beam's admission reads,
+receive-side reordering and CBR sources.
 
 Time granularity is one 1 ms TTI (numerology 0). A 10 MHz carrier carries
 52 PRBs, so one TTI holds 52 * 12 * 14 = 8736 resource elements. A
@@ -12,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from math import ceil
 
-from .channel import SUBCARRIERS_PER_PRB, SYMBOLS_PER_TTI
+from .channel import MCS_EFFICIENCIES, SUBCARRIERS_PER_PRB, SYMBOLS_PER_TTI
 from .engine import NS_PER_MS
 
 TTI_NS = NS_PER_MS
@@ -138,12 +139,10 @@ class Node:
     `ue_mcs` holds each one's true link MCS, used by the scheduler.
     """
 
-    def __init__(self, n_prb, mcs_table, load_window_ttis):
+    def __init__(self, n_prb):
         self.n_res = res_per_tti(n_prb)
-        self.mcs_table = mcs_table
         self.queues = {}
         self.ue_mcs = {}        # true link MCS, None = below the table floor
-        self.load = LoadTracker(load_window_ttis, self.n_res)
         self._rr = 0
 
     def add_ue(self, ue_id, mcs):
@@ -203,11 +202,11 @@ def schedule_tti(node):
     Each backlogged UE needs ceil(unsent bits / efficiency) REs, and
     `max_min_share` splits the node's REs over those needs, the remainder
     starting at a position that advances by one every TTI. Returns
-    [(ue_id, n_res, mcs, completed_pdus)] and records this TTI in the
-    node's load tracker.
+    [(ue_id, n_res, mcs, completed_pdus)], one entry per UE granted REs;
+    an idle TTI returns an empty list.
     """
     ue_mcs = node.ue_mcs
-    eff = node.mcs_table.efficiencies
+    eff = MCS_EFFICIENCIES
     hungry = []             # (ue_id, queue, mcs) of each backlogged UE
     needs = []
     for ue_id, q in node.queues.items():
@@ -220,17 +219,14 @@ def schedule_tti(node):
         hungry.append((ue_id, q, mcs))
         needs.append(ceil(bits / eff[mcs]))
     if not hungry:
-        node.load.record(0)
         return []
 
     alloc = max_min_share(needs, node.n_res, node._rr % len(hungry))
     node._rr += 1
     out = []
-    granted = 0
     for (ue_id, q, mcs), n_res in zip(hungry, alloc):
         if n_res <= 0:
             continue
-        granted += n_res
         tb_bits = (int(eff[mcs] * n_res) // 8) * 8
         head = q.in_service
         if head is not None and q.served_bits + tb_bits < head.bits:
@@ -239,7 +235,6 @@ def schedule_tti(node):
             out.append((ue_id, n_res, mcs, ()))
         else:
             out.append((ue_id, n_res, mcs, q.take(tb_bits)))
-    node.load.record(granted)
     return out
 
 

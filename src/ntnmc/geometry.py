@@ -1,4 +1,4 @@
-"""Spherical-Earth geometry: satellite track, elevation/slant range, cell layout.
+"""Spherical-Earth geometry: satellite track, slant range, cell and beam layout.
 
 Positions are kept as latitude/longitude on a sphere of radius EARTH_RADIUS_M.
 The terrestrial layout is built on a local tangent plane around the network
@@ -102,8 +102,8 @@ def slant_range_m(elevation_rad, altitude_m):
     return math.sqrt(rs * rs + altitude_m * altitude_m + 2.0 * altitude_m * EARTH_RADIUS_M) - rs
 
 
-def elevation_and_slant(ue_pos, subpoint, altitude_m):
-    """Elevation (deg) and slant range (m) from a ground point to the satellite.
+def satellite_slant_m(ue_pos, subpoint, altitude_m):
+    """Slant range (m) from a ground point to the satellite.
 
     Returns None when the satellite is at or below the horizon (elevation <= 0);
     callers treat the link as unavailable.
@@ -113,13 +113,12 @@ def elevation_and_slant(ue_pos, subpoint, altitude_m):
     elev = math.atan2(math.cos(psi) - k, math.sin(psi))
     if elev <= 0.0:
         return None
-    return math.degrees(elev), slant_range_m(elev, altitude_m)
+    return slant_range_m(elev, altitude_m)
 
 
 @dataclass(frozen=True)
 class Sector:
     sector_id: int
-    site_id: int
     position: GroundPosition
     boresight_deg: float
 
@@ -130,7 +129,8 @@ def build_tn_layout(center, isd_m, n_sites=3):
     One site sits at `center`; two or three sit on the vertices of an
     equilateral triangle (circumradius isd/sqrt(3)) around it. A fourth site
     would land on the first, so `ScenarioConfig.validate` rejects
-    `n_sites` > 3. Sector boresights are 0/120/240 deg at every site.
+    `n_sites` > 3. Sector boresights are 0/120/240 deg at every site, and
+    sector ids count up from 0 in site order, so they index the list.
     """
     site_positions = []
     if n_sites == 1:
@@ -143,13 +143,8 @@ def build_tn_layout(center, isd_m, n_sites=3):
             north = circum * math.sin(ang)
             site_positions.append(local_offset(center, east, north))
 
-    sectors = []
-    sid = 0
-    for site_id, pos in enumerate(site_positions):
-        for k in range(3):
-            sectors.append(Sector(sid, site_id, pos, 120.0 * k))
-            sid += 1
-    return sectors
+    return [Sector(3 * i + k, pos, 120.0 * k)
+            for i, pos in enumerate(site_positions) for k in range(3)]
 
 
 def drop_ues_in_sector(sector, rng, n_ue, min_dist_m, max_dist_m):
@@ -166,38 +161,14 @@ def drop_ues_in_sector(sector, rng, n_ue, min_dist_m, max_dist_m):
     return out
 
 
-def hex_ring(n):
-    """Axial coordinates of the n-th hexagonal ring around the origin."""
-    if n == 0:
-        return [(0, 0)]
-    dirs = [(1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1)]
-    q, r = -n, n  # start at n steps in direction (-1, 1)
-    out = []
-    for d in range(6):
-        dq, dr = dirs[d]
-        for _ in range(n):
-            out.append((q, r))
-            q += dq
-            r += dr
-    return out
-
-
-def hex_color(q, r):
-    """Reuse-3 coloring of the hex lattice; co-channel cells share a color."""
-    return (q - r) % 3
-
-
-def ntn_beam_grid(center, pitch_m, tiers=2):
-    """Beam centers (axial coords, ground positions, colors) for the beam lattice.
-
-    Beam 0 is the serving beam at `center`; two tiers (6 + 12 beams) of
-    wrap-around beams surround it. Centers are earth-fixed for the whole run.
-    """
-    beams = []
-    for n in range(tiers + 1):
-        for q, r in hex_ring(n):
-            east = pitch_m * (q + r / 2.0)
-            north = pitch_m * (math.sqrt(3.0) / 2.0) * r
-            pos = center if (q, r) == (0, 0) else local_offset(center, east, north)
-            beams.append((q, r, pos, hex_color(q, r)))
+def ntn_beam_grid(center, pitch_m):
+    """Earth-fixed ground positions of the serving beam, at `center`, then
+    of the six beams of its reuse-3 colour in a hex lattice of adjacent-beam
+    spacing `pitch_m`: the second ring's axial (q, r) with (q - r) % 3 == 0,
+    sqrt(3) pitches away, in the order their interference is summed."""
+    beams = [center]
+    for q, r in ((-1, 2), (1, 1), (2, -1), (1, -2), (-1, -1), (-2, 1)):
+        east = pitch_m * (q + r / 2.0)
+        north = pitch_m * (math.sqrt(3.0) / 2.0) * r
+        beams.append(local_offset(center, east, north))
     return beams

@@ -12,15 +12,16 @@ evaluations on a jittered period.
 
 Candidate side (`CandidateState`, the satellite beam, the only candidate
 cell): refuses anything within the add-gate of its previous acknowledgement,
-admits freely while its load leaves headroom, and above that may free a slot
-by naming for release the served secondary whose reported anchor-link MCS
-is highest, provided it strictly exceeds the requester's.
+admits freely while the beam's load over its trailing window leaves
+headroom, and above that may free a slot by naming for release the served
+secondary whose reported anchor-link MCS is highest, provided it strictly
+exceeds the requester's.
 """
 
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .dataplane import buffer_occupancy
+from .dataplane import LoadTracker, buffer_occupancy
 from .engine import millis
 from .traffic_split import reroute_secondary_queue
 
@@ -69,11 +70,13 @@ class AnchorState:
 
 
 class CandidateState:
-    """Admission state of the satellite beam, the one candidate cell."""
+    """Admission state of the satellite beam, the one candidate cell; the
+    scenario records the beam's granted REs in `load` every TTI."""
 
-    def __init__(self, reports):
+    def __init__(self, reports, window_ttis, n_res):
         self.last_ack_ns = None
         self.reports = reports   # ue_id -> latest Measurement, run-wide
+        self.load = LoadTracker(window_ttis, n_res)
 
 
 def request_gate_open(anchor, t_ns, cfg):
@@ -174,7 +177,7 @@ def handle_sn_addition_request(cand_node, cand, ue_id, t_ns, cfg, mode):
     if (cand.last_ack_ns is not None
             and t_ns - cand.last_ack_ns <= millis(cfg.add_gate_ms)):
         return Decision(REJECT, "recent-ack")
-    if cand_node.load.fraction() <= cfg.load_ack_max:
+    if cand.load.fraction() <= cfg.load_ack_max:
         cand.last_ack_ns = t_ns
         return Decision(ACK, "headroom")
     if mode == PREEMPTIVE and cand_node.queues:

@@ -3,7 +3,8 @@ plane onto the event queue, and collects per-UE results.
 
 Layout: n_sites tri-sector sites around the scenario center, 10 UEs dropped
 per sector and anchored to it, one earth-fixed satellite beam steered at the
-center with two tiers of co-channel wrap-around beams as pure interference.
+center with the six co-channel beams of a reuse-3 lattice as pure
+interference.
 Terrestrial link state is drawn once per run (drop-time realization); the
 satellite link is recomputed whenever a UE measures it.
 
@@ -14,7 +15,8 @@ cause of its ADD events.
 Event design: one event per periodic instant. Every UE runs the same CBR
 flow (start 0, one interval), so a single arrival event ingests one packet
 for every UE, in `self.ues` order; a single TTI event per millisecond runs
-the scheduler at every node, in `self.nodes` order. Events of one instant
+the scheduler at every sector, in `self.nodes` order, then at the beam and
+records the beam's grants in its load window. Events of one instant
 fire in the order they were scheduled (see `engine`): at t = 0 the
 data-request cycle is scheduled after the TTIs and fires after them, while
 at every later multiple of 25 ms it was scheduled 25 ms earlier and fires
@@ -38,7 +40,7 @@ from dataclasses import dataclass, field
 
 from . import mc_control as mc
 from . import traffic_split as ts
-from .channel import McsTable, NtnChannel, TnChannel
+from .channel import NtnChannel, TnChannel, mcs_for_sinr
 from .config import ScenarioConfig
 from .dataplane import (PATH_MN, TTI_NS, CbrFlow, Node, PdcpPdu,
                         PdcpReceiver, UeCounters, schedule_tti)
@@ -97,7 +99,6 @@ class Scenario:
         self.policy = mc.policy_for(cfg.policy)
         self.sim = Simulator()
         self.rngs = RngStreams(cfg.base_seed, seed)
-        self.mcs_table = McsTable.default()
         self.end_ns = seconds(cfg.sim_duration_s)
         self.warmup_ns = seconds(cfg.warmup_s)
         self.tn_latency_ns = millis(cfg.tn_latency_ms)
@@ -118,18 +119,14 @@ class Scenario:
         beams = ntn_beam_grid(center, BEAM_PITCH_OVER_RADIUS * cfg.ntn_beam_radius_m)
         self.ntn = NtnChannel(cfg, track, beams)
 
-        window_ttis = max(1, round(cfg.load_window_ms))
-        self.nodes = {sec.sector_id: Node(cfg.n_prb, self.mcs_table,
-                                          window_ttis)
-                      for sec in self.sectors}
-        self.sector_nodes = list(self.nodes.values())
-        self.ntn_node = Node(cfg.n_prb, self.mcs_table, window_ttis)
-        self.nodes[NTN_CELL_ID] = self.ntn_node
+        self.nodes = [Node(cfg.n_prb) for _ in self.sectors]  # by sector id
+        self.ntn_node = Node(cfg.n_prb)
 
         self.reports = {}       # ue_id -> latest mc.Measurement
         self.anchors = {s.sector_id: mc.AnchorState(s.sector_id, self.reports)
                         for s in self.sectors}
-        self.cand = mc.CandidateState(self.reports)
+        self.cand = mc.CandidateState(
+            self.reports, max(1, round(cfg.load_window_ms)), self.ntn_node.n_res)
         self.book = ts.GrantBook()
 
         drop_rng = self.rngs.stream("ue-drop")
@@ -158,7 +155,7 @@ class Scenario:
         ue.receiver = PdcpReceiver(
             ue_id, self.sim, millis(cfg.pdcp_reorder_timer_ms),
             cfg.pdcp_reorder_buffer_pdus, self._make_deliver_cb(ue.counters))
-        self.nodes[sector_id].add_ue(ue_id, self.mcs_table.mcs_for_sinr(sinr))
+        self.nodes[sector_id].add_ue(ue_id, mcs_for_sinr(sinr))
         self.ues[ue_id] = ue
 
     def _make_deliver_cb(self, counters):
@@ -217,17 +214,20 @@ class Scenario:
         t = self.sim.now
         ues = self.ues
         tbs = []
-        for node in self.sector_nodes:
+        for node in self.nodes:
             for ue_id, _res, _mcs, done in schedule_tti(node):
                 if done:
                     tbs.append(self._launch_tb(ues[ue_id], done))
         if tbs:
             self.sim.schedule_in(self.tn_latency_ns, self._deliver_tb, tbs)
-        for ue_id, _res, _mcs, done in schedule_tti(self.ntn_node):
+        granted = 0
+        for ue_id, n_res, _mcs, done in schedule_tti(self.ntn_node):
+            granted += n_res
             if done:
                 ue = ues[ue_id]
                 self.sim.schedule_in(ue.ntn_delay_ns, self._deliver_tb,
                                      [self._launch_tb(ue, done)])
+        self.cand.load.record(granted)
         if t + TTI_NS <= self.end_ns:
             self.sim.schedule_in(TTI_NS, self._on_tti)
 
@@ -267,9 +267,9 @@ class Scenario:
         e_tn = self._meas_err.gauss(0.0, cfg.meas_error_sigma_db)
         self.reports[ue.ue_id] = mc.Measurement(
             t, rsrp + e_ntn, sinr + e_ntn,
-            self.mcs_table.mcs_for_sinr(ue.tn_sinr_db + e_tn))
+            mcs_for_sinr(ue.tn_sinr_db + e_tn))
         if ue.ue_id in self.ntn_node.queues:
-            self.ntn_node.ue_mcs[ue.ue_id] = self.mcs_table.mcs_for_sinr(sinr)
+            self.ntn_node.ue_mcs[ue.ue_id] = mcs_for_sinr(sinr)
 
         if t + period <= self.end_ns:
             self.sim.schedule_in(period, self._on_measurement, ue, period)
@@ -321,8 +321,7 @@ class Scenario:
         # `_on_eval` asks only for UEs that are unbound and not pending.
         assert ue.ue_id not in self.ntn_node.queues
         ue.pending_reconfig = False
-        ntn_mcs = self.mcs_table.mcs_for_sinr(ue.ntn_sinr_db)
-        self.ntn_node.add_ue(ue.ue_id, ntn_mcs)
+        self.ntn_node.add_ue(ue.ue_id, mcs_for_sinr(ue.ntn_sinr_db))
         self._log(self.sim.now, mc.EV_ADD, ue.ue_id, ue.mn_node_id,
                   NTN_CELL_ID, self.policy.add_cause)
 

@@ -6,29 +6,21 @@ it. Expect a minute or two of wall time for this module.
 """
 
 import dataclasses
-import math
 import os
 import random
 import time
 
 import pytest
 
-from ntnmc.channel import McsTable, ntn_fspl_db
 from ntnmc.cli import main
-from ntnmc.config import ScenarioConfig, load_config
+from ntnmc.config import load_config
 from ntnmc.campaign import run_campaign
-from ntnmc.dataplane import Node, PdcpPdu, PdcpReceiver
+from ntnmc.dataplane import PdcpPdu, PdcpReceiver
 from ntnmc.engine import Simulator, millis, seconds
-from ntnmc.geometry import slant_range_m
-from ntnmc.mc_control import (ACK, PREEMPTIVE, REJECT, AnchorState,
-                              CandidateState, Measurement, evaluate_mcs_based,
-                              handle_sn_addition_request, release_secondary)
 from ntnmc.simulation import Scenario
-from ntnmc.traffic_split import compute_request_amount
 
 SETTINGS = ("off", "rsrp", "bo", "mcs")
 SEEDS = list(range(1, 16))
-TABLE = McsTable.default()
 
 
 @pytest.fixture(scope="module")
@@ -103,109 +95,6 @@ def test_every_grant_window_is_respected(campaign):
                 assert c["grant_windows"] > 0
 
 
-# --- request-amount formula --------------------------------------------------
-
-
-def _sn_node(n_secondary):
-    node = Node(52, TABLE, 100)
-    for ue in range(1, n_secondary + 1):
-        node.add_ue(ue, 22)
-    return node
-
-
-def test_request_amount_matches_closed_form():
-    cfg = ScenarioConfig()
-    window_s = (cfg.split_delta_ms + cfg.split_toff_ms) * 1e-3
-    bandwidth_hz = cfg.bandwidth_mhz * 1e6
-    rng = random.Random(12345)
-    for _ in range(1000):
-        n_s = rng.randint(1, 20)
-        sinr_db = rng.uniform(-10.0, 25.0)
-        node = _sn_node(n_s)
-        for _ in range(rng.randint(0, 100)):
-            k = rng.randint(0, node.n_res)
-            node.load.record(k)
-        want = (cfg.split_alpha / n_s * bandwidth_hz
-                * math.log2(1.0 + 10.0 ** (sinr_db / 10.0)) * window_s)
-        got = compute_request_amount(node, sinr_db, cfg)
-        assert isinstance(got, float)
-        assert got == pytest.approx(want, rel=1e-9)
-
-    # amount halves when the served set doubles
-    a = compute_request_amount(_sn_node(3), 10.0, cfg)
-    b = compute_request_amount(_sn_node(6), 10.0, cfg)
-    assert a == pytest.approx(2.0 * b, rel=1e-12)
-
-    with pytest.raises(ValueError):
-        compute_request_amount(Node(52, TABLE, 100), 0.0, cfg)
-
-
-# --- scripted control-plane decisions ----------------------------------------
-
-
-def _anchor_with_reports(reports, mcs_by_ue):
-    return AnchorState("tn0", {
-        ue: Measurement(-millis(age_ms), rsrp, 0.0, mcs_by_ue.get(ue))
-        for ue, (age_ms, rsrp) in reports.items()})
-
-
-def _cand_at_load(fraction):
-    node = Node(52, TABLE, 100)
-    node.load.record(round(fraction * node.n_res))
-    return node
-
-
-def test_scripted_anchor_evaluations():
-    cfg = ScenarioConfig()
-
-    healthy = _anchor_with_reports({u: (50, -110.0) for u in range(4)},
-                                   {u: 16 for u in range(4)})
-    assert evaluate_mcs_based(healthy, None, list(range(4)), 0, cfg) is None
-
-    no_single = _anchor_with_reports({1: (50, -110.0)}, {1: 3})
-    assert evaluate_mcs_based(no_single, None, [], 0, cfg) is None
-
-    weak = _anchor_with_reports({1: (50, -110.0)}, {1: 3})
-    assert evaluate_mcs_based(weak, None, [1], 0, cfg) == 1
-
-    faint = _anchor_with_reports({1: (50, -112.0)}, {1: 3})
-    assert evaluate_mcs_based(faint, None, [1], 0, cfg) is None
-
-
-def test_scripted_candidate_decisions():
-    cfg = ScenarioConfig()
-    anchor = Node(52, TABLE, 100)
-
-    def admit(load, mcs_by_bound_ue, t_ns, last_ack_ns=None):
-        """Admission of UE 7 at anchor MCS 5; the UEs of `mcs_by_bound_ue`
-        are served at both nodes, as in a scenario."""
-        cand = _cand_at_load(load)
-        ctrl = CandidateState({7: Measurement(0, -110.0, 0.0, 5)})
-        ctrl.last_ack_ns = last_ack_ns
-        for ue, mcs in mcs_by_bound_ue.items():
-            anchor.add_ue(ue, 10)
-            cand.add_ue(ue, 22)
-            ctrl.reports[ue] = Measurement(0, -110.0, 0.0, mcs)
-        d = handle_sn_addition_request(cand, ctrl, 7, t_ns, cfg, PREEMPTIVE)
-        if d.victim is not None:
-            release_secondary(cand, anchor, d.victim)
-        return d, cand
-
-    d, _ = admit(0.5, {}, 0)
-    assert (d.verdict, d.cause) == (ACK, "headroom")
-
-    d, _ = admit(0.1, {}, millis(50), last_ack_ns=0)
-    assert (d.verdict, d.cause) == (REJECT, "recent-ack")
-
-    d, crowded = admit(1.0, {3: 20}, 0)
-    assert (d.verdict, d.cause) == (ACK, "preempted-weakest")
-    assert 3 not in crowded.queues
-
-    d, hopeless = admit(1.0, {3: 3}, 0)
-    assert (d.verdict, d.cause) == (REJECT, "overloaded")
-    assert 3 in hopeless.queues
-
-
 # --- determinism ---------------------------------------------------------------
 
 
@@ -268,11 +157,3 @@ def test_reordering_survives_randomized_dual_path_arrivals():
         assert rx.delivered_pdus + rx.stale_pdus + rx.duplicate_pdus == n
         assert rx.buffered_bits == 0
 
-
-# --- physical anchors -----------------------------------------------------------
-
-
-def test_geometry_and_link_budget_anchor_values():
-    assert abs(slant_range_m(math.radians(30.0), 600_000.0) - 1_075_100.0) <= 500.0
-    assert slant_range_m(math.pi / 2.0, 600_000.0) == 600_000.0
-    assert abs(ntn_fspl_db(600_000.0, 2.0) - 154.03) <= 0.01

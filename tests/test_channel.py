@@ -1,12 +1,10 @@
 import math
 import random
 
-import pytest
-
-from ntnmc.channel import (DEFAULT_MCS_EFFICIENCIES, DEFAULT_MCS_THRESHOLDS_DB,
-                           SPEED_OF_LIGHT, McsTable, NtnChannel, TnChannel,
-                           los_probability, noise_per_re_dbm, ntn_fspl_db,
-                           tn_pathloss_db, tn_pathloss_los_db,
+from ntnmc.channel import (MCS_EFFICIENCIES, MCS_THRESHOLDS_DB,
+                           SPEED_OF_LIGHT, NtnChannel, TnChannel,
+                           los_probability, mcs_for_sinr, noise_per_re_dbm,
+                           ntn_fspl_db, tn_pathloss_db, tn_pathloss_los_db,
                            tn_pathloss_nlos_db)
 from ntnmc.config import ScenarioConfig
 from ntnmc.geometry import (GroundPosition, SatelliteTrack, build_tn_layout,
@@ -34,32 +32,27 @@ def test_los_probability_shape():
 
 
 def test_mcs_table_defaults():
-    table = McsTable.default()
-    assert len(DEFAULT_MCS_THRESHOLDS_DB) == 32
-    assert len(DEFAULT_MCS_EFFICIENCIES) == 32
-    assert table.thresholds_db[0] == -9.5
-    assert table.thresholds_db[22] == 12.5
-    assert table.efficiencies[21] == 4.5234
-    assert table.efficiencies[22] == 4.8164
-    assert table.mcs_for_sinr(12.7) == 22
-    assert table.mcs_for_sinr(-9.5) == 0
-    assert table.mcs_for_sinr(-50.0) is None
-    assert table.mcs_for_sinr(200.0) == 31
-    for i, th in enumerate(DEFAULT_MCS_THRESHOLDS_DB):
-        assert table.mcs_for_sinr(th) == i
-        below = table.mcs_for_sinr(math.nextafter(th, -math.inf))
+    assert len(MCS_THRESHOLDS_DB) == 32
+    assert len(MCS_EFFICIENCIES) == 32
+    assert MCS_THRESHOLDS_DB[0] == -9.5
+    assert MCS_THRESHOLDS_DB[22] == 12.5
+    assert MCS_EFFICIENCIES[21] == 4.5234
+    assert MCS_EFFICIENCIES[22] == 4.8164
+    assert mcs_for_sinr(12.7) == 22
+    assert mcs_for_sinr(-9.5) == 0
+    assert mcs_for_sinr(-50.0) is None
+    assert mcs_for_sinr(200.0) == 31
+    for i, th in enumerate(MCS_THRESHOLDS_DB):
+        assert mcs_for_sinr(th) == i
+        below = mcs_for_sinr(math.nextafter(th, -math.inf))
         assert below == (i - 1 if i else None)
 
 
-def test_mcs_table_rejects_non_monotone_input():
-    ths = list(DEFAULT_MCS_THRESHOLDS_DB)
-    ths[5] = ths[4]
-    with pytest.raises(ValueError):
-        McsTable(ths, list(DEFAULT_MCS_EFFICIENCIES))
-    effs = list(DEFAULT_MCS_EFFICIENCIES)
-    effs[10] = effs[11]
-    with pytest.raises(ValueError):
-        McsTable(list(DEFAULT_MCS_THRESHOLDS_DB), effs)
+def test_mcs_ladder_is_strictly_increasing():
+    # `mcs_for_sinr` bisects the thresholds, and a higher index must mean
+    # more bits per RE: both columns must strictly increase.
+    for column in (MCS_THRESHOLDS_DB, MCS_EFFICIENCIES):
+        assert all(a < b for a, b in zip(column, column[1:]))
 
 
 def test_tn_pathloss_monotone_and_clamped():
@@ -89,8 +82,7 @@ def _default_ntn():
     track = SatelliteTrack(
         GroundPosition(cfg.sat_epoch_lat_deg, cfg.sat_epoch_lon_deg),
         cfg.sat_altitude_m, cfg.sat_speed_ms, cfg.sat_heading_deg)
-    beams = ntn_beam_grid(center,
-                          math.sqrt(3.0) * cfg.ntn_beam_radius_m, tiers=2)
+    beams = ntn_beam_grid(center, math.sqrt(3.0) * cfg.ntn_beam_radius_m)
     return cfg, center, NtnChannel(cfg, track, beams)
 
 
@@ -111,7 +103,7 @@ def test_ntn_link_budget_at_beam_center_epoch():
     want_sinr = -10.0 * math.log10(i_over_s + n_over_s)
     assert abs(sinr - want_sinr) < 0.05
     assert abs(sinr - 12.70) < 0.05
-    assert McsTable.default().mcs_for_sinr(sinr) == 22
+    assert mcs_for_sinr(sinr) == 22
 
     want_delay = round(2.0 * cfg.sat_altitude_m / SPEED_OF_LIGHT * 1e9)
     assert delay == want_delay == 4_002_769

@@ -2,10 +2,10 @@ import math
 import random
 
 from ntnmc.engine import seconds
-from ntnmc.geometry import (EARTH_RADIUS_M, GroundPosition, SatelliteTrack,
-                            bearing_deg, build_tn_layout, destination,
-                            drop_ues_in_sector, ground_distance_m, hex_color,
-                            hex_ring, ntn_beam_grid, slant_range_m)
+from ntnmc.geometry import (EARTH_RADIUS_M, M_PER_DEG, GroundPosition,
+                            SatelliteTrack, bearing_deg, build_tn_layout,
+                            destination, drop_ues_in_sector, ground_distance_m,
+                            ntn_beam_grid, satellite_slant_m, slant_range_m)
 
 R = EARTH_RADIUS_M
 
@@ -34,6 +34,14 @@ def test_slant_range_grows_as_elevation_drops():
     assert slants == sorted(slants)
 
 
+def test_satellite_slant_from_subpoint_and_below_horizon():
+    sub = GroundPosition(41.59, 1.74)
+    assert abs(satellite_slant_m(sub, sub, 600_000.0) - 600_000.0) < 1e-6
+    # a quarter of the globe away, the satellite is below the horizon
+    far = GroundPosition(41.59, 91.74)
+    assert satellite_slant_m(far, sub, 600_000.0) is None
+
+
 def test_ground_speed_scales_with_radius_ratio():
     track = SatelliteTrack(GroundPosition(41.59, 1.74), 600_000.0, 7560.0)
     oracle = 7560.0 * R / (R + 600_000.0)
@@ -54,9 +62,10 @@ def test_layout_has_three_sites_with_three_sectors_each():
     center = GroundPosition(41.59, 1.74)
     sectors = build_tn_layout(center, 7500.0, 3)
     assert len(sectors) == 9
+    assert [sec.sector_id for sec in sectors] == list(range(9))
     sites = {}
     for sec in sectors:
-        sites.setdefault(sec.site_id, []).append(sec)
+        sites.setdefault(sec.sector_id // 3, []).append(sec)
     assert len(sites) == 3
     for members in sites.values():
         assert sorted(s.boresight_deg for s in members) == [0.0, 120.0, 240.0]
@@ -88,33 +97,33 @@ def test_destination_round_trip():
     assert abs(bearing_deg(start, there) - 90.0) < 1e-3
 
 
-def test_hex_ring_sizes():
-    assert len(hex_ring(1)) == 6
-    assert len(hex_ring(2)) == 12
+def _axial(center, pos, pitch):
+    """Axial lattice coordinates of a beam center, inverting the local
+    plane offset of `ntn_beam_grid`."""
+    north = (pos.lat_deg - center.lat_deg) * M_PER_DEG
+    east = ((pos.lon_deg - center.lon_deg) * M_PER_DEG
+            * math.cos(math.radians(center.lat_deg)))
+    r = north / (pitch * math.sqrt(3.0) / 2.0)
+    return round(east / pitch - r / 2.0), round(r)
 
 
 def test_beam_grid_center_and_co_channel_ring():
     center = GroundPosition(41.59, 1.74)
-    beams = ntn_beam_grid(center, 43_301.0, tiers=2)
-    assert len(beams) == 19
-    q0, r0, pos0, color0 = beams[0]
-    assert (q0, r0) == (0, 0)
-    assert color0 == 0
-    assert ground_distance_m(center, pos0) < 1e-6
-    same_color = {(q, r) for q, r, _pos, color in beams[1:] if color == color0}
-    assert same_color == {(2, -1), (1, -2), (-1, -1), (-2, 1), (-1, 2), (1, 1)}
-    # the whole first tier uses other colors (frequency reuse 3)
-    for q, r, _pos, color in beams:
-        assert color == hex_color(q, r)
-        if max(abs(q), abs(r), abs(q + r)) == 1:
-            assert color != color0
+    pitch = 43_301.0
+    beams = ntn_beam_grid(center, pitch)
+    assert beams[0] == center
+    axial = [_axial(center, pos, pitch) for pos in beams[1:]]
+    # the second ring's beams of the serving beam's reuse-3 colour, in the
+    # order the interference sum adds them
+    assert axial == [(-1, 2), (1, 1), (2, -1), (1, -2), (-1, -1), (-2, 1)]
+    for q, r in axial:
+        assert (q - r) % 3 == 0
+        assert max(abs(q), abs(r), abs(q + r)) == 2
 
 
 def test_co_channel_beams_sit_at_pitch_times_sqrt3():
     center = GroundPosition(41.59, 1.74)
     pitch = 43_301.0
-    beams = ntn_beam_grid(center, pitch, tiers=2)
-    for q, r, pos, color in beams[1:]:
-        if color == 0:
-            d = ground_distance_m(center, pos)
-            assert abs(d - pitch * math.sqrt(3.0)) / d < 5e-3
+    for pos in ntn_beam_grid(center, pitch)[1:]:
+        d = ground_distance_m(center, pos)
+        assert abs(d - pitch * math.sqrt(3.0)) / d < 5e-3

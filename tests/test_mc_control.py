@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from ntnmc import mc_control, simulation
-from ntnmc.channel import McsTable
+from ntnmc.channel import MCS_THRESHOLDS_DB
 from ntnmc.config import POLICIES, ScenarioConfig, load_config
 from ntnmc.dataplane import Node, PdcpPdu
 from ntnmc.engine import Simulator, millis
@@ -16,7 +16,6 @@ from ntnmc.mc_control import (ACK, COVERAGE, GATED, PREEMPTIVE, REJECT,
 from ntnmc.simulation import Scenario
 
 CFG = ScenarioConfig()
-TABLE = McsTable.default()
 
 
 def _report(mn_mcs, t_ns=0, rsrp_dbm=-110.0):
@@ -31,20 +30,14 @@ def _anchor_with_reports(reports, mcs_by_ue, t=0):
         for ue, (age_ms, rsrp) in reports.items()})
 
 
-def _cand_at_load(fraction, n_prb=52):
-    """Candidate node whose tracked load reads exactly `fraction`."""
-    node = Node(n_prb, TABLE, 100)
-    node.load.record(round(fraction * node.n_res))
-    assert node.load.fraction() == pytest.approx(fraction, abs=1e-3)
-    return node
-
-
 def _candidate(fraction, mcs_by_bound_ue=None):
-    """The satellite beam at load `fraction`, serving a secondary leg for
-    each UE of `mcs_by_bound_ue`, and its admission state, whose reports
-    give each of those UEs that anchor MCS."""
-    node = _cand_at_load(fraction)
-    ctrl = CandidateState({})
+    """The satellite beam, serving a secondary leg for each UE of
+    `mcs_by_bound_ue`, and its admission state, whose load reads
+    `fraction` and whose reports give each of those UEs that anchor MCS."""
+    node = Node(52)
+    ctrl = CandidateState({}, 100, node.n_res)
+    ctrl.load.record(round(fraction * node.n_res))
+    assert ctrl.load.fraction() == pytest.approx(fraction, abs=1e-3)
     for ue, mcs in (mcs_by_bound_ue or {}).items():
         node.add_ue(ue, 22)
         ctrl.reports[ue] = _report(mcs)
@@ -61,7 +54,7 @@ def _admit(cand, ctrl, ue_id, t_ns, mode=PREEMPTIVE):
     """Admission as a scenario runs it: the anchor also serves every UE
     bound at the candidate, and the victim an ACK names is released through
     `release_secondary`."""
-    anchor = Node(52, TABLE, 100)
+    anchor = Node(52)
     for ue in cand.queues:
         anchor.add_ue(ue, 10)
     d = handle_sn_addition_request(cand, ctrl, ue_id, t_ns, CFG, mode)
@@ -73,7 +66,7 @@ def _admit(cand, ctrl, ue_id, t_ns, mode=PREEMPTIVE):
 def _anchor_with_occupancy(occupancy):
     """Anchor node whose transmit queues are filled to the given fractions
     of the configured cap."""
-    node = Node(52, TABLE, 100)
+    node = Node(52)
     for ue, frac in occupancy.items():
         node.add_ue(ue, 20)
         node.queues[ue].push(PdcpPdu(ue, 0, round(frac * CFG.ue_queue_bytes) * 8, 0))
@@ -335,8 +328,8 @@ def test_zero_latency_reconfiguration_completes_same_timestamp():
 
 
 def test_release_moves_leftover_pdus_back_to_anchor():
-    cand = Node(52, TABLE, 100)
-    anchor = Node(52, TABLE, 100)
+    cand = Node(52)
+    anchor = Node(52)
     anchor.add_ue(1, 10)
     cand.add_ue(1, 22)
     for i in range(3):
@@ -358,12 +351,12 @@ def test_anchor_mcs_refresh_reaches_binding():
     sc = Scenario(cfg, 1)
     bound, requester = sorted(sc.nodes[0].queues)
     ue = sc.ues[bound]
-    ue.tn_sinr_db = TABLE.thresholds_db[10]
+    ue.tn_sinr_db = MCS_THRESHOLDS_DB[10]
     sc._on_measurement(ue, millis(cfg.meas_period_ms))
     ue.pending_reconfig = True
     sc._finalize_binding(ue)
     sc.reports[requester] = _report(5)
-    sc.ntn_node.load.record(sc.ntn_node.n_res)
+    sc.cand.load.record(sc.ntn_node.n_res)
 
     def admit():
         d = handle_sn_addition_request(sc.ntn_node, sc.cand, requester, 0,
@@ -372,14 +365,14 @@ def test_anchor_mcs_refresh_reaches_binding():
             sc._release(d.victim, "preempted")
         return d
 
-    ue.tn_sinr_db = TABLE.thresholds_db[2]
+    ue.tn_sinr_db = MCS_THRESHOLDS_DB[2]
     sc._on_measurement(ue, millis(cfg.meas_period_ms))
     assert sc.reports[bound].mn_mcs == 2
     d = admit()
     assert (d.verdict, d.cause) == (REJECT, "overloaded")
     assert bound in sc.ntn_node.queues
 
-    ue.tn_sinr_db = TABLE.thresholds_db[10]
+    ue.tn_sinr_db = MCS_THRESHOLDS_DB[10]
     sc._on_measurement(ue, millis(cfg.meas_period_ms))
     d = admit()
     assert (d.verdict, d.cause) == (ACK, "preempted-weakest")

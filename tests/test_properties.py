@@ -6,7 +6,6 @@ from unittest import mock
 from hypothesis import event, example, given, settings, strategies as st
 
 from ntnmc import simulation
-from ntnmc.channel import McsTable
 from ntnmc.config import (POLICIES, PRBS_BY_BANDWIDTH_MHZ, ConfigError,
                           ScenarioConfig, load_config)
 from ntnmc.dataplane import (CbrFlow, Node, PdcpPdu, PdcpReceiver,
@@ -18,14 +17,13 @@ from ntnmc.simulation import Scenario
 from ntnmc.stats import percentile
 
 CFG = ScenarioConfig()
-TABLE = McsTable.default()
 
 
 def _admit(cand, ctrl, ue_id, t_ns):
     """Admission as a scenario runs it: the anchor also serves every UE
     bound at the candidate, and the victim an ACK names is released through
     `release_secondary`."""
-    anchor = Node(52, TABLE, 100)
+    anchor = Node(52)
     for ue in cand.queues:
         anchor.add_ue(ue, 10)
     d = handle_sn_addition_request(cand, ctrl, ue_id, t_ns, CFG, PREEMPTIVE)
@@ -73,14 +71,14 @@ def test_receiver_accounts_for_every_pdu(sns):
                           st.integers(0, 31)),          # its anchor mcs
                 max_size=40))
 def test_acks_never_violate_the_add_gate(reqs):
-    node = Node(52, TABLE, 100)
-    ctrl = CandidateState({})
+    node = Node(52)
+    ctrl = CandidateState({}, 100, node.n_res)
     gate_ns = millis(CFG.add_gate_ms)
     t = 0
     ack_times = []
     for dt, load, ue, mcs in reqs:
         t += dt
-        node.load.record(round(load * node.n_res))
+        ctrl.load.record(round(load * node.n_res))
         ctrl.reports[ue] = Measurement(t, -110.0, 0.0, mcs)
         d = _admit(node, ctrl, ue, t)
         if d.verdict == ACK:

@@ -5,8 +5,7 @@ speed; `reference_schedule_tti` computes each backlogged UE's need in REs,
 asks the oracle for the grants, and sends a whole-byte transport block per
 grant through `take`. The property drives the scheduler and the reference
 on equal copies of a random node for several TTIs and requires the same
-grants, the same queue state, the same rotation counter and the same load
-window.
+grants, the same queue state and the same rotation counter.
 """
 
 import math
@@ -14,12 +13,9 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ntnmc.channel import McsTable
+from ntnmc.channel import MCS_EFFICIENCIES
 from ntnmc.dataplane import (Node, PdcpPdu, max_min_share, res_per_tti,
                              schedule_tti)
-
-TABLE = McsTable.default()
-
 
 def max_min_oracle(needs, total, first):
     """Max-min fair grants of `total` REs over `needs`, by rounds: each
@@ -49,7 +45,7 @@ def max_min_oracle(needs, total, first):
 
 def reference_schedule_tti(node):
     """One TTI at `node`, the grants taken from `max_min_oracle`."""
-    eff = node.mcs_table.efficiencies
+    eff = MCS_EFFICIENCIES
     hungry, needs = [], []
     for ue, q in node.queues.items():
         bits = q.queued_bits - q.served_bits
@@ -57,18 +53,15 @@ def reference_schedule_tti(node):
             hungry.append(ue)
             needs.append(math.ceil(bits / eff[node.ue_mcs[ue]]))
     out = []
-    granted = 0
     if hungry:
         alloc = max_min_oracle(needs, node.n_res, node._rr % len(hungry))
         node._rr += 1
         for ue, n_res in zip(hungry, alloc):
             if n_res <= 0:
                 continue
-            granted += n_res
             mcs = node.ue_mcs[ue]
             tb_bits = int(eff[mcs] * n_res) // 8 * 8
             out.append((ue, n_res, mcs, node.queues[ue].take(tb_bits)))
-    node.load.record(granted)
     return out
 
 
@@ -89,7 +82,7 @@ def node_specs(draw):
     ues = []
     for _ in range(draw(st.integers(0, 40))):
         mcs = draw(st.one_of(st.none(),
-                             st.integers(0, len(TABLE.efficiencies) - 1)))
+                             st.integers(0, len(MCS_EFFICIENCIES) - 1)))
         pdus = draw(st.lists(PDU_BITS, max_size=6))
         sent = draw(st.integers(0, pdus[0] - 1)) if pdus else 0
         ues.append((mcs, pdus, sent))
@@ -98,7 +91,7 @@ def node_specs(draw):
 
 def build_node(spec):
     n_res, rr, ues = spec
-    node = Node(52, TABLE, 10)
+    node = Node(52)
     node.n_res = n_res
     node._rr = rr
     for ue_id, (mcs, pdus, sent) in enumerate(ues):
@@ -124,7 +117,7 @@ def state(node):
                    None if q.in_service is None else _pdus([q.in_service]),
                    _pdus(q.pending))
               for ue, q in node.queues.items()}
-    return queues, node._rr, node.load._sum, list(node.load._hist)
+    return queues, node._rr
 
 
 @settings(deadline=None, max_examples=200)

@@ -4,6 +4,7 @@ import weakref
 
 import pytest
 
+from ntnmc import simulation
 from ntnmc.config import POLICIES, load_config
 from ntnmc.engine import millis
 from ntnmc.simulation import NTN_CELL_ID, Scenario, run_single
@@ -19,11 +20,12 @@ def _tiny(policy="mcs"):
 def test_scenario_builds_expected_population():
     sc = Scenario(_tiny(), 1)
     assert len(sc.ues) == 18
-    assert sorted(sc.nodes) == list(range(9)) + [NTN_CELL_ID]
-    assert sc.nodes[NTN_CELL_ID] is sc.ntn_node
-    # every UE anchors at a terrestrial sector
+    assert len(sc.nodes) == 9
+    assert sc.ntn_node not in sc.nodes
+    # every UE anchors at a terrestrial sector, whose node holds its queue
     for ue in sc.ues.values():
         assert ue.mn_node_id in range(9)
+        assert ue.ue_id in sc.nodes[ue.mn_node_id].queues
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -202,3 +204,28 @@ def test_ingest_drains_only_when_a_pdu_can_move(monkeypatch):
     monkeypatch.setattr(Scenario, "_ingest_app_packet", ingest)
     Scenario(_tiny("rsrp"), 1).run_to_end()
     assert moved and min(moved) >= 1
+
+
+def test_beam_load_window_holds_the_beams_last_grants(monkeypatch):
+    # After every TTI, the beam's admission state holds the REs the beam
+    # granted in each of its last `window` TTIs, idle TTIs (0 REs) included;
+    # no sector's grants reach it.
+    beam = []
+
+    def schedule(node, _orig=simulation.schedule_tti):
+        out = _orig(node)
+        if node is sc.ntn_node:
+            beam.append(sum(n_res for _ue, n_res, _m, _d in out))
+        return out
+
+    def on_tti(self, _orig=Scenario._on_tti):
+        _orig(self)
+        assert list(self.cand.load._hist) == beam[-self.cand.load.window:]
+
+    monkeypatch.setattr(simulation, "schedule_tti", schedule)
+    monkeypatch.setattr(Scenario, "_on_tti", on_tti)
+    sc = Scenario(dataclasses.replace(_tiny("rsrp"), load_window_ms=20.0), 1)
+    sc.run_to_end()
+    assert sc.cand.load.window == 20
+    assert len(beam) == 601
+    assert 0 in beam[20:] and max(beam) > 0

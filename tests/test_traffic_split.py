@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from ntnmc.channel import McsTable
 from ntnmc.config import ScenarioConfig
 from ntnmc.dataplane import Node, PdcpPdu, PATH_MN, PATH_SN
 from ntnmc.mc_control import Measurement
@@ -11,12 +10,11 @@ from ntnmc.traffic_split import (Grant, GrantBook, compute_request_amount,
                                  drain_forward, reroute_secondary_queue,
                                  send_periodic_requests)
 
-TABLE = McsTable.default()
 CFG = ScenarioConfig()
 
 
 def _sn_node(n_secondary):
-    node = Node(CFG.n_prb, TABLE, 100)
+    node = Node(CFG.n_prb)
     for ue in range(1, n_secondary + 1):
         node.add_ue(ue, 22)
     return node
@@ -28,8 +26,8 @@ def _reports(n_secondary, sinr_db):
 
 
 def _mn_sn_pair():
-    mn = Node(CFG.n_prb, TABLE, 100)
-    sn = Node(CFG.n_prb, TABLE, 100)
+    mn = Node(CFG.n_prb)
+    sn = Node(CFG.n_prb)
     mn.add_ue(1, 10)
     sn.add_ue(1, 22)
     return mn, sn
@@ -57,9 +55,6 @@ def test_request_amount_matches_oracle_on_random_draws():
         n_s = rng.randint(1, 20)
         sinr_db = rng.uniform(-10.0, 25.0)
         node = _sn_node(n_s)
-        for _ in range(rng.randint(0, 100)):
-            k = rng.randint(0, node.n_res)
-            node.load.record(k)
         want = request_amount_oracle(CFG.split_alpha, n_s,
                                      CFG.bandwidth_mhz * 1e6, sinr_db, window_s)
         got = compute_request_amount(node, sinr_db, CFG)
@@ -67,7 +62,7 @@ def test_request_amount_matches_oracle_on_random_draws():
 
 
 def test_request_amount_requires_served_ues():
-    node = Node(CFG.n_prb, TABLE, 100)
+    node = Node(CFG.n_prb)
     with pytest.raises(ValueError):
         compute_request_amount(node, 0.0, CFG)
 
