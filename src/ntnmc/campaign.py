@@ -30,6 +30,7 @@ def run_campaign(cfg, policies, seeds, jobs=1):
     """
     tasks = [(replace(cfg, policy=policy), seed)
              for policy, seed in expand_runs(policies, seeds)]
+    jobs = min(jobs, len(tasks))    # a worker beyond one per run stays idle
     if jobs <= 1:
         results = [_run_task(t) for t in tasks]
     else:

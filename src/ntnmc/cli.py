@@ -22,6 +22,17 @@ from .config import POLICIES, ConfigError, load_config
 from .stats import emit_results, ensure_writable_dir
 
 
+def _once_each(items, what, text):
+    """`items`, parsed from `text`; at least one, and none twice, since a
+    repeated run would be pooled twice into the summary."""
+    if not items:
+        raise ValueError(f"no {what} given in {text!r}")
+    repeated = sorted({x for x in items if items.count(x) > 1})
+    if repeated:
+        raise ValueError(f"{what} listed more than once: {repeated}")
+    return items
+
+
 def parse_seeds(text):
     """'1..15' (inclusive range) or '1,2,5' or '7'."""
     text = text.strip()
@@ -31,7 +42,8 @@ def parse_seeds(text):
         if hi < lo:
             raise ValueError(f"empty seed range: {text}")
         return list(range(lo, hi + 1))
-    return [int(part) for part in text.split(",") if part.strip()]
+    return _once_each([int(part) for part in text.split(",") if part.strip()],
+                      "seeds", text)
 
 
 def parse_policies(text):
@@ -39,9 +51,7 @@ def parse_policies(text):
     for p in policies:
         if p not in POLICIES:
             raise ValueError(f"unknown policy {p!r}, expected one of {POLICIES}")
-    if not policies:
-        raise ValueError("no policies given")
-    return policies
+    return _once_each(policies, "policies", text)
 
 
 def build_parser():

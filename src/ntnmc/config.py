@@ -120,6 +120,7 @@ class ScenarioConfig:
         positive = [
             "sim_duration_s", "isd_m", "n_sites", "n_ue_per_sector",
             "cbr_rate_bps", "packet_bytes", "carrier_ghz", "bandwidth_mhz",
+            "tn_sector_beamwidth_deg", "tn_bs_height_m", "ue_height_m",
             "sat_altitude_m", "ntn_beam_radius_m", "ue_queue_bytes",
             "pdcp_reorder_timer_ms", "pdcp_reorder_buffer_pdus",
             "load_window_ms", "eval_period_ms", "meas_period_ms",
@@ -226,11 +227,11 @@ _FLOAT_FIELDS = [name for name, f in _FIELDS.items() if f.type is float]
 def _coerce(field, raw, where):
     raw = raw.strip()
     try:
-        if field.type in ("int", int):
+        if field.type is int:
             return int(raw)
-        if field.type in ("float", float):
+        if field.type is float:
             return float(raw)
-        if field.type in ("str", str):
+        if field.type is str:
             return raw
     except ValueError:
         raise ConfigError(f"{where}: cannot parse {raw!r} as {field.type} for {field.name}")

@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from ntnmc import campaign
 from ntnmc.cli import main, parse_policies, parse_seeds
 from ntnmc.campaign import run_campaign
 from ntnmc.config import load_config
@@ -28,6 +29,58 @@ def test_parse_policies_validates_names():
         parse_policies("mcs,bogus")
     with pytest.raises(ValueError):
         parse_policies(" , ")
+
+
+def test_empty_or_repeated_lists_are_rejected():
+    # an empty list used to crash the summary; a repeated seed or policy
+    # would pool the same run twice
+    for text in ("", ",", " , ", "1,1", "2,1,2"):
+        with pytest.raises(ValueError):
+            parse_seeds(text)
+    for text in ("off,off", "mcs, off ,mcs"):
+        with pytest.raises(ValueError):
+            parse_policies(text)
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--seeds", ""), ("--seeds", ","), ("--seeds", "1,1"),
+    ("--policies", "off,off")])
+def test_empty_or_repeated_list_is_usage_error(tmp_path, flag, value):
+    out = tmp_path / "x"
+    assert main(["run", "--out", str(out), "--seeds", "1", flag, value]) == 2
+    assert not out.exists()
+
+
+def test_campaign_opens_no_more_workers_than_runs(monkeypatch):
+    opened = []
+
+    class InlinePool:
+        def __init__(self, processes):
+            opened.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(campaign.multiprocessing, "Pool", InlinePool)
+    monkeypatch.setattr(campaign, "run_single",
+                        lambda cfg, seed: (cfg.policy, seed))
+    monkeypatch.setattr(campaign, "summarize_setting",
+                        lambda policy, chunk: chunk)
+    cfg = load_config(None, environ={})
+    runs = [("off", 1), ("off", 2), ("mcs", 1), ("mcs", 2)]
+    for jobs, workers in ((2, [2]), (4, [4]), (9, [4]), (1, [])):
+        opened.clear()
+        _, results = run_campaign(cfg, ["off", "mcs"], [1, 2], jobs=jobs)
+        assert (opened, results) == (workers, runs)
+    # a single run never forks
+    assert run_campaign(cfg, ["off"], [1], jobs=9)[1] == [("off", 1)]
+    assert opened == []
 
 
 def test_validate_prints_effective_config(tmp_path, capsys, monkeypatch):

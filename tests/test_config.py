@@ -137,7 +137,7 @@ def test_bandwidth_must_match_prb_count():
 
 
 # 0.3 s with 2 UEs per sector: each of these would otherwise validate and
-# then hang or raise `SchedulingError` mid-run.
+# then hang, or raise `SchedulingError` or a math error mid-run.
 PROBE = dict(sim_duration_s=0.3, warmup_s=0.1, n_ue_per_sector=2)
 
 
@@ -153,6 +153,10 @@ PROBE = dict(sim_duration_s=0.3, warmup_s=0.1, n_ue_per_sector=2)
     (dict(sat_epoch_lat_deg=91.0), "sat_epoch_lat_deg.*latitude"),
     # sites past the pole, at longitudes of order 1e14 degrees
     (dict(center_lat_deg=90.0, sat_epoch_lat_deg=89.0), "center_lat_deg.*pole"),
+    # log10 of a height, and an angle over the beamwidth
+    (dict(tn_bs_height_m=-1.0), "tn_bs_height_m must be positive"),
+    (dict(ue_height_m=0.0), "ue_height_m must be positive"),
+    (dict(tn_sector_beamwidth_deg=0.0), "tn_sector_beamwidth_deg must be positive"),
 ])
 def test_configs_that_would_fail_mid_run_are_rejected(overrides, match):
     with pytest.raises(ConfigError, match=match):

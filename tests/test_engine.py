@@ -1,7 +1,7 @@
 import pytest
 
-from ntnmc.engine import (NS_PER_MS, NS_PER_S, RngStreams, SchedulingError,
-                          Simulator, millis, seconds)
+from ntnmc.engine import (NS_PER_S, RngStreams, SchedulingError, Simulator,
+                          millis, seconds)
 
 
 def live_events(sim):

@@ -190,7 +190,7 @@ FRACTIONS = ("load_ack_max", "bo_threshold_frac", "split_alpha")
 def _edge_or(valid, *edges):
     """Mostly `valid`; in one draw of 16, one of `edges`, the values at or
     just past a validation edge. Rare enough that about one example in
-    four passes every rule and runs."""
+    five passes every rule and runs."""
     return st.integers(0, 15).flatmap(
         lambda k: st.sampled_from(edges) if k == 15 else valid)
 
@@ -238,6 +238,11 @@ def config_overrides(draw):
     lo = draw(_edge_or(st.floats(0.0, 3000.0), -1e-6))
     o["ue_drop_min_m"] = lo
     o["ue_drop_max_m"] = lo + draw(_edge_or(st.floats(1.0, 5000.0), 0.0, -1e-6))
+
+    o["tn_bs_height_m"] = draw(_edge_or(st.floats(1.0, 100.0), 0.0, -1.0))
+    o["ue_height_m"] = draw(_edge_or(st.floats(0.5, 20.0), 0.0, -1.0))
+    o["tn_sector_beamwidth_deg"] = draw(_edge_or(st.floats(10.0, 180.0),
+                                                 0.0, -1.0))
 
     for name in FRACTIONS:
         o[name] = draw(_edge_or(st.floats(0.0, 1.0, exclude_min=True),
