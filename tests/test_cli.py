@@ -32,8 +32,8 @@ def test_parse_policies_validates_names():
 
 
 def test_empty_or_repeated_lists_are_rejected():
-    # an empty list used to crash the summary; a repeated seed or policy
-    # would pool the same run twice
+    # an empty list leaves no run to summarize; a repeated seed or policy
+    # would pool one run twice
     for text in ("", ",", " , ", "1,1", "2,1,2"):
         with pytest.raises(ValueError):
             parse_seeds(text)
