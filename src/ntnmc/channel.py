@@ -127,17 +127,18 @@ class TnChannel:
 
     LOS state and shadowing are drawn once per pair when a UE is attached and
     never redrawn (drop-time channel realization, no fast fading). SINR is
-    therefore a precomputed constant.
+    therefore a constant, computed once at attachment.
     """
 
     def __init__(self, cfg, sectors, rng):
         self.cfg = cfg
         self.sectors = sectors
         self.rng = rng
-        self.sinr = {}      # (ue_id, serving sector_id) -> dB
         self._n_re_grid = cfg.n_prb * SUBCARRIERS_PER_PRB
 
-    def attach_ue(self, ue_id, ue_pos):
+    def attach_ue(self, ue_pos):
+        """Draw the links of a UE at `ue_pos`; returns its SINR in dB from
+        each sector, by sector id."""
         cfg = self.cfg
         per_re_tx = cfg.tn_tx_power_dbm - linear_to_db(self._n_re_grid)
         powers = []
@@ -156,8 +157,7 @@ class TnChannel:
 
         noise = db_to_linear(noise_per_re_dbm(cfg.ue_noise_figure_db))
         total = sum(powers)
-        for sec, p in zip(self.sectors, powers):
-            self.sinr[(ue_id, sec.sector_id)] = linear_to_db(p / (total - p + noise))
+        return [linear_to_db(p / (total - p + noise)) for p in powers]
 
 
 class NtnChannel:

@@ -28,21 +28,21 @@ def res_per_tti(n_prb):
 
 
 class PdcpPdu:
-    __slots__ = ("ue_id", "sn", "bits", "created_ns", "path")
+    __slots__ = ("sn", "bits", "created_ns", "path")
 
-    def __init__(self, ue_id, sn, bits, created_ns, path=PATH_MN):
-        self.ue_id = ue_id
+    def __init__(self, sn, bits, created_ns, path=PATH_MN):
         self.sn = sn
         self.bits = bits
         self.created_ns = created_ns
         self.path = path
 
     def __repr__(self):
-        return f"PdcpPdu(ue={self.ue_id}, sn={self.sn}, bits={self.bits}, path={self.path})"
+        return f"PdcpPdu(sn={self.sn}, bits={self.bits}, path={self.path})"
 
 
 class UeTxQueue:
-    """FIFO of whole PDUs plus the single PDU currently on the air.
+    """FIFO of whole PDUs plus the single PDU currently on the air, sent
+    over a link of MCS `mcs` (None = below the table floor, never served).
 
     The head PDU being transmitted is held apart from `pending` so that
     forwarding to a secondary node can only take untouched whole PDUs.
@@ -50,9 +50,10 @@ class UeTxQueue:
     partially sent one.
     """
 
-    __slots__ = ("pending", "in_service", "served_bits", "queued_bits")
+    __slots__ = ("mcs", "pending", "in_service", "served_bits", "queued_bits")
 
-    def __init__(self):
+    def __init__(self, mcs):
+        self.mcs = mcs
         self.pending = deque()
         self.in_service = None
         self.served_bits = 0
@@ -136,31 +137,23 @@ class Node:
     holds a secondary leg for.
 
     The keys of `queues` are the node's UEs, in the order they were added;
-    `ue_mcs` holds each one's true link MCS, used by the scheduler.
+    each queue carries its UE's true link MCS, which the scheduler reads.
     """
 
     def __init__(self, n_prb):
         self.n_res = res_per_tti(n_prb)
         self.queues = {}
-        self.ue_mcs = {}        # true link MCS, None = below the table floor
         self._rr = 0
 
     def add_ue(self, ue_id, mcs):
-        self.queues[ue_id] = UeTxQueue()
-        self.ue_mcs[ue_id] = mcs
+        self.queues[ue_id] = UeTxQueue(mcs)
 
     def remove_ue(self, ue_id):
         self.queues.pop(ue_id, None)
-        self.ue_mcs.pop(ue_id, None)
 
     def queued_bits(self, ue_id):
         q = self.queues.get(ue_id)
         return q.queued_bits if q else 0
-
-
-def buffer_occupancy(node, ue_id, max_queue_bytes):
-    """Transmit-queue fill of one UE at a node, as a fraction of the cap."""
-    return (node.queued_bits(ue_id) / 8.0) / max_queue_bytes
 
 
 def max_min_share(needs, total, first):
@@ -205,12 +198,11 @@ def schedule_tti(node):
     [(ue_id, n_res, mcs, completed_pdus)], one entry per UE granted REs;
     an idle TTI returns an empty list.
     """
-    ue_mcs = node.ue_mcs
     eff = MCS_EFFICIENCIES
     hungry = []             # (ue_id, queue, mcs) of each backlogged UE
     needs = []
     for ue_id, q in node.queues.items():
-        mcs = ue_mcs[ue_id]
+        mcs = q.mcs
         if mcs is None:
             continue
         bits = q.queued_bits - q.served_bits

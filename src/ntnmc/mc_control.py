@@ -2,13 +2,13 @@
 policies and the table that names them, candidate-side admission,
 reconfiguration and release.
 
-Both sides share one run-wide map of each UE's latest `Measurement`. A UE
-has a secondary leg if and only if the satellite beam's node has its queue.
+Both sides read the scenario's one map of each UE's latest `Measurement`. A
+UE has a secondary leg if and only if the satellite beam's node has its
+queue.
 
-Requester side (`AnchorState`, one per anchor sector): while its request
-gate is open, an evaluation ranks the sector's single-connectivity UEs and
-names at most one to ask a secondary leg for; the scenario runs the
-evaluations on a jittered period.
+Requester side: an evaluator ranks one anchor sector's single-connectivity
+UEs and names at most one to ask a secondary leg for. The scenario runs the
+evaluations on a jittered period and holds each sector's request gate.
 
 Candidate side (`CandidateState`, the satellite beam, the only candidate
 cell): refuses anything within the add-gate of its previous acknowledgement,
@@ -21,7 +21,7 @@ exceeds the requester's.
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .dataplane import LoadTracker, buffer_occupancy
+from .dataplane import LoadTracker
 from .engine import millis
 from .traffic_split import reroute_secondary_queue
 
@@ -60,79 +60,63 @@ class Decision:
     victim: Optional[int] = None    # the UE whose leg an ACK preempts
 
 
-class AnchorState:
-    """Requester-side control state of one anchor sector: its request gate."""
-
-    def __init__(self, node_id, reports):
-        self.node_id = node_id
-        self.reports = reports   # ue_id -> latest Measurement, run-wide
-        self.last_request_ns = None  # when the last addition request was sent
-
-
 class CandidateState:
     """Admission state of the satellite beam, the one candidate cell; the
     scenario records the beam's granted REs in `load` every TTI."""
 
-    def __init__(self, reports, window_ttis, n_res):
+    def __init__(self, window_ttis, n_res):
         self.last_ack_ns = None
-        self.reports = reports   # ue_id -> latest Measurement, run-wide
         self.load = LoadTracker(window_ttis, n_res)
 
 
-def request_gate_open(anchor, t_ns, cfg):
-    """Whether `anchor` may send an addition request at `t_ns`, at most one
-    per gate period; while it is closed, an evaluation can change nothing."""
-    last = anchor.last_request_ns
-    return last is None or t_ns - last >= millis(cfg.request_gate_ms)
-
-
-def _first_eligible(anchor, ue_ids, t_ns, cfg):
+def _first_eligible(reports, ue_ids, t_ns, cfg):
     """The first UE of `ue_ids` whose latest report is fresh and at or above
-    the RSRP floor, or None; naming one closes the request gate."""
+    the RSRP floor, or None."""
     stale_ns = millis(cfg.meas_staleness_ms)
     for ue_id in ue_ids:
-        meas = anchor.reports.get(ue_id)
+        meas = reports.get(ue_id)
         if (meas is not None and t_ns - meas.t_ns <= stale_ns
                 and meas.rsrp_dbm >= cfg.rsrp_min_dbm):
-            anchor.last_request_ns = t_ns
             return ue_id
     return None
 
 
-def evaluate_mcs_based(anchor, node, single_ues, t_ns, cfg):
+def evaluate_mcs_based(reports, node, single_ues, t_ns, cfg):
     """The first eligible UE whose anchor MCS is at or below the threshold,
     in ascending MCS order (ties by UE id)."""
-    reports = anchor.reports
     weak = [u for u in single_ues
             if _mcs_key(reports.get(u)) <= cfg.mcs_threshold]
     weak.sort(key=lambda u: (_mcs_key(reports.get(u)), u))
-    return _first_eligible(anchor, weak, t_ns, cfg)
+    return _first_eligible(reports, weak, t_ns, cfg)
 
 
-def evaluate_rsrp_based(anchor, node, single_ues, t_ns, cfg):
+def evaluate_rsrp_based(reports, node, single_ues, t_ns, cfg):
     """The eligible UE of lowest id."""
-    return _first_eligible(anchor, sorted(single_ues), t_ns, cfg)
+    return _first_eligible(reports, sorted(single_ues), t_ns, cfg)
 
 
-def evaluate_bo_based(anchor, node, single_ues, t_ns, cfg):
+def evaluate_bo_based(reports, node, single_ues, t_ns, cfg):
     """The first eligible UE whose transmit queue at the anchor `node` has
-    filled past the occupancy threshold, most backlogged first."""
-    occupancy = {u: buffer_occupancy(node, u, cfg.ue_queue_bytes)
+    filled past the occupancy threshold (a fraction of the queue cap), most
+    backlogged first."""
+    queues = node.queues
+    occupancy = {u: queues[u].queued_bits / 8.0 / cfg.ue_queue_bytes
                  for u in single_ues}
     crossed = [u for u in single_ues if occupancy[u] >= cfg.bo_threshold_frac]
     crossed.sort(key=lambda u: (-occupancy[u], u))
-    return _first_eligible(anchor, crossed, t_ns, cfg)
+    return _first_eligible(reports, crossed, t_ns, cfg)
 
 
 @dataclass(frozen=True)
 class Policy:
     """One setting of the comparison, as the scenario wires it.
 
-    `evaluate(anchor, node, single_ues, t_ns, cfg)` is the anchor-side
+    `evaluate(reports, node, single_ues, t_ns, cfg)` is the anchor-side
     evaluator; None (`off`) disables evaluation and data requests entirely.
-    It ranks `single_ues` and returns the first whose report is fresh and
-    at or above the RSRP floor, or None; it is called only while the
-    anchor's request gate is open, which the caller checks.
+    It ranks the `single_ues` of the anchor `node` and returns the first
+    whose report in `reports` is fresh and at or above the RSRP floor, or
+    None, and changes no state. The caller runs it only while the sector's
+    request gate is open, and closes the gate when it names a UE.
     `admission` is the candidate-side mode. The MCS policy goes through the
     full admission (add gate, load headroom, preemptive release). The
     occupancy policy uses the same admission without preemption, so it never
@@ -161,9 +145,11 @@ def policy_for(name):
     }[name]
 
 
-def handle_sn_addition_request(cand_node, cand, ue_id, t_ns, cfg, mode):
+def handle_sn_addition_request(cand_node, cand, reports, ue_id, t_ns, cfg,
+                               mode):
     """Candidate-side admission for one addition request, made for `ue_id`,
-    which is unbound and has no reconfiguration pending.
+    which is unbound and has no reconfiguration pending; preemption compares
+    the latest anchor-link MCS in `reports`.
 
     `COVERAGE` accepts without load or add-gate checks and leaves the add
     gate alone. `GATED` and `PREEMPTIVE` check, in order, the recent-ack
@@ -181,7 +167,6 @@ def handle_sn_addition_request(cand_node, cand, ue_id, t_ns, cfg, mode):
         cand.last_ack_ns = t_ns
         return Decision(ACK, "headroom")
     if mode == PREEMPTIVE and cand_node.queues:
-        reports = cand.reports
         victim_id = max(cand_node.queues,
                         key=lambda u: (_mcs_key(reports[u]), -u))
         if _mcs_key(reports[victim_id]) > _mcs_key(reports[ue_id]):

@@ -10,7 +10,9 @@ satellite link is recomputed whenever a UE measures it.
 
 The policy under test is one `mc_control.Policy` record, looked up when the
 scenario is built: its evaluator, its candidate-side admission mode and the
-cause of its ADD events.
+cause of its ADD events. The scenario holds the one map of the UEs' latest
+reports and each sector's request gate, the time of its last addition
+request, which an evaluation checks and closes.
 
 Event design: one event per periodic instant. Every UE runs the same CBR
 flow (start 0, one interval), so a single arrival event ingests one packet
@@ -123,10 +125,9 @@ class Scenario:
         self.ntn_node = Node(cfg.n_prb)
 
         self.reports = {}       # ue_id -> latest mc.Measurement
-        self.anchors = {s.sector_id: mc.AnchorState(s.sector_id, self.reports)
-                        for s in self.sectors}
+        self.last_request_ns = [None] * len(self.sectors)   # by sector id
         self.cand = mc.CandidateState(
-            self.reports, max(1, round(cfg.load_window_ms)), self.ntn_node.n_res)
+            max(1, round(cfg.load_window_ms)), self.ntn_node.n_res)
         self.book = ts.GrantBook()
 
         drop_rng = self.rngs.stream("ue-drop")
@@ -147,8 +148,7 @@ class Scenario:
 
     def _add_ue(self, ue_id, sector_id, pos):
         cfg = self.cfg
-        self.tn.attach_ue(ue_id, pos)
-        sinr = self.tn.sinr[(ue_id, sector_id)]
+        sinr = self.tn.attach_ue(pos)[sector_id]
         ue = UeState(ue_id, sector_id, pos, sinr)
         ue.best_ntn_rsrp_dbm, ue.ntn_sinr_db, ue.ntn_delay_ns = (
             self.ntn.link_state(pos, 0))
@@ -198,7 +198,7 @@ class Scenario:
             ue.counters.dropped_bits += bits
             ue.counters.dropped_pdus += 1
             return
-        pdu = PdcpPdu(ue.ue_id, ue.next_sn, bits, t_ns, PATH_MN)
+        pdu = PdcpPdu(ue.next_sn, bits, t_ns, PATH_MN)
         ue.next_sn += 1
         q.push(pdu)
         grant = self.book.grants.get(ue.ue_id)
@@ -268,8 +268,9 @@ class Scenario:
         self.reports[ue.ue_id] = mc.Measurement(
             t, rsrp + e_ntn, sinr + e_ntn,
             mcs_for_sinr(ue.tn_sinr_db + e_tn))
-        if ue.ue_id in self.ntn_node.queues:
-            self.ntn_node.ue_mcs[ue.ue_id] = mcs_for_sinr(sinr)
+        sn_q = self.ntn_node.queues.get(ue.ue_id)
+        if sn_q is not None:
+            sn_q.mcs = mcs_for_sinr(sinr)
 
         if t + period <= self.end_ns:
             self.sim.schedule_in(period, self._on_measurement, ue, period)
@@ -278,32 +279,37 @@ class Scenario:
 
     def _schedule_evaluations(self):
         self._eval_rng = self.rngs.stream("eval-jitter")
-        for anchor in self.anchors.values():
-            self._schedule_eval(anchor, 0)
+        for sector_id in range(len(self.nodes)):
+            self._schedule_eval(sector_id, 0)
 
-    def _schedule_eval(self, anchor, grid_ns):
+    def _schedule_eval(self, sector_id, grid_ns):
         """The evaluation of grid point `grid_ns` fires after a fresh jitter,
         so evaluation k fires at k * period + jitter_k and never drifts."""
         t = grid_ns + round(self._eval_rng.random()
                             * millis(self.cfg.eval_jitter_ms))
         if t <= self.end_ns:
-            self.sim.schedule_at(t, self._on_eval, anchor, grid_ns)
+            self.sim.schedule_at(t, self._on_eval, sector_id, grid_ns)
 
-    def _on_eval(self, anchor, grid_ns):
+    def _on_eval(self, sector_id, grid_ns):
+        # The request gate lets one request out per gate period; while it is
+        # closed an evaluation could change nothing, so none is run.
         t = self.sim.now
-        if mc.request_gate_open(anchor, t, self.cfg):
-            node = self.nodes[anchor.node_id]
+        cfg = self.cfg
+        last = self.last_request_ns[sector_id]
+        if last is None or t - last >= millis(cfg.request_gate_ms):
+            node = self.nodes[sector_id]
             single = [u for u in node.queues if u not in self.ntn_node.queues
                       and not self.ues[u].pending_reconfig]
-            ue_id = self.policy.evaluate(anchor, node, single, t, self.cfg)
+            ue_id = self.policy.evaluate(self.reports, node, single, t, cfg)
             if ue_id is not None:
+                self.last_request_ns[sector_id] = t     # closes the gate
                 self._dispatch_request(ue_id, t)
         # Every evaluation draws its next jitter, gate open or not.
-        self._schedule_eval(anchor, grid_ns + millis(self.cfg.eval_period_ms))
+        self._schedule_eval(sector_id, grid_ns + millis(cfg.eval_period_ms))
 
     def _dispatch_request(self, ue_id, t_ns):
         decision = mc.handle_sn_addition_request(
-            self.ntn_node, self.cand, ue_id, t_ns, self.cfg,
+            self.ntn_node, self.cand, self.reports, ue_id, t_ns, self.cfg,
             self.policy.admission)
         ue = self.ues[ue_id]
         if decision.verdict == mc.ACK:

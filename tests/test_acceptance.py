@@ -151,7 +151,7 @@ def test_reordering_survives_randomized_dual_path_arrivals():
         rx = PdcpReceiver(1, sim, millis(100.0), 1000,
                           lambda pdu, t: delivered.append(pdu.sn))
         for t, _tie, sn in arrivals:
-            rx.receive(PdcpPdu(1, sn, 8, 0), t)
+            rx.receive(PdcpPdu(sn, 8, 0), t)
         rx.flush(arrivals[-1][0])
         assert delivered == sorted(delivered)
         assert rx.delivered_pdus + rx.stale_pdus + rx.duplicate_pdus == n

@@ -64,16 +64,16 @@ def test_tn_pathloss_monotone_and_clamped():
     assert tn_pathloss_db(1.0, 2.0, True, hb, hu) == tn_pathloss_db(35.0, 2.0, True, hb, hu)
 
 
-def test_tn_channel_populates_every_sector():
+def test_attach_ue_returns_one_finite_sinr_per_sector():
     cfg = ScenarioConfig()
     sectors = build_tn_layout(GroundPosition(cfg.center_lat_deg,
                                              cfg.center_lon_deg),
                               cfg.isd_m, cfg.n_sites)
     ch = TnChannel(cfg, sectors, random.Random(3))
     pos = GroundPosition(cfg.center_lat_deg + 0.01, cfg.center_lon_deg)
-    ch.attach_ue(0, pos)
-    for sec in sectors:
-        assert (0, sec.sector_id) in ch.sinr
+    sinr = ch.attach_ue(pos)
+    assert len(sinr) == len(sectors) == 9
+    assert all(math.isfinite(x) for x in sinr)
 
 
 def _default_ntn():

@@ -1,6 +1,6 @@
 from ntnmc.dataplane import (CbrFlow, LoadTracker, Node, PdcpPdu,
-                             PdcpReceiver, UeTxQueue, buffer_occupancy,
-                             res_per_tti, schedule_tti)
+                             PdcpReceiver, UeTxQueue, res_per_tti,
+                             schedule_tti)
 from ntnmc.engine import Simulator, millis
 
 
@@ -10,7 +10,7 @@ def test_resource_grid_size():
 
 def _backlog(node, ue_id, n_pdus=20, bits=12000):
     for i in range(n_pdus):
-        node.queues[ue_id].push(PdcpPdu(ue_id, i, bits, 0))
+        node.queues[ue_id].push(PdcpPdu(i, bits, 0))
 
 
 def test_two_backlogged_ues_split_the_grid_evenly():
@@ -73,9 +73,9 @@ def test_load_tracker_fractions_and_eviction():
 
 
 def test_tx_queue_segmentation_and_accounting():
-    q = UeTxQueue()
-    a = PdcpPdu(1, 0, 12000, 0)
-    b = PdcpPdu(1, 1, 12000, 0)
+    q = UeTxQueue(10)
+    a = PdcpPdu(0, 12000, 0)
+    b = PdcpPdu(1, 12000, 0)
     q.push(a)
     q.push(b)
     assert q.queued_bits - q.served_bits == 24000
@@ -92,8 +92,8 @@ def test_tx_queue_segmentation_and_accounting():
 
 
 def test_tx_queue_drain_returns_service_slot_first():
-    q = UeTxQueue()
-    pdus = [PdcpPdu(1, i, 12000, 0) for i in range(3)]
+    q = UeTxQueue(10)
+    pdus = [PdcpPdu(i, 12000, 0) for i in range(3)]
     for p in pdus:
         q.push(p)
     q.take(3000)  # partially serve pdus[0]
@@ -102,20 +102,12 @@ def test_tx_queue_drain_returns_service_slot_first():
 
 
 def test_tx_queue_push_front_orders_ahead():
-    q = UeTxQueue()
-    late = PdcpPdu(1, 5, 12000, 0)
+    q = UeTxQueue(10)
+    late = PdcpPdu(5, 12000, 0)
     q.push(late)
-    early = PdcpPdu(1, 2, 12000, 0)
+    early = PdcpPdu(2, 12000, 0)
     q.push_front(early)
     assert q.drain_all() == [early, late]
-
-
-def test_buffer_occupancy_fraction():
-    node = Node(52)
-    node.add_ue(1, 10)
-    node.queues[1].push(PdcpPdu(1, 0, 400_000 * 8, 0))
-    assert buffer_occupancy(node, 1, 1_000_000) == 0.4
-    assert buffer_occupancy(node, 2, 1_000_000) == 0.0
 
 
 def _receiver(sim, timer_ms=100.0, max_buffer=1000):
@@ -129,7 +121,7 @@ def test_in_order_pdus_flow_straight_through():
     sim = Simulator()
     rx, delivered = _receiver(sim)
     for sn in range(3):
-        rx.receive(PdcpPdu(1, sn, 12000, 0), sn)
+        rx.receive(PdcpPdu(sn, 12000, 0), sn)
     assert [sn for sn, _t in delivered] == [0, 1, 2]
     assert rx.delivered_pdus == 3
     assert rx.buffered_bits == 0
@@ -138,15 +130,15 @@ def test_in_order_pdus_flow_straight_through():
 def test_gap_resolved_by_reordering_timer():
     sim = Simulator()
     rx, delivered = _receiver(sim)
-    rx.receive(PdcpPdu(1, 0, 12000, 0), sim.now)
-    rx.receive(PdcpPdu(1, 2, 12000, 0), sim.now)  # sn 1 missing, timer arms
+    rx.receive(PdcpPdu(0, 12000, 0), sim.now)
+    rx.receive(PdcpPdu(2, 12000, 0), sim.now)  # sn 1 missing, timer arms
     assert [sn for sn, _t in delivered] == [0]
     sim.run_until(millis(200.0))
     assert [sn for sn, _t in delivered] == [0, 2]
     assert rx.skipped_sns == 1
     assert rx.rx_deliv == 3
     # the straggler is now stale
-    rx.receive(PdcpPdu(1, 1, 12000, 0), sim.now)
+    rx.receive(PdcpPdu(1, 12000, 0), sim.now)
     assert rx.stale_pdus == 1
     assert rx.stale_bits == 12000
     assert [sn for sn, _t in delivered] == [0, 2]
@@ -155,8 +147,8 @@ def test_gap_resolved_by_reordering_timer():
 def test_duplicate_while_gapped_is_counted_once():
     sim = Simulator()
     rx, delivered = _receiver(sim)
-    rx.receive(PdcpPdu(1, 2, 12000, 0), 0)
-    rx.receive(PdcpPdu(1, 2, 12000, 0), 0)
+    rx.receive(PdcpPdu(2, 12000, 0), 0)
+    rx.receive(PdcpPdu(2, 12000, 0), 0)
     assert rx.duplicate_pdus == 1
     assert delivered == []
 
@@ -164,9 +156,9 @@ def test_duplicate_while_gapped_is_counted_once():
 def test_late_arrival_before_timer_drains_in_order():
     sim = Simulator()
     rx, delivered = _receiver(sim)
-    rx.receive(PdcpPdu(1, 1, 12000, 0), sim.now)
+    rx.receive(PdcpPdu(1, 12000, 0), sim.now)
     sim.run_until(millis(10.0))
-    rx.receive(PdcpPdu(1, 0, 12000, 0), sim.now)
+    rx.receive(PdcpPdu(0, 12000, 0), sim.now)
     assert [sn for sn, _t in delivered] == [0, 1]
     assert rx.skipped_sns == 0
     # timer must not fire later and skip anything
@@ -178,7 +170,7 @@ def test_buffer_overflow_forces_oldest_run_out():
     sim = Simulator()
     rx, delivered = _receiver(sim, max_buffer=3)
     for sn in (1, 2, 3, 4):  # sn 0 never arrives
-        rx.receive(PdcpPdu(1, sn, 12000, 0), 0)
+        rx.receive(PdcpPdu(sn, 12000, 0), 0)
     assert [sn for sn, _t in delivered] == [1, 2, 3, 4]
     assert rx.skipped_sns == 1
     assert rx.delivered_pdus == 4
@@ -187,8 +179,8 @@ def test_buffer_overflow_forces_oldest_run_out():
 def test_flush_delivers_the_buffer_without_skipping():
     sim = Simulator()
     rx, delivered = _receiver(sim)
-    rx.receive(PdcpPdu(1, 5, 12000, 0), 0)
-    rx.receive(PdcpPdu(1, 7, 12000, 0), 0)
+    rx.receive(PdcpPdu(5, 12000, 0), 0)
+    rx.receive(PdcpPdu(7, 12000, 0), 0)
     rx.flush(0)
     assert [sn for sn, _t in delivered] == [5, 7]
     assert rx.skipped_sns == 0  # sns 0-4 and 6 are still on their way

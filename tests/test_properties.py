@@ -19,14 +19,15 @@ from ntnmc.stats import percentile
 CFG = ScenarioConfig()
 
 
-def _admit(cand, ctrl, ue_id, t_ns):
+def _admit(cand, ctrl, reports, ue_id, t_ns):
     """Admission as a scenario runs it: the anchor also serves every UE
     bound at the candidate, and the victim an ACK names is released through
     `release_secondary`."""
     anchor = Node(52)
     for ue in cand.queues:
         anchor.add_ue(ue, 10)
-    d = handle_sn_addition_request(cand, ctrl, ue_id, t_ns, CFG, PREEMPTIVE)
+    d = handle_sn_addition_request(cand, ctrl, reports, ue_id, t_ns, CFG,
+                                   PREEMPTIVE)
     if d.victim is not None:
         release_secondary(cand, anchor, d.victim)
     return d
@@ -54,7 +55,7 @@ def test_receiver_accounts_for_every_pdu(sns):
                       lambda pdu, t: delivered.append(pdu.sn))
     for i, sn in enumerate(sns):
         sim.run_until(millis(float(i)))
-        rx.receive(PdcpPdu(1, sn, 8, 0), sim.now)
+        rx.receive(PdcpPdu(sn, 8, 0), sim.now)
     sim.run_until(millis(float(len(sns)) + 200.0))
     rx.flush(sim.now)
     # strictly-increasing app-level delivery, no PDU lost or double-counted
@@ -72,15 +73,16 @@ def test_receiver_accounts_for_every_pdu(sns):
                 max_size=40))
 def test_acks_never_violate_the_add_gate(reqs):
     node = Node(52)
-    ctrl = CandidateState({}, 100, node.n_res)
+    ctrl = CandidateState(100, node.n_res)
+    reports = {}
     gate_ns = millis(CFG.add_gate_ms)
     t = 0
     ack_times = []
     for dt, load, ue, mcs in reqs:
         t += dt
         ctrl.load.record(round(load * node.n_res))
-        ctrl.reports[ue] = Measurement(t, -110.0, 0.0, mcs)
-        d = _admit(node, ctrl, ue, t)
+        reports[ue] = Measurement(t, -110.0, 0.0, mcs)
+        d = _admit(node, ctrl, reports, ue, t)
         if d.verdict == ACK:
             ack_times.append(t)
             node.add_ue(ue, 22)

@@ -49,9 +49,9 @@ def reference_schedule_tti(node):
     hungry, needs = [], []
     for ue, q in node.queues.items():
         bits = q.queued_bits - q.served_bits
-        if node.ue_mcs[ue] is not None and bits > 0:
+        if q.mcs is not None and bits > 0:
             hungry.append(ue)
-            needs.append(math.ceil(bits / eff[node.ue_mcs[ue]]))
+            needs.append(math.ceil(bits / eff[q.mcs]))
     out = []
     if hungry:
         alloc = max_min_oracle(needs, node.n_res, node._rr % len(hungry))
@@ -59,7 +59,7 @@ def reference_schedule_tti(node):
         for ue, n_res in zip(hungry, alloc):
             if n_res <= 0:
                 continue
-            mcs = node.ue_mcs[ue]
+            mcs = node.queues[ue].mcs
             tb_bits = int(eff[mcs] * n_res) // 8 * 8
             out.append((ue, n_res, mcs, node.queues[ue].take(tb_bits)))
     return out
@@ -98,14 +98,14 @@ def build_node(spec):
         node.add_ue(ue_id, mcs)
         q = node.queues[ue_id]
         for sn, bits in enumerate(pdus):
-            q.push(PdcpPdu(ue_id, sn, bits, 0))
+            q.push(PdcpPdu(sn, bits, 0))
         if sent:
             q.take(sent)        # the first PDU in service, partly sent
     return node
 
 
 def _pdus(pdus):
-    return [(p.ue_id, p.sn, p.bits) for p in pdus]
+    return [(p.sn, p.bits) for p in pdus]
 
 
 def grants(out):

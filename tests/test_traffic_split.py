@@ -105,7 +105,7 @@ def test_forwarding_decision_decrements_and_stops():
     grant = Grant(1, 30_000.0, 50_000_000)
     moved = []
     for i, t in enumerate((10, 10, 10, 60_000_000)):
-        mn.queues[1].push(PdcpPdu(1, i, 12_000, 0))
+        mn.queues[1].push(PdcpPdu(i, 12_000, 0))
         moved.append(drain_forward(mn, sn, grant, t))
     # 6000 bits left after two, a 12000-bit unit no longer fits
     assert moved == [1, 1, 0, 0]
@@ -114,7 +114,7 @@ def test_forwarding_decision_decrements_and_stops():
 
 def test_grant_audit_tracks_usage_fraction():
     mn, sn = _mn_sn_pair()
-    mn.queues[1].push(PdcpPdu(1, 0, 12_000, 0))
+    mn.queues[1].push(PdcpPdu(0, 12_000, 0))
     book = GrantBook()
     book.replace(Grant(1, 24_000.0, 50_000_000))
     drain_forward(mn, sn, book.grants[1], 10)
@@ -127,7 +127,7 @@ def test_grant_audit_tracks_usage_fraction():
 def test_drain_forward_moves_whole_pdus_up_to_grant():
     mn, sn = _mn_sn_pair()
     for i in range(4):
-        mn.queues[1].push(PdcpPdu(1, i, 12_000, 0))
+        mn.queues[1].push(PdcpPdu(i, 12_000, 0))
     moved = drain_forward(mn, sn, Grant(1, 30_000.0, 50_000_000), 10)
     assert moved == 2
     assert [p.sn for p in sn.queues[1].pending] == [0, 1]
@@ -138,7 +138,7 @@ def test_drain_forward_moves_whole_pdus_up_to_grant():
 def test_drain_forward_leaves_in_service_pdu_alone():
     mn, sn = _mn_sn_pair()
     for i in range(3):
-        mn.queues[1].push(PdcpPdu(1, i, 12_000, 0))
+        mn.queues[1].push(PdcpPdu(i, 12_000, 0))
     mn.queues[1].take(3_000)  # pdu 0 now partially transmitted
     moved = drain_forward(mn, sn, Grant(1, 100_000.0, 50_000_000), 10)
     assert moved == 2
@@ -148,9 +148,9 @@ def test_drain_forward_leaves_in_service_pdu_alone():
 
 def test_reroute_returns_pdus_to_anchor_in_order():
     mn, sn = _mn_sn_pair()
-    mn.queues[1].push(PdcpPdu(1, 9, 12_000, 0))
+    mn.queues[1].push(PdcpPdu(9, 12_000, 0))
     for i in (1, 2, 3):
-        sn.queues[1].push(PdcpPdu(1, i, 12_000, 0, path=PATH_SN))
+        sn.queues[1].push(PdcpPdu(i, 12_000, 0, path=PATH_SN))
     sn.queues[1].take(3_000)  # pdu 1 mid-flight locally, still rerouted
     n = reroute_secondary_queue(sn, mn, 1)
     assert n == 3
@@ -162,7 +162,7 @@ def test_reroute_returns_pdus_to_anchor_in_order():
 
 def test_replacing_a_grant_finalizes_the_old_window():
     mn, sn = _mn_sn_pair()
-    mn.queues[1].push(PdcpPdu(1, 0, 12_000, 0))
+    mn.queues[1].push(PdcpPdu(0, 12_000, 0))
     book = GrantBook()
     book.replace(Grant(1, 12_000.0, 50_000_000))
     assert drain_forward(mn, sn, book.grants[1], 10) == 1
