@@ -14,6 +14,17 @@ from .simulation import run_single
 from .stats import summarize_setting
 
 
+def once_each(items, what):
+    """`items`, which must hold at least one entry and none twice, since a
+    repeated run would be pooled twice into the summary."""
+    if not items:
+        raise ValueError(f"no {what} given")
+    repeated = sorted({x for x in items if items.count(x) > 1})
+    if repeated:
+        raise ValueError(f"{what} listed more than once: {repeated}")
+    return items
+
+
 def expand_runs(policies, seeds):
     return [(policy, seed) for policy in policies for seed in seeds]
 
@@ -28,6 +39,8 @@ def run_campaign(cfg, policies, seeds, jobs=1):
 
     Results are ordered policy-major in invocation order, then by seed.
     """
+    once_each(policies, "policies")
+    once_each(seeds, "seeds")
     tasks = [(replace(cfg, policy=policy), seed)
              for policy, seed in expand_runs(policies, seeds)]
     jobs = min(jobs, len(tasks))    # a worker beyond one per run stays idle

@@ -15,22 +15,11 @@ import dataclasses
 import os
 import sys
 
-from .campaign import run_campaign
+from .campaign import once_each, run_campaign
 from .channel import (MCS_EFFICIENCIES, MCS_THRESHOLDS_DB, noise_per_re_dbm,
                       ntn_fspl_db)
 from .config import POLICIES, ConfigError, load_config
 from .stats import emit_results, ensure_writable_dir
-
-
-def _once_each(items, what, text):
-    """`items`, parsed from `text`; at least one, and none twice, since a
-    repeated run would be pooled twice into the summary."""
-    if not items:
-        raise ValueError(f"no {what} given in {text!r}")
-    repeated = sorted({x for x in items if items.count(x) > 1})
-    if repeated:
-        raise ValueError(f"{what} listed more than once: {repeated}")
-    return items
 
 
 def parse_seeds(text):
@@ -42,8 +31,8 @@ def parse_seeds(text):
         if hi < lo:
             raise ValueError(f"empty seed range: {text}")
         return list(range(lo, hi + 1))
-    return _once_each([int(part) for part in text.split(",") if part.strip()],
-                      "seeds", text)
+    return once_each([int(part) for part in text.split(",") if part.strip()],
+                     "seeds")
 
 
 def parse_policies(text):
@@ -51,7 +40,7 @@ def parse_policies(text):
     for p in policies:
         if p not in POLICIES:
             raise ValueError(f"unknown policy {p!r}, expected one of {POLICIES}")
-    return _once_each(policies, "policies", text)
+    return once_each(policies, "policies")
 
 
 def build_parser():

@@ -26,6 +26,32 @@ MIN_PERIOD_NS = 1000  # floor of every period, a thousandth of a TTI
 PRBS_BY_BANDWIDTH_MHZ = {5: 25, 10: 52, 15: 79, 20: 106, 25: 133, 30: 160,
                          40: 216, 50: 270}
 
+# Closed ranges the link-budget models are defined on. Heights, carrier and
+# the shortest link distance follow the RMa applicability of 3GPP TR 38.901
+# Table 7.4.1-1; altitudes span LEO to GEO (TR 38.821). Powers and gains
+# stay within 100 dB of 0 dB(m/W/i), and losses, noise figure and sigmas
+# within [0, 100] dB (shadowing: 30), so that every received power, with
+# path losses of up to ~1500 dB at the layout's reach, and every SINR stays
+# a positive finite float.
+LINK_BUDGET_RANGES = {
+    "carrier_ghz": (0.5, 30.0),
+    "tn_bs_height_m": (10.0, 150.0),
+    "ue_height_m": (1.0, 10.0),
+    "min_link_distance_m": (10.0, 10_000.0),
+    "sat_altitude_m": (300e3, 36_000e3),
+    "tn_sector_beamwidth_deg": (1.0, 360.0),
+    "tn_tx_power_dbm": (-100.0, 100.0),
+    "tn_sector_gain_dbi": (-100.0, 100.0),
+    "ntn_eirp_dbw_mhz": (-100.0, 100.0),
+    "ue_ntn_gain_dbi": (-100.0, 100.0),
+    "tn_sector_floor_db": (0.0, 100.0),
+    "ntn_beam_floor_db": (0.0, 100.0),
+    "ue_noise_figure_db": (0.0, 100.0),
+    "meas_error_sigma_db": (0.0, 100.0),
+    "shadow_sigma_los_db": (0.0, 30.0),
+    "shadow_sigma_nlos_db": (0.0, 30.0),
+}
+
 
 class ConfigError(Exception):
     pass
@@ -109,6 +135,14 @@ class ScenarioConfig:
         return PRBS_BY_BANDWIDTH_MHZ[self.bandwidth_mhz]
 
     def validate(self):
+        # A value of another type fails late or not at all: 2.5 UEs per
+        # sector raise mid-run, 1500.5-byte packets run with half bytes.
+        for name, f in _FIELDS.items():
+            value = getattr(self, name)
+            allowed = (int, float) if f.type is float else f.type
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ConfigError(
+                    f"{name} must be {f.type.__name__}, got {value!r}")
         # Comparisons with NaN are all false, so no range rule below would
         # catch one; an infinite period overflows `millis`.
         for name in _FLOAT_FIELDS:
@@ -140,11 +174,14 @@ class ScenarioConfig:
             if ns < MIN_PERIOD_NS:
                 raise ConfigError(f"{name} must be at least 1 us, got {ns} ns")
         nonneg = ["warmup_s", "eval_jitter_ms", "tn_latency_ms",
-                  "ue_drop_min_m", "sat_speed_ms", "meas_error_sigma_db",
-                  "ctrl_latency_ms"]
+                  "ue_drop_min_m", "sat_speed_ms", "ctrl_latency_ms"]
         for name in nonneg:
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
+        for name, (lo, hi) in LINK_BUDGET_RANGES.items():
+            if not lo <= getattr(self, name) <= hi:
+                raise ConfigError(f"{name} must be in [{lo:g}, {hi:g}], "
+                                  f"got {getattr(self, name)}")
         if self.eval_jitter_ms >= self.eval_period_ms:
             raise ConfigError("eval_jitter_ms must be below eval_period_ms")
         for name in ("center_lat_deg", "sat_epoch_lat_deg"):

@@ -51,6 +51,14 @@ def test_empty_or_repeated_list_is_usage_error(tmp_path, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("policies, seeds", [
+    (["off"], []), ([], [1]), (["off"], [1, 2, 1]), (["off", "off"], [1])])
+def test_campaign_rejects_empty_or_repeated_lists(policies, seeds):
+    with pytest.raises(ValueError):
+        run_campaign(load_config(None, environ={}, sim_duration_s=0.02,
+                                 warmup_s=0.01), policies, seeds)
+
+
 def test_campaign_opens_no_more_workers_than_runs(monkeypatch):
     opened = []
 

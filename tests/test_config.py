@@ -3,8 +3,8 @@ import math
 
 import pytest
 
-from ntnmc.config import (ConfigError, ScenarioConfig, load_config,
-                          parse_config_text)
+from ntnmc.config import (LINK_BUDGET_RANGES, ConfigError, ScenarioConfig,
+                          load_config, parse_config_text)
 
 FLOAT_FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig)
                 if f.type is float]
@@ -157,10 +157,43 @@ PROBE = dict(sim_duration_s=0.3, warmup_s=0.1, n_ue_per_sector=2)
     (dict(tn_bs_height_m=-1.0), "tn_bs_height_m must be positive"),
     (dict(ue_height_m=0.0), "ue_height_m must be positive"),
     (dict(tn_sector_beamwidth_deg=0.0), "tn_sector_beamwidth_deg must be positive"),
+    # finite magnitudes that overflow a float power or take log10 of 0
+    (dict(tn_sector_beamwidth_deg=1e-160), "tn_sector_beamwidth_deg must be in"),
+    (dict(tn_bs_height_m=1e-160), "tn_bs_height_m must be in"),
+    (dict(tn_tx_power_dbm=1e300), "tn_tx_power_dbm must be in"),
+    (dict(ntn_eirp_dbw_mhz=1e300), "ntn_eirp_dbw_mhz must be in"),
+    (dict(ue_noise_figure_db=1e300), "ue_noise_figure_db must be in"),
+    (dict(ue_height_m=1e200), "ue_height_m must be in"),
+    (dict(tn_sector_gain_dbi=-1e300), "tn_sector_gain_dbi must be in"),
+    (dict(carrier_ghz=1e-300), "carrier_ghz must be in"),
 ])
 def test_configs_that_would_fail_mid_run_are_rejected(overrides, match):
     with pytest.raises(ConfigError, match=match):
         load_config(None, environ={}, **PROBE, **overrides)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n_ue_per_sector", 2.5), ("n_sites", 1.5), ("packet_bytes", 1500.5),
+    ("n_sites", True), ("isd_m", "7500"), ("isd_m", False), ("policy", 1)])
+def test_values_of_the_wrong_type_are_rejected(name, value):
+    # 2.5 UEs per sector and 1.5 sites used to raise TypeError mid-run,
+    # 1500.5 bytes ran with half-byte packets, "7500" a bare TypeError
+    with pytest.raises(ConfigError, match=f"^{name} must be "):
+        load_config(None, environ={}, **{name: value})
+
+
+def test_ints_are_accepted_for_float_fields():
+    assert load_config(None, environ={}, isd_m=7500).isd_m == 7500
+
+
+def test_link_budget_ranges_are_closed():
+    for name, (lo, hi) in LINK_BUDGET_RANGES.items():
+        for value in (lo, hi):
+            load_config(None, environ={}, **{name: value})
+        for value in (math.nextafter(lo, -math.inf),
+                      math.nextafter(hi, math.inf)):
+            with pytest.raises(ConfigError, match=name):
+                load_config(None, environ={}, **{name: value})
 
 
 def test_periods_at_their_floor_validate():

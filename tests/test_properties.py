@@ -6,8 +6,9 @@ from unittest import mock
 from hypothesis import event, example, given, settings, strategies as st
 
 from ntnmc import simulation
-from ntnmc.config import (POLICIES, PRBS_BY_BANDWIDTH_MHZ, ConfigError,
-                          ScenarioConfig, load_config)
+from ntnmc.config import (LINK_BUDGET_RANGES, POLICIES,
+                          PRBS_BY_BANDWIDTH_MHZ, ConfigError, ScenarioConfig,
+                          load_config)
 from ntnmc.dataplane import (CbrFlow, Node, PdcpPdu, PdcpReceiver,
                              max_min_share)
 from ntnmc.engine import Simulator, millis, seconds
@@ -203,8 +204,8 @@ def config_overrides(draw):
     and just past its edges. Valid periods stay at 0.5 ms or more (the 1 us
     floor has its own test), runs at 0.3 s or less with 1-3 UEs per sector."""
     o = {"policy": draw(st.sampled_from(POLICIES)),
-         "n_ue_per_sector": draw(st.integers(1, 3)),
-         "n_sites": draw(_edge_or(st.integers(1, 3), 0, 4))}
+         "n_ue_per_sector": draw(_edge_or(st.integers(1, 3), 2.5)),
+         "n_sites": draw(_edge_or(st.integers(1, 3), 0, 4, 1.5, True))}
     for name in PERIODS_MS:
         o[name] = draw(_edge_or(st.floats(0.5, 150.0), 0.0, -0.5, 0.0009))
     period = o["eval_period_ms"]
@@ -214,7 +215,7 @@ def config_overrides(draw):
     for name in ("tn_latency_ms", "ctrl_latency_ms"):
         o[name] = draw(_edge_or(st.floats(0.0, 50.0), -1e-6))
 
-    o["packet_bytes"] = draw(_edge_or(st.integers(1, 9000), 0, -1))
+    o["packet_bytes"] = draw(_edge_or(st.integers(1, 9000), 0, -1, 1500.5))
     bits = max(o["packet_bytes"], 1) * 8
     o["cbr_rate_bps"] = draw(_edge_or(
         st.floats(0.5e-3, 0.1).map(lambda interval_s: bits / interval_s),
@@ -241,10 +242,11 @@ def config_overrides(draw):
     o["ue_drop_min_m"] = lo
     o["ue_drop_max_m"] = lo + draw(_edge_or(st.floats(1.0, 5000.0), 0.0, -1e-6))
 
-    o["tn_bs_height_m"] = draw(_edge_or(st.floats(1.0, 100.0), 0.0, -1.0))
-    o["ue_height_m"] = draw(_edge_or(st.floats(0.5, 20.0), 0.0, -1.0))
-    o["tn_sector_beamwidth_deg"] = draw(_edge_or(st.floats(10.0, 180.0),
-                                                 0.0, -1.0))
+    for name in ("tn_bs_height_m", "ue_height_m", "tn_sector_beamwidth_deg"):
+        lo, hi = LINK_BUDGET_RANGES[name]
+        o[name] = draw(_edge_or(st.floats(lo, hi), 0.0, -1.0,
+                                math.nextafter(lo, 0.0),
+                                math.nextafter(hi, math.inf)))
 
     for name in FRACTIONS:
         o[name] = draw(_edge_or(st.floats(0.0, 1.0, exclude_min=True),
