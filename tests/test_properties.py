@@ -193,7 +193,7 @@ FRACTIONS = ("load_ack_max", "bo_threshold_frac", "split_alpha")
 def _edge_or(valid, *edges):
     """Mostly `valid`; in one draw of 16, one of `edges`, the values at or
     just past a validation edge. Rare enough that about one example in
-    five passes every rule and runs."""
+    six passes every rule and runs."""
     return st.integers(0, 15).flatmap(
         lambda k: st.sampled_from(edges) if k == 15 else valid)
 
