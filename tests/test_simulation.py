@@ -4,12 +4,12 @@ import weakref
 
 import pytest
 
-from ntnmc import simulation
+from ntnmc import simulation, traffic_split
 from ntnmc.config import POLICIES, load_config
-from ntnmc.engine import millis
+from ntnmc.engine import Simulator, millis
 from ntnmc.simulation import NTN_CELL_ID, Scenario, run_single
 
-from test_golden import TEN_MS_CTRL_LATENCY
+from test_golden import TEN_MS_CTRL_LATENCY, TWO_SECONDS
 
 
 def _tiny(policy="mcs"):
@@ -184,7 +184,6 @@ def test_end_of_run_flush_skips_no_sequence_number():
 def test_ingest_drains_only_when_a_pdu_can_move(monkeypatch):
     # A drain at ingest runs only when the grant covers the packet just
     # admitted, and then it moves at least that packet's PDU.
-    from ntnmc import traffic_split
     moved, ingesting = [], []
 
     def drain(*args, _orig=traffic_split.drain_forward):
@@ -229,3 +228,63 @@ def test_beam_load_window_holds_the_beams_last_grants(monkeypatch):
     assert sc.cand.load.window == 20
     assert len(beam) == 601
     assert 0 in beam[20:] and max(beam) > 0
+
+
+RUN_END_VARIANTS = {"two-seconds": TWO_SECONDS,
+                    "ctrl-latency": TEN_MS_CTRL_LATENCY}
+
+
+@pytest.mark.parametrize("variant", sorted(RUN_END_VARIANTS))
+@pytest.mark.parametrize("policy", POLICIES)
+def test_no_handler_fires_after_the_run_end(monkeypatch, policy, variant):
+    # `run_until` ends the run: a handler may schedule past the end, but
+    # nothing past it fires, everything due at the end does, and `finish`
+    # leaves the queue empty.
+    fired = []
+
+    def schedule_at(sim, t, fn, *args, _orig=Simulator.schedule_at):
+        def handler(*a):
+            fired.append(sim.now)
+            return fn(*a)
+        return _orig(sim, t, handler, *args)
+
+    monkeypatch.setattr(Simulator, "schedule_at", schedule_at)
+    cfg = load_config(None, environ={}, policy=policy,
+                      **RUN_END_VARIANTS[variant])
+    sc = Scenario(cfg, 1)
+    sc.run_to_end()
+    assert max(fired) == sc.end_ns
+    assert sc.sim._queue == []
+
+
+GRANT_TIMINGS = {"default": TWO_SECONDS,
+                 "short-offset": dict(TWO_SECONDS, split_toff_ms=0.001),
+                 "ctrl-latency": TEN_MS_CTRL_LATENCY}
+
+
+@pytest.mark.parametrize("timing", sorted(GRANT_TIMINGS))
+@pytest.mark.parametrize("policy", ["mcs", "rsrp", "bo"])
+def test_every_drain_uses_a_grant_of_the_current_cycle(monkeypatch, policy,
+                                                       timing):
+    # Only the data-request cycle issues grants, and each cycle replaces the
+    # grant of every bound UE, so no drain sees a grant older than delta_t,
+    # even when t_offset is the smallest that `validate` accepts.
+    cfg = load_config(None, environ={}, policy=policy,
+                      **GRANT_TIMINGS[timing])
+    sc = Scenario(cfg, 1)
+    issued, ages = {}, []   # id(grant) -> (grant, issue time); drain ages
+
+    def send(*args, _orig=traffic_split.send_periodic_requests):
+        grants = _orig(*args)
+        for grant in grants:
+            issued[id(grant)] = grant, sc.sim.now
+        return grants
+
+    def drain(mn, sn, grant, *args, _orig=traffic_split.drain_forward):
+        ages.append(sc.sim.now - issued[id(grant)][1])
+        return _orig(mn, sn, grant, *args)
+
+    monkeypatch.setattr(traffic_split, "send_periodic_requests", send)
+    monkeypatch.setattr(traffic_split, "drain_forward", drain)
+    sc.run_to_end()
+    assert 0 < max(ages) <= millis(cfg.split_delta_ms)
