@@ -25,10 +25,6 @@ def once_each(items, what):
     return items
 
 
-def expand_runs(policies, seeds):
-    return [(policy, seed) for policy in policies for seed in seeds]
-
-
 def _run_task(task):
     cfg, seed = task
     return run_single(cfg, seed)
@@ -42,7 +38,7 @@ def run_campaign(cfg, policies, seeds, jobs=1):
     once_each(policies, "policies")
     once_each(seeds, "seeds")
     tasks = [(replace(cfg, policy=policy), seed)
-             for policy, seed in expand_runs(policies, seeds)]
+             for policy in policies for seed in seeds]
     jobs = min(jobs, len(tasks))    # a worker beyond one per run stays idle
     if jobs <= 1:
         results = [_run_task(t) for t in tasks]

@@ -195,8 +195,8 @@ def schedule_tti(node):
     Each backlogged UE needs ceil(unsent bits / efficiency) REs, and
     `max_min_share` splits the node's REs over those needs, the remainder
     starting at a position that advances by one every TTI. Returns
-    [(ue_id, n_res, mcs, completed_pdus)], one entry per UE granted REs;
-    an idle TTI returns an empty list.
+    [(ue_id, n_res, completed_pdus)], one entry per UE granted REs; an
+    idle TTI returns an empty list.
     """
     eff = MCS_EFFICIENCIES
     hungry = []             # (ue_id, queue, mcs) of each backlogged UE
@@ -224,9 +224,9 @@ def schedule_tti(node):
         if head is not None and q.served_bits + tb_bits < head.bits:
             # The PDU in service does not complete: the common case.
             q.served_bits += tb_bits
-            out.append((ue_id, n_res, mcs, ()))
+            out.append((ue_id, n_res, ()))
         else:
-            out.append((ue_id, n_res, mcs, q.take(tb_bits)))
+            out.append((ue_id, n_res, q.take(tb_bits)))
     return out
 
 

@@ -36,6 +36,14 @@ fire between them, and whatever a delivery schedules for their instant
 fires after the last of them either way. So one event that delivers them
 in launch order fires the same calls in the same order. The beam's blocks
 keep one event each, because their delay is per UE.
+
+The run's end is decided in one place, `run_until(end_ns)`. Each periodic
+chain (arrivals, TTIs, measurements, evaluations, data requests)
+reschedules itself unconditionally, so each leaves its next event past the
+end. Such events never fire, and `finish` drops them, as it drops late
+deliveries, reordering timers and reconfiguration messages. Scheduling
+them shifts later sequence numbers but not their order, so the events that
+do fire keep theirs.
 """
 
 from dataclasses import dataclass, field
@@ -139,12 +147,14 @@ class Scenario:
                 self._add_ue(ue_id, sec.sector_id, pos)
                 ue_id += 1
 
-        self._schedule_traffic()
-        self._schedule_ttis()
+        self.sim.schedule_at(0, self._on_arrival,
+                             CbrFlow(cfg.packet_bytes, cfg.cbr_rate_bps))
+        self.sim.schedule_at(0, self._on_tti)
         self._schedule_measurements()
         if self.policy.evaluate is not None:
             self._schedule_evaluations()
-            self._schedule_data_requests()
+            self.sim.schedule_at(0, self._on_data_request_cycle,
+                                 millis(cfg.split_delta_ms))
 
     def _add_ue(self, ue_id, sector_id, pos):
         cfg = self.cfg
@@ -170,17 +180,12 @@ class Scenario:
 
     # ---- traffic ------------------------------------------------------
 
-    def _schedule_traffic(self):
-        flow = CbrFlow(self.cfg.packet_bytes, self.cfg.cbr_rate_bps)
-        self.sim.schedule_at(0, self._on_arrival, flow)
-
     def _on_arrival(self, flow):
         t = self.sim.now
         bits = flow.packet_bits
         for ue in self.ues.values():
             self._ingest_app_packet(ue, bits, t)
-        if t + flow.interval_ns <= self.end_ns:
-            self.sim.schedule_in(flow.interval_ns, self._on_arrival, flow)
+        self.sim.schedule_in(flow.interval_ns, self._on_arrival, flow)
 
     def _ingest_app_packet(self, ue, bits, t_ns):
         """Admit one app packet at the anchor, or drop it if the anchor queue
@@ -202,34 +207,29 @@ class Scenario:
         ue.next_sn += 1
         q.push(pdu)
         grant = self.book.grants.get(ue.ue_id)
-        if grant is not None and grant.covers(bits, t_ns):
-            ts.drain_forward(mn, self.ntn_node, grant, t_ns)
+        if grant is not None and grant.covers(bits):
+            ts.drain_forward(mn, self.ntn_node, grant)
 
     # ---- air interface ------------------------------------------------
 
-    def _schedule_ttis(self):
-        self.sim.schedule_at(0, self._on_tti)
-
     def _on_tti(self):
-        t = self.sim.now
         ues = self.ues
         tbs = []
         for node in self.nodes:
-            for ue_id, _res, _mcs, done in schedule_tti(node):
+            for ue_id, _res, done in schedule_tti(node):
                 if done:
                     tbs.append(self._launch_tb(ues[ue_id], done))
         if tbs:
             self.sim.schedule_in(self.tn_latency_ns, self._deliver_tb, tbs)
         granted = 0
-        for ue_id, n_res, _mcs, done in schedule_tti(self.ntn_node):
+        for ue_id, n_res, done in schedule_tti(self.ntn_node):
             granted += n_res
             if done:
                 ue = ues[ue_id]
                 self.sim.schedule_in(ue.ntn_delay_ns, self._deliver_tb,
                                      [self._launch_tb(ue, done)])
         self.cand.load.record(granted)
-        if t + TTI_NS <= self.end_ns:
-            self.sim.schedule_in(TTI_NS, self._on_tti)
+        self.sim.schedule_in(TTI_NS, self._on_tti)
 
     def _launch_tb(self, ue, pdus):
         for pdu in pdus:
@@ -271,9 +271,7 @@ class Scenario:
         sn_q = self.ntn_node.queues.get(ue.ue_id)
         if sn_q is not None:
             sn_q.mcs = mcs_for_sinr(sinr)
-
-        if t + period <= self.end_ns:
-            self.sim.schedule_in(period, self._on_measurement, ue, period)
+        self.sim.schedule_in(period, self._on_measurement, ue, period)
 
     # ---- secondary-node control ----------------------------------------
 
@@ -287,8 +285,7 @@ class Scenario:
         so evaluation k fires at k * period + jitter_k and never drifts."""
         t = grid_ns + round(self._eval_rng.random()
                             * millis(self.cfg.eval_jitter_ms))
-        if t <= self.end_ns:
-            self.sim.schedule_at(t, self._on_eval, sector_id, grid_ns)
+        self.sim.schedule_at(t, self._on_eval, sector_id, grid_ns)
 
     def _on_eval(self, sector_id, grid_ns):
         # The request gate lets one request out per gate period; while it is
@@ -320,44 +317,36 @@ class Scenario:
                 self.sim, millis(self.cfg.ctrl_latency_ms),
                 self._finalize_binding, ue)
         else:
-            self._log(t_ns, mc.EV_REJECT, ue_id, ue.mn_node_id, NTN_CELL_ID,
-                      decision.cause)
+            self._log(mc.EV_REJECT, ue, decision.cause)
 
     def _finalize_binding(self, ue):
         # `_on_eval` asks only for UEs that are unbound and not pending.
         assert ue.ue_id not in self.ntn_node.queues
         ue.pending_reconfig = False
         self.ntn_node.add_ue(ue.ue_id, mcs_for_sinr(ue.ntn_sinr_db))
-        self._log(self.sim.now, mc.EV_ADD, ue.ue_id, ue.mn_node_id,
-                  NTN_CELL_ID, self.policy.add_cause)
+        self._log(mc.EV_ADD, ue, self.policy.add_cause)
 
     def _release(self, ue_id, cause):
         ue = self.ues[ue_id]
         mc.release_secondary(self.ntn_node, self.nodes[ue.mn_node_id], ue_id)
         self.book.cancel(ue_id)
-        self._log(self.sim.now, mc.EV_RELEASE, ue_id, ue.mn_node_id,
-                  NTN_CELL_ID, cause)
+        self._log(mc.EV_RELEASE, ue, cause)
 
     # ---- data requests -------------------------------------------------
 
-    def _schedule_data_requests(self):
-        self.sim.schedule_at(0, self._on_data_request_cycle,
-                             millis(self.cfg.split_delta_ms))
-
     def _on_data_request_cycle(self, period):
-        t = self.sim.now
         for grant in ts.send_periodic_requests(self.ntn_node, self.reports,
-                                               t, self.cfg):
+                                               self.cfg):
             self.book.replace(grant)
             mn = self.nodes[self.ues[grant.ue_id].mn_node_id]
-            ts.drain_forward(mn, self.ntn_node, grant, t)
-        if t + period <= self.end_ns:
-            self.sim.schedule_in(period, self._on_data_request_cycle, period)
+            ts.drain_forward(mn, self.ntn_node, grant)
+        self.sim.schedule_in(period, self._on_data_request_cycle, period)
 
     # ---- bookkeeping ----------------------------------------------------
 
-    def _log(self, t_ns, kind, ue_id, mn_id, sn_id, cause):
-        self.events.append((t_ns, kind, ue_id, mn_id, sn_id, cause))
+    def _log(self, kind, ue, cause):
+        self.events.append((self.sim.now, kind, ue.ue_id, ue.mn_node_id,
+                            NTN_CELL_ID, cause))
 
     def conservation_defect_bits(self, ue_id):
         """generated - (accounted everywhere); zero when no bit is lost."""

@@ -7,8 +7,9 @@ it is willing to absorb over the next delta_t + t_offset:
 
 with L_pr the load of the UEs the secondary anchors itself, n_s its current
 number of secondary UEs, B its bandwidth and SINR the UE's latest reported
-downlink SINR. The satellite beam anchors no UE here, so L_pr = 0. A fresh
-request (`Grant`) replaces the previous one: allowances do not accumulate.
+downlink SINR. The satellite beam anchors no UE here, so L_pr = 0. A grant
+(`Grant`) lives until the next request replaces it, or a release cancels
+it: allowances do not accumulate, and the t_offset margin only sizes D.
 The anchor forwards whole untouched PDUs from the queue head while the live
 grant covers them; everything else stays on the anchor.
 """
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 
 from .channel import db_to_linear
 from .dataplane import PATH_MN, PATH_SN
-from .engine import millis
 
 
 def compute_request_amount(sn_node, sinr_db, params):
@@ -41,27 +41,25 @@ def compute_request_amount(sn_node, sinr_db, params):
 @dataclass(slots=True)
 class Grant:
     """One data request: up to `amount_bits` of `ue_id`'s PDUs may be
-    forwarded until `expires_ns` (inclusive); `forwarded_bits` have been."""
+    forwarded until the next request replaces it; `forwarded_bits` have
+    been."""
     ue_id: int
     amount_bits: float
-    expires_ns: int
     forwarded_bits: int = 0
 
-    def covers(self, bits, t_ns):
-        """Whether a whole PDU of `bits` may be forwarded at `t_ns`."""
-        return (t_ns <= self.expires_ns
-                and self.amount_bits - self.forwarded_bits >= bits)
+    def covers(self, bits):
+        """Whether a whole PDU of `bits` may still be forwarded."""
+        return self.amount_bits - self.forwarded_bits >= bits
 
 
-def send_periodic_requests(sn_node, reports, t_ns, params):
+def send_periodic_requests(sn_node, reports, params):
     """One grant per served secondary UE, sized from its latest report in
-    `reports` and valid for delta_t + t_offset."""
+    `reports`; each replaces the UE's previous grant."""
     out = []
-    horizon = millis(params.split_delta_ms + params.split_toff_ms)
     for ue_id in sorted(sn_node.queues):
         amount = compute_request_amount(sn_node, reports[ue_id].sinr_db,
                                         params)
-        out.append(Grant(ue_id, amount, t_ns + horizon))
+        out.append(Grant(ue_id, amount))
     return out
 
 
@@ -103,14 +101,14 @@ class GrantBook:
             self.cancel(ue_id)
 
 
-def drain_forward(mn_node, sn_node, grant, t_ns):
+def drain_forward(mn_node, sn_node, grant):
     """Move whole pending PDUs of the grant's UE from the anchor queue to
     the secondary node while the grant covers them. The PDU currently on
     the air is never taken."""
     src = mn_node.queues[grant.ue_id]
     dst = sn_node.queues[grant.ue_id]
     moved = 0
-    while src.pending and grant.covers(src.pending[0].bits, t_ns):
+    while src.pending and grant.covers(src.pending[0].bits):
         pdu = src.pop_pending()
         grant.forwarded_bits += pdu.bits
         pdu.path = PATH_SN

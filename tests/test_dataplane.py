@@ -19,7 +19,7 @@ def test_two_backlogged_ues_split_the_grid_evenly():
     node.add_ue(2, 10)
     _backlog(node, 1)
     _backlog(node, 2)
-    grants = {ue: n_res for ue, n_res, _m, _d in schedule_tti(node)}
+    grants = {ue: n_res for ue, n_res, _d in schedule_tti(node)}
     assert grants == {1: 4368, 2: 4368}
     # int(1.6953 * 4368) = 7405 bits, floored to a whole byte
     assert [node.queues[ue].served_bits for ue in (1, 2)] == [7400, 7400]
@@ -32,7 +32,7 @@ def test_equal_share_remainder_rotates():
         _backlog(node, ue, n_pdus=200)
     totals = {ue: 0 for ue in (1, 2, 3, 4, 5)}
     for _ in range(5):
-        for ue, n_res, _m, _d in schedule_tti(node):
+        for ue, n_res, _d in schedule_tti(node):
             totals[ue] += n_res
     # 8736 = 5 * 1747 + 1; over 5 TTIs the +1 visits every UE once
     assert set(totals.values()) == {5 * 1747 + 1}
@@ -50,7 +50,7 @@ def test_empty_queues_leave_load_at_zero():
     node.add_ue(1, 10)
     # the REs granted in an idle TTI, as a scenario records them at the beam
     load = LoadTracker(100, node.n_res)
-    load.record(sum(n_res for _ue, n_res, _m, _d in schedule_tti(node)))
+    load.record(sum(n_res for _ue, n_res, _d in schedule_tti(node)))
     assert load.fraction() == 0.0
 
 

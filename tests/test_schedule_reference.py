@@ -61,7 +61,7 @@ def reference_schedule_tti(node):
                 continue
             mcs = node.queues[ue].mcs
             tb_bits = int(eff[mcs] * n_res) // 8 * 8
-            out.append((ue, n_res, mcs, node.queues[ue].take(tb_bits)))
+            out.append((ue, n_res, node.queues[ue].take(tb_bits)))
     return out
 
 
@@ -109,7 +109,7 @@ def _pdus(pdus):
 
 
 def grants(out):
-    return [(ue, n_res, mcs, _pdus(done)) for ue, n_res, mcs, done in out]
+    return [(ue, n_res, _pdus(done)) for ue, n_res, done in out]
 
 
 def state(node):

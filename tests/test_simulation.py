@@ -214,7 +214,7 @@ def test_beam_load_window_holds_the_beams_last_grants(monkeypatch):
     def schedule(node, _orig=simulation.schedule_tti):
         out = _orig(node)
         if node is sc.ntn_node:
-            beam.append(sum(n_res for _ue, n_res, _m, _d in out))
+            beam.append(sum(n_res for _ue, n_res, _d in out))
         return out
 
     def on_tti(self, _orig=Scenario._on_tti):

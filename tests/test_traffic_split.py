@@ -70,10 +70,10 @@ def test_request_amount_requires_served_ues():
 def test_request_amount_after_release_and_re_add():
     # the amount comes from the UE's report, which outlives its binding
     node, reports = _sn_node(1), _reports(1, 10.0)
-    [before] = send_periodic_requests(node, reports, 0, CFG)
+    [before] = send_periodic_requests(node, reports, CFG)
     node.remove_ue(1)
     node.add_ue(1, 22)
-    [after] = send_periodic_requests(node, reports, 0, CFG)
+    [after] = send_periodic_requests(node, reports, CFG)
     assert after.amount_bits == before.amount_bits
 
 
@@ -85,28 +85,20 @@ def test_request_amount_halves_when_membership_doubles():
 
 def test_periodic_requests_cover_every_secondary():
     node = _sn_node(3)
-    reqs = send_periodic_requests(node, _reports(3, 10.0), 1_000, CFG)
+    reqs = send_periodic_requests(node, _reports(3, 10.0), CFG)
     assert sorted(r.ue_id for r in reqs) == [1, 2, 3]
-    horizon = round((CFG.split_delta_ms + CFG.split_toff_ms) * 1e6)
     for r in reqs:
-        assert r.expires_ns == 1_000 + horizon
         assert r.amount_bits == compute_request_amount(node, 10.0, CFG)
         assert r.forwarded_bits == 0
 
 
-def test_grant_lifetime_is_inclusive_at_expiry():
-    grant = Grant(1, 30_000.0, 50_000_000)
-    assert grant.covers(12_000, 50_000_000)
-    assert not grant.covers(12_000, 50_000_001)
-
-
 def test_forwarding_decision_decrements_and_stops():
     mn, sn = _mn_sn_pair()
-    grant = Grant(1, 30_000.0, 50_000_000)
+    grant = Grant(1, 30_000.0)
     moved = []
-    for i, t in enumerate((10, 10, 10, 60_000_000)):
+    for i in range(4):
         mn.queues[1].push(PdcpPdu(i, 12_000, 0))
-        moved.append(drain_forward(mn, sn, grant, t))
+        moved.append(drain_forward(mn, sn, grant))
     # 6000 bits left after two, a 12000-bit unit no longer fits
     assert moved == [1, 1, 0, 0]
     assert grant.forwarded_bits == 24_000
@@ -116,8 +108,8 @@ def test_grant_audit_tracks_usage_fraction():
     mn, sn = _mn_sn_pair()
     mn.queues[1].push(PdcpPdu(0, 12_000, 0))
     book = GrantBook()
-    book.replace(Grant(1, 24_000.0, 50_000_000))
-    drain_forward(mn, sn, book.grants[1], 10)
+    book.replace(Grant(1, 24_000.0))
+    drain_forward(mn, sn, book.grants[1])
     book.close()
     assert book.windows_checked == 1
     assert book.violations == 0
@@ -128,7 +120,7 @@ def test_drain_forward_moves_whole_pdus_up_to_grant():
     mn, sn = _mn_sn_pair()
     for i in range(4):
         mn.queues[1].push(PdcpPdu(i, 12_000, 0))
-    moved = drain_forward(mn, sn, Grant(1, 30_000.0, 50_000_000), 10)
+    moved = drain_forward(mn, sn, Grant(1, 30_000.0))
     assert moved == 2
     assert [p.sn for p in sn.queues[1].pending] == [0, 1]
     assert all(p.path == PATH_SN for p in sn.queues[1].pending)
@@ -140,7 +132,7 @@ def test_drain_forward_leaves_in_service_pdu_alone():
     for i in range(3):
         mn.queues[1].push(PdcpPdu(i, 12_000, 0))
     mn.queues[1].take(3_000)  # pdu 0 now partially transmitted
-    moved = drain_forward(mn, sn, Grant(1, 100_000.0, 50_000_000), 10)
+    moved = drain_forward(mn, sn, Grant(1, 100_000.0))
     assert moved == 2
     assert mn.queues[1].in_service.sn == 0
     assert [p.sn for p in sn.queues[1].pending] == [1, 2]
@@ -164,9 +156,9 @@ def test_replacing_a_grant_finalizes_the_old_window():
     mn, sn = _mn_sn_pair()
     mn.queues[1].push(PdcpPdu(0, 12_000, 0))
     book = GrantBook()
-    book.replace(Grant(1, 12_000.0, 50_000_000))
-    assert drain_forward(mn, sn, book.grants[1], 10) == 1
-    book.replace(Grant(1, 12_000.0, 100_000_000))
+    book.replace(Grant(1, 12_000.0))
+    assert drain_forward(mn, sn, book.grants[1]) == 1
+    book.replace(Grant(1, 12_000.0))
     book.close()
     assert book.windows_checked == 2
     assert book.violations == 0
