@@ -10,6 +10,7 @@ and every derived artifact are identical for any --jobs value.
 import multiprocessing
 from dataclasses import replace
 
+from .config import POLICIES
 from .simulation import run_single
 from .stats import summarize_setting
 
@@ -25,6 +26,15 @@ def once_each(items, what):
     return items
 
 
+def check_policies(policies):
+    """`policies`, each one of `config.POLICIES` and none twice."""
+    for p in policies:
+        if p not in POLICIES:
+            raise ValueError(
+                f"unknown policy {p!r}, expected one of {POLICIES}")
+    return once_each(policies, "policies")
+
+
 def _run_task(task):
     cfg, seed = task
     return run_single(cfg, seed)
@@ -35,7 +45,10 @@ def run_campaign(cfg, policies, seeds, jobs=1):
 
     Results are ordered policy-major in invocation order, then by seed.
     """
-    once_each(policies, "policies")
+    check_policies(policies)
+    for s in seeds:     # a bool is an int, but not a seed
+        if isinstance(s, bool) or not isinstance(s, int):
+            raise ValueError(f"seed {s!r} is not an int")
     once_each(seeds, "seeds")
     tasks = [(replace(cfg, policy=policy), seed)
              for policy in policies for seed in seeds]

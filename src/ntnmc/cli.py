@@ -15,7 +15,7 @@ import dataclasses
 import os
 import sys
 
-from .campaign import once_each, run_campaign
+from .campaign import check_policies, once_each, run_campaign
 from .channel import (MCS_EFFICIENCIES, MCS_THRESHOLDS_DB, noise_per_re_dbm,
                       ntn_fspl_db)
 from .config import POLICIES, ConfigError, load_config
@@ -36,11 +36,7 @@ def parse_seeds(text):
 
 
 def parse_policies(text):
-    policies = [p.strip() for p in text.split(",") if p.strip()]
-    for p in policies:
-        if p not in POLICIES:
-            raise ValueError(f"unknown policy {p!r}, expected one of {POLICIES}")
-    return once_each(policies, "policies")
+    return check_policies([p.strip() for p in text.split(",") if p.strip()])
 
 
 def build_parser():

@@ -264,15 +264,10 @@ _FLOAT_FIELDS = [name for name, f in _FIELDS.items() if f.type is float]
 def _coerce(field, raw, where):
     raw = raw.strip()
     try:
-        if field.type is int:
-            return int(raw)
-        if field.type is float:
-            return float(raw)
-        if field.type is str:
-            return raw
+        return field.type(raw)      # every field is an int, float or str
     except ValueError:
-        raise ConfigError(f"{where}: cannot parse {raw!r} as {field.type} for {field.name}")
-    raise ConfigError(f"{where}: unsupported field type for {field.name}")
+        raise ConfigError(f"{where}: cannot parse {raw!r} as "
+                          f"{field.type.__name__} for {field.name}")
 
 
 def parse_config_text(text, source="<config>"):

@@ -52,7 +52,8 @@ def test_empty_or_repeated_list_is_usage_error(tmp_path, flag, value):
 
 
 @pytest.mark.parametrize("policies, seeds", [
-    (["off"], []), ([], [1]), (["off"], [1, 2, 1]), (["off", "off"], [1])])
+    (["off"], []), ([], [1]), (["off"], [1, 2, 1]), (["off", "off"], [1]),
+    (["nope"], [1]), (["off"], [1, "1"]), (["off"], [1.5]), (["off"], [True])])
 def test_campaign_rejects_empty_or_repeated_lists(policies, seeds):
     with pytest.raises(ValueError):
         run_campaign(load_config(None, environ={}, sim_duration_s=0.02,

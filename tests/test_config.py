@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import pytest
 
@@ -48,6 +49,16 @@ def test_duplicate_key_rejected():
 def test_bad_value_type_rejected():
     with pytest.raises(ConfigError, match="n_sites"):
         parse_config_text("n_sites = banana\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("isd_m = 5000 ; c", "cannot parse '5000 ; c' as float for isd_m"),
+    ("n_sites = 1.5", "cannot parse '1.5' as int for n_sites")])
+def test_unparsable_value_names_its_type(text, message):
+    # `;` starts a comment only at the start of a line
+    pattern = f"^demo.cfg:1: {re.escape(message)}$"
+    with pytest.raises(ConfigError, match=pattern):
+        parse_config_text(text, source="demo.cfg")
 
 
 def test_missing_equals_rejected():
