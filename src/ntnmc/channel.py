@@ -50,7 +50,7 @@ def _rma_pl1_db(d3d_m, fc_ghz):
             + a * math.log10(d3d_m) - b + 0.002 * math.log10(h) * d3d_m)
 
 
-def tn_pathloss_los_db(d2d_m, fc_ghz, bs_height_m, ue_height_m, min_distance_m=35.0):
+def tn_pathloss_los_db(d2d_m, fc_ghz, bs_height_m, ue_height_m, min_distance_m):
     """LOS branch: free-space-like up to the breakpoint, 40 dB/decade beyond."""
     d2d = max(d2d_m, min_distance_m)
     dh = bs_height_m - ue_height_m
@@ -61,7 +61,7 @@ def tn_pathloss_los_db(d2d_m, fc_ghz, bs_height_m, ue_height_m, min_distance_m=3
     return _rma_pl1_db(dbp, fc_ghz) + 40.0 * math.log10(d3d / dbp)
 
 
-def tn_pathloss_nlos_db(d2d_m, fc_ghz, bs_height_m, ue_height_m, min_distance_m=35.0):
+def tn_pathloss_nlos_db(d2d_m, fc_ghz, bs_height_m, ue_height_m, min_distance_m):
     """NLOS branch; never below the LOS branch at the same distance."""
     d2d = max(d2d_m, min_distance_m)
     dh = bs_height_m - ue_height_m
@@ -76,7 +76,7 @@ def tn_pathloss_nlos_db(d2d_m, fc_ghz, bs_height_m, ue_height_m, min_distance_m=
     return max(pl_nlos, tn_pathloss_los_db(d2d, fc_ghz, bs_height_m, ue_height_m, min_distance_m))
 
 
-def tn_pathloss_db(d2d_m, fc_ghz, los, bs_height_m, ue_height_m, min_distance_m=35.0):
+def tn_pathloss_db(d2d_m, fc_ghz, los, bs_height_m, ue_height_m, min_distance_m):
     if los:
         return tn_pathloss_los_db(d2d_m, fc_ghz, bs_height_m, ue_height_m, min_distance_m)
     return tn_pathloss_nlos_db(d2d_m, fc_ghz, bs_height_m, ue_height_m, min_distance_m)
@@ -87,13 +87,13 @@ def ntn_fspl_db(slant_m, fc_ghz):
     return 92.45 + 20.0 * math.log10(slant_m / 1000.0) + 20.0 * math.log10(fc_ghz)
 
 
-def sector_pattern_db(offaxis_deg, beamwidth_deg=65.0, max_attenuation_db=30.0):
+def sector_pattern_db(offaxis_deg, beamwidth_deg, max_attenuation_db):
     """Horizontal tri-sector pattern: parabolic roll-off with a floor."""
     a = ((offaxis_deg + 180.0) % 360.0) - 180.0
     return -min(12.0 * (a / beamwidth_deg) ** 2, max_attenuation_db)
 
 
-def beam_pattern_db(ground_offset_m, beam_radius_m, floor_db=30.0):
+def beam_pattern_db(ground_offset_m, beam_radius_m, floor_db):
     """Satellite beam pattern: flat inside the 3 dB radius, floor outside."""
     return 0.0 if ground_offset_m <= beam_radius_m else -floor_db
 

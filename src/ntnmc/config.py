@@ -251,7 +251,8 @@ def _satellite_pass_s(cfg):
     k = EARTH_RADIUS_M / (EARTH_RADIUS_M + cfg.sat_altitude_m)
     margin_m = (EARTH_RADIUS_M * math.acos(k)
                 - ground_distance_m(center, epoch) - reach_m)
-    track = SatelliteTrack(epoch, cfg.sat_altitude_m, cfg.sat_speed_ms)
+    track = SatelliteTrack(epoch, cfg.sat_altitude_m, cfg.sat_speed_ms,
+                           cfg.sat_heading_deg)
     if track.ground_speed_ms == 0.0:
         return math.inf if margin_m > 0.0 else 0.0
     return margin_m / track.ground_speed_ms

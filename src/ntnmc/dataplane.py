@@ -1,5 +1,4 @@
 """RAN data plane: PDCP PDUs, per-UE transmit queues, the TTI scheduler,
-the trailing-window load tracker that the satellite beam's admission reads,
 receive-side reordering and CBR sources.
 
 Time granularity is one 1 ms TTI (numerology 0). A 10 MHz carrier carries
@@ -18,26 +17,24 @@ from .engine import NS_PER_MS
 
 TTI_NS = NS_PER_MS
 
-# Which leg carried a PDU.
-PATH_MN = "mn_direct"
-PATH_SN = "via_sn"
-
 
 def res_per_tti(n_prb):
     return n_prb * SUBCARRIERS_PER_PRB * SYMBOLS_PER_TTI
 
 
 class PdcpPdu:
-    __slots__ = ("sn", "bits", "created_ns", "path")
+    """One PDCP PDU; the leg it travels is the queue or transport block
+    that holds it."""
 
-    def __init__(self, sn, bits, created_ns, path=PATH_MN):
+    __slots__ = ("sn", "bits", "created_ns")
+
+    def __init__(self, sn, bits, created_ns):
         self.sn = sn
         self.bits = bits
         self.created_ns = created_ns
-        self.path = path
 
     def __repr__(self):
-        return f"PdcpPdu(sn={self.sn}, bits={self.bits}, path={self.path})"
+        return f"PdcpPdu(sn={self.sn}, bits={self.bits})"
 
 
 class UeTxQueue:
@@ -106,31 +103,6 @@ class UeTxQueue:
         return out
 
 
-class LoadTracker:
-    """RE utilization over a trailing window of TTIs.
-
-    `record` must be called once per TTI, including idle ones, so the window
-    is always densely populated.
-    """
-
-    def __init__(self, window_ttis, res_per_tti_):
-        self.window = window_ttis
-        self.res_per_tti = res_per_tti_
-        self._hist = deque()
-        self._sum = 0
-
-    def record(self, granted):
-        self._hist.append(granted)
-        self._sum += granted
-        if len(self._hist) > self.window:
-            self._sum -= self._hist.popleft()
-
-    def fraction(self):
-        """Fraction of REs granted over the window so far."""
-        avail = len(self._hist) * self.res_per_tti
-        return self._sum / avail if avail else 0.0
-
-
 class Node:
     """One downlink transmitter serving one class of UEs: a terrestrial
     sector serves the UEs anchored at it, the satellite beam the UEs it
@@ -147,9 +119,6 @@ class Node:
 
     def add_ue(self, ue_id, mcs):
         self.queues[ue_id] = UeTxQueue(mcs)
-
-    def remove_ue(self, ue_id):
-        self.queues.pop(ue_id, None)
 
     def queued_bits(self, ue_id):
         q = self.queues.get(ue_id)

@@ -79,7 +79,7 @@ class SatelliteTrack:
     v_ground = v_orbit * R_E / (R_E + h).
     """
 
-    def __init__(self, epoch_subpoint, altitude_m, orbital_speed_ms, heading_deg=0.0):
+    def __init__(self, epoch_subpoint, altitude_m, orbital_speed_ms, heading_deg):
         self.epoch_subpoint = epoch_subpoint
         self.altitude_m = altitude_m
         self.heading_deg = heading_deg
@@ -123,7 +123,7 @@ class Sector:
     boresight_deg: float
 
 
-def build_tn_layout(center, isd_m, n_sites=3):
+def build_tn_layout(center, isd_m, n_sites):
     """Tri-sector sites with the given inter-site distance.
 
     One site sits at `center`; two or three sit on the vertices of an

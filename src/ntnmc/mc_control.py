@@ -18,12 +18,11 @@ secondary whose reported anchor-link MCS is highest, provided it strictly
 exceeds the requester's.
 """
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .dataplane import LoadTracker
 from .engine import millis
-from .traffic_split import reroute_secondary_queue
 
 ACK = "ACK"
 REJECT = "REJECT"
@@ -61,12 +60,29 @@ class Decision:
 
 
 class CandidateState:
-    """Admission state of the satellite beam, the one candidate cell; the
-    scenario records the beam's granted REs in `load` every TTI."""
+    """Admission state of the satellite beam, the one candidate cell: the
+    time of its last acknowledgement, which the add gate reads, and its
+    load, the REs of `n_res` per TTI it granted in each of its last
+    `window` TTIs. The scenario calls `record` once every TTI, idle ones
+    included, so the window is always densely populated."""
 
     def __init__(self, window_ttis, n_res):
         self.last_ack_ns = None
-        self.load = LoadTracker(window_ttis, n_res)
+        self.window = window_ttis
+        self.n_res = n_res
+        self.granted = deque()      # REs granted per TTI, oldest first
+        self.granted_sum = 0
+
+    def record(self, granted):
+        self.granted.append(granted)
+        self.granted_sum += granted
+        if len(self.granted) > self.window:
+            self.granted_sum -= self.granted.popleft()
+
+    def load_fraction(self):
+        """Fraction of the beam's REs granted over the window so far."""
+        avail = len(self.granted) * self.n_res
+        return self.granted_sum / avail if avail else 0.0
 
 
 def _first_eligible(reports, ue_ids, t_ns, cfg):
@@ -163,7 +179,7 @@ def handle_sn_addition_request(cand_node, cand, reports, ue_id, t_ns, cfg,
     if (cand.last_ack_ns is not None
             and t_ns - cand.last_ack_ns <= millis(cfg.add_gate_ms)):
         return Decision(REJECT, "recent-ack")
-    if cand.load.fraction() <= cfg.load_ack_max:
+    if cand.load_fraction() <= cfg.load_ack_max:
         cand.last_ack_ns = t_ns
         return Decision(ACK, "headroom")
     if mode == PREEMPTIVE and cand_node.queues:
@@ -199,8 +215,13 @@ def complete_reconfiguration(sim, latency_ns, finalize, *args):
 
 
 def release_secondary(cand_node, mn_node, ue_id):
-    """Tear down the binding of `ue_id`, which must be bound; its
-    secondary-queued PDUs go back to the anchor. Returns their number."""
-    requeued = reroute_secondary_queue(cand_node, mn_node, ue_id)
-    cand_node.remove_ue(ue_id)
-    return requeued
+    """Tear down the binding of `ue_id`, which must be bound: the beam drops
+    its queue, and every PDU on it, the one on the air included, goes back
+    to the front of the anchor queue, oldest first and ahead of younger
+    anchor traffic (the queue cap does not apply, since these bits were
+    admitted once). Returns their number."""
+    pdus = cand_node.queues.pop(ue_id).drain_all()
+    dst = mn_node.queues[ue_id]
+    for pdu in reversed(pdus):
+        dst.push_front(pdu)
+    return len(pdus)

@@ -52,8 +52,8 @@ from . import mc_control as mc
 from . import traffic_split as ts
 from .channel import NtnChannel, TnChannel, mcs_for_sinr
 from .config import ScenarioConfig
-from .dataplane import (PATH_MN, TTI_NS, CbrFlow, Node, PdcpPdu,
-                        PdcpReceiver, UeCounters, schedule_tti)
+from .dataplane import (TTI_NS, CbrFlow, Node, PdcpPdu, PdcpReceiver,
+                        UeCounters, schedule_tti)
 from .engine import RngStreams, Simulator, millis, seconds
 from .geometry import (GroundPosition, SatelliteTrack, build_tn_layout,
                        drop_ues_in_sector, ntn_beam_grid)
@@ -203,7 +203,7 @@ class Scenario:
             ue.counters.dropped_bits += bits
             ue.counters.dropped_pdus += 1
             return
-        pdu = PdcpPdu(ue.next_sn, bits, t_ns, PATH_MN)
+        pdu = PdcpPdu(ue.next_sn, bits, t_ns)
         ue.next_sn += 1
         q.push(pdu)
         grant = self.book.grants.get(ue.ue_id)
@@ -228,7 +228,7 @@ class Scenario:
                 ue = ues[ue_id]
                 self.sim.schedule_in(ue.ntn_delay_ns, self._deliver_tb,
                                      [self._launch_tb(ue, done)])
-        self.cand.load.record(granted)
+        self.cand.record(granted)
         self.sim.schedule_in(TTI_NS, self._on_tti)
 
     def _launch_tb(self, ue, pdus):

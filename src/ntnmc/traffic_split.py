@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 from .channel import db_to_linear
-from .dataplane import PATH_MN, PATH_SN
 
 
 def compute_request_amount(sn_node, sinr_db, params):
@@ -111,19 +110,6 @@ def drain_forward(mn_node, sn_node, grant):
     while src.pending and grant.covers(src.pending[0].bits):
         pdu = src.pop_pending()
         grant.forwarded_bits += pdu.bits
-        pdu.path = PATH_SN
         dst.push(pdu)
         moved += 1
     return moved
-
-
-def reroute_secondary_queue(sn_node, mn_node, ue_id):
-    """On release, send every secondary-queued PDU back to the anchor queue
-    front (oldest first, ahead of younger anchor traffic; the cap does not
-    apply because these bits were already admitted once)."""
-    pdus = sn_node.queues[ue_id].drain_all()
-    dst = mn_node.queues[ue_id]
-    for pdu in reversed(pdus):
-        pdu.path = PATH_MN
-        dst.push_front(pdu)
-    return len(pdus)

@@ -56,12 +56,16 @@ def test_mcs_ladder_is_strictly_increasing():
 
 
 def test_tn_pathloss_monotone_and_clamped():
-    hb, hu = 35.0, 1.5
-    assert tn_pathloss_los_db(100.0, 2.0, hb, hu) <= tn_pathloss_nlos_db(100.0, 2.0, hb, hu)
-    assert tn_pathloss_los_db(100.0, 2.0, hb, hu) < tn_pathloss_los_db(1000.0, 2.0, hb, hu)
-    assert tn_pathloss_nlos_db(100.0, 2.0, hb, hu) < tn_pathloss_nlos_db(1000.0, 2.0, hb, hu)
+    hb, hu, dmin = 35.0, 1.5, 35.0
+    assert (tn_pathloss_los_db(100.0, 2.0, hb, hu, dmin)
+            <= tn_pathloss_nlos_db(100.0, 2.0, hb, hu, dmin))
+    assert (tn_pathloss_los_db(100.0, 2.0, hb, hu, dmin)
+            < tn_pathloss_los_db(1000.0, 2.0, hb, hu, dmin))
+    assert (tn_pathloss_nlos_db(100.0, 2.0, hb, hu, dmin)
+            < tn_pathloss_nlos_db(1000.0, 2.0, hb, hu, dmin))
     # distances below the model floor all evaluate at the floor
-    assert tn_pathloss_db(1.0, 2.0, True, hb, hu) == tn_pathloss_db(35.0, 2.0, True, hb, hu)
+    assert (tn_pathloss_db(1.0, 2.0, True, hb, hu, dmin)
+            == tn_pathloss_db(35.0, 2.0, True, hb, hu, dmin))
 
 
 def test_attach_ue_returns_one_finite_sinr_per_sector():

@@ -1,6 +1,5 @@
-from ntnmc.dataplane import (CbrFlow, LoadTracker, Node, PdcpPdu,
-                             PdcpReceiver, UeTxQueue, res_per_tti,
-                             schedule_tti)
+from ntnmc.dataplane import (CbrFlow, Node, PdcpPdu, PdcpReceiver, UeTxQueue,
+                             res_per_tti, schedule_tti)
 from ntnmc.engine import Simulator, millis
 
 
@@ -43,33 +42,6 @@ def test_ue_without_mcs_is_never_scheduled():
     node.add_ue(1, None)
     _backlog(node, 1)
     assert schedule_tti(node) == []
-
-
-def test_empty_queues_leave_load_at_zero():
-    node = Node(52)
-    node.add_ue(1, 10)
-    # the REs granted in an idle TTI, as a scenario records them at the beam
-    load = LoadTracker(100, node.n_res)
-    load.record(sum(n_res for _ue, n_res, _d in schedule_tti(node)))
-    assert load.fraction() == 0.0
-
-
-def test_load_tracker_fractions_and_eviction():
-    lt = LoadTracker(100, 8736)
-    assert lt.fraction() == 0.0
-    for _ in range(50):
-        lt.record(8736)
-    for _ in range(50):
-        lt.record(0)
-    assert lt.fraction() == 0.5
-
-    small = LoadTracker(4, 8736)
-    for _ in range(4):
-        small.record(8736)
-    assert small.fraction() == 1.0
-    for _ in range(4):
-        small.record(0)
-    assert small.fraction() == 0.0
 
 
 def test_tx_queue_segmentation_and_accounting():

@@ -43,7 +43,7 @@ def test_satellite_slant_from_subpoint_and_below_horizon():
 
 
 def test_ground_speed_scales_with_radius_ratio():
-    track = SatelliteTrack(GroundPosition(41.59, 1.74), 600_000.0, 7560.0)
+    track = SatelliteTrack(GroundPosition(41.59, 1.74), 600_000.0, 7560.0, 0.0)
     oracle = 7560.0 * R / (R + 600_000.0)
     assert abs(track.ground_speed_ms - oracle) < 1e-9
     assert abs(track.ground_speed_ms - 6909.3) < 1.0

@@ -6,7 +6,7 @@ import pytest
 from ntnmc import mc_control, simulation
 from ntnmc.channel import MCS_THRESHOLDS_DB
 from ntnmc.config import POLICIES, ScenarioConfig, load_config
-from ntnmc.dataplane import Node, PdcpPdu
+from ntnmc.dataplane import Node, PdcpPdu, schedule_tti
 from ntnmc.engine import Simulator, millis
 from ntnmc.mc_control import (ACK, COVERAGE, GATED, PREEMPTIVE, REJECT,
                               CandidateState, Measurement,
@@ -36,8 +36,8 @@ def _candidate(fraction, mcs_by_bound_ue=None):
     and reports that give each of those UEs that anchor MCS."""
     node = Node(52)
     ctrl = CandidateState(100, node.n_res)
-    ctrl.load.record(round(fraction * node.n_res))
-    assert ctrl.load.fraction() == pytest.approx(fraction, abs=1e-3)
+    ctrl.record(round(fraction * node.n_res))
+    assert ctrl.load_fraction() == pytest.approx(fraction, abs=1e-3)
     reports = {}
     for ue, mcs in (mcs_by_bound_ue or {}).items():
         node.add_ue(ue, 22)
@@ -396,13 +396,44 @@ def test_release_moves_leftover_pdus_back_to_anchor():
     anchor = Node(52)
     anchor.add_ue(1, 10)
     cand.add_ue(1, 22)
-    for i in range(3):
+    anchor.queues[1].push(PdcpPdu(9, 12000, 0))
+    for i in (1, 2, 3):
         cand.queues[1].push(PdcpPdu(i, 12000, 0))
+    cand.queues[1].take(3000)  # pdu 1 on the air at the beam, still returned
     n = release_secondary(cand, anchor, 1)
     assert n == 3
     assert 1 not in cand.queues
     q = anchor.queues[1]
-    assert q.queued_bits - q.served_bits == 36000
+    # oldest first, ahead of the anchor's own younger PDU
+    assert [p.sn for p in q.pending] == [1, 2, 3, 9]
+    assert q.queued_bits - q.served_bits == 48000
+
+
+def test_empty_queues_leave_load_at_zero():
+    node = Node(52)
+    node.add_ue(1, 10)
+    # the REs granted in an idle TTI, as a scenario records them at the beam
+    cand = CandidateState(100, node.n_res)
+    cand.record(sum(n_res for _ue, n_res, _d in schedule_tti(node)))
+    assert cand.load_fraction() == 0.0
+
+
+def test_load_window_fractions_and_eviction():
+    cand = CandidateState(100, 8736)
+    assert cand.load_fraction() == 0.0
+    for _ in range(50):
+        cand.record(8736)
+    for _ in range(50):
+        cand.record(0)
+    assert cand.load_fraction() == 0.5
+
+    small = CandidateState(4, 8736)
+    for _ in range(4):
+        small.record(8736)
+    assert small.load_fraction() == 1.0
+    for _ in range(4):
+        small.record(0)
+    assert small.load_fraction() == 0.0
 
 
 def test_anchor_mcs_refresh_reaches_binding():
@@ -420,7 +451,7 @@ def test_anchor_mcs_refresh_reaches_binding():
     ue.pending_reconfig = True
     sc._finalize_binding(ue)
     sc.reports[requester] = _report(5)
-    sc.cand.load.record(sc.ntn_node.n_res)
+    sc.cand.record(sc.ntn_node.n_res)
 
     def admit():
         d = handle_sn_addition_request(sc.ntn_node, sc.cand, sc.reports,

@@ -81,7 +81,7 @@ def test_acks_never_violate_the_add_gate(reqs):
     ack_times = []
     for dt, load, ue, mcs in reqs:
         t += dt
-        ctrl.load.record(round(load * node.n_res))
+        ctrl.record(round(load * node.n_res))
         reports[ue] = Measurement(t, -110.0, 0.0, mcs)
         d = _admit(node, ctrl, reports, ue, t)
         if d.verdict == ACK:

@@ -219,13 +219,13 @@ def test_beam_load_window_holds_the_beams_last_grants(monkeypatch):
 
     def on_tti(self, _orig=Scenario._on_tti):
         _orig(self)
-        assert list(self.cand.load._hist) == beam[-self.cand.load.window:]
+        assert list(self.cand.granted) == beam[-self.cand.window:]
 
     monkeypatch.setattr(simulation, "schedule_tti", schedule)
     monkeypatch.setattr(Scenario, "_on_tti", on_tti)
     sc = Scenario(dataclasses.replace(_tiny("rsrp"), load_window_ms=20.0), 1)
     sc.run_to_end()
-    assert sc.cand.load.window == 20
+    assert sc.cand.window == 20
     assert len(beam) == 601
     assert 0 in beam[20:] and max(beam) > 0
 
