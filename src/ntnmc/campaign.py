@@ -35,6 +35,12 @@ def check_policies(policies):
     return once_each(policies, "policies")
 
 
+def check_jobs(jobs):
+    """`jobs`, a worker count: an int of at least 1."""
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise ValueError(f"jobs must be an int >= 1, got {jobs!r}")
+
+
 def _run_task(task):
     cfg, seed = task
     return run_single(cfg, seed)
@@ -50,6 +56,7 @@ def run_campaign(cfg, policies, seeds, jobs=1):
         if isinstance(s, bool) or not isinstance(s, int):
             raise ValueError(f"seed {s!r} is not an int")
     once_each(seeds, "seeds")
+    check_jobs(jobs)
     tasks = [(replace(cfg, policy=policy), seed)
              for policy in policies for seed in seeds]
     jobs = min(jobs, len(tasks))    # a worker beyond one per run stays idle

@@ -15,7 +15,7 @@ import dataclasses
 import os
 import sys
 
-from .campaign import check_policies, once_each, run_campaign
+from .campaign import check_jobs, check_policies, once_each, run_campaign
 from .channel import (MCS_EFFICIENCIES, MCS_THRESHOLDS_DB, noise_per_re_dbm,
                       ntn_fspl_db)
 from .config import POLICIES, ConfigError, load_config
@@ -67,8 +67,7 @@ def cmd_run(args):
     cfg = load_config(args.config, environ=os.environ)
     policies = parse_policies(args.policies)
     seeds = parse_seeds(args.seeds)
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    check_jobs(args.jobs)
     ensure_writable_dir(args.out)
     summaries, results = run_campaign(cfg, policies, seeds, jobs=args.jobs)
     emit_results(args.out, cfg, policies, seeds, summaries, results)

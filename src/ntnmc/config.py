@@ -151,15 +151,15 @@ class ScenarioConfig:
                     f"{name} must be finite, got {getattr(self, name)}")
         if self.policy not in POLICIES:
             raise ConfigError(f"policy must be one of {POLICIES}, got {self.policy!r}")
+        # Keys that a link-budget range or the bandwidth table bounds away
+        # from 0 are checked there.
         positive = [
             "sim_duration_s", "isd_m", "n_sites", "n_ue_per_sector",
-            "cbr_rate_bps", "packet_bytes", "carrier_ghz", "bandwidth_mhz",
-            "tn_sector_beamwidth_deg", "tn_bs_height_m", "ue_height_m",
-            "sat_altitude_m", "ntn_beam_radius_m", "ue_queue_bytes",
-            "pdcp_reorder_timer_ms", "pdcp_reorder_buffer_pdus",
-            "load_window_ms", "eval_period_ms", "meas_period_ms",
-            "meas_staleness_ms", "request_gate_ms", "add_gate_ms",
-            "split_delta_ms", "split_toff_ms",
+            "cbr_rate_bps", "packet_bytes", "ntn_beam_radius_m",
+            "ue_queue_bytes", "pdcp_reorder_timer_ms",
+            "pdcp_reorder_buffer_pdus", "load_window_ms", "eval_period_ms",
+            "meas_period_ms", "meas_staleness_ms", "request_gate_ms",
+            "add_gate_ms", "split_delta_ms", "split_toff_ms",
         ]
         for name in positive:
             if getattr(self, name) <= 0:

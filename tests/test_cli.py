@@ -60,6 +60,20 @@ def test_campaign_rejects_empty_or_repeated_lists(policies, seeds):
                                  warmup_s=0.01), policies, seeds)
 
 
+@pytest.mark.parametrize("jobs", [1.5, 0, -3, True, "2"])
+def test_campaign_rejects_a_bad_worker_count(jobs, monkeypatch):
+    # 1.5 and "2" used to raise TypeError from the pool, and 0, -3 and True
+    # to run inline; no pool opens and no run starts
+    def never(*_args, **_kwargs):
+        raise AssertionError("a bad worker count reached a run")
+
+    monkeypatch.setattr(campaign.multiprocessing, "Pool", never)
+    monkeypatch.setattr(campaign, "run_single", never)
+    with pytest.raises(ValueError, match="jobs"):
+        run_campaign(load_config(None, environ={}), ["off"], [1, 2],
+                     jobs=jobs)
+
+
 def test_campaign_opens_no_more_workers_than_runs(monkeypatch):
     opened = []
 

@@ -165,9 +165,9 @@ PROBE = dict(sim_duration_s=0.3, warmup_s=0.1, n_ue_per_sector=2)
     # sites past the pole, at longitudes of order 1e14 degrees
     (dict(center_lat_deg=90.0, sat_epoch_lat_deg=89.0), "center_lat_deg.*pole"),
     # log10 of a height, and an angle over the beamwidth
-    (dict(tn_bs_height_m=-1.0), "tn_bs_height_m must be positive"),
-    (dict(ue_height_m=0.0), "ue_height_m must be positive"),
-    (dict(tn_sector_beamwidth_deg=0.0), "tn_sector_beamwidth_deg must be positive"),
+    (dict(tn_bs_height_m=-1.0), "tn_bs_height_m must be in"),
+    (dict(ue_height_m=0.0), "ue_height_m must be in"),
+    (dict(tn_sector_beamwidth_deg=0.0), "tn_sector_beamwidth_deg must be in"),
     # finite magnitudes that overflow a float power or take log10 of 0
     (dict(tn_sector_beamwidth_deg=1e-160), "tn_sector_beamwidth_deg must be in"),
     (dict(tn_bs_height_m=1e-160), "tn_bs_height_m must be in"),
@@ -177,6 +177,16 @@ PROBE = dict(sim_duration_s=0.3, warmup_s=0.1, n_ue_per_sector=2)
     (dict(ue_height_m=1e200), "ue_height_m must be in"),
     (dict(tn_sector_gain_dbi=-1e300), "tn_sector_gain_dbi must be in"),
     (dict(carrier_ghz=1e-300), "carrier_ghz must be in"),
+    # zero and negative values of the keys a range or table bounds
+    (dict(tn_bs_height_m=0.0), "tn_bs_height_m must be in"),
+    (dict(ue_height_m=-1.0), "ue_height_m must be in"),
+    (dict(tn_sector_beamwidth_deg=-1.0), "tn_sector_beamwidth_deg must be in"),
+    (dict(carrier_ghz=0.0), "carrier_ghz must be in"),
+    (dict(carrier_ghz=-1.0), "carrier_ghz must be in"),
+    (dict(sat_altitude_m=0.0), "sat_altitude_m must be in"),
+    (dict(sat_altitude_m=-1.0), "sat_altitude_m must be in"),
+    (dict(bandwidth_mhz=0.0), "bandwidth_mhz = 0.0 is not a 15 kHz"),
+    (dict(bandwidth_mhz=-1.0), "bandwidth_mhz = -1.0 is not a 15 kHz"),
 ])
 def test_configs_that_would_fail_mid_run_are_rejected(overrides, match):
     with pytest.raises(ConfigError, match=match):
