@@ -190,12 +190,12 @@ PERIODS_MS = ("pdcp_reorder_timer_ms", "load_window_ms", "eval_period_ms",
 FRACTIONS = ("load_ack_max", "bo_threshold_frac", "split_alpha")
 
 
-def _edge_or(valid, *edges):
-    """Mostly `valid`; in one draw of 16, one of `edges`, the values at or
-    just past a validation edge. Rare enough that about one example in
-    six passes every rule and runs."""
-    return st.integers(0, 15).flatmap(
-        lambda k: st.sampled_from(edges) if k == 15 else valid)
+def _edge_or(valid, *edges, one_in=16):
+    """Mostly `valid`; in one draw of `one_in`, one of `edges`, the values
+    at or just past a validation edge. Rare enough that about one example
+    in five passes every rule and runs."""
+    return st.integers(1, one_in).flatmap(
+        lambda k: st.sampled_from(edges) if k == one_in else valid)
 
 
 @st.composite
@@ -242,11 +242,26 @@ def config_overrides(draw):
     o["ue_drop_min_m"] = lo
     o["ue_drop_max_m"] = lo + draw(_edge_or(st.floats(1.0, 5000.0), 0.0, -1e-6))
 
-    for name in ("tn_bs_height_m", "ue_height_m", "tn_sector_beamwidth_deg"):
-        lo, hi = LINK_BUDGET_RANGES[name]
-        o[name] = draw(_edge_or(st.floats(lo, hi), 0.0, -1.0,
-                                math.nextafter(lo, 0.0),
-                                math.nextafter(hi, math.inf)))
+    # Each of the 22 keys below is at an edge in one draw of 64, so that
+    # most examples still pass every rule.
+    for name, (lo, hi) in LINK_BUDGET_RANGES.items():
+        o[name] = draw(_edge_or(st.floats(lo, hi), lo, hi,
+                                math.nextafter(lo, -math.inf),
+                                math.nextafter(hi, math.inf), one_in=64))
+    # Lengths with no upper bound; 1e-300 and 1e300 lie far past any layout
+    # or beam that fits.
+    for name, lo, hi in (("isd_m", 1.0, 20_000.0),
+                         ("ntn_beam_radius_m", 1_000.0, 100_000.0)):
+        o[name] = draw(_edge_or(st.floats(lo, hi), 0.0, -1.0, 1e-300, 1e300,
+                                one_in=64))
+    o["sat_speed_ms"] = draw(_edge_or(st.floats(0.0, 8000.0), 0.0,
+                                      math.nextafter(0.0, -1.0), one_in=64))
+    o["ue_queue_bytes"] = draw(_edge_or(st.integers(1, 2_000_000), 1, 0, -1,
+                                        one_in=64))
+    o["pdcp_reorder_buffer_pdus"] = draw(_edge_or(st.integers(1, 2000), 1, 0,
+                                                  -1, one_in=64))
+    o["mcs_threshold"] = draw(_edge_or(st.integers(0, 31), 0, 31, -1, 32,
+                                       one_in=64))
 
     for name in FRACTIONS:
         o[name] = draw(_edge_or(st.floats(0.0, 1.0, exclude_min=True),
