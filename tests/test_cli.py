@@ -62,8 +62,7 @@ def test_campaign_rejects_empty_or_repeated_lists(policies, seeds):
 
 @pytest.mark.parametrize("jobs", [1.5, 0, -3, True, "2"])
 def test_campaign_rejects_a_bad_worker_count(jobs, monkeypatch):
-    # 1.5 and "2" used to raise TypeError from the pool, and 0, -3 and True
-    # to run inline; no pool opens and no run starts
+    # the count is checked before any pool opens or any run starts
     def never(*_args, **_kwargs):
         raise AssertionError("a bad worker count reached a run")
 
