@@ -5,7 +5,7 @@ import pytest
 
 from ntnmc.config import ScenarioConfig
 from ntnmc.dataplane import Node, PdcpPdu
-from ntnmc.mc_control import Measurement
+from ntnmc.mc_control import Measurement, release_secondary
 from ntnmc.traffic_split import (Grant, GrantBook, compute_request_amount,
                                  drain_forward, send_periodic_requests)
 
@@ -134,6 +134,21 @@ def test_drain_forward_leaves_in_service_pdu_alone():
     assert moved == 2
     assert mn.queues[1].in_service.sn == 0
     assert [p.sn for p in sn.queues[1].pending] == [1, 2]
+
+
+def test_reroute_returns_pdus_to_anchor_in_order():
+    mn, sn = _mn_sn_pair()
+    mn.queues[1].push(PdcpPdu(9, 12_000, 0))
+    for i in (1, 2, 3):
+        sn.queues[1].push(PdcpPdu(i, 12_000, 0))
+    sn.queues[1].take(3_000)  # pdu 1 mid-flight at the beam, still rerouted
+    n = release_secondary(sn, mn, 1)
+    assert n == 3
+    assert 1 not in sn.queues
+    q = mn.queues[1]
+    # oldest first, ahead of the anchor's own younger PDU
+    assert [p.sn for p in q.pending] == [1, 2, 3, 9]
+    assert q.queued_bits - q.served_bits == 48_000
 
 
 def test_replacing_a_grant_finalizes_the_old_window():
