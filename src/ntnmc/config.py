@@ -26,31 +26,59 @@ MIN_PERIOD_NS = 1000  # floor of every period, a thousandth of a TTI
 PRBS_BY_BANDWIDTH_MHZ = {5: 25, 10: 52, 15: 79, 20: 106, 25: 133, 30: 160,
                          40: 216, 50: 270}
 
-# Closed ranges the link-budget models are defined on. Heights, carrier and
-# the shortest link distance follow the RMa applicability of 3GPP TR 38.901
-# Table 7.4.1-1; altitudes span LEO to GEO (TR 38.821). Powers and gains
-# stay within 100 dB of 0 dB(m/W/i), and losses, noise figure and sigmas
-# within [0, 100] dB (shadowing: 30), so that every received power, with
-# path losses of up to ~1500 dB at the layout's reach, and every SINR stays
-# a positive finite float.
-LINK_BUDGET_RANGES = {
-    "carrier_ghz": (0.5, 30.0),
-    "tn_bs_height_m": (10.0, 150.0),
-    "ue_height_m": (1.0, 10.0),
-    "min_link_distance_m": (10.0, 10_000.0),
-    "sat_altitude_m": (300e3, 36_000e3),
-    "tn_sector_beamwidth_deg": (1.0, 360.0),
-    "tn_tx_power_dbm": (-100.0, 100.0),
-    "tn_sector_gain_dbi": (-100.0, 100.0),
-    "ntn_eirp_dbw_mhz": (-100.0, 100.0),
-    "ue_ntn_gain_dbi": (-100.0, 100.0),
-    "tn_sector_floor_db": (0.0, 100.0),
-    "ntn_beam_floor_db": (0.0, 100.0),
-    "ue_noise_figure_db": (0.0, 100.0),
-    "meas_error_sigma_db": (0.0, 100.0),
-    "shadow_sigma_los_db": (0.0, 30.0),
-    "shadow_sigma_nlos_db": (0.0, 30.0),
-}
+# The interval each bounded key must lie in, written once per interval.
+BOUNDS = {name: interval for interval, names in {
+    "(0, inf)": """sim_duration_s isd_m cbr_rate_bps ntn_beam_radius_m
+                   pdcp_reorder_timer_ms load_window_ms eval_period_ms
+                   meas_period_ms meas_staleness_ms request_gate_ms
+                   add_gate_ms split_delta_ms split_toff_ms""",
+    "[0, inf)": """warmup_s ue_drop_min_m tn_latency_ms sat_speed_ms
+                   eval_jitter_ms ctrl_latency_ms""",
+    "[1, inf)": """n_ue_per_sector packet_bytes ue_queue_bytes
+                   pdcp_reorder_buffer_pdus""",
+    "(-90, 90)": "center_lat_deg", "[-90, 90]": "sat_epoch_lat_deg",
+    "[1, 3]": "n_sites",  # the layout's sites are one triangle's vertices
+    "[0, 31]": "mcs_threshold",
+    "(0, 1]": "load_ack_max bo_threshold_frac split_alpha",
+    # The ranges the link-budget models are defined on. Heights, carrier and
+    # the shortest link distance follow the RMa applicability of 3GPP TR
+    # 38.901 Table 7.4.1-1; altitudes span LEO to GEO (TR 38.821). Powers
+    # and gains stay within 100 dB of 0 dB(m/W/i), and losses, noise figure
+    # and sigmas within [0, 100] dB (shadowing: 30), so that every received
+    # power, with path losses of up to ~1500 dB at the layout's reach, and
+    # every SINR stays a positive finite float.
+    "[0.5, 30]": "carrier_ghz", "[10, 150]": "tn_bs_height_m",
+    "[1, 10]": "ue_height_m", "[10, 10000]": "min_link_distance_m",
+    "[300e3, 36e6]": "sat_altitude_m", "[1, 360]": "tn_sector_beamwidth_deg",
+    "[-100, 100]": """tn_tx_power_dbm tn_sector_gain_dbi ntn_eirp_dbw_mhz
+                      ue_ntn_gain_dbi""",
+    "[0, 100]": """tn_sector_floor_db ntn_beam_floor_db ue_noise_figure_db
+                   meas_error_sigma_db""",
+    "[0, 30]": "shadow_sigma_los_db shadow_sigma_nlos_db",
+}.items() for name in names.split()}
+
+# Durations in ms that the 1 us floor applies to.
+PERIODS_MS = ("pdcp_reorder_timer_ms", "load_window_ms", "eval_period_ms",
+              "meas_period_ms", "meas_staleness_ms", "request_gate_ms",
+              "add_gate_ms", "split_delta_ms", "split_toff_ms")
+
+
+def interval_ends(interval):
+    """(lo, hi, lo_closed, hi_closed) of an interval written as in `BOUNDS`."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    return lo, hi, interval[0] == "[", interval[-1] == "]"
+
+
+def _limits(lo, hi, lo_closed, hi_closed):
+    # `lo <= value <= hi` exactly when an int or float value lies in the
+    # interval: an open end moves to the next float inward, and for an end
+    # below 2**53 in magnitude no such value lies between the two.
+    return (lo if lo_closed else math.nextafter(lo, math.inf),
+            hi if hi_closed else math.nextafter(hi, -math.inf))
+
+
+_LIMITS = [(name, *_limits(*interval_ends(interval)))
+           for name, interval in BOUNDS.items()]
 
 
 class ConfigError(Exception):
@@ -151,42 +179,20 @@ class ScenarioConfig:
                     f"{name} must be finite, got {getattr(self, name)}")
         if self.policy not in POLICIES:
             raise ConfigError(f"policy must be one of {POLICIES}, got {self.policy!r}")
-        # Keys that a link-budget range or the bandwidth table bounds away
-        # from 0 are checked there.
-        positive = [
-            "sim_duration_s", "isd_m", "n_sites", "n_ue_per_sector",
-            "cbr_rate_bps", "packet_bytes", "ntn_beam_radius_m",
-            "ue_queue_bytes", "pdcp_reorder_timer_ms",
-            "pdcp_reorder_buffer_pdus", "load_window_ms", "eval_period_ms",
-            "meas_period_ms", "meas_staleness_ms", "request_gate_ms",
-            "add_gate_ms", "split_delta_ms", "split_toff_ms",
-        ]
-        for name in positive:
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        for name, lo, hi in _LIMITS:
+            if not lo <= getattr(self, name) <= hi:
+                raise ConfigError(f"{name} must be in {BOUNDS[name]}, "
+                                  f"got {getattr(self, name)!r}")
         # A period rounded to 0 ns fires forever at one instant; one of a few
         # ns (1500 B at 1e13 b/s: 1.2 ns) dispatches an event per few ns.
-        periods = {name: millis(getattr(self, name))
-                   for name in positive if name.endswith("_ms")}
+        periods = {name: millis(getattr(self, name)) for name in PERIODS_MS}
         periods["the CBR interval packet_bytes * 8 / cbr_rate_bps"] = seconds(
             self.packet_bytes * 8 / self.cbr_rate_bps)
         for name, ns in periods.items():
             if ns < MIN_PERIOD_NS:
                 raise ConfigError(f"{name} must be at least 1 us, got {ns} ns")
-        nonneg = ["warmup_s", "eval_jitter_ms", "tn_latency_ms",
-                  "ue_drop_min_m", "sat_speed_ms", "ctrl_latency_ms"]
-        for name in nonneg:
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
-        for name, (lo, hi) in LINK_BUDGET_RANGES.items():
-            if not lo <= getattr(self, name) <= hi:
-                raise ConfigError(f"{name} must be in [{lo:g}, {hi:g}], "
-                                  f"got {getattr(self, name)}")
         if self.eval_jitter_ms >= self.eval_period_ms:
             raise ConfigError("eval_jitter_ms must be below eval_period_ms")
-        for name in ("center_lat_deg", "sat_epoch_lat_deg"):
-            if not -90.0 <= getattr(self, name) <= 90.0:
-                raise ConfigError(f"{name} must be a latitude in [-90, 90]")
         reach_m = _layout_reach_m(self)
         if abs(self.center_lat_deg) + reach_m / M_PER_DEG >= 90.0:
             raise ConfigError(
@@ -196,18 +202,6 @@ class ScenarioConfig:
             raise ConfigError("warmup_s must be below sim_duration_s")
         if self.ue_drop_max_m <= self.ue_drop_min_m:
             raise ConfigError("ue_drop_max_m must exceed ue_drop_min_m")
-        if not 0.0 < self.load_ack_max <= 1.0:
-            raise ConfigError("load_ack_max must be in (0, 1]")
-        if not 0.0 < self.bo_threshold_frac <= 1.0:
-            raise ConfigError("bo_threshold_frac must be in (0, 1]")
-        if not 0.0 < self.split_alpha <= 1.0:
-            raise ConfigError("split_alpha must be in (0, 1]")
-        if not 0 <= self.mcs_threshold < 32:
-            raise ConfigError("mcs_threshold must be in [0, 32)")
-        if self.n_sites > 3:
-            raise ConfigError(
-                f"n_sites must be 1, 2 or 3, got {self.n_sites}: the layout "
-                "places sites on the vertices of one triangle")
         if self.bandwidth_mhz not in PRBS_BY_BANDWIDTH_MHZ:
             raise ConfigError(
                 f"bandwidth_mhz = {self.bandwidth_mhz} is not a 15 kHz "

@@ -4,8 +4,9 @@ import re
 
 import pytest
 
-from ntnmc.config import (LINK_BUDGET_RANGES, ConfigError, ScenarioConfig,
+from ntnmc.config import (BOUNDS, ConfigError, ScenarioConfig, interval_ends,
                           load_config, parse_config_text)
+from ntnmc.simulation import Scenario
 
 FLOAT_FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig)
                 if f.type is float]
@@ -158,12 +159,13 @@ PROBE = dict(sim_duration_s=0.3, warmup_s=0.1, n_ue_per_sector=2)
     (dict(cbr_rate_bps=1e13), "CBR interval"),
     (dict(eval_period_ms=1e-7), "eval_period_ms"),
     (dict(eval_jitter_ms=12.0), "eval_jitter_ms"),
-    (dict(center_lat_deg=120.0), "center_lat_deg.*latitude"),
+    (dict(center_lat_deg=120.0), "center_lat_deg must be in"),
     (dict(center_lat_deg=-90.5, sat_epoch_lat_deg=-90.5),
-     "center_lat_deg.*latitude"),
-    (dict(sat_epoch_lat_deg=91.0), "sat_epoch_lat_deg.*latitude"),
+     "center_lat_deg must be in"),
+    (dict(sat_epoch_lat_deg=91.0), "sat_epoch_lat_deg must be in"),
     # sites past the pole, at longitudes of order 1e14 degrees
-    (dict(center_lat_deg=90.0, sat_epoch_lat_deg=89.0), "center_lat_deg.*pole"),
+    (dict(center_lat_deg=90.0, sat_epoch_lat_deg=89.0),
+     "center_lat_deg must be in"),
     # log10 of a height, and an angle over the beamwidth
     (dict(tn_bs_height_m=-1.0), "tn_bs_height_m must be in"),
     (dict(ue_height_m=0.0), "ue_height_m must be in"),
@@ -187,6 +189,8 @@ PROBE = dict(sim_duration_s=0.3, warmup_s=0.1, n_ue_per_sector=2)
     (dict(sat_altitude_m=-1.0), "sat_altitude_m must be in"),
     (dict(bandwidth_mhz=0.0), "bandwidth_mhz = 0.0 is not a 15 kHz"),
     (dict(bandwidth_mhz=-1.0), "bandwidth_mhz = -1.0 is not a 15 kHz"),
+    # sites past the pole from a center inside the latitude bounds
+    (dict(center_lat_deg=89.99, sat_epoch_lat_deg=89.0), "center_lat_deg.*pole"),
 ])
 def test_configs_that_would_fail_mid_run_are_rejected(overrides, match):
     with pytest.raises(ConfigError, match=match):
@@ -207,14 +211,39 @@ def test_ints_are_accepted_for_float_fields():
     assert load_config(None, environ={}, isd_m=7500).isd_m == 7500
 
 
-def test_link_budget_ranges_are_closed():
-    for name, (lo, hi) in LINK_BUDGET_RANGES.items():
-        for value in (lo, hi):
-            load_config(None, environ={}, **{name: value})
-        for value in (math.nextafter(lo, -math.inf),
-                      math.nextafter(hi, math.inf)):
-            with pytest.raises(ConfigError, match=name):
-                load_config(None, environ={}, **{name: value})
+def _bound_edges():
+    """(name, value, accepted) for each finite end of each `BOUNDS` interval
+    and the value just past it: the next float out, or the next int, since a
+    float past an int key's end would fail the type check instead."""
+    for name, interval in BOUNDS.items():
+        lo, hi, lo_closed, hi_closed = interval_ends(interval)
+        for end, closed, out in ((lo, lo_closed, -1), (hi, hi_closed, 1)):
+            if math.isinf(end):
+                continue
+            if name in FLOAT_FIELDS:
+                past = math.nextafter(end, out * math.inf)
+            else:
+                end, past = int(end), int(end) + out
+            yield name, end, closed
+            yield name, past, False
+
+
+# 50 ms from t = 0, with one UE in each sector.
+EDGE_RUN = dict(sim_duration_s=0.05, warmup_s=0.0, n_ue_per_sector=1)
+
+
+@pytest.mark.parametrize("name, value, accepted", _bound_edges())
+def test_every_bound_edge(name, value, accepted):
+    overrides = {**EDGE_RUN, name: value}
+    if not accepted:
+        with pytest.raises(ConfigError, match=f"^{name} must be in"):
+            load_config(None, environ={}, **overrides)
+        return
+    if name == "sat_epoch_lat_deg":
+        # the satellite pass rule rejects a pole subpoint at the default center
+        overrides["center_lat_deg"] = 0.999 * value
+    # an accepted value must run to the end, which checks conservation
+    Scenario(load_config(None, environ={}, **overrides), 1).run_to_end()
 
 
 def test_periods_at_their_floor_validate():
