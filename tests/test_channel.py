@@ -1,14 +1,19 @@
+import hashlib
 import math
 import random
+
+import pytest
 
 from ntnmc.channel import (MCS_EFFICIENCIES, MCS_THRESHOLDS_DB,
                            SPEED_OF_LIGHT, NtnChannel, TnChannel,
                            los_probability, mcs_for_sinr, noise_per_re_dbm,
                            ntn_fspl_db, tn_pathloss_db, tn_pathloss_los_db,
                            tn_pathloss_nlos_db)
-from ntnmc.config import ScenarioConfig
+from ntnmc.config import ScenarioConfig, load_config
+from ntnmc.engine import RngStreams, millis
 from ntnmc.geometry import (GroundPosition, SatelliteTrack, build_tn_layout,
                             ntn_beam_grid)
+from ntnmc.simulation import Scenario
 
 
 def test_fspl_anchor_600km_2ghz():
@@ -132,3 +137,42 @@ def test_ntn_delay_tracks_slant_growth():
     from ntnmc.engine import seconds
     _r1, _s1, d1 = ch.link_state(center, seconds(60.0))
     assert d1 > d0
+
+
+def _channel_outputs(overrides):
+    """Every raw channel output of a seed-1 drop: each UE's `attach_ue`
+    SINRs from a fresh stream of the run's own, then its `link_state` at
+    eight times from 0 to 4.9 s."""
+    cfg = load_config(None, environ={}, **overrides)
+    sc = Scenario(cfg, 1)
+    tn = TnChannel(cfg, sc.sectors, RngStreams(cfg.base_seed, 1)
+                   .stream("tn-channel"))
+    times = [millis(700.0 * k) for k in range(8)]
+    outputs = []
+    for ue in sc.ues.values():
+        sinrs = tn.attach_ue(ue.pos)
+        assert sinrs[ue.mn_node_id] == ue.tn_sinr_db    # the run's own draw
+        outputs.append((sinrs, [sc.ntn.link_state(ue.pos, t) for t in times]))
+    return outputs
+
+
+# A last-bit change in a link term can survive MCS bucketing and grant
+# sizing, so the run digests of test_golden.py may miss it; these cannot.
+# With a 3 km beam radius each UE is inside at most one beam's 3 dB
+# radius, so both branches of `beam_pattern_db` are taken.
+CHANNEL_OUTPUT_SHA256 = {
+    "default":
+        "13494d12b6036a87d5ad66fdae6bb87b304ca93bc6e2082c8a429dcb35513752",
+    "one-site":
+        "eb88c80f9c1531ffc2d8591139467f8c8423e8eb95c0eec42816ea5cb24757da",
+    "narrow-beam":
+        "4a2e83487b464374eb8946a033b45ca81c5e98134dd55588046dbb856c4e8c1c",
+}
+CHANNEL_LAYOUTS = {"default": {}, "one-site": dict(n_sites=1),
+                   "narrow-beam": dict(ntn_beam_radius_m=3000.0)}
+
+
+@pytest.mark.parametrize("layout", CHANNEL_LAYOUTS)
+def test_channel_outputs_match_golden_digest(layout):
+    got = repr(_channel_outputs(CHANNEL_LAYOUTS[layout])).encode()
+    assert hashlib.sha256(got).hexdigest() == CHANNEL_OUTPUT_SHA256[layout]
