@@ -38,10 +38,6 @@ def los_probability(d2d_m):
     return math.exp(-(d2d_m - 10.0) / 1000.0)
 
 
-def _rma_breakpoint_m(bs_height_m, ue_height_m, fc_ghz):
-    return 2.0 * math.pi * bs_height_m * ue_height_m * (fc_ghz * 1e9) / SPEED_OF_LIGHT
-
-
 def _rma_pl1_db(d3d_m, fc_ghz):
     h = _RMA_BUILDING_H
     a = min(0.03 * h ** 1.72, 10.0)
@@ -50,22 +46,19 @@ def _rma_pl1_db(d3d_m, fc_ghz):
             + a * math.log10(d3d_m) - b + 0.002 * math.log10(h) * d3d_m)
 
 
-def tn_pathloss_los_db(d2d_m, fc_ghz, bs_height_m, ue_height_m, min_distance_m):
-    """LOS branch: free-space-like up to the breakpoint, 40 dB/decade beyond."""
+def tn_pathloss_db(d2d_m, fc_ghz, los, bs_height_m, ue_height_m, min_distance_m):
+    """LOS: free-space-like up to the breakpoint, 40 dB/decade beyond.
+    NLOS: a power law, never below the LOS loss at the same distance."""
     d2d = max(d2d_m, min_distance_m)
     dh = bs_height_m - ue_height_m
     d3d = math.sqrt(d2d * d2d + dh * dh)
-    dbp = _rma_breakpoint_m(bs_height_m, ue_height_m, fc_ghz)
+    dbp = 2.0 * math.pi * bs_height_m * ue_height_m * (fc_ghz * 1e9) / SPEED_OF_LIGHT
     if d3d <= dbp:
-        return _rma_pl1_db(d3d, fc_ghz)
-    return _rma_pl1_db(dbp, fc_ghz) + 40.0 * math.log10(d3d / dbp)
-
-
-def tn_pathloss_nlos_db(d2d_m, fc_ghz, bs_height_m, ue_height_m, min_distance_m):
-    """NLOS branch; never below the LOS branch at the same distance."""
-    d2d = max(d2d_m, min_distance_m)
-    dh = bs_height_m - ue_height_m
-    d3d = math.sqrt(d2d * d2d + dh * dh)
+        pl_los = _rma_pl1_db(d3d, fc_ghz)
+    else:
+        pl_los = _rma_pl1_db(dbp, fc_ghz) + 40.0 * math.log10(d3d / dbp)
+    if los:
+        return pl_los
     h = _RMA_BUILDING_H
     w = _RMA_STREET_W
     pl_nlos = (161.04 - 7.1 * math.log10(w) + 7.5 * math.log10(h)
@@ -73,13 +66,7 @@ def tn_pathloss_nlos_db(d2d_m, fc_ghz, bs_height_m, ue_height_m, min_distance_m)
                + (43.42 - 3.1 * math.log10(bs_height_m)) * (math.log10(d3d) - 3.0)
                + 20.0 * math.log10(fc_ghz)
                - (3.2 * (math.log10(11.75 * ue_height_m)) ** 2 - 4.97))
-    return max(pl_nlos, tn_pathloss_los_db(d2d, fc_ghz, bs_height_m, ue_height_m, min_distance_m))
-
-
-def tn_pathloss_db(d2d_m, fc_ghz, los, bs_height_m, ue_height_m, min_distance_m):
-    if los:
-        return tn_pathloss_los_db(d2d_m, fc_ghz, bs_height_m, ue_height_m, min_distance_m)
-    return tn_pathloss_nlos_db(d2d_m, fc_ghz, bs_height_m, ue_height_m, min_distance_m)
+    return max(pl_nlos, pl_los)
 
 
 def ntn_fspl_db(slant_m, fc_ghz):
@@ -134,13 +121,14 @@ class TnChannel:
         self.cfg = cfg
         self.sectors = sectors
         self.rng = rng
-        self._n_re_grid = cfg.n_prb * SUBCARRIERS_PER_PRB
+        self._per_re_tx_dbm = (cfg.tn_tx_power_dbm
+                               - linear_to_db(cfg.n_prb * SUBCARRIERS_PER_PRB))
+        self._noise = db_to_linear(noise_per_re_dbm(cfg.ue_noise_figure_db))
 
     def attach_ue(self, ue_pos):
         """Draw the links of a UE at `ue_pos`; returns its SINR in dB from
         each sector, by sector id."""
         cfg = self.cfg
-        per_re_tx = cfg.tn_tx_power_dbm - linear_to_db(self._n_re_grid)
         powers = []
         for sec in self.sectors:
             d = ground_distance_m(ue_pos, sec.position)
@@ -153,16 +141,15 @@ class TnChannel:
             offaxis = bearing_deg(sec.position, ue_pos) - sec.boresight_deg
             gain = cfg.tn_sector_gain_dbi + sector_pattern_db(
                 offaxis, cfg.tn_sector_beamwidth_deg, cfg.tn_sector_floor_db)
-            powers.append(db_to_linear(per_re_tx + gain - pl + shadow))
-
-        noise = db_to_linear(noise_per_re_dbm(cfg.ue_noise_figure_db))
+            powers.append(db_to_linear(self._per_re_tx_dbm + gain - pl + shadow))
         total = sum(powers)
-        return [linear_to_db(p / (total - p + noise)) for p in powers]
+        return [linear_to_db(p / (total - p + self._noise)) for p in powers]
 
 
 class NtnChannel:
     """Satellite link state: the serving beam `beams[0]`, every later beam
-    co-channel (see `geometry.ntn_beam_grid`).
+    co-channel (see `geometry.ntn_beam_grid`). Per-RE EIRP and noise are
+    fixed by the config, so they are worked out once.
 
     Beam centers are earth-fixed; only the satellite moves, so RSRP/SINR vary
     (slowly) with time through the slant range.
@@ -171,29 +158,27 @@ class NtnChannel:
     def __init__(self, cfg, track, beams):
         self.cfg = cfg
         self.track = track
-        self.serving_beam = beams[0]
-        self.cochannel = beams[1:]
-        self._n_re_grid = cfg.n_prb * SUBCARRIERS_PER_PRB
-        self._eirp_dbm = (cfg.ntn_eirp_dbw_mhz + linear_to_db(cfg.bandwidth_mhz) + 30.0)
+        self.beams = beams
+        self._per_re_eirp_dbm = (cfg.ntn_eirp_dbw_mhz + linear_to_db(cfg.bandwidth_mhz)
+                                 + 30.0 - linear_to_db(cfg.n_prb * SUBCARRIERS_PER_PRB))
         self._noise = db_to_linear(noise_per_re_dbm(cfg.ue_noise_figure_db))
-
-    def _per_re_rx_dbm(self, ue_pos, beam_pos, slant_m):
-        offset = ground_distance_m(ue_pos, beam_pos)
-        return (self._eirp_dbm - linear_to_db(self._n_re_grid)
-                + beam_pattern_db(offset, self.cfg.ntn_beam_radius_m, self.cfg.ntn_beam_floor_db)
-                - ntn_fspl_db(slant_m, self.cfg.carrier_ghz)
-                + self.cfg.ue_ntn_gain_dbi)
 
     def link_state(self, ue_pos, t_ns):
         """(rsrp_dbm, sinr_db, one_way_delay_ns) or None if below horizon."""
+        cfg = self.cfg
         subpoint = self.track.subpoint_at(t_ns)
         slant = satellite_slant_m(ue_pos, subpoint, self.track.altitude_m)
         if slant is None:
             return None
-        rsrp = self._per_re_rx_dbm(ue_pos, self.serving_beam, slant)
-        interference = sum(
-            db_to_linear(self._per_re_rx_dbm(ue_pos, b, slant))
-            for b in self.cochannel)
+        # Every beam shares the satellite, so one slant and one path loss.
+        fspl = ntn_fspl_db(slant, cfg.carrier_ghz)
+        rx_dbm = [self._per_re_eirp_dbm
+                  + beam_pattern_db(ground_distance_m(ue_pos, beam),
+                                    cfg.ntn_beam_radius_m, cfg.ntn_beam_floor_db)
+                  - fspl + cfg.ue_ntn_gain_dbi
+                  for beam in self.beams]
+        rsrp = rx_dbm[0]
+        interference = sum(db_to_linear(p) for p in rx_dbm[1:])
         sinr = linear_to_db(db_to_linear(rsrp) / (interference + self._noise))
         # Transparent payload: gateway-satellite-UE, two slant hops.
         delay_ns = round(2.0 * slant / SPEED_OF_LIGHT * 1e9)

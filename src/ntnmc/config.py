@@ -14,7 +14,8 @@ import difflib
 import math
 import os
 
-from .engine import millis, seconds
+from .dataplane import CbrFlow
+from .engine import millis
 from .geometry import (EARTH_RADIUS_M, M_PER_DEG, GroundPosition,
                        SatelliteTrack, ground_distance_m)
 
@@ -186,8 +187,8 @@ class ScenarioConfig:
         # A period rounded to 0 ns fires forever at one instant; one of a few
         # ns (1500 B at 1e13 b/s: 1.2 ns) dispatches an event per few ns.
         periods = {name: millis(getattr(self, name)) for name in PERIODS_MS}
-        periods["the CBR interval packet_bytes * 8 / cbr_rate_bps"] = seconds(
-            self.packet_bytes * 8 / self.cbr_rate_bps)
+        periods["the CBR interval packet_bytes * 8 / cbr_rate_bps"] = CbrFlow(
+            self.packet_bytes, self.cbr_rate_bps).interval_ns
         for name, ns in periods.items():
             if ns < MIN_PERIOD_NS:
                 raise ConfigError(f"{name} must be at least 1 us, got {ns} ns")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import ceil
 
 from .channel import MCS_EFFICIENCIES, SUBCARRIERS_PER_PRB, SYMBOLS_PER_TTI
-from .engine import NS_PER_MS
+from .engine import NS_PER_MS, seconds
 
 TTI_NS = NS_PER_MS
 
@@ -318,7 +318,7 @@ class CbrFlow:
 
     def __init__(self, packet_bytes, rate_bps):
         self.packet_bits = packet_bytes * 8
-        self.interval_ns = round(self.packet_bits / rate_bps * 1_000_000_000)
+        self.interval_ns = seconds(self.packet_bits / rate_bps)
 
 
 @dataclass

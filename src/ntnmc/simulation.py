@@ -46,7 +46,7 @@ them shifts later sequence numbers but not their order, so the events that
 do fire keep theirs.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import mc_control as mc
 from . import traffic_split as ts
@@ -77,13 +77,13 @@ class UeState:
     mn_node_id: int
     pos: object
     tn_sinr_db: float
-    counters: UeCounters = field(default_factory=UeCounters)
-    receiver: object = None
+    best_ntn_rsrp_dbm: float            # the attach-time RSRP, then the best
+    ntn_sinr_db: float                  # as of the latest measurement
+    ntn_delay_ns: int
+    counters: UeCounters
+    receiver: PdcpReceiver
     next_sn: int = 0
     pending_reconfig: bool = False
-    ntn_sinr_db: float = 0.0
-    ntn_delay_ns: int = 0
-    best_ntn_rsrp_dbm: float = -999.0
 
 
 @dataclass
@@ -159,14 +159,14 @@ class Scenario:
     def _add_ue(self, ue_id, sector_id, pos):
         cfg = self.cfg
         sinr = self.tn.attach_ue(pos)[sector_id]
-        ue = UeState(ue_id, sector_id, pos, sinr)
-        ue.best_ntn_rsrp_dbm, ue.ntn_sinr_db, ue.ntn_delay_ns = (
-            self.ntn.link_state(pos, 0))
-        ue.receiver = PdcpReceiver(
+        counters = UeCounters()
+        receiver = PdcpReceiver(
             ue_id, self.sim, millis(cfg.pdcp_reorder_timer_ms),
-            cfg.pdcp_reorder_buffer_pdus, self._make_deliver_cb(ue.counters))
+            cfg.pdcp_reorder_buffer_pdus, self._make_deliver_cb(counters))
+        self.ues[ue_id] = UeState(ue_id, sector_id, pos, sinr,
+                                  *self.ntn.link_state(pos, 0),
+                                  counters, receiver)
         self.nodes[sector_id].add_ue(ue_id, mcs_for_sinr(sinr))
-        self.ues[ue_id] = ue
 
     def _make_deliver_cb(self, counters):
         # Closing over the counters, not the UE that holds the receiver,

@@ -7,8 +7,7 @@ import pytest
 from ntnmc.channel import (MCS_EFFICIENCIES, MCS_THRESHOLDS_DB,
                            SPEED_OF_LIGHT, NtnChannel, TnChannel,
                            los_probability, mcs_for_sinr, noise_per_re_dbm,
-                           ntn_fspl_db, tn_pathloss_db, tn_pathloss_los_db,
-                           tn_pathloss_nlos_db)
+                           ntn_fspl_db, tn_pathloss_db)
 from ntnmc.config import ScenarioConfig, load_config
 from ntnmc.engine import RngStreams, millis
 from ntnmc.geometry import (GroundPosition, SatelliteTrack, build_tn_layout,
@@ -61,16 +60,17 @@ def test_mcs_ladder_is_strictly_increasing():
 
 
 def test_tn_pathloss_monotone_and_clamped():
-    hb, hu, dmin = 35.0, 1.5, 35.0
-    assert (tn_pathloss_los_db(100.0, 2.0, hb, hu, dmin)
-            <= tn_pathloss_nlos_db(100.0, 2.0, hb, hu, dmin))
-    assert (tn_pathloss_los_db(100.0, 2.0, hb, hu, dmin)
-            < tn_pathloss_los_db(1000.0, 2.0, hb, hu, dmin))
-    assert (tn_pathloss_nlos_db(100.0, 2.0, hb, hu, dmin)
-            < tn_pathloss_nlos_db(1000.0, 2.0, hb, hu, dmin))
+    def pl(d2d_m, los):
+        return tn_pathloss_db(d2d_m, 2.0, los, 35.0, 1.5, 35.0)
+
+    assert pl(100.0, True) <= pl(100.0, False)
+    assert pl(100.0, True) < pl(1000.0, True)
+    assert pl(100.0, False) < pl(1000.0, False)
+    # past the breakpoint (~2.2 km here) LOS falls 40 dB/decade
+    assert abs(pl(50_000.0, True) - pl(5000.0, True) - 40.0) < 0.1
     # distances below the model floor all evaluate at the floor
-    assert (tn_pathloss_db(1.0, 2.0, True, hb, hu, dmin)
-            == tn_pathloss_db(35.0, 2.0, True, hb, hu, dmin))
+    for los in (True, False):
+        assert pl(1.0, los) == pl(35.0, los)
 
 
 def test_attach_ue_returns_one_finite_sinr_per_sector():
