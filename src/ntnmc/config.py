@@ -15,7 +15,7 @@ import math
 import os
 
 from .dataplane import CbrFlow
-from .engine import millis
+from .engine import millis, seconds
 from .geometry import (EARTH_RADIUS_M, M_PER_DEG, GroundPosition,
                        SatelliteTrack, ground_distance_m)
 
@@ -62,6 +62,11 @@ BOUNDS = {name: interval for interval, names in {
 PERIODS_MS = ("pdcp_reorder_timer_ms", "load_window_ms", "eval_period_ms",
               "meas_period_ms", "meas_staleness_ms", "request_gate_ms",
               "add_gate_ms", "split_delta_ms", "split_toff_ms")
+# Every duration a run converts to integer ns, and its converter; named
+# here, not found by suffix, since `sat_speed_ms` is a speed.
+DURATIONS = {**dict.fromkeys(PERIODS_MS + ("tn_latency_ms", "eval_jitter_ms",
+                                           "ctrl_latency_ms"), millis),
+             "sim_duration_s": seconds, "warmup_s": seconds}
 
 
 def interval_ends(interval):
@@ -184,14 +189,25 @@ class ScenarioConfig:
             if not lo <= getattr(self, name) <= hi:
                 raise ConfigError(f"{name} must be in {BOUNDS[name]}, "
                                   f"got {getattr(self, name)!r}")
+        # Each duration in integer ns, converted as the run converts it. A
+        # count past the float range (1e303 ms, or a CBR interval at 1e-300
+        # b/s) raises OverflowError here, not in the run.
+        cbr = "the CBR interval packet_bytes * 8 / cbr_rate_bps"
+        ns = {}
+        try:
+            for name, to_ns in DURATIONS.items():
+                ns[name] = to_ns(getattr(self, name))
+            name = cbr
+            ns[name] = CbrFlow(self.packet_bytes, self.cbr_rate_bps).interval_ns
+        except OverflowError:
+            raise ConfigError(f"{name} overflows a count of nanoseconds"
+                              ) from None
         # A period rounded to 0 ns fires forever at one instant; one of a few
         # ns (1500 B at 1e13 b/s: 1.2 ns) dispatches an event per few ns.
-        periods = {name: millis(getattr(self, name)) for name in PERIODS_MS}
-        periods["the CBR interval packet_bytes * 8 / cbr_rate_bps"] = CbrFlow(
-            self.packet_bytes, self.cbr_rate_bps).interval_ns
-        for name, ns in periods.items():
-            if ns < MIN_PERIOD_NS:
-                raise ConfigError(f"{name} must be at least 1 us, got {ns} ns")
+        for name in PERIODS_MS + (cbr,):
+            if ns[name] < MIN_PERIOD_NS:
+                raise ConfigError(
+                    f"{name} must be at least 1 us, got {ns[name]} ns")
         if self.eval_jitter_ms >= self.eval_period_ms:
             raise ConfigError("eval_jitter_ms must be below eval_period_ms")
         reach_m = _layout_reach_m(self)
@@ -308,8 +324,12 @@ def load_config(path=None, environ=None, **extra):
     """Defaults, then config file, then environment, then explicit overrides."""
     values = {}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            values.update(parse_config_text(fh.read(), source=str(path)))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read {path}: {exc}") from None
+        values.update(parse_config_text(text, source=str(path)))
     values.update(env_overrides(environ))
     values.update(extra)
     return ScenarioConfig(**values).validate()

@@ -165,12 +165,29 @@ def test_bad_config_file_is_usage_error(tmp_path):
                  "--seeds", "1"]) == 2
 
 
-def test_infinite_period_is_usage_error(tmp_path, capsys):
-    # `validate` used to raise OverflowError on it, a traceback at the CLI
+@pytest.mark.parametrize("value, message", [
+    pytest.param("inf", "eval_period_ms must be finite", id="inf"),
+    pytest.param("1e303", "eval_period_ms overflows a count of nanoseconds",
+                 id="1e303")])
+def test_infinite_period_is_usage_error(tmp_path, capsys, value, message):
+    # `validate` used to raise OverflowError on both, a traceback at the CLI
     p = tmp_path / "inf.cfg"
-    p.write_text("eval_period_ms = inf\n")
+    p.write_text(f"eval_period_ms = {value}\n")
     assert main(["validate", "--config", str(p)]) == 2
-    assert "eval_period_ms must be finite" in capsys.readouterr().err
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["validate"],
+                                     ["run", "--seeds", "1", "--out", "out"]])
+@pytest.mark.parametrize("path", ["missing.cfg", ".", "latin1.cfg"])
+def test_unreadable_config_is_usage_error(tmp_path, capsys, monkeypatch,
+                                          command, path):
+    # a missing path or a directory exited 1, as a runtime failure does
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "latin1.cfg").write_bytes(b"isd_m = 5000  # \xe9\n")
+    assert main(command + ["--config", path]) == 2
+    assert f"config error: cannot read {path}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_misspelt_env_setting_is_usage_error(capsys, monkeypatch):

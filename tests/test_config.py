@@ -4,8 +4,8 @@ import re
 
 import pytest
 
-from ntnmc.config import (BOUNDS, ConfigError, ScenarioConfig, interval_ends,
-                          load_config, parse_config_text)
+from ntnmc.config import (BOUNDS, DURATIONS, ConfigError, ScenarioConfig,
+                          interval_ends, load_config, parse_config_text)
 from ntnmc.simulation import Scenario
 
 FLOAT_FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig)
@@ -191,10 +191,17 @@ PROBE = dict(sim_duration_s=0.3, warmup_s=0.1, n_ue_per_sector=2)
     (dict(bandwidth_mhz=-1.0), "bandwidth_mhz = -1.0 is not a 15 kHz"),
     # sites past the pole from a center inside the latitude bounds
     (dict(center_lat_deg=89.99, sat_epoch_lat_deg=89.0), "center_lat_deg.*pole"),
+    # durations whose count of ns overflows a float; ctrl_latency_ms used to
+    # pass and raise at the first reconfiguration, tn_latency_ms and a
+    # never-setting satellite's sim_duration_s when the scenario was built
+    *[(dict(**{name: 1e303}), f"^{name} overflows") for name in DURATIONS],
+    (dict(sim_duration_s=1e300, sat_speed_ms=0.0), "^sim_duration_s overflows"),
+    (dict(cbr_rate_bps=1e-300), "CBR interval .* overflows"),
+    (dict(cbr_rate_bps=5e-324), "CBR interval .* overflows"),
 ])
 def test_configs_that_would_fail_mid_run_are_rejected(overrides, match):
     with pytest.raises(ConfigError, match=match):
-        load_config(None, environ={}, **PROBE, **overrides)
+        load_config(None, environ={}, **{**PROBE, **overrides})
 
 
 @pytest.mark.parametrize("name, value", [
