@@ -18,10 +18,14 @@ SUBCARRIER_HZ = 15_000.0
 SUBCARRIERS_PER_PRB = 12
 SYMBOLS_PER_TTI = 14
 
-# Rural-macro model internals (not scenario knobs).
-_RMA_BUILDING_H = 5.0    # average building height, m
-_RMA_STREET_W = 20.0     # street width, m
-
+# Rural-macro model internals (not scenario knobs): average building height
+# and street width, m, and the loss terms that depend on them alone.
+_RMA_H = 5.0
+_RMA_W = 20.0
+_RMA_A = min(0.03 * _RMA_H ** 1.72, 10.0)
+_RMA_B = min(0.044 * _RMA_H ** 1.72, 14.77)
+_RMA_C = 0.002 * math.log10(_RMA_H)
+_RMA_NLOS_DB = 161.04 - 7.1 * math.log10(_RMA_W) + 7.5 * math.log10(_RMA_H)
 
 def db_to_linear(db):
     return 10.0 ** (db / 10.0)
@@ -38,14 +42,6 @@ def los_probability(d2d_m):
     return math.exp(-(d2d_m - 10.0) / 1000.0)
 
 
-def _rma_pl1_db(d3d_m, fc_ghz):
-    h = _RMA_BUILDING_H
-    a = min(0.03 * h ** 1.72, 10.0)
-    b = min(0.044 * h ** 1.72, 14.77)
-    return (20.0 * math.log10(40.0 * math.pi * d3d_m * fc_ghz / 3.0)
-            + a * math.log10(d3d_m) - b + 0.002 * math.log10(h) * d3d_m)
-
-
 def tn_pathloss_db(d2d_m, fc_ghz, los, bs_height_m, ue_height_m, min_distance_m):
     """LOS: free-space-like up to the breakpoint, 40 dB/decade beyond.
     NLOS: a power law, never below the LOS loss at the same distance."""
@@ -53,16 +49,15 @@ def tn_pathloss_db(d2d_m, fc_ghz, los, bs_height_m, ue_height_m, min_distance_m)
     dh = bs_height_m - ue_height_m
     d3d = math.sqrt(d2d * d2d + dh * dh)
     dbp = 2.0 * math.pi * bs_height_m * ue_height_m * (fc_ghz * 1e9) / SPEED_OF_LIGHT
-    if d3d <= dbp:
-        pl_los = _rma_pl1_db(d3d, fc_ghz)
-    else:
-        pl_los = _rma_pl1_db(dbp, fc_ghz) + 40.0 * math.log10(d3d / dbp)
+    d1 = min(d3d, dbp)
+    pl_los = (20.0 * math.log10(40.0 * math.pi * d1 * fc_ghz / 3.0)
+              + _RMA_A * math.log10(d1) - _RMA_B + _RMA_C * d1)
+    if d3d > dbp:
+        pl_los += 40.0 * math.log10(d3d / dbp)
     if los:
         return pl_los
-    h = _RMA_BUILDING_H
-    w = _RMA_STREET_W
-    pl_nlos = (161.04 - 7.1 * math.log10(w) + 7.5 * math.log10(h)
-               - (24.37 - 3.7 * (h / bs_height_m) ** 2) * math.log10(bs_height_m)
+    pl_nlos = (_RMA_NLOS_DB
+               - (24.37 - 3.7 * (_RMA_H / bs_height_m) ** 2) * math.log10(bs_height_m)
                + (43.42 - 3.1 * math.log10(bs_height_m)) * (math.log10(d3d) - 3.0)
                + 20.0 * math.log10(fc_ghz)
                - (3.2 * (math.log10(11.75 * ue_height_m)) ** 2 - 4.97))

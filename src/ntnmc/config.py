@@ -200,14 +200,12 @@ class ScenarioConfig:
             name = cbr
             ns[name] = CbrFlow(self.packet_bytes, self.cbr_rate_bps).interval_ns
         except OverflowError:
-            raise ConfigError(f"{name} overflows a count of nanoseconds"
-                              ) from None
+            raise ConfigError(f"{name} overflows a count of ns") from None
         # A period rounded to 0 ns fires forever at one instant; one of a few
         # ns (1500 B at 1e13 b/s: 1.2 ns) dispatches an event per few ns.
         for name in PERIODS_MS + (cbr,):
             if ns[name] < MIN_PERIOD_NS:
-                raise ConfigError(
-                    f"{name} must be at least 1 us, got {ns[name]} ns")
+                raise ConfigError(f"{name} must be at least 1 us, got {ns[name]} ns")
         if self.eval_jitter_ms >= self.eval_period_ms:
             raise ConfigError("eval_jitter_ms must be below eval_period_ms")
         reach_m = _layout_reach_m(self)
