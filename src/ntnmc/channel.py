@@ -27,6 +27,7 @@ _RMA_B = min(0.044 * _RMA_H ** 1.72, 14.77)
 _RMA_C = 0.002 * math.log10(_RMA_H)
 _RMA_NLOS_DB = 161.04 - 7.1 * math.log10(_RMA_W) + 7.5 * math.log10(_RMA_H)
 
+
 def db_to_linear(db):
     return 10.0 ** (db / 10.0)
 
@@ -143,8 +144,7 @@ class TnChannel:
 
 class NtnChannel:
     """Satellite link state: the serving beam `beams[0]`, every later beam
-    co-channel (see `geometry.ntn_beam_grid`). Per-RE EIRP and noise are
-    fixed by the config, so they are worked out once.
+    co-channel (see `geometry.ntn_beam_grid`).
 
     Beam centers are earth-fixed; only the satellite moves, so RSRP/SINR vary
     (slowly) with time through the slant range.
