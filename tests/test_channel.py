@@ -158,8 +158,8 @@ def _channel_outputs(overrides):
 
 # A last-bit change in a link term can survive MCS bucketing and grant
 # sizing, so the run digests of test_golden.py may miss it; these cannot.
-# With a 3 km beam radius each UE is inside at most one beam's 3 dB
-# radius, so both branches of `beam_pattern_db` are taken.
+# With a 3 km beam radius 25 of the 630 UE-beam pairs of the drop lie
+# inside the 3 dB radius, so both branches of `beam_pattern_db` run.
 CHANNEL_OUTPUT_SHA256 = {
     "default":
         "13494d12b6036a87d5ad66fdae6bb87b304ca93bc6e2082c8a429dcb35513752",

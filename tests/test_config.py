@@ -4,8 +4,8 @@ import re
 
 import pytest
 
-from ntnmc.config import (BOUNDS, DURATIONS, ConfigError, ScenarioConfig,
-                          interval_ends, load_config, parse_config_text)
+from ntnmc.config import (BOUNDS, ConfigError, ScenarioConfig, interval_ends,
+                          load_config, parse_config_text)
 from ntnmc.simulation import Scenario
 
 FLOAT_FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig)
@@ -194,7 +194,11 @@ PROBE = dict(sim_duration_s=0.3, warmup_s=0.1, n_ue_per_sector=2)
     # durations whose count of ns overflows a float; ctrl_latency_ms used to
     # pass and raise at the first reconfiguration, tn_latency_ms and a
     # never-setting satellite's sim_duration_s when the scenario was built
-    *[(dict(**{name: 1e303}), f"^{name} overflows") for name in DURATIONS],
+    *[({name: 1e303}, f"^{name} overflows") for name in (
+        "pdcp_reorder_timer_ms", "load_window_ms", "eval_period_ms",
+        "meas_period_ms", "meas_staleness_ms", "request_gate_ms",
+        "add_gate_ms", "split_delta_ms", "split_toff_ms", "tn_latency_ms",
+        "eval_jitter_ms", "ctrl_latency_ms", "sim_duration_s", "warmup_s")],
     (dict(sim_duration_s=1e300, sat_speed_ms=0.0), "^sim_duration_s overflows"),
     (dict(cbr_rate_bps=1e-300), "CBR interval .* overflows"),
     (dict(cbr_rate_bps=5e-324), "CBR interval .* overflows"),
