@@ -22,8 +22,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .engine import millis
-
 ACK = "ACK"
 REJECT = "REJECT"
 
@@ -61,13 +59,14 @@ class Decision:
 
 class CandidateState:
     """Admission state of the satellite beam, the one candidate cell: the
-    time of its last acknowledgement, which the add gate reads, and its
-    load, the REs of `n_res` per TTI it granted in each of its last
-    `window` TTIs. The scenario calls `record` once every TTI, idle ones
-    included, so the window is always densely populated."""
+    time of its last acknowledgement and the add gate of `add_gate_ns`
+    after it, and its load, the REs of `n_res` per TTI it granted in each
+    of its last `window` TTIs. The scenario calls `record` once every TTI,
+    idle ones included, so the window is always densely populated."""
 
-    def __init__(self, window_ttis, n_res):
+    def __init__(self, window_ttis, n_res, add_gate_ns):
         self.last_ack_ns = None
+        self.add_gate_ns = add_gate_ns
         self.window = window_ttis
         self.n_res = n_res
         self.granted = deque()      # REs granted per TTI, oldest first
@@ -85,33 +84,32 @@ class CandidateState:
         return self.granted_sum / avail if avail else 0.0
 
 
-def _first_eligible(reports, ue_ids, t_ns, cfg):
-    """The first UE of `ue_ids` whose latest report is fresh and at or above
-    the RSRP floor, or None."""
-    stale_ns = millis(cfg.meas_staleness_ms)
+def _first_eligible(reports, ue_ids, fresh_ns, cfg):
+    """The first UE of `ue_ids` whose latest report is fresh (taken at or
+    after `fresh_ns`) and at or above the RSRP floor, or None."""
     for ue_id in ue_ids:
         meas = reports.get(ue_id)
-        if (meas is not None and t_ns - meas.t_ns <= stale_ns
+        if (meas is not None and meas.t_ns >= fresh_ns
                 and meas.rsrp_dbm >= cfg.rsrp_min_dbm):
             return ue_id
     return None
 
 
-def evaluate_mcs_based(reports, node, single_ues, t_ns, cfg):
+def evaluate_mcs_based(reports, node, single_ues, fresh_ns, cfg):
     """The first eligible UE whose anchor MCS is at or below the threshold,
     in ascending MCS order (ties by UE id)."""
     weak = [u for u in single_ues
             if _mcs_key(reports.get(u)) <= cfg.mcs_threshold]
     weak.sort(key=lambda u: (_mcs_key(reports.get(u)), u))
-    return _first_eligible(reports, weak, t_ns, cfg)
+    return _first_eligible(reports, weak, fresh_ns, cfg)
 
 
-def evaluate_rsrp_based(reports, node, single_ues, t_ns, cfg):
+def evaluate_rsrp_based(reports, node, single_ues, fresh_ns, cfg):
     """The eligible UE of lowest id."""
-    return _first_eligible(reports, sorted(single_ues), t_ns, cfg)
+    return _first_eligible(reports, sorted(single_ues), fresh_ns, cfg)
 
 
-def evaluate_bo_based(reports, node, single_ues, t_ns, cfg):
+def evaluate_bo_based(reports, node, single_ues, fresh_ns, cfg):
     """The first eligible UE whose transmit queue at the anchor `node` has
     filled past the occupancy threshold (a fraction of the queue cap), most
     backlogged first."""
@@ -120,18 +118,18 @@ def evaluate_bo_based(reports, node, single_ues, t_ns, cfg):
                  for u in single_ues}
     crossed = [u for u in single_ues if occupancy[u] >= cfg.bo_threshold_frac]
     crossed.sort(key=lambda u: (-occupancy[u], u))
-    return _first_eligible(reports, crossed, t_ns, cfg)
+    return _first_eligible(reports, crossed, fresh_ns, cfg)
 
 
 @dataclass(frozen=True)
 class Policy:
     """One setting of the comparison, as the scenario wires it.
 
-    `evaluate(reports, node, single_ues, t_ns, cfg)` is the anchor-side
+    `evaluate(reports, node, single_ues, fresh_ns, cfg)` is the anchor-side
     evaluator; None (`off`) disables evaluation and data requests entirely.
     It ranks the `single_ues` of the anchor `node` and returns the first
-    whose report in `reports` is fresh and at or above the RSRP floor, or
-    None, and changes no state. The caller runs it only while the sector's
+    whose report in `reports` is fresh (taken at or after `fresh_ns`) and
+    at or above the RSRP floor, or None, and changes no state. The caller runs it only while the sector's
     request gate is open, and closes the gate when it names a UE.
     `admission` is the candidate-side mode. The MCS policy goes through the
     full admission (add gate, load headroom, preemptive release). The
@@ -177,7 +175,7 @@ def handle_sn_addition_request(cand_node, cand, reports, ue_id, t_ns, cfg,
     if mode == COVERAGE:
         return Decision(ACK, "coverage")
     if (cand.last_ack_ns is not None
-            and t_ns - cand.last_ack_ns <= millis(cfg.add_gate_ms)):
+            and t_ns - cand.last_ack_ns <= cand.add_gate_ns):
         return Decision(REJECT, "recent-ack")
     if cand.load_fraction() <= cfg.load_ack_max:
         cand.last_ack_ns = t_ns

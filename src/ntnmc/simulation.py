@@ -51,10 +51,10 @@ from dataclasses import dataclass
 from . import mc_control as mc
 from . import traffic_split as ts
 from .channel import NtnChannel, TnChannel, mcs_for_sinr
-from .config import ScenarioConfig
+from .config import DURATIONS, ScenarioConfig
 from .dataplane import (TTI_NS, CbrFlow, Node, PdcpPdu, PdcpReceiver,
                         UeCounters, schedule_tti)
-from .engine import RngStreams, Simulator, millis, seconds
+from .engine import RngStreams, Simulator
 from .geometry import (GroundPosition, SatelliteTrack, build_tn_layout,
                        drop_ues_in_sector, ntn_beam_grid)
 
@@ -109,9 +109,12 @@ class Scenario:
         self.policy = mc.policy_for(cfg.policy)
         self.sim = Simulator()
         self.rngs = RngStreams(cfg.base_seed, seed)
-        self.end_ns = seconds(cfg.sim_duration_s)
-        self.warmup_ns = seconds(cfg.warmup_s)
-        self.tn_latency_ns = millis(cfg.tn_latency_ms)
+        # Every duration in integer ns, converted once, as `validate` does.
+        self.ns = {name: to_ns(getattr(cfg, name))
+                   for name, to_ns in DURATIONS.items()}
+        self.end_ns = self.ns["sim_duration_s"]
+        self.warmup_ns = self.ns["warmup_s"]
+        self.tn_latency_ns = self.ns["tn_latency_ms"]
         self.events = []
         self._build()
 
@@ -135,7 +138,8 @@ class Scenario:
         self.reports = {}       # ue_id -> latest mc.Measurement
         self.last_request_ns = [None] * len(self.sectors)   # by sector id
         self.cand = mc.CandidateState(
-            max(1, round(cfg.load_window_ms)), self.ntn_node.n_res)
+            max(1, round(cfg.load_window_ms)), self.ntn_node.n_res,
+            self.ns["add_gate_ms"])
         self.book = ts.GrantBook()
 
         drop_rng = self.rngs.stream("ue-drop")
@@ -154,14 +158,14 @@ class Scenario:
         if self.policy.evaluate is not None:
             self._schedule_evaluations()
             self.sim.schedule_at(0, self._on_data_request_cycle,
-                                 millis(cfg.split_delta_ms))
+                                 self.ns["split_delta_ms"])
 
     def _add_ue(self, ue_id, sector_id, pos):
         cfg = self.cfg
         sinr = self.tn.attach_ue(pos)[sector_id]
         counters = UeCounters()
         receiver = PdcpReceiver(
-            ue_id, self.sim, millis(cfg.pdcp_reorder_timer_ms),
+            ue_id, self.sim, self.ns["pdcp_reorder_timer_ms"],
             cfg.pdcp_reorder_buffer_pdus, self._make_deliver_cb(counters))
         self.ues[ue_id] = UeState(ue_id, sector_id, pos, sinr,
                                   *self.ntn.link_state(pos, 0),
@@ -246,7 +250,7 @@ class Scenario:
     # ---- measurements -------------------------------------------------
 
     def _schedule_measurements(self):
-        period = millis(self.cfg.meas_period_ms)
+        period = self.ns["meas_period_ms"]
         phase_rng = self.rngs.stream("meas-phase")
         self._meas_err = self.rngs.stream("meas-error")
         for ue in self.ues.values():
@@ -284,7 +288,7 @@ class Scenario:
         """The evaluation of grid point `grid_ns` fires after a fresh jitter,
         so evaluation k fires at k * period + jitter_k and never drifts."""
         t = grid_ns + round(self._eval_rng.random()
-                            * millis(self.cfg.eval_jitter_ms))
+                            * self.ns["eval_jitter_ms"])
         self.sim.schedule_at(t, self._on_eval, sector_id, grid_ns)
 
     def _on_eval(self, sector_id, grid_ns):
@@ -293,16 +297,17 @@ class Scenario:
         t = self.sim.now
         cfg = self.cfg
         last = self.last_request_ns[sector_id]
-        if last is None or t - last >= millis(cfg.request_gate_ms):
+        if last is None or t - last >= self.ns["request_gate_ms"]:
             node = self.nodes[sector_id]
             single = [u for u in node.queues if u not in self.ntn_node.queues
                       and not self.ues[u].pending_reconfig]
-            ue_id = self.policy.evaluate(self.reports, node, single, t, cfg)
+            ue_id = self.policy.evaluate(self.reports, node, single,
+                                         t - self.ns["meas_staleness_ms"], cfg)
             if ue_id is not None:
                 self.last_request_ns[sector_id] = t     # closes the gate
                 self._dispatch_request(ue_id, t)
         # Every evaluation draws its next jitter, gate open or not.
-        self._schedule_eval(sector_id, grid_ns + millis(cfg.eval_period_ms))
+        self._schedule_eval(sector_id, grid_ns + self.ns["eval_period_ms"])
 
     def _dispatch_request(self, ue_id, t_ns):
         decision = mc.handle_sn_addition_request(
@@ -314,7 +319,7 @@ class Scenario:
                 self._release(decision.victim, "preempted")
             ue.pending_reconfig = True
             mc.complete_reconfiguration(
-                self.sim, millis(self.cfg.ctrl_latency_ms),
+                self.sim, self.ns["ctrl_latency_ms"],
                 self._finalize_binding, ue)
         else:
             self._log(mc.EV_REJECT, ue, decision.cause)

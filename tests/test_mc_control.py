@@ -17,6 +17,9 @@ from ntnmc.mc_control import (ACK, COVERAGE, GATED, PREEMPTIVE, REJECT,
 from ntnmc.simulation import Scenario
 
 CFG = ScenarioConfig()
+# The oldest report time still fresh for an evaluation at t = 0.
+FRESH = -millis(CFG.meas_staleness_ms)
+GATE_NS = millis(CFG.add_gate_ms)
 
 
 def _report(mn_mcs, t_ns=0, rsrp_dbm=-110.0):
@@ -35,7 +38,7 @@ def _candidate(fraction, mcs_by_bound_ue=None):
     `mcs_by_bound_ue`; its admission state, whose load reads `fraction`;
     and reports that give each of those UEs that anchor MCS."""
     node = Node(52)
-    ctrl = CandidateState(100, node.n_res)
+    ctrl = CandidateState(100, node.n_res, GATE_NS)
     ctrl.record(round(fraction * node.n_res))
     assert ctrl.load_fraction() == pytest.approx(fraction, abs=1e-3)
     reports = {}
@@ -80,61 +83,62 @@ def _anchor_with_occupancy(occupancy):
 def test_no_requests_when_all_links_are_healthy():
     reports = _reports({u: (50, -110.0) for u in range(4)},
                        {u: 16 for u in range(4)})
-    assert evaluate_mcs_based(reports, None, list(range(4)), 0, CFG) is None
+    assert evaluate_mcs_based(reports, None, list(range(4)), FRESH,
+                              CFG) is None
 
 
 def test_no_requests_without_single_connectivity_ues():
     reports = _reports({1: (50, -110.0)}, {1: 3})
-    assert evaluate_mcs_based(reports, None, [], 0, CFG) is None
+    assert evaluate_mcs_based(reports, None, [], FRESH, CFG) is None
 
 
 def test_weak_ue_with_qualified_candidate_triggers_one_request():
     reports = _reports({1: (50, -110.0)}, {1: 3})
-    assert evaluate_mcs_based(reports, None, [1], 0, CFG) == 1
+    assert evaluate_mcs_based(reports, None, [1], FRESH, CFG) == 1
 
 
 def test_weak_ue_with_faint_candidate_stays_single():
     reports = _reports({1: (50, -112.0)}, {1: 3})
-    assert evaluate_mcs_based(reports, None, [1], 0, CFG) is None
+    assert evaluate_mcs_based(reports, None, [1], FRESH, CFG) is None
 
 
 def test_rsrp_floor_is_inclusive():
     reports = _reports({1: (50, CFG.rsrp_min_dbm)}, {1: 3})
-    assert evaluate_mcs_based(reports, None, [1], 0, CFG) == 1
+    assert evaluate_mcs_based(reports, None, [1], FRESH, CFG) == 1
 
 
 def test_measurement_staleness_boundary():
     fresh = _reports({1: (CFG.meas_staleness_ms, -110.0)}, {1: 3})
-    assert evaluate_mcs_based(fresh, None, [1], 0, CFG) == 1
+    assert evaluate_mcs_based(fresh, None, [1], FRESH, CFG) == 1
     stale = {1: _report(3, -millis(CFG.meas_staleness_ms) - 1)}
-    assert evaluate_mcs_based(stale, None, [1], 0, CFG) is None
+    assert evaluate_mcs_based(stale, None, [1], FRESH, CFG) is None
 
 
 def test_weakest_reported_ue_goes_first():
     reports = _reports({u: (10, -110.0) for u in (1, 2, 3)},
                        {1: 5, 3: 3})  # ue 2: no decodable anchor link
     # the unreported UE ranks below every decodable anchor link
-    assert evaluate_mcs_based(reports, None, [1, 2, 3], 0, CFG) == 2
+    assert evaluate_mcs_based(reports, None, [1, 2, 3], FRESH, CFG) == 2
     assert reports[2].mn_mcs is None
 
 
 def test_rsrp_policy_asks_for_every_covered_ue():
     reports = _reports({1: (10, -110.0), 2: (10, -112.0)},
                        {1: 20, 2: 20})
-    assert evaluate_rsrp_based(reports, None, [1, 2], 0, CFG) == 1
+    assert evaluate_rsrp_based(reports, None, [1, 2], FRESH, CFG) == 1
 
 
 def test_bo_policy_prefers_the_most_backlogged():
     reports = _reports({u: (10, -110.0) for u in (1, 2, 3)},
                        {u: 20 for u in (1, 2, 3)})
     anchor = _anchor_with_occupancy({1: 0.85, 2: 0.99, 3: 0.2})
-    assert evaluate_bo_based(reports, anchor, [1, 2, 3], 0, CFG) == 2
+    assert evaluate_bo_based(reports, anchor, [1, 2, 3], FRESH, CFG) == 2
 
 
 def test_bo_policy_ignores_queues_below_threshold():
     reports = _reports({1: (10, -110.0)}, {1: 20})
     anchor = _anchor_with_occupancy({1: 0.5})
-    assert evaluate_bo_based(reports, anchor, [1], 0, CFG) is None
+    assert evaluate_bo_based(reports, anchor, [1], FRESH, CFG) is None
 
 
 def test_bo_evaluator_reads_the_exact_occupancy_fraction():
@@ -148,7 +152,7 @@ def test_bo_evaluator_reads_the_exact_occupancy_fraction():
     def named(single, threshold):
         cfg = dataclasses.replace(CFG, ue_queue_bytes=1_000_000,
                                   bo_threshold_frac=threshold)
-        return evaluate_bo_based(reports, anchor, single, 0, cfg)
+        return evaluate_bo_based(reports, anchor, single, FRESH, cfg)
 
     assert named([1, 2], 0.4) == 1
     assert named([1, 2], math.nextafter(0.4, 1.0)) is None
@@ -167,7 +171,7 @@ def test_ineligible_top_ranked_ue_passes_the_ask_on(evaluate, top_report):
     reports = _reports({1: top_report, 2: (10, -110.0)},
                        {1: 2, 2: 3})
     anchor = _anchor_with_occupancy({1: 0.99, 2: 0.9})
-    assert evaluate(reports, anchor, [2, 1], 0, CFG) == 2
+    assert evaluate(reports, anchor, [2, 1], FRESH, CFG) == 2
 
 
 # --- request gate, held by the scenario --------------------------------------
@@ -216,8 +220,8 @@ def test_request_gate_blocks_repeat_asks_to_same_cell():
     asked = []
     sc.policy = dataclasses.replace(
         sc.policy,
-        evaluate=lambda r, node, single, t, c: asked.append(
-            (sc.nodes.index(node), t)))
+        evaluate=lambda r, node, single, fresh, c: asked.append(
+            (sc.nodes.index(node), sc.sim.now)))
     sc.last_request_ns[0] = 0
     at_gate = millis(sc.cfg.request_gate_ms)
     for sector_id, t in ((0, millis(50)), (1, millis(50)), (0, at_gate - 1),
@@ -409,13 +413,13 @@ def test_empty_queues_leave_load_at_zero():
     node = Node(52)
     node.add_ue(1, 10)
     # the REs granted in an idle TTI, as a scenario records them at the beam
-    cand = CandidateState(100, node.n_res)
+    cand = CandidateState(100, node.n_res, GATE_NS)
     cand.record(sum(n_res for _ue, n_res, _d in schedule_tti(node)))
     assert cand.load_fraction() == 0.0
 
 
 def test_load_window_fractions_and_eviction():
-    cand = CandidateState(100, 8736)
+    cand = CandidateState(100, 8736, GATE_NS)
     assert cand.load_fraction() == 0.0
     for _ in range(50):
         cand.record(8736)
@@ -423,7 +427,7 @@ def test_load_window_fractions_and_eviction():
         cand.record(0)
     assert cand.load_fraction() == 0.5
 
-    small = CandidateState(4, 8736)
+    small = CandidateState(4, 8736, GATE_NS)
     for _ in range(4):
         small.record(8736)
     assert small.load_fraction() == 1.0

@@ -74,9 +74,9 @@ def test_receiver_accounts_for_every_pdu(sns):
                 max_size=40))
 def test_acks_never_violate_the_add_gate(reqs):
     node = Node(52)
-    ctrl = CandidateState(100, node.n_res)
-    reports = {}
     gate_ns = millis(CFG.add_gate_ms)
+    ctrl = CandidateState(100, node.n_res, gate_ns)
+    reports = {}
     t = 0
     ack_times = []
     for dt, load, ue, mcs in reqs:
