@@ -11,6 +11,7 @@ byte arrives.
 from collections import deque
 from dataclasses import dataclass
 from math import ceil
+from operator import attrgetter
 
 from .channel import MCS_EFFICIENCIES, SUBCARRIERS_PER_PRB, SYMBOLS_PER_TTI
 from .engine import NS_PER_MS, seconds
@@ -45,9 +46,14 @@ class UeTxQueue:
     forwarding to a secondary node can only take untouched whole PDUs.
     `queued_bits` counts every PDU still owned by the queue, including the
     partially sent one.
+
+    While the queue's node holds a `SaturatedEpoch`, `member` is the
+    queue's record in it, whose served bits may lag, and an idle queue with
+    an MCS has `on_push`, which ends the epoch.
     """
 
-    __slots__ = ("mcs", "pending", "in_service", "served_bits", "queued_bits")
+    __slots__ = ("mcs", "pending", "in_service", "served_bits", "queued_bits",
+                 "member", "on_push")
 
     def __init__(self, mcs):
         self.mcs = mcs
@@ -55,18 +61,26 @@ class UeTxQueue:
         self.in_service = None
         self.served_bits = 0
         self.queued_bits = 0
+        self.member = None
+        self.on_push = None
 
     def push(self, pdu):
         self.pending.append(pdu)
         self.queued_bits += pdu.bits
+        if self.on_push is not None:
+            self.on_push()
 
     def push_front(self, pdu):
         self.pending.appendleft(pdu)
         self.queued_bits += pdu.bits
+        if self.on_push is not None:
+            self.on_push()
 
     def pop_pending(self):
         pdu = self.pending.popleft()
         self.queued_bits -= pdu.bits
+        if self.member is not None:
+            self.member.epoch.rebase(self.member)
         return pdu
 
     def take(self, budget_bits):
@@ -110,15 +124,52 @@ class Node:
 
     The keys of `queues` are the node's UEs, in the order they were added;
     each queue carries its UE's true link MCS, which the scheduler reads.
+    `completed` holds the (ue_id, PDUs) completed in the last TTI. A UE
+    joins through `add_ue` and leaves through `remove_ue`, and its MCS
+    changes through `set_mcs`, so that an open `epoch` sees every change
+    that could move the allocation.
     """
 
     def __init__(self, n_prb):
         self.n_res = res_per_tti(n_prb)
         self.queues = {}
+        self.completed = []
+        self.epoch = None
         self._rr = 0
+        self._saturated = False     # whether the last busy TTI was
 
     def add_ue(self, ue_id, mcs):
+        self.settle()
         self.queues[ue_id] = UeTxQueue(mcs)
+
+    def remove_ue(self, ue_id):
+        """Drop the queue of `ue_id` and return it, PDUs and all."""
+        self.settle()
+        return self.queues.pop(ue_id)
+
+    def set_mcs(self, ue_id, mcs):
+        q = self.queues[ue_id]
+        if mcs == q.mcs:
+            return
+        m = q.member
+        if m is None or mcs is None:
+            self.settle()
+            q.mcs = mcs
+        else:
+            m.epoch.retune(m, mcs)
+
+    def settle(self):
+        """End the open epoch, if any, bringing every served count up to
+        date."""
+        if self.epoch is not None:
+            self.epoch.end()
+
+    def served_bits(self, ue_id):
+        """The bits sent of the PDU on the air of `ue_id`, up to date even
+        inside an epoch, which this leaves open."""
+        q = self.queues[ue_id]
+        m = q.member
+        return q.served_bits if m is None else m.epoch.served(m, self._rr)
 
     def queued_bits(self, ue_id):
         q = self.queues.get(ue_id)
@@ -158,15 +209,30 @@ def max_min_share(needs, total, first):
     return grants
 
 
+def _epoch_pays(node, needs):
+    """Whether a saturated TTI at `node` opens an epoch. Opening costs
+    O(n), so only one likely to last does: the TTI before was saturated
+    too, no UE with an MCS is idle (its next packet would end the epoch),
+    and every need is above 8 equal shares."""
+    return (node._saturated and min(needs) * len(needs) > 8 * node.n_res
+            and len(needs) == sum(q.mcs is not None
+                                  for q in node.queues.values()))
+
+
 def schedule_tti(node):
     """Run one TTI of max-min fair scheduling at `node`.
 
     Each backlogged UE needs ceil(unsent bits / efficiency) REs, and
     `max_min_share` splits the node's REs over those needs, the remainder
-    starting at a position that advances by one every TTI. Returns
-    [(ue_id, n_res, completed_pdus)], one entry per UE granted REs; an
-    idle TTI returns an empty list.
+    starting at a position that advances by one every TTI. Returns the
+    number of REs granted, 0 for an idle TTI, and leaves the PDUs it
+    completed in `node.completed`. A saturated TTI may open a
+    `SaturatedEpoch`, which serves the TTIs after it while they stay
+    saturated.
     """
+    epoch = node.epoch
+    if epoch is not None and epoch.tti():
+        return node.n_res
     eff = MCS_EFFICIENCIES
     hungry = []             # (ue_id, queue, mcs) of each backlogged UE
     needs = []
@@ -179,12 +245,24 @@ def schedule_tti(node):
             continue
         hungry.append((ue_id, q, mcs))
         needs.append(ceil(bits / eff[mcs]))
+    node.completed = out = []
     if not hungry:
-        return []
+        node._saturated = False
+        return 0
 
-    alloc = max_min_share(needs, node.n_res, node._rr % len(hungry))
+    n = len(hungry)
+    total = node.n_res
+    if min(needs) * n > total:
+        opens = _epoch_pays(node, needs)
+        node._saturated = True
+        if opens:
+            node.epoch = SaturatedEpoch(node, hungry, *divmod(total, n))
+            node.epoch.tti()
+            return total
+    else:
+        node._saturated = False
+    alloc = max_min_share(needs, total, node._rr % n)
     node._rr += 1
-    out = []
     for (ue_id, q, mcs), n_res in zip(hungry, alloc):
         if n_res <= 0:
             continue
@@ -193,10 +271,208 @@ def schedule_tti(node):
         if head is not None and q.served_bits + tb_bits < head.bits:
             # The PDU in service does not complete: the common case.
             q.served_bits += tb_bits
-            out.append((ue_id, n_res, ()))
         else:
-            out.append((ue_id, n_res, q.take(tb_bits)))
-    return out
+            done = q.take(tb_bits)
+            if done:
+                out.append((ue_id, done))
+    return sum(alloc)
+
+
+class _Member:
+    """One backlogged UE of a `SaturatedEpoch`: its position `i`, its TB
+    sizes at `share` and `share + 1` REs, the backlog at or below which it
+    could need no more than `share` REs (`low_bits`), the TTI at which its
+    queue's `served_bits` is up to date (`base`), and the TTIs at which its
+    head PDU completes (`done`), its backlog could fall to the share
+    (`fall`) and it is next woken (`wake`), None for never."""
+
+    __slots__ = ("epoch", "i", "off", "ue_id", "q", "eff", "tb0", "tb1",
+                 "low_bits", "base", "done", "fall", "wake")
+
+
+_INDEX = attrgetter("i")
+
+
+class SaturatedEpoch:
+    """TTIs of a node at which every backlogged UE needs more than the
+    equal share of the REs, served in closed form.
+
+    Then `max_min_share` grants each of the n backlogged UEs (the members,
+    in queue order) `share` REs, plus one to member i when (i - k) mod n <
+    `extra` at rotation counter k. So a member's served bits at any TTI
+    follow by arithmetic from those at its base TTI: TTIs times the TB at
+    `share`, plus the TTIs with the extra RE times the TB difference. A
+    member is woken, from a calendar keyed by rotation counter, only at the
+    TTI its head PDU completes and at the first TTI its backlog could fall
+    to `share` REs; there it runs exactly the eager step. If a woken
+    member's need has fallen to the share, the TTI is not saturated: the
+    epoch ends and the TTI runs eagerly. Only `served_bits` lags.
+
+    Every other change that could move the allocation reaches the epoch: a
+    member's `pop_pending` (forwarding) or MCS change re-plans the member;
+    a push to an idle non-member with an MCS, a non-member's MCS change, a
+    member's MCS falling to None, `add_ue` and `remove_ue` end it. A
+    member's own push only moves the fall of its backlog later.
+    """
+
+    def __init__(self, node, hungry, share, extra):
+        self.node = node
+        self.n = n = len(hungry)
+        self.share = share
+        self.extra = extra
+        self.calendar = {}          # rotation counter -> members to wake
+        self.members = []
+        for i, (ue_id, q, mcs) in enumerate(hungry):
+            m = _Member()
+            m.epoch, m.i, m.ue_id, m.q = self, i, ue_id, q
+            m.off = (extra - 1 - i) % n     # extra RE at k: (k + off) % n
+            m.base, m.wake = node._rr, None
+            q.member = m
+            self.members.append(m)
+            self._tune(m, mcs)
+            self._plan(m)
+        self.watched = [q for q in node.queues.values()
+                        if q.member is None and q.mcs is not None]
+        for q in self.watched:
+            q.on_push = self.end
+
+    def _tune(self, m, mcs):
+        m.q.mcs = mcs
+        m.eff = eff = MCS_EFFICIENCIES[mcs]
+        m.tb0 = int(eff * self.share) // 8 * 8
+        m.tb1 = int(eff * (self.share + 1)) // 8 * 8
+        # Above this backlog, ceil(bits / eff) > share beyond float error.
+        m.low_bits = int(eff * self.share) + 1
+
+    def served(self, m, k):
+        """Served bits of m's head PDU at the start of TTI k, if it does
+        not complete before."""
+        ttis = k - m.base
+        bits = m.q.served_bits + ttis * m.tb0
+        if m.tb1 != m.tb0:
+            n, extra = self.n, self.extra
+            y = (m.base + m.off) % n
+            wrap = y + ttis
+            bits += ((wrap // n * extra + min(wrap % n, extra)
+                      - min(y, extra)) * (m.tb1 - m.tb0))
+        return bits
+
+    def _ttis(self, m, bits):
+        """The fewest TTIs from m's base whose TBs add up to `bits` > 0, or
+        None if they never do."""
+        tb0, tb1, extra = m.tb0, m.tb1, self.extra
+        if tb1 == tb0 or not extra:
+            return -(-bits // tb0) if tb0 else None
+        n = self.n
+        cycles, rest = divmod(bits - 1, n * tb0 + extra * (tb1 - tb0))
+        rest += 1
+        y = (m.base + m.off) % n
+        if y < extra:
+            runs = ((extra - y, tb1), (n - extra, tb0), (y, tb1))
+        else:
+            runs = ((n - y, tb0), (extra, tb1), (y - extra, tb0))
+        ttis = cycles * n
+        for length, tb in runs:
+            if tb * length >= rest:
+                return ttis - (-rest // tb)
+            rest -= tb * length
+            ttis += length
+
+    def _done(self, m):
+        # With no PDU in service, the eager step at the base starts one.
+        q = m.q
+        if q.in_service is None:
+            return m.base
+        ttis = self._ttis(m, q.in_service.bits - q.served_bits)
+        return None if ttis is None else m.base + ttis - 1
+
+    def _fall(self, m):
+        # Grants take exactly their TB off the backlog while it lasts, so
+        # pushes and completions can only leave it above this estimate.
+        q = m.q
+        over = q.queued_bits - q.served_bits - m.low_bits
+        if over <= 0:
+            return m.base
+        ttis = self._ttis(m, over)
+        return None if ttis is None else m.base + ttis
+
+    def _wake_at_next(self, m):
+        done, fall = m.done, m.fall
+        k = done if fall is None else fall if done is None else min(done, fall)
+        if k is not None and k != m.wake:
+            self.calendar.setdefault(k, []).append(m)
+        m.wake = k
+
+    def _plan(self, m):
+        m.done = self._done(m)
+        m.fall = self._fall(m)
+        self._wake_at_next(m)
+
+    def _catch_up(self, m, k):
+        m.q.served_bits = self.served(m, k)
+        m.base = k
+
+    def rebase(self, m):
+        """Re-plan m after its backlog changed between TTIs."""
+        self._catch_up(m, self.node._rr)
+        self._plan(m)
+
+    def retune(self, m, mcs):
+        """Move m to MCS `mcs` (not None) between TTIs."""
+        self._catch_up(m, self.node._rr)
+        self._tune(m, mcs)
+        self._plan(m)
+
+    def end(self):
+        node = self.node
+        for m in self.members:
+            self._catch_up(m, node._rr)
+            m.q.member = None
+        for q in self.watched:
+            q.on_push = None
+        node.epoch = None
+        # The members point back at the epoch and the epoch at the node:
+        # dropping them lets reference counting free a finished run.
+        self.members = self.watched = ()
+        self.calendar.clear()
+
+    def tti(self):
+        """Serve the node's next TTI; False, having ended the epoch, when
+        that TTI is not saturated."""
+        node = self.node
+        k = node._rr
+        node.completed = out = []
+        due = self.calendar.pop(k, None)
+        if due:
+            woken = sorted({m for m in due if m.wake == k}, key=_INDEX)
+            for m in woken:
+                self._catch_up(m, k)
+                q = m.q
+                bits = q.queued_bits - q.served_bits
+                if bits <= m.low_bits and ceil(bits / m.eff) <= self.share:
+                    self.end()
+                    return False
+            n, extra = self.n, self.extra
+            for m in woken:
+                q = m.q
+                tb = m.tb1 if (k + m.off) % n < extra else m.tb0
+                head = q.in_service
+                if head is not None and q.served_bits + tb < head.bits:
+                    q.served_bits += tb
+                else:
+                    done = q.take(tb)
+                    if done:
+                        out.append((m.ue_id, done))
+                # The closed form runs on from the new base; only what
+                # was due at k needs working out again.
+                m.base = k + 1
+                if m.done == k:
+                    m.done = self._done(m)
+                if m.fall == k:
+                    m.fall = self._fall(m)
+                self._wake_at_next(m)
+        node._rr = k + 1
+        return True
 
 
 class PdcpReceiver:

@@ -218,7 +218,7 @@ def release_secondary(cand_node, mn_node, ue_id):
     to the front of the anchor queue, oldest first and ahead of younger
     anchor traffic (the queue cap does not apply, since these bits were
     admitted once). Returns their number."""
-    pdus = cand_node.queues.pop(ue_id).drain_all()
+    pdus = cand_node.remove_ue(ue_id).drain_all()
     dst = mn_node.queues[ue_id]
     for pdu in reversed(pdus):
         dst.push_front(pdu)

@@ -220,18 +220,17 @@ class Scenario:
         ues = self.ues
         tbs = []
         for node in self.nodes:
-            for ue_id, _res, done in schedule_tti(node):
-                if done:
-                    tbs.append(self._launch_tb(ues[ue_id], done))
+            schedule_tti(node)
+            for ue_id, done in node.completed:
+                tbs.append(self._launch_tb(ues[ue_id], done))
         if tbs:
             self.sim.schedule_in(self.tn_latency_ns, self._deliver_tb, tbs)
-        granted = 0
-        for ue_id, n_res, done in schedule_tti(self.ntn_node):
-            granted += n_res
-            if done:
-                ue = ues[ue_id]
-                self.sim.schedule_in(ue.ntn_delay_ns, self._deliver_tb,
-                                     [self._launch_tb(ue, done)])
+        beam = self.ntn_node
+        granted = schedule_tti(beam)
+        for ue_id, done in beam.completed:
+            ue = ues[ue_id]
+            self.sim.schedule_in(ue.ntn_delay_ns, self._deliver_tb,
+                                 [self._launch_tb(ue, done)])
         self.cand.record(granted)
         self.sim.schedule_in(TTI_NS, self._on_tti)
 
@@ -272,9 +271,8 @@ class Scenario:
         self.reports[ue.ue_id] = mc.Measurement(
             t, rsrp + e_ntn, sinr + e_ntn,
             mcs_for_sinr(ue.tn_sinr_db + e_tn))
-        sn_q = self.ntn_node.queues.get(ue.ue_id)
-        if sn_q is not None:
-            sn_q.mcs = mcs_for_sinr(sinr)
+        if ue.ue_id in self.ntn_node.queues:
+            self.ntn_node.set_mcs(ue.ue_id, mcs_for_sinr(sinr))
         self.sim.schedule_in(period, self._on_measurement, ue, period)
 
     # ---- secondary-node control ----------------------------------------
@@ -383,6 +381,8 @@ class Scenario:
         # dropping them lets reference counting free the run.
         self.sim.drop_pending()
         cfg = self.cfg
+        for node in self.nodes + [self.ntn_node]:
+            node.settle()
         for ue in self.ues.values():
             ue.receiver.flush(self.sim.now)
         self.book.close()

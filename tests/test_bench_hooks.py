@@ -1,8 +1,9 @@
 """The benchmark (perfbench/) patches functions of the package by name and
 reads fields of its results. These runs check that every probe behind an
 exact work counter, and the reconfiguration event kind, still sees calls,
-and that the benchmark's result path (`bench.run_repeat`, `Checker.check`,
-`fingerprint`) runs on the package as it is."""
+that a `schedule_tti` call counts as a hit exactly when its node granted
+REs, and that the benchmark's result path (`bench.run_repeat`,
+`Checker.check`, `fingerprint`) runs on the package as it is."""
 
 import importlib.util
 from pathlib import Path
@@ -11,6 +12,8 @@ import pytest
 
 from ntnmc import dataplane, simulation
 from ntnmc.config import load_config
+
+from test_schedule_reference import reference_schedule_tti
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -41,6 +44,40 @@ def test_probes_see_every_work_counter(policy):
     acks = tracer.records["mc_control.admission"][1]
     assert tracer.records["simulation.reconfig"][0] == 3 * acks > 0
     assert simulation.schedule_tti is dataplane.schedule_tti
+
+
+def test_schedule_tti_hits_are_busy_node_ttis(monkeypatch):
+    # `dataplane.schedule_tti.idle_frac` reads a call whose result is falsy
+    # as an idle node-TTI. On a saturated run, with sectors in saturated
+    # epochs, the hits must be the node-TTIs the eager reference finds
+    # busy.
+    cfg = load_config(None, environ={}, sim_duration_s=0.4, warmup_s=0.2,
+                      n_ue_per_sector=30, policy="off")
+    opened = []
+
+    def pays(node, needs, _orig=dataplane._epoch_pays):
+        opened.append(_orig(node, needs))
+        return opened[-1]
+
+    monkeypatch.setattr(dataplane, "_epoch_pays", pays)
+    probes = _load_probes()
+    tracer = probes.Tracer(timed=False)
+    with probes.Probes(tracer):
+        simulation.run_single(cfg, 1)
+    calls, hits = tracer.records["dataplane.schedule_tti"][:2]
+    assert any(opened)
+
+    busy = []
+
+    def eager(node):
+        granted = reference_schedule_tti(node)
+        busy.append(granted > 0)
+        return granted
+
+    monkeypatch.setattr(simulation, "schedule_tti", eager)
+    simulation.run_single(cfg, 1)
+    assert (calls, hits) == (len(busy), sum(busy))
+    assert 0 < hits < calls      # the beam serves no one under `off`
 
 
 def test_benchmark_result_path(tmp_path, monkeypatch):

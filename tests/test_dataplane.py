@@ -12,36 +12,58 @@ def _backlog(node, ue_id, n_pdus=20, bits=12000):
         node.queues[ue_id].push(PdcpPdu(i, bits, 0))
 
 
+def _sent(node, ue_id, n_pdus=20, bits=12000):
+    """Bits sent to `ue_id` of a backlog made by `_backlog`."""
+    return n_pdus * bits - node.queued_bits(ue_id) + node.served_bits(ue_id)
+
+
 def test_two_backlogged_ues_split_the_grid_evenly():
-    node = Node(52)
-    node.add_ue(1, 10)
-    node.add_ue(2, 10)
-    _backlog(node, 1)
-    _backlog(node, 2)
-    grants = {ue: n_res for ue, n_res, _d in schedule_tti(node)}
-    assert grants == {1: 4368, 2: 4368}
-    # int(1.6953 * 4368) = 7405 bits, floored to a whole byte
-    assert [node.queues[ue].served_bits for ue in (1, 2)] == [7400, 7400]
+    for mcs, tb_bits in ((10, 7400), (26, 25728)):
+        node = Node(52)
+        node.add_ue(1, mcs)
+        node.add_ue(2, mcs)
+        _backlog(node, 1)
+        _backlog(node, 2)
+        assert schedule_tti(node) == 8736
+        # MCS 10: int(1.6953 * 4368) = 7405 bits, floored to a whole byte.
+        # MCS 26 sends 25720, 25728 and 25736 bits on 4367, 4368 and 4369
+        # REs, so its served bits pin the 4368/4368 split.
+        assert [_sent(node, ue) for ue in (1, 2)] == [tb_bits] * 2
 
 
 def test_equal_share_remainder_rotates():
+    # 8736 = 5 * 1747 + 1. At MCS 11, 1747 REs carry 3336 bits and 1748
+    # REs 3344, so the bits each TTI sends show who got the extra RE.
     node = Node(52)
-    for ue in (1, 2, 3, 4, 5):
-        node.add_ue(ue, 10)
+    ues = (1, 2, 3, 4, 5)
+    for ue in ues:
+        node.add_ue(ue, 11)
         _backlog(node, ue, n_pdus=200)
-    totals = {ue: 0 for ue in (1, 2, 3, 4, 5)}
+
+    def sent():
+        return {ue: _sent(node, ue, n_pdus=200) for ue in ues}
+
+    extra = []
+    totals = {ue: 0 for ue in ues}
     for _ in range(5):
-        for ue, n_res, _d in schedule_tti(node):
-            totals[ue] += n_res
-    # 8736 = 5 * 1747 + 1; over 5 TTIs the +1 visits every UE once
-    assert set(totals.values()) == {5 * 1747 + 1}
+        before = sent()
+        assert schedule_tti(node) == 8736
+        step = {ue: bits - before[ue] for ue, bits in sent().items()}
+        assert sorted(step.values()) == [3336] * 4 + [3344]
+        extra += [ue for ue, bits in step.items() if bits == 3344]
+        totals = {ue: totals[ue] + step[ue] for ue in ues}
+    # over 5 TTIs the +1 visits every UE once
+    assert sorted(extra) == list(ues)
+    assert set(totals.values()) == {4 * 3336 + 3344}
 
 
 def test_ue_without_mcs_is_never_scheduled():
     node = Node(52)
     node.add_ue(1, None)
     _backlog(node, 1)
-    assert schedule_tti(node) == []
+    assert schedule_tti(node) == 0
+    assert node.completed == []
+    assert node.served_bits(1) == 0
 
 
 def test_tx_queue_segmentation_and_accounting():

@@ -13,15 +13,17 @@ on the 25 ms data-request grid, so the order of a binding against the other
 events of its instant is pinned.
 A change made only for speed or structure must leave every digest here
 unchanged; a change that alters behaviour on purpose updates them and says
-which behaviour changed.
+which behaviour changed. The same digests hold when every saturated TTI
+opens a saturated epoch, not only one likely to last.
 """
 
 import dataclasses
 import hashlib
 
+from ntnmc import dataplane
 from ntnmc.campaign import run_campaign
 from ntnmc.config import load_config
-from ntnmc.simulation import run_single
+from ntnmc.simulation import Scenario, run_single
 from ntnmc.stats import emit_results
 
 SETTINGS = ("mcs", "rsrp", "bo", "off")
@@ -126,3 +128,30 @@ def test_zero_tn_latency_matches_golden_digests():
 def test_ctrl_latency_of_ten_ms_matches_golden_digests():
     assert _variant_digests(TEN_MS_CTRL_LATENCY) == CTRL_LATENCY_TEN_MS_SHA256
 
+
+
+def test_epochs_at_every_saturated_tti_keep_every_digest(tmp_path,
+                                                         monkeypatch):
+    # The start rule opens an epoch only where one is likely to last; here
+    # every saturated TTI opens one, on sectors and beam alike, and each
+    # run's bits must not change.
+    opened = {"sector": 0, "beam": 0}
+    beam = []
+
+    def build(self, _orig=Scenario._build):
+        _orig(self)
+        beam[:] = [self.ntn_node]
+
+    def pays(node, needs):
+        opened["beam" if node is beam[0] else "sector"] += 1
+        return True
+
+    monkeypatch.setattr(Scenario, "_build", build)
+    monkeypatch.setattr(dataplane, "_epoch_pays", pays)
+    for overrides, digests in ((ONE_TTI_TN_LATENCY, TN_LATENCY_ONE_TTI_SHA256),
+                               (ZERO_TN_LATENCY, TN_LATENCY_ZERO_SHA256),
+                               (TEN_MS_CTRL_LATENCY,
+                                CTRL_LATENCY_TEN_MS_SHA256)):
+        assert _variant_digests(overrides) == digests
+    test_campaign_artifacts_match_golden_digests(tmp_path)
+    assert opened["sector"] > 1000 and opened["beam"] > 100, opened

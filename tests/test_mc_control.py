@@ -414,7 +414,7 @@ def test_empty_queues_leave_load_at_zero():
     node.add_ue(1, 10)
     # the REs granted in an idle TTI, as a scenario records them at the beam
     cand = CandidateState(100, node.n_res, GATE_NS)
-    cand.record(sum(n_res for _ue, n_res, _d in schedule_tti(node)))
+    cand.record(schedule_tti(node))
     assert cand.load_fraction() == 0.0
 
 

@@ -37,9 +37,10 @@ def test_finished_run_is_freed_without_the_cycle_collector(policy):
     try:
         sc.run_to_end()
         refs = [weakref.ref(sc), weakref.ref(sc.sim),
-                weakref.ref(next(iter(sc.ues.values())))]
+                weakref.ref(next(iter(sc.ues.values()))),
+                weakref.ref(sc.nodes[0]), weakref.ref(sc.ntn_node)]
         del sc
-        assert [r() for r in refs] == [None, None, None]
+        assert [r() for r in refs] == [None] * 5
     finally:
         gc.enable()
 
@@ -214,7 +215,7 @@ def test_beam_load_window_holds_the_beams_last_grants(monkeypatch):
     def schedule(node, _orig=simulation.schedule_tti):
         out = _orig(node)
         if node is sc.ntn_node:
-            beam.append(sum(n_res for _ue, n_res, _d in out))
+            beam.append(out)
         return out
 
     def on_tti(self, _orig=Scenario._on_tti):
