@@ -136,7 +136,7 @@ class Node:
         self.completed = []
         self.epoch = None
         self._rr = 0
-        self._saturated = False     # whether the last busy TTI was
+        self._saturated = False     # whether the last TTI was saturated
 
     def add_ue(self, ue_id, mcs):
         self.settle()
@@ -148,6 +148,7 @@ class Node:
         return self.queues.pop(ue_id)
 
     def set_mcs(self, ue_id, mcs):
+        """Set the link MCS of `ue_id` (None: below the table floor)."""
         q = self.queues[ue_id]
         if mcs == q.mcs:
             return

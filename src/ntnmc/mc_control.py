@@ -129,8 +129,9 @@ class Policy:
     evaluator; None (`off`) disables evaluation and data requests entirely.
     It ranks the `single_ues` of the anchor `node` and returns the first
     whose report in `reports` is fresh (taken at or after `fresh_ns`) and
-    at or above the RSRP floor, or None, and changes no state. The caller runs it only while the sector's
-    request gate is open, and closes the gate when it names a UE.
+    at or above the RSRP floor, or None, and changes no state. The caller
+    runs it only while the sector's request gate is open, and closes the
+    gate when it names a UE.
     `admission` is the candidate-side mode. The MCS policy goes through the
     full admission (add gate, load headroom, preemptive release). The
     occupancy policy uses the same admission without preemption, so it never
