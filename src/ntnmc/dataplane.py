@@ -253,15 +253,13 @@ def schedule_tti(node):
 
     n = len(hungry)
     total = node.n_res
-    if min(needs) * n > total:
-        opens = _epoch_pays(node, needs)
-        node._saturated = True
-        if opens:
-            node.epoch = SaturatedEpoch(node, hungry, *divmod(total, n))
-            node.epoch.tti()
-            return total
-    else:
-        node._saturated = False
+    saturated = min(needs) * n > total
+    opens = saturated and _epoch_pays(node, needs)
+    node._saturated = saturated
+    if opens:
+        node.epoch = SaturatedEpoch(node, hungry, *divmod(total, n))
+        node.epoch.tti()
+        return total
     alloc = max_min_share(needs, total, node._rr % n)
     node._rr += 1
     for (ue_id, q, mcs), n_res in zip(hungry, alloc):
