@@ -105,7 +105,8 @@ class UeTxQueue:
         return done
 
     def drain_all(self):
-        """Remove every PDU (service slot first), e.g. on secondary release."""
+        """Remove every PDU (service slot first), e.g. on secondary release,
+        from a queue no open epoch holds (see `Node.remove_ue`)."""
         out = []
         if self.in_service is not None:
             out.append(self.in_service)
