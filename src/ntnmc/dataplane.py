@@ -48,12 +48,11 @@ class UeTxQueue:
     partially sent one.
 
     While the queue's node holds a `SaturatedEpoch`, `member` is the
-    queue's record in it, whose served bits may lag, and an idle queue with
-    an MCS has `on_push`, which ends the epoch.
+    queue's record in it, whose served bits may lag.
     """
 
     __slots__ = ("mcs", "pending", "in_service", "served_bits", "queued_bits",
-                 "member", "on_push")
+                 "member")
 
     def __init__(self, mcs):
         self.mcs = mcs
@@ -62,19 +61,14 @@ class UeTxQueue:
         self.served_bits = 0
         self.queued_bits = 0
         self.member = None
-        self.on_push = None
 
     def push(self, pdu):
         self.pending.append(pdu)
         self.queued_bits += pdu.bits
-        if self.on_push is not None:
-            self.on_push()
 
     def push_front(self, pdu):
         self.pending.appendleft(pdu)
         self.queued_bits += pdu.bits
-        if self.on_push is not None:
-            self.on_push()
 
     def pop_pending(self):
         pdu = self.pending.popleft()
@@ -127,8 +121,7 @@ class Node:
     each queue carries its UE's true link MCS, which the scheduler reads.
     `completed` holds the (ue_id, PDUs) completed in the last TTI. A UE
     joins through `add_ue` and leaves through `remove_ue`, and its MCS
-    changes through `set_mcs`, so that an open `epoch` sees every change
-    that could move the allocation.
+    changes through `set_mcs`; each of these ends an open `epoch`.
     """
 
     def __init__(self, n_prb):
@@ -137,7 +130,6 @@ class Node:
         self.completed = []
         self.epoch = None
         self._rr = 0
-        self._saturated = False     # whether the last TTI was saturated
 
     def add_ue(self, ue_id, mcs):
         self.settle()
@@ -149,16 +141,12 @@ class Node:
         return self.queues.pop(ue_id)
 
     def set_mcs(self, ue_id, mcs):
-        """Set the link MCS of `ue_id` (None: below the table floor)."""
+        """Set the link MCS of `ue_id` (None: below the table floor); a
+        change ends the open epoch."""
         q = self.queues[ue_id]
-        if mcs == q.mcs:
-            return
-        m = q.member
-        if m is None or mcs is None:
+        if mcs != q.mcs:
             self.settle()
             q.mcs = mcs
-        else:
-            m.epoch.retune(m, mcs)
 
     def settle(self):
         """End the open epoch, if any, bringing every served count up to
@@ -212,13 +200,9 @@ def max_min_share(needs, total, first):
 
 
 def _epoch_pays(node, needs):
-    """Whether a saturated TTI at `node` opens an epoch. Opening costs
-    O(n), so only one likely to last does: the TTI before was saturated
-    too, no UE with an MCS is idle (its next packet would end the epoch),
-    and every need is above 8 equal shares."""
-    return (node._saturated and min(needs) * len(needs) > 8 * node.n_res
-            and len(needs) == sum(q.mcs is not None
-                                  for q in node.queues.values()))
+    """Whether an epoch at `node` is likely to last long enough to pay for
+    its O(n) opening: every need is above 8 equal shares."""
+    return min(needs) * len(needs) > 8 * node.n_res
 
 
 def schedule_tti(node):
@@ -228,9 +212,9 @@ def schedule_tti(node):
     `max_min_share` splits the node's REs over those needs, the remainder
     starting at a position that advances by one every TTI. Returns the
     number of REs granted, 0 for an idle TTI, and leaves the PDUs it
-    completed in `node.completed`. A saturated TTI may open a
-    `SaturatedEpoch`, which serves the TTIs after it while they stay
-    saturated.
+    completed in `node.completed`. A saturated TTI at which every UE with
+    an MCS is backlogged may open a `SaturatedEpoch`, which serves the TTIs
+    after it while they stay saturated.
     """
     epoch = node.epoch
     if epoch is not None and epoch.tti():
@@ -249,15 +233,14 @@ def schedule_tti(node):
         needs.append(ceil(bits / eff[mcs]))
     node.completed = out = []
     if not hungry:
-        node._saturated = False
         return 0
 
     n = len(hungry)
     total = node.n_res
-    saturated = min(needs) * n > total
-    opens = saturated and _epoch_pays(node, needs)
-    node._saturated = saturated
-    if opens:
+    # Nothing tells an epoch of a push, which would move the allocation
+    # at an idle UE with an MCS; at a member it only delays the fall.
+    if (min(needs) * n > total and _epoch_pays(node, needs)
+            and n == sum(q.mcs is not None for q in node.queues.values())):
         node.epoch = SaturatedEpoch(node, hungry, *divmod(total, n))
         node.epoch.tti()
         return total
@@ -308,11 +291,10 @@ class SaturatedEpoch:
     member's need has fallen to the share, the TTI is not saturated: the
     epoch ends and the TTI runs eagerly. Only `served_bits` lags.
 
-    Every other change that could move the allocation reaches the epoch: a
-    member's `pop_pending` (forwarding) or MCS change re-plans the member;
-    a push to an idle non-member with an MCS, a non-member's MCS change, a
-    member's MCS falling to None, `add_ue` and `remove_ue` end it. A
-    member's own push only moves the fall of its backlog later.
+    It opens only where every UE with an MCS is a member, and `add_ue`,
+    `remove_ue` and `set_mcs` end it, so a push can only reach a member,
+    whose backlog's fall it moves later. A member's `pop_pending`
+    (forwarding) re-plans that member.
     """
 
     def __init__(self, node, hungry, share, extra):
@@ -327,22 +309,14 @@ class SaturatedEpoch:
             m.epoch, m.i, m.ue_id, m.q = self, i, ue_id, q
             m.off = (extra - 1 - i) % n     # extra RE at k: (k + off) % n
             m.base, m.wake = node._rr, None
+            m.eff = eff = MCS_EFFICIENCIES[mcs]
+            m.tb0 = int(eff * share) // 8 * 8
+            m.tb1 = int(eff * (share + 1)) // 8 * 8
+            # Above this backlog, ceil(bits / eff) > share beyond float error.
+            m.low_bits = int(eff * share) + 1
             q.member = m
             self.members.append(m)
-            self._tune(m, mcs)
             self._plan(m)
-        self.watched = [q for q in node.queues.values()
-                        if q.member is None and q.mcs is not None]
-        for q in self.watched:
-            q.on_push = self.end
-
-    def _tune(self, m, mcs):
-        m.q.mcs = mcs
-        m.eff = eff = MCS_EFFICIENCIES[mcs]
-        m.tb0 = int(eff * self.share) // 8 * 8
-        m.tb1 = int(eff * (self.share + 1)) // 8 * 8
-        # Above this backlog, ceil(bits / eff) > share beyond float error.
-        m.low_bits = int(eff * self.share) + 1
 
     def served(self, m, k):
         """Served bits of m's head PDU at the start of TTI k, if it does
@@ -417,23 +391,15 @@ class SaturatedEpoch:
         self._catch_up(m, self.node._rr)
         self._plan(m)
 
-    def retune(self, m, mcs):
-        """Move m to MCS `mcs` (not None) between TTIs."""
-        self._catch_up(m, self.node._rr)
-        self._tune(m, mcs)
-        self._plan(m)
-
     def end(self):
         node = self.node
         for m in self.members:
             self._catch_up(m, node._rr)
             m.q.member = None
-        for q in self.watched:
-            q.on_push = None
         node.epoch = None
         # The members point back at the epoch and the epoch at the node:
         # dropping them lets reference counting free a finished run.
-        self.members = self.watched = ()
+        self.members = ()
         self.calendar.clear()
 
     def tti(self):
@@ -454,15 +420,9 @@ class SaturatedEpoch:
                     return False
             n, extra = self.n, self.extra
             for m in woken:
-                q = m.q
-                tb = m.tb1 if (k + m.off) % n < extra else m.tb0
-                head = q.in_service
-                if head is not None and q.served_bits + tb < head.bits:
-                    q.served_bits += tb
-                else:
-                    done = q.take(tb)
-                    if done:
-                        out.append((m.ue_id, done))
+                done = m.q.take(m.tb1 if (k + m.off) % n < extra else m.tb0)
+                if done:
+                    out.append((m.ue_id, done))
                 # The closed form runs on from the new base; only what
                 # was due at k needs working out again.
                 m.base = k + 1

@@ -53,19 +53,25 @@ def test_schedule_tti_hits_are_busy_node_ttis(monkeypatch):
     # busy.
     cfg = load_config(None, environ={}, sim_duration_s=0.4, warmup_s=0.2,
                       n_ue_per_sector=30, policy="off")
-    opened = []
+    sectors, opened = [], []
 
-    def pays(node, needs, _orig=dataplane._epoch_pays):
-        opened.append(_orig(node, needs))
-        return opened[-1]
+    def build(self, _orig=simulation.Scenario._build):
+        _orig(self)
+        sectors[:] = self.nodes
 
-    monkeypatch.setattr(dataplane, "_epoch_pays", pays)
+    class Recorded(dataplane.SaturatedEpoch):
+        def __init__(self, node, *args):
+            opened.append(node)
+            super().__init__(node, *args)
+
+    monkeypatch.setattr(simulation.Scenario, "_build", build)
+    monkeypatch.setattr(dataplane, "SaturatedEpoch", Recorded)
     probes = _load_probes()
     tracer = probes.Tracer(timed=False)
     with probes.Probes(tracer):
         simulation.run_single(cfg, 1)
     calls, hits = tracer.records["dataplane.schedule_tti"][:2]
-    assert any(opened)
+    assert any(node in sectors for node in opened)
 
     busy = []
 

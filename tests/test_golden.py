@@ -13,8 +13,9 @@ on the 25 ms data-request grid, so the order of a binding against the other
 events of its instant is pinned.
 A change made only for speed or structure must leave every digest here
 unchanged; a change that alters behaviour on purpose updates them and says
-which behaviour changed. The same digests hold when every saturated TTI
-opens a saturated epoch, not only one likely to last.
+which behaviour changed. The same digests hold when the cost rule is
+skipped, so that every saturated TTI at which every UE with an MCS is
+backlogged opens a saturated epoch, not only one likely to last.
 """
 
 import dataclasses
@@ -132,9 +133,10 @@ def test_ctrl_latency_of_ten_ms_matches_golden_digests():
 
 def test_epochs_at_every_saturated_tti_keep_every_digest(tmp_path,
                                                          monkeypatch):
-    # The start rule opens an epoch only where one is likely to last; here
-    # every saturated TTI opens one, on sectors and beam alike, and each
-    # run's bits must not change.
+    # The cost rule opens an epoch only where one is likely to last; here
+    # it is skipped, so every saturated TTI at which every UE with an MCS
+    # is backlogged opens one, on sectors and beam alike, and each run's
+    # bits must not change. The epochs counted are those really opened.
     opened = {"sector": 0, "beam": 0}
     beam = []
 
@@ -142,12 +144,14 @@ def test_epochs_at_every_saturated_tti_keep_every_digest(tmp_path,
         _orig(self)
         beam[:] = [self.ntn_node]
 
-    def pays(node, needs):
-        opened["beam" if node is beam[0] else "sector"] += 1
-        return True
+    class Counted(dataplane.SaturatedEpoch):
+        def __init__(self, node, *args):
+            opened["beam" if node is beam[0] else "sector"] += 1
+            super().__init__(node, *args)
 
     monkeypatch.setattr(Scenario, "_build", build)
-    monkeypatch.setattr(dataplane, "_epoch_pays", pays)
+    monkeypatch.setattr(dataplane, "_epoch_pays", lambda node, needs: True)
+    monkeypatch.setattr(dataplane, "SaturatedEpoch", Counted)
     for overrides, digests in ((ONE_TTI_TN_LATENCY, TN_LATENCY_ONE_TTI_SHA256),
                                (ZERO_TN_LATENCY, TN_LATENCY_ZERO_SHA256),
                                (TEN_MS_CTRL_LATENCY,

@@ -144,8 +144,7 @@ def test_schedule_tti_matches_reference(spec, n_ttis):
 
 
 MCS = st.one_of(st.none(), st.integers(0, len(MCS_EFFICIENCIES) - 1))
-# Changes that end an epoch (a UE added or removed) are drawn less often
-# than those it lives through.
+# A UE added or removed is drawn less often than a change to one queue.
 KINDS = (["push", "pop", "set_mcs"] * 3 + ["push_front"] * 2
          + ["add_ue", "remove_ue"])
 
@@ -228,16 +227,22 @@ def _backlogged(*mcs_and_pdus):
 @example((res_per_tti(52), 0, [(10, [14_803] + [12_000] * 9, 0),
                                (26, [12_000] * 10, 0)]), True, 1,
          [(("pop", 0, 9), 3)])
-# A PDU put back at the front of an idle queue with an MCS ends the epoch.
+# No epoch opens beside an idle UE that has an MCS, even with the cost
+# rule skipped: nothing would tell the epoch of a PDU put back at its front.
 @example(_backlogged((10, 10), (10, 10), (10, 0)), True, 2,
          [(("push_front", 2, 12_000), 3)])
+# A UE added while the epoch is open, then given a PDU, ends it (at the
+# add): the epoch would never serve it.
+@example(_backlogged((10, 10), (10, 10)), True, 2,
+         [(("add_ue", 0, 10), 0), (("push", 2, 12_000), 3)])
 # A member's own push moves its fall later: at the old fall it is checked
 # and passes, and its next fall is planned from there.
 @example(_backlogged((10, 3), (10, 20)), True, 1,
          [(("push", 0, 12_000), 12)])
 def test_saturated_epochs_match_reference(spec, forced, first, script):
     # `first` TTIs, then each change of the script followed by its number
-    # of TTIs. With `forced`, every saturated TTI opens an epoch, not only
+    # of TTIs. With `forced`, the cost rule is skipped: every saturated TTI
+    # at which every UE with an MCS is backlogged opens an epoch, not only
     # one likely to last.
     node, ref = build_nodes(spec)
     opened = 0
