@@ -231,8 +231,8 @@ def _backlogged(*mcs_and_pdus):
 # rule skipped: nothing would tell the epoch of a PDU put back at its front.
 @example(_backlogged((10, 10), (10, 10), (10, 0)), True, 2,
          [(("push_front", 2, 12_000), 3)])
-# A UE added while the epoch is open, then given a PDU, ends it (at the
-# add): the epoch would never serve it.
+# Adding a UE ends the open epoch, which would never serve the UE once a
+# PDU reaches it.
 @example(_backlogged((10, 10), (10, 10)), True, 2,
          [(("add_ue", 0, 10), 0), (("push", 2, 12_000), 3)])
 # A member's own push moves its fall later: at the old fall it is checked
