@@ -9,7 +9,6 @@ byte arrives.
 """
 
 from collections import deque
-from dataclasses import dataclass
 from math import ceil
 from operator import attrgetter
 
@@ -48,7 +47,8 @@ class UeTxQueue:
     partially sent one.
 
     While the queue's node holds a `SaturatedEpoch`, `member` is the
-    queue's record in it, whose served bits may lag.
+    queue's record in it, whose served bits may lag. A push leaves the
+    epoch open; forwarding (`pop_pending`) ends it.
     """
 
     __slots__ = ("mcs", "pending", "in_service", "served_bits", "queued_bits",
@@ -71,10 +71,10 @@ class UeTxQueue:
         self.queued_bits += pdu.bits
 
     def pop_pending(self):
+        if self.member is not None:
+            self.member.epoch.end()
         pdu = self.pending.popleft()
         self.queued_bits -= pdu.bits
-        if self.member is not None:
-            self.member.epoch.rebase(self.member)
         return pdu
 
     def take(self, budget_bits):
@@ -121,7 +121,8 @@ class Node:
     each queue carries its UE's true link MCS, which the scheduler reads.
     `completed` holds the (ue_id, PDUs) completed in the last TTI. A UE
     joins through `add_ue` and leaves through `remove_ue`, and its MCS
-    changes through `set_mcs`; each of these ends an open `epoch`.
+    changes through `set_mcs`; each of these ends an open `epoch`, as does
+    forwarding from one of the node's queues.
     """
 
     def __init__(self, n_prb):
@@ -266,11 +267,12 @@ class _Member:
     sizes at `share` and `share + 1` REs, the backlog at or below which it
     could need no more than `share` REs (`low_bits`), the TTI at which its
     queue's `served_bits` is up to date (`base`), and the TTIs at which its
-    head PDU completes (`done`), its backlog could fall to the share
-    (`fall`) and it is next woken (`wake`), None for never."""
+    head PDU completes (`done`) and its backlog could fall to the share
+    (`fall`), None for never. It is woken at the earlier of the two, its
+    one slot in the epoch's calendar."""
 
     __slots__ = ("epoch", "i", "off", "ue_id", "q", "eff", "tb0", "tb1",
-                 "low_bits", "base", "done", "fall", "wake")
+                 "low_bits", "base", "done", "fall")
 
 
 _INDEX = attrgetter("i")
@@ -292,9 +294,11 @@ class SaturatedEpoch:
     epoch ends and the TTI runs eagerly. Only `served_bits` lags.
 
     It opens only where every UE with an MCS is a member, and `add_ue`,
-    `remove_ue` and `set_mcs` end it, so a push can only reach a member,
-    whose backlog's fall it moves later. A member's `pop_pending`
-    (forwarding) re-plans that member.
+    `remove_ue`, `set_mcs` and a member's `pop_pending` (forwarding) end
+    it. So a push, which can only reach a member and only move its
+    backlog's fall later, is the one outside change an open epoch
+    survives. Nothing re-plans a member between its wakes: it holds one
+    calendar slot, at opening and again at each wake for a later TTI.
     """
 
     def __init__(self, node, hungry, share, extra):
@@ -308,7 +312,7 @@ class SaturatedEpoch:
             m = _Member()
             m.epoch, m.i, m.ue_id, m.q = self, i, ue_id, q
             m.off = (extra - 1 - i) % n     # extra RE at k: (k + off) % n
-            m.base, m.wake = node._rr, None
+            m.base = node._rr
             m.eff = eff = MCS_EFFICIENCIES[mcs]
             m.tb0 = int(eff * share) // 8 * 8
             m.tb1 = int(eff * (share + 1)) // 8 * 8
@@ -316,7 +320,9 @@ class SaturatedEpoch:
             m.low_bits = int(eff * share) + 1
             q.member = m
             self.members.append(m)
-            self._plan(m)
+            m.done = self._done(m)
+            m.fall = self._fall(m)
+            self._wake_at_next(m)
 
     def served(self, m, k):
         """Served bits of m's head PDU at the start of TTI k, if it does
@@ -373,23 +379,12 @@ class SaturatedEpoch:
     def _wake_at_next(self, m):
         done, fall = m.done, m.fall
         k = done if fall is None else fall if done is None else min(done, fall)
-        if k is not None and k != m.wake:
+        if k is not None:
             self.calendar.setdefault(k, []).append(m)
-        m.wake = k
-
-    def _plan(self, m):
-        m.done = self._done(m)
-        m.fall = self._fall(m)
-        self._wake_at_next(m)
 
     def _catch_up(self, m, k):
         m.q.served_bits = self.served(m, k)
         m.base = k
-
-    def rebase(self, m):
-        """Re-plan m after its backlog changed between TTIs."""
-        self._catch_up(m, self.node._rr)
-        self._plan(m)
 
     def end(self):
         node = self.node
@@ -410,7 +405,7 @@ class SaturatedEpoch:
         node.completed = out = []
         due = self.calendar.pop(k, None)
         if due:
-            woken = sorted({m for m in due if m.wake == k}, key=_INDEX)
+            woken = sorted(due, key=_INDEX)
             for m in woken:
                 self._catch_up(m, k)
                 q = m.q
@@ -441,16 +436,17 @@ class PdcpReceiver:
     PDUs older than the delivery edge are discarded as stale; everything else
     is buffered and released in sequence. When the timer fires, buffered PDUs
     below the reordering edge are released in order and the gaps are counted
-    as skipped. The buffer is bounded; overflow forces delivery of the oldest
-    buffered run.
+    as skipped; a buffer past its bound skips the same way to its oldest PDU.
+    The receiver counts what it delivers, and as `post_warmup_bits` the bits
+    it delivers at or after `warmup_ns`, flush included.
     """
 
-    def __init__(self, ue_id, sim, timer_ns, max_buffer_pdus, deliver_cb):
+    def __init__(self, ue_id, sim, timer_ns, max_buffer_pdus, warmup_ns):
         self.ue_id = ue_id
         self.sim = sim
         self.timer_ns = timer_ns
         self.max_buffer = max_buffer_pdus
-        self.deliver_cb = deliver_cb
+        self.warmup_ns = warmup_ns
         self.rx_deliv = 0
         self.rx_next = 0
         self.rx_reord = 0
@@ -459,30 +455,40 @@ class PdcpReceiver:
         self._timer_ev = None
         self.delivered_pdus = 0
         self.delivered_bits = 0
+        self.post_warmup_bits = 0
         self.stale_pdus = 0
         self.stale_bits = 0
         self.duplicate_pdus = 0
         self.skipped_sns = 0
         self.last_delivered_sn = -1
 
-    def _deliver(self, pdu, t_ns):
-        if pdu.sn <= self.last_delivered_sn:
-            raise AssertionError(
-                f"out-of-order delivery for ue {self.ue_id}: {pdu.sn} after {self.last_delivered_sn}")
-        self.last_delivered_sn = pdu.sn
-        self.delivered_pdus += 1
-        self.delivered_bits += pdu.bits
-        self.deliver_cb(pdu, t_ns)
-
     def _deliver_from_buffer(self, sn, t_ns):
-        pdu = self.buffer.pop(sn)
-        self.buffered_bits -= pdu.bits
-        self._deliver(pdu, t_ns)
+        if sn <= self.last_delivered_sn:
+            raise AssertionError(
+                f"out-of-order delivery for ue {self.ue_id}: {sn} after {self.last_delivered_sn}")
+        bits = self.buffer.pop(sn).bits
+        self.buffered_bits -= bits
+        self.last_delivered_sn = sn
+        self.delivered_pdus += 1
+        self.delivered_bits += bits
+        if t_ns >= self.warmup_ns:
+            self.post_warmup_bits += bits
 
     def _drain_in_order(self, t_ns):
         while self.rx_deliv in self.buffer:
             self._deliver_from_buffer(self.rx_deliv, t_ns)
             self.rx_deliv += 1
+
+    def _skip_to(self, edge, t_ns):
+        """Give up on every SN below `edge` that is not buffered: release
+        the buffered ones in order, count the rest as skipped, then deliver
+        in order from `edge`."""
+        below = sorted(sn for sn in self.buffer if sn < edge)
+        for sn in below:
+            self._deliver_from_buffer(sn, t_ns)
+        self.skipped_sns += (edge - self.rx_deliv) - len(below)
+        self.rx_deliv = edge
+        self._drain_in_order(t_ns)
 
     def _stop_timer(self):
         if self._timer_ev is not None:
@@ -510,27 +516,13 @@ class PdcpReceiver:
             self.rx_next = pdu.sn + 1
         if pdu.sn == self.rx_deliv:
             self._drain_in_order(t_ns)
-        if len(self.buffer) > self.max_buffer:
-            self._force_oldest_run(t_ns)
-        self._update_timer()
-
-    def _force_oldest_run(self, t_ns):
         while len(self.buffer) > self.max_buffer:
-            first = min(self.buffer)
-            self.skipped_sns += first - self.rx_deliv
-            self.rx_deliv = first
-            self._drain_in_order(t_ns)
+            self._skip_to(min(self.buffer), t_ns)
+        self._update_timer()
 
     def _on_timer(self):
         self._timer_ev = None
-        t_ns = self.sim.now
-        below = sorted(sn for sn in self.buffer if sn < self.rx_reord)
-        for sn in below:
-            self._deliver_from_buffer(sn, t_ns)
-        # Whatever was missing in [rx_deliv, rx_reord) is given up on.
-        self.skipped_sns += (self.rx_reord - self.rx_deliv) - len(below)
-        self.rx_deliv = self.rx_reord
-        self._drain_in_order(t_ns)
+        self._skip_to(self.rx_reord, self.sim.now)
         self._update_timer()
 
     def flush(self, t_ns):
@@ -556,12 +548,3 @@ class CbrFlow:
         self.packet_bits = packet_bytes * 8
         self.interval_ns = seconds(self.packet_bits / rate_bps)
 
-
-@dataclass
-class UeCounters:
-    """Per-UE bit conservation ledger, kept in exact integer bits."""
-    generated_bits: int = 0
-    dropped_bits: int = 0
-    dropped_pdus: int = 0
-    in_flight_bits: int = 0
-    post_warmup_bits: int = 0           # delivered in order after warmup

@@ -53,7 +53,7 @@ from . import traffic_split as ts
 from .channel import NtnChannel, TnChannel, mcs_for_sinr
 from .config import DURATIONS, ScenarioConfig
 from .dataplane import (TTI_NS, CbrFlow, Node, PdcpPdu, PdcpReceiver,
-                        UeCounters, schedule_tti)
+                        schedule_tti)
 from .engine import RngStreams, Simulator
 from .geometry import (GroundPosition, SatelliteTrack, build_tn_layout,
                        drop_ues_in_sector, ntn_beam_grid)
@@ -61,7 +61,7 @@ from .geometry import (GroundPosition, SatelliteTrack, build_tn_layout,
 NTN_CELL_ID = 100
 BEAM_PITCH_OVER_RADIUS = 3.0 ** 0.5  # adjacent-beam spacing / beam radius
 
-# Run totals summed by name over every UE's `UeCounters` and `PdcpReceiver`.
+# Run totals summed by name over every `UeState` and its `PdcpReceiver`.
 UE_COUNTERS = ("generated_bits", "dropped_bits", "dropped_pdus")
 RECEIVER_COUNTERS = ("delivered_bits", "delivered_pdus", "stale_bits",
                      "stale_pdus", "duplicate_pdus", "skipped_sns")
@@ -80,10 +80,14 @@ class UeState:
     best_ntn_rsrp_dbm: float            # the attach-time RSRP, then the best
     ntn_sinr_db: float                  # as of the latest measurement
     ntn_delay_ns: int
-    counters: UeCounters
     receiver: PdcpReceiver
     next_sn: int = 0
     pending_reconfig: bool = False
+    # Its bit conservation ledger outside the receiver and the queues.
+    generated_bits: int = 0
+    dropped_bits: int = 0
+    dropped_pdus: int = 0
+    in_flight_bits: int = 0
 
 
 @dataclass
@@ -113,7 +117,6 @@ class Scenario:
         self.ns = {name: to_ns(getattr(cfg, name))
                    for name, to_ns in DURATIONS.items()}
         self.end_ns = self.ns["sim_duration_s"]
-        self.warmup_ns = self.ns["warmup_s"]
         self.tn_latency_ns = self.ns["tn_latency_ms"]
         self.events = []
         self._build()
@@ -163,24 +166,12 @@ class Scenario:
     def _add_ue(self, ue_id, sector_id, pos):
         cfg = self.cfg
         sinr = self.tn.attach_ue(pos)[sector_id]
-        counters = UeCounters()
         receiver = PdcpReceiver(
             ue_id, self.sim, self.ns["pdcp_reorder_timer_ms"],
-            cfg.pdcp_reorder_buffer_pdus, self._make_deliver_cb(counters))
+            cfg.pdcp_reorder_buffer_pdus, self.ns["warmup_s"])
         self.ues[ue_id] = UeState(ue_id, sector_id, pos, sinr,
-                                  *self.ntn.link_state(pos, 0),
-                                  counters, receiver)
+                                  *self.ntn.link_state(pos, 0), receiver)
         self.nodes[sector_id].add_ue(ue_id, mcs_for_sinr(sinr))
-
-    def _make_deliver_cb(self, counters):
-        # Closing over the counters, not the UE that holds the receiver,
-        # keeps a finished run free of reference cycles.
-        warmup = self.warmup_ns
-
-        def deliver(pdu, t_ns):
-            if t_ns >= warmup:
-                counters.post_warmup_bits += pdu.bits
-        return deliver
 
     # ---- traffic ------------------------------------------------------
 
@@ -200,12 +191,12 @@ class Scenario:
         which drains at once, refills a grant; so a drain here moves a PDU
         exactly when the grant covers the packet just admitted."""
         cfg = self.cfg
-        ue.counters.generated_bits += bits
+        ue.generated_bits += bits
         mn = self.nodes[ue.mn_node_id]
         q = mn.queues[ue.ue_id]
         if q.queued_bits + bits > cfg.ue_queue_bytes * 8:
-            ue.counters.dropped_bits += bits
-            ue.counters.dropped_pdus += 1
+            ue.dropped_bits += bits
+            ue.dropped_pdus += 1
             return
         pdu = PdcpPdu(ue.next_sn, bits, t_ns)
         ue.next_sn += 1
@@ -236,14 +227,14 @@ class Scenario:
 
     def _launch_tb(self, ue, pdus):
         for pdu in pdus:
-            ue.counters.in_flight_bits += pdu.bits
+            ue.in_flight_bits += pdu.bits
         return ue, pdus
 
     def _deliver_tb(self, tbs):
         t = self.sim.now
         for ue, pdus in tbs:
             for pdu in pdus:
-                ue.counters.in_flight_bits -= pdu.bits
+                ue.in_flight_bits -= pdu.bits
                 ue.receiver.receive(pdu, t)
 
     # ---- measurements -------------------------------------------------
@@ -357,11 +348,11 @@ class Scenario:
         mn_q = self.nodes[ue.mn_node_id].queued_bits(ue_id)
         sn_q = self.ntn_node.queued_bits(ue_id)
         rx = ue.receiver
-        return (ue.counters.generated_bits
-                - ue.counters.dropped_bits
+        return (ue.generated_bits
+                - ue.dropped_bits
                 - rx.delivered_bits
                 - rx.stale_bits
-                - ue.counters.in_flight_bits
+                - ue.in_flight_bits
                 - rx.buffered_bits
                 - mn_q - sn_q)
 
@@ -390,7 +381,7 @@ class Scenario:
 
         window_s = cfg.sim_duration_s - cfg.warmup_s
         ue_ids = sorted(self.ues)
-        throughput = [self.ues[u].counters.post_warmup_bits / window_s / 1000.0
+        throughput = [self.ues[u].receiver.post_warmup_bits / window_s / 1000.0
                       for u in ue_ids]
         ues = self.ues.values()
         kinds = [ev[1] for ev in self.events]
@@ -409,10 +400,10 @@ class Scenario:
             "grant_violations": self.book.violations,
             "grant_max_used": self.book.max_used_fraction,
             "zero_throughput_ues": sum(1 for ue in ues
-                                       if ue.counters.post_warmup_bits == 0),
+                                       if ue.receiver.post_warmup_bits == 0),
         }
         for name in UE_COUNTERS:
-            counters[name] = sum(getattr(ue.counters, name) for ue in ues)
+            counters[name] = sum(getattr(ue, name) for ue in ues)
         for name in RECEIVER_COUNTERS:
             counters[name] = sum(getattr(ue.receiver, name) for ue in ues)
         return RunResult(cfg.policy, self.seed, ue_ids, throughput,

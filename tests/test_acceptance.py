@@ -15,9 +15,11 @@ import pytest
 from ntnmc.cli import main
 from ntnmc.config import load_config
 from ntnmc.campaign import run_campaign
-from ntnmc.dataplane import PdcpPdu, PdcpReceiver
+from ntnmc.dataplane import PdcpPdu
 from ntnmc.engine import Simulator, millis, seconds
 from ntnmc.simulation import Scenario
+
+from test_dataplane import RecordingReceiver
 
 SETTINGS = ("off", "rsrp", "bo", "mcs")
 SEEDS = list(range(1, 16))
@@ -146,13 +148,11 @@ def test_reordering_survives_randomized_dual_path_arrivals():
             arrivals.append((sent + delay, rng.random(), sn))
         arrivals.sort()
 
-        sim = Simulator()
-        delivered = []
-        rx = PdcpReceiver(1, sim, millis(100.0), 1000,
-                          lambda pdu, t: delivered.append(pdu.sn))
+        rx = RecordingReceiver(Simulator())
         for t, _tie, sn in arrivals:
             rx.receive(PdcpPdu(sn, 8, 0), t)
         rx.flush(arrivals[-1][0])
+        delivered = [sn for sn, _t in rx.delivered]
         assert delivered == sorted(delivered)
         assert rx.delivered_pdus + rx.stale_pdus + rx.duplicate_pdus == n
         assert rx.buffered_bits == 0

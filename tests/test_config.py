@@ -189,6 +189,12 @@ PROBE = dict(sim_duration_s=0.3, warmup_s=0.1, n_ue_per_sector=2)
     (dict(sat_altitude_m=-1.0), "sat_altitude_m must be in"),
     (dict(bandwidth_mhz=0.0), "bandwidth_mhz = 0.0 is not a 15 kHz"),
     (dict(bandwidth_mhz=-1.0), "bandwidth_mhz = -1.0 is not a 15 kHz"),
+    # magnitudes at which rounding drops the sites' east offsets (an ISD of
+    # 6,495 m for 7,500) or turns a heading of 280 degrees mod 360
+    (dict(center_lon_deg=1e300, sat_epoch_lon_deg=1e300),
+     "^center_lon_deg must be in"),
+    (dict(sat_epoch_lon_deg=1e300), "^sat_epoch_lon_deg must be in"),
+    (dict(sat_heading_deg=1e20), "^sat_heading_deg must be in"),
     # sites past the pole from a center inside the latitude bounds
     (dict(center_lat_deg=89.99, sat_epoch_lat_deg=89.0), "center_lat_deg.*pole"),
     # durations whose count of ns overflows a float; ctrl_latency_ms used to
@@ -253,6 +259,9 @@ def test_every_bound_edge(name, value, accepted):
     if name == "sat_epoch_lat_deg":
         # the satellite pass rule rejects a pole subpoint at the default center
         overrides["center_lat_deg"] = 0.999 * value
+    elif name in ("center_lon_deg", "sat_epoch_lon_deg"):
+        # and a subpoint half the globe from the center
+        overrides["center_lon_deg"] = overrides["sat_epoch_lon_deg"] = value
     # an accepted value must run to the end, which checks conservation
     Scenario(load_config(None, environ={}, **overrides), 1).run_to_end()
 

@@ -104,56 +104,62 @@ def test_tx_queue_push_front_orders_ahead():
     assert q.drain_all() == [early, late]
 
 
-def _receiver(sim, timer_ms=100.0, max_buffer=1000):
-    delivered = []
-    rx = PdcpReceiver(1, sim, millis(timer_ms), max_buffer,
-                      lambda pdu, t: delivered.append((pdu.sn, t)))
-    return rx, delivered
+class RecordingReceiver(PdcpReceiver):
+    """The receiver of UE 1, which records the (SN, time) of each PDU it
+    delivers in `delivered`."""
+
+    def __init__(self, sim, timer_ms=100.0, max_buffer=1000, warmup_ns=0):
+        super().__init__(1, sim, millis(timer_ms), max_buffer, warmup_ns)
+        self.delivered = []
+
+    def _deliver_from_buffer(self, sn, t_ns):
+        super()._deliver_from_buffer(sn, t_ns)
+        self.delivered.append((sn, t_ns))
 
 
 def test_in_order_pdus_flow_straight_through():
     sim = Simulator()
-    rx, delivered = _receiver(sim)
+    rx = RecordingReceiver(sim)
     for sn in range(3):
         rx.receive(PdcpPdu(sn, 12000, 0), sn)
-    assert [sn for sn, _t in delivered] == [0, 1, 2]
+    assert [sn for sn, _t in rx.delivered] == [0, 1, 2]
     assert rx.delivered_pdus == 3
     assert rx.buffered_bits == 0
 
 
 def test_gap_resolved_by_reordering_timer():
     sim = Simulator()
-    rx, delivered = _receiver(sim)
+    rx = RecordingReceiver(sim)
     rx.receive(PdcpPdu(0, 12000, 0), sim.now)
     rx.receive(PdcpPdu(2, 12000, 0), sim.now)  # sn 1 missing, timer arms
-    assert [sn for sn, _t in delivered] == [0]
+    assert [sn for sn, _t in rx.delivered] == [0]
     sim.run_until(millis(200.0))
-    assert [sn for sn, _t in delivered] == [0, 2]
+    assert [sn for sn, _t in rx.delivered] == [0, 2]
     assert rx.skipped_sns == 1
     assert rx.rx_deliv == 3
     # the straggler is now stale
     rx.receive(PdcpPdu(1, 12000, 0), sim.now)
     assert rx.stale_pdus == 1
     assert rx.stale_bits == 12000
-    assert [sn for sn, _t in delivered] == [0, 2]
+    assert [sn for sn, _t in rx.delivered] == [0, 2]
 
 
 def test_duplicate_while_gapped_is_counted_once():
     sim = Simulator()
-    rx, delivered = _receiver(sim)
+    rx = RecordingReceiver(sim)
     rx.receive(PdcpPdu(2, 12000, 0), 0)
     rx.receive(PdcpPdu(2, 12000, 0), 0)
     assert rx.duplicate_pdus == 1
-    assert delivered == []
+    assert rx.delivered == []
 
 
 def test_late_arrival_before_timer_drains_in_order():
     sim = Simulator()
-    rx, delivered = _receiver(sim)
+    rx = RecordingReceiver(sim)
     rx.receive(PdcpPdu(1, 12000, 0), sim.now)
     sim.run_until(millis(10.0))
     rx.receive(PdcpPdu(0, 12000, 0), sim.now)
-    assert [sn for sn, _t in delivered] == [0, 1]
+    assert [sn for sn, _t in rx.delivered] == [0, 1]
     assert rx.skipped_sns == 0
     # timer must not fire later and skip anything
     sim.run_until(millis(300.0))
@@ -162,23 +168,57 @@ def test_late_arrival_before_timer_drains_in_order():
 
 def test_buffer_overflow_forces_oldest_run_out():
     sim = Simulator()
-    rx, delivered = _receiver(sim, max_buffer=3)
+    rx = RecordingReceiver(sim, max_buffer=3)
     for sn in (1, 2, 3, 4):  # sn 0 never arrives
         rx.receive(PdcpPdu(sn, 12000, 0), 0)
-    assert [sn for sn, _t in delivered] == [1, 2, 3, 4]
+    assert [sn for sn, _t in rx.delivered] == [1, 2, 3, 4]
     assert rx.skipped_sns == 1
     assert rx.delivered_pdus == 4
 
 
 def test_flush_delivers_the_buffer_without_skipping():
     sim = Simulator()
-    rx, delivered = _receiver(sim)
+    rx = RecordingReceiver(sim)
     rx.receive(PdcpPdu(5, 12000, 0), 0)
     rx.receive(PdcpPdu(7, 12000, 0), 0)
     rx.flush(0)
-    assert [sn for sn, _t in delivered] == [5, 7]
+    assert [sn for sn, _t in rx.delivered] == [5, 7]
     assert rx.skipped_sns == 0  # sns 0-4 and 6 are still on their way
     assert rx.buffered_bits == 0
+
+
+def test_post_warmup_bits_count_deliveries_from_warmup_on():
+    sim = Simulator()
+    warmup = millis(50.0)
+    rx = RecordingReceiver(sim, warmup_ns=warmup)
+    rx.receive(PdcpPdu(0, 8, 0), warmup - 1)
+    assert (rx.delivered_bits, rx.post_warmup_bits) == (8, 0)
+    rx.receive(PdcpPdu(1, 16, 0), warmup)
+    rx.receive(PdcpPdu(3, 32, 0), warmup)   # sn 2 missing, timer arms
+    assert (rx.delivered_bits, rx.post_warmup_bits) == (24, 16)
+    sim.run_until(millis(200.0))
+    assert rx.delivered == [(0, warmup - 1), (1, warmup), (3, millis(100.0))]
+    assert (rx.delivered_bits, rx.post_warmup_bits) == (56, 48)
+    rx.receive(PdcpPdu(5, 64, 0), sim.now)  # sn 4 missing
+    rx.flush(sim.now)
+    assert [sn for sn, _t in rx.delivered] == [0, 1, 3, 5]
+    assert (rx.delivered_bits, rx.post_warmup_bits) == (120, 112)
+
+
+def test_a_push_leaves_an_open_epoch_and_forwarding_ends_it():
+    node = Node(52)
+    for ue in range(30):
+        node.add_ue(ue, 10)
+        _backlog(node, ue, n_pdus=200)
+    schedule_tti(node)
+    epoch = node.epoch
+    assert epoch is not None
+    node.queues[0].push(PdcpPdu(200, 12000, 0))
+    schedule_tti(node)
+    assert node.epoch is epoch
+    node.queues[1].pop_pending()
+    assert node.epoch is None
+    assert all(q.member is None for q in node.queues.values())
 
 
 def test_cbr_flow_packetization():

@@ -9,13 +9,14 @@ from ntnmc import simulation
 from ntnmc.config import (BOUNDS, PERIODS_MS, POLICIES,
                           PRBS_BY_BANDWIDTH_MHZ, ConfigError, ScenarioConfig,
                           interval_ends, load_config)
-from ntnmc.dataplane import (CbrFlow, Node, PdcpPdu, PdcpReceiver,
-                             max_min_share)
+from ntnmc.dataplane import CbrFlow, Node, PdcpPdu, max_min_share
 from ntnmc.engine import Simulator, millis, seconds
 from ntnmc.mc_control import (ACK, PREEMPTIVE, CandidateState, Measurement,
                               handle_sn_addition_request, release_secondary)
 from ntnmc.simulation import Scenario
 from ntnmc.stats import percentile
+
+from test_dataplane import RecordingReceiver
 
 CFG = ScenarioConfig()
 
@@ -51,14 +52,13 @@ def test_events_dispatch_in_time_then_insertion_order(spec):
 @given(st.lists(st.integers(0, 30), max_size=40))
 def test_receiver_accounts_for_every_pdu(sns):
     sim = Simulator()
-    delivered = []
-    rx = PdcpReceiver(1, sim, millis(100.0), 1000,
-                      lambda pdu, t: delivered.append(pdu.sn))
+    rx = RecordingReceiver(sim)
     for i, sn in enumerate(sns):
         sim.run_until(millis(float(i)))
         rx.receive(PdcpPdu(sn, 8, 0), sim.now)
     sim.run_until(millis(float(len(sns)) + 200.0))
     rx.flush(sim.now)
+    delivered = [sn for sn, _t in rx.delivered]
     # strictly-increasing app-level delivery, no PDU lost or double-counted
     assert all(a < b for a, b in zip(delivered, delivered[1:]))
     assert rx.delivered_pdus + rx.stale_pdus + rx.duplicate_pdus == len(sns)
@@ -198,7 +198,7 @@ CAPS = {"sim_duration_s": (0.001, 0.3), "n_ue_per_sector": (1, 3),
 # them, as `config_overrides` shows, rather than from `in_bounds` alone.
 NEAR_RULES = PERIODS_MS + ("eval_jitter_ms", "cbr_rate_bps", "isd_m",
                            "ntn_beam_radius_m", "sat_epoch_lat_deg",
-                           "warmup_s")
+                           "sat_epoch_lon_deg", "warmup_s")
 
 
 def _edge_or(valid, *edges, one_in=16):
@@ -250,10 +250,11 @@ def config_overrides(draw):
         bits / 0.999e-6))
 
     # the satellite pass rule binds the epoch subpoint to the center
-    lat = o["center_lat_deg"]
-    lo, hi = interval_ends(BOUNDS["sat_epoch_lat_deg"])[:2]
-    o["sat_epoch_lat_deg"] = draw(st.floats(-30.0, 30.0).map(
-        lambda d: min(max(lat + d, lo), hi)))
+    for axis in ("lat", "lon"):
+        near = o[f"center_{axis}_deg"]
+        lo, hi = interval_ends(BOUNDS[f"sat_epoch_{axis}_deg"])[:2]
+        o[f"sat_epoch_{axis}_deg"] = draw(st.floats(-30.0, 30.0).map(
+            lambda d: min(max(near + d, lo), hi)))
 
     o["bandwidth_mhz"] = draw(_edge_or(
         st.sampled_from(sorted(PRBS_BY_BANDWIDTH_MHZ)).map(float),

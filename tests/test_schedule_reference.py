@@ -218,10 +218,11 @@ def _backlogged(*mcs_and_pdus):
 @given(saturating_specs(), st.sampled_from([True, True, False]),
        st.integers(1, 30),
        st.lists(st.tuples(steps(), st.integers(0, 20)), max_size=30))
-# Forwarding most of a member's backlog brings its fall forward. In the
-# second case it leaves 7,403 bits at MCS 10, which need 4,367 REs, one
-# below the share, a TTI before the head PDU would complete; the other UE
-# then gets 4,369 REs, which at MCS 26 carry 8 bits more than 4,368.
+# Forwarding most of a member's backlog ends the epoch, and the TTIs after
+# it run eagerly from served counts brought up to date. In the second case
+# it leaves 7,403 bits at MCS 10, which need 4,367 REs, one below the
+# share, so the next TTI is not saturated; the other UE then gets 4,369
+# REs, which at MCS 26 carry 8 bits more than 4,368.
 @example(_backlogged((10, 10), (10, 10)), True, 2,
          [(("pop", 0, 8), 12)])
 @example((res_per_tti(52), 0, [(10, [14_803] + [12_000] * 9, 0),
