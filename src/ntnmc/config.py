@@ -38,7 +38,8 @@ BOUNDS = {name: interval for interval, names in {
     "[1, inf)": """n_ue_per_sector packet_bytes ue_queue_bytes
                    pdcp_reorder_buffer_pdus""",
     "(-90, 90)": "center_lat_deg", "[-90, 90]": "sat_epoch_lat_deg",
-    # Past these, the offsets and the track are lost to float rounding.
+    # A longitude, and a heading of up to a turn either way; far past them
+    # (1e300, 1e20) rounding loses the sites' east offsets and turns the track.
     "[-180, 180]": "center_lon_deg sat_epoch_lon_deg",
     "[-360, 360]": "sat_heading_deg",
     "[1, 3]": "n_sites",  # the layout's sites are one triangle's vertices

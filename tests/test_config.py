@@ -189,12 +189,6 @@ PROBE = dict(sim_duration_s=0.3, warmup_s=0.1, n_ue_per_sector=2)
     (dict(sat_altitude_m=-1.0), "sat_altitude_m must be in"),
     (dict(bandwidth_mhz=0.0), "bandwidth_mhz = 0.0 is not a 15 kHz"),
     (dict(bandwidth_mhz=-1.0), "bandwidth_mhz = -1.0 is not a 15 kHz"),
-    # magnitudes at which rounding drops the sites' east offsets (an ISD of
-    # 6,495 m for 7,500) or turns a heading of 280 degrees mod 360
-    (dict(center_lon_deg=1e300, sat_epoch_lon_deg=1e300),
-     "^center_lon_deg must be in"),
-    (dict(sat_epoch_lon_deg=1e300), "^sat_epoch_lon_deg must be in"),
-    (dict(sat_heading_deg=1e20), "^sat_heading_deg must be in"),
     # sites past the pole from a center inside the latitude bounds
     (dict(center_lat_deg=89.99, sat_epoch_lat_deg=89.0), "center_lat_deg.*pole"),
     # durations whose count of ns overflows a float; ctrl_latency_ms used to
@@ -208,6 +202,12 @@ PROBE = dict(sim_duration_s=0.3, warmup_s=0.1, n_ue_per_sector=2)
     (dict(sim_duration_s=1e300, sat_speed_ms=0.0), "^sim_duration_s overflows"),
     (dict(cbr_rate_bps=1e-300), "CBR interval .* overflows"),
     (dict(cbr_rate_bps=5e-324), "CBR interval .* overflows"),
+    # magnitudes at which rounding drops the sites' east offsets (an ISD of
+    # 6,495 m for 7,500) or moves the track of a heading 280 mod 360
+    (dict(center_lon_deg=1e300, sat_epoch_lon_deg=1e300),
+     "^center_lon_deg must be in"),
+    (dict(sat_epoch_lon_deg=1e300), "^sat_epoch_lon_deg must be in"),
+    (dict(sat_heading_deg=1e20), "^sat_heading_deg must be in"),
 ])
 def test_configs_that_would_fail_mid_run_are_rejected(overrides, match):
     with pytest.raises(ConfigError, match=match):

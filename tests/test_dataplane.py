@@ -108,8 +108,8 @@ class RecordingReceiver(PdcpReceiver):
     """The receiver of UE 1, which records the (SN, time) of each PDU it
     delivers in `delivered`."""
 
-    def __init__(self, sim, timer_ms=100.0, max_buffer=1000, warmup_ns=0):
-        super().__init__(1, sim, millis(timer_ms), max_buffer, warmup_ns)
+    def __init__(self, sim, max_buffer=1000, warmup_ns=0):
+        super().__init__(1, sim, millis(100.0), max_buffer, warmup_ns)
         self.delivered = []
 
     def _deliver_from_buffer(self, sn, t_ns):
