@@ -108,8 +108,9 @@ class RecordingReceiver(PdcpReceiver):
     """The receiver of UE 1, which records the (SN, time) of each PDU it
     delivers in `delivered`."""
 
-    def __init__(self, sim, max_buffer=1000, warmup_ns=0):
-        super().__init__(1, sim, millis(100.0), max_buffer, warmup_ns)
+    def __init__(self, sim, max_buffer=1000, warmup_ns=0,
+                 timer_ns=millis(100.0)):
+        super().__init__(1, sim, timer_ns, max_buffer, warmup_ns)
         self.delivered = []
 
     def _deliver_from_buffer(self, sn, t_ns):
