@@ -1,8 +1,10 @@
-"""Names a module imports and never uses.
+"""Names a module imports and never uses, and definitions nothing names.
 
-No linter is a dependency, so this is a small `ast` pass over every module
-of `src/ntnmc` but `__init__.py`, whose imports are the package's API, and
-over every test module.
+No linter is a dependency, so these are small `ast` passes. Imports are
+checked in every module of `src/ntnmc` but `__init__.py`, whose imports are
+the package's API, and in every test module. Every function, method and
+class defined in `src/ntnmc` must be named in `src/ntnmc`, `tests` or
+`perfbench`.
 """
 
 import ast
@@ -11,9 +13,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([path for path in (ROOT / "src" / "ntnmc").glob("*.py")
-                  if path.name != "__init__.py"]
+PACKAGE = sorted((ROOT / "src" / "ntnmc").glob("*.py"))
+MODULES = sorted([path for path in PACKAGE if path.name != "__init__.py"]
                  + list((ROOT / "tests").glob("*.py")))
+READERS = PACKAGE + sorted((ROOT / "tests").glob("*.py")) + sorted(
+    (ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(source):
@@ -41,3 +45,48 @@ def test_unused_imports_are_found():
                          ids=lambda path: str(path.relative_to(ROOT)))
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def referenced_names(source):
+    """Every name `source` reads or imports, and every string constant,
+    since the benchmark patches attributes by name."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def unreferenced_definitions(defining, reading):
+    """The functions, methods and classes defined in the sources
+    `defining` that no source of `reading` names, sorted; dunder methods
+    are called by the language and are left out."""
+    named = set().union(*map(referenced_names, reading))
+    defined = {node.name for source in defining
+               for node in ast.walk(ast.parse(source))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef))
+               and not (node.name.startswith("__")
+                        and node.name.endswith("__"))}
+    return sorted(defined - named)
+
+
+def test_unreferenced_definitions_are_found():
+    package = ("class Queue:\n    def push(self): pass\n"
+               "    def __repr__(self): return ''\n"
+               "def _left_over(): pass\ndef patched(): pass\n")
+    bench = "Queue().push()\nsetattr(module, 'patched', None)\n"
+    assert unreferenced_definitions([package], [package, bench]) == [
+        "_left_over"]
+
+
+def test_every_definition_is_referenced():
+    assert unreferenced_definitions(
+        [path.read_text() for path in PACKAGE],
+        [path.read_text() for path in READERS]) == []
