@@ -158,20 +158,31 @@ class NtnChannel:
                                  + 30.0 - linear_to_db(cfg.n_prb * SUBCARRIERS_PER_PRB))
         self._noise = db_to_linear(noise_per_re_dbm(cfg.ue_noise_figure_db))
 
-    def link_state(self, ue_pos, t_ns):
-        """(rsrp_dbm, sinr_db, one_way_delay_ns) or None if below horizon."""
+    def beam_eirp_dbm(self, ue_pos):
+        """The per-RE EIRP of each beam toward `ue_pos`, beam pattern
+        included, in dBm. Beam centers are earth-fixed, so this is fixed
+        for a UE and worked out once, when it is attached."""
         cfg = self.cfg
+        return [self._per_re_eirp_dbm
+                + beam_pattern_db(ground_distance_m(ue_pos, beam),
+                                  cfg.ntn_beam_radius_m, cfg.ntn_beam_floor_db)
+                for beam in self.beams]
+
+    def link_state(self, ue_pos, t_ns, beam_eirp_dbm=None):
+        """(rsrp_dbm, sinr_db, one_way_delay_ns) or None if below horizon;
+        `beam_eirp_dbm` is the UE's `self.beam_eirp_dbm(ue_pos)`, worked
+        out here when not given."""
+        cfg = self.cfg
+        if beam_eirp_dbm is None:
+            beam_eirp_dbm = self.beam_eirp_dbm(ue_pos)
         subpoint = self.track.subpoint_at(t_ns)
         slant = satellite_slant_m(ue_pos, subpoint, self.track.altitude_m)
         if slant is None:
             return None
         # Every beam shares the satellite, so one slant and one path loss.
         fspl = ntn_fspl_db(slant, cfg.carrier_ghz)
-        rx_dbm = [self._per_re_eirp_dbm
-                  + beam_pattern_db(ground_distance_m(ue_pos, beam),
-                                    cfg.ntn_beam_radius_m, cfg.ntn_beam_floor_db)
-                  - fspl + cfg.ue_ntn_gain_dbi
-                  for beam in self.beams]
+        gain = cfg.ue_ntn_gain_dbi
+        rx_dbm = [eirp - fspl + gain for eirp in beam_eirp_dbm]
         rsrp = rx_dbm[0]
         interference = sum(db_to_linear(p) for p in rx_dbm[1:])
         sinr = linear_to_db(db_to_linear(rsrp) / (interference + self._noise))

@@ -133,8 +133,10 @@ class Node:
         self._rr = 0
 
     def add_ue(self, ue_id, mcs):
+        """Give `ue_id` a queue of link MCS `mcs` and return it."""
         self.settle()
-        self.queues[ue_id] = UeTxQueue(mcs)
+        q = self.queues[ue_id] = UeTxQueue(mcs)
+        return q
 
     def remove_ue(self, ue_id):
         """Drop the queue of `ue_id` and return it, PDUs and all."""
@@ -462,17 +464,23 @@ class PdcpReceiver:
         self.skipped_sns = 0
         self.last_delivered_sn = -1
 
-    def _deliver_from_buffer(self, sn, t_ns):
+    def _deliver(self, pdu, t_ns):
+        """The one delivery step, from the buffer or straight through."""
+        sn = pdu.sn
         if sn <= self.last_delivered_sn:
             raise AssertionError(
                 f"out-of-order delivery for ue {self.ue_id}: {sn} after {self.last_delivered_sn}")
-        bits = self.buffer.pop(sn).bits
-        self.buffered_bits -= bits
+        bits = pdu.bits
         self.last_delivered_sn = sn
         self.delivered_pdus += 1
         self.delivered_bits += bits
         if t_ns >= self.warmup_ns:
             self.post_warmup_bits += bits
+
+    def _deliver_from_buffer(self, sn, t_ns):
+        pdu = self.buffer.pop(sn)
+        self.buffered_bits -= pdu.bits
+        self._deliver(pdu, t_ns)
 
     def _drain_in_order(self, t_ns):
         while self.rx_deliv in self.buffer:
@@ -503,18 +511,26 @@ class PdcpReceiver:
             self._timer_ev = self.sim.schedule_in(self.timer_ns, self._on_timer)
 
     def receive(self, pdu, t_ns):
-        if pdu.sn < self.rx_deliv:
+        sn = pdu.sn
+        if sn == self.rx_deliv and not self.buffer:
+            # In order with nothing waiting. Until `flush` ends the run, an
+            # empty buffer means that rx_next == rx_deliv and that no timer
+            # runs, so the PDU is delivered at once and nothing else moves.
+            self._deliver(pdu, t_ns)
+            self.rx_deliv = self.rx_next = sn + 1
+            return
+        if sn < self.rx_deliv:
             self.stale_pdus += 1
             self.stale_bits += pdu.bits
             return
-        if pdu.sn in self.buffer:
+        if sn in self.buffer:
             self.duplicate_pdus += 1
             return
-        self.buffer[pdu.sn] = pdu
+        self.buffer[sn] = pdu
         self.buffered_bits += pdu.bits
-        if pdu.sn >= self.rx_next:
-            self.rx_next = pdu.sn + 1
-        if pdu.sn == self.rx_deliv:
+        if sn >= self.rx_next:
+            self.rx_next = sn + 1
+        if sn == self.rx_deliv:
             self._drain_in_order(t_ns)
         while len(self.buffer) > self.max_buffer:
             self._skip_to(min(self.buffer), t_ns)

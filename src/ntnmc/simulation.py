@@ -75,7 +75,9 @@ class ConservationError(AssertionError):
 class UeState:
     ue_id: int
     mn_node_id: int
+    mn_queue: object                    # the anchor's queue, fixed for the run
     pos: object
+    beam_eirp_dbm: list                 # `NtnChannel.beam_eirp_dbm(pos)`
     tn_sinr_db: float
     best_ntn_rsrp_dbm: float            # the attach-time RSRP, then the best
     ntn_sinr_db: float                  # as of the latest measurement
@@ -118,6 +120,7 @@ class Scenario:
                    for name, to_ns in DURATIONS.items()}
         self.end_ns = self.ns["sim_duration_s"]
         self.tn_latency_ns = self.ns["tn_latency_ms"]
+        self.queue_cap_bits = cfg.ue_queue_bytes * 8
         self.events = []
         self._build()
 
@@ -166,44 +169,43 @@ class Scenario:
     def _add_ue(self, ue_id, sector_id, pos):
         cfg = self.cfg
         sinr = self.tn.attach_ue(pos)[sector_id]
+        mn_queue = self.nodes[sector_id].add_ue(ue_id, mcs_for_sinr(sinr))
+        beams = self.ntn.beam_eirp_dbm(pos)
         receiver = PdcpReceiver(
             ue_id, self.sim, self.ns["pdcp_reorder_timer_ms"],
             cfg.pdcp_reorder_buffer_pdus, self.ns["warmup_s"])
-        self.ues[ue_id] = UeState(ue_id, sector_id, pos, sinr,
-                                  *self.ntn.link_state(pos, 0), receiver)
-        self.nodes[sector_id].add_ue(ue_id, mcs_for_sinr(sinr))
+        self.ues[ue_id] = UeState(ue_id, sector_id, mn_queue, pos, beams, sinr,
+                                  *self.ntn.link_state(pos, 0, beams), receiver)
 
     # ---- traffic ------------------------------------------------------
 
     def _on_arrival(self, flow):
+        """Admit one app packet per UE at its anchor, in `self.ues` order,
+        or drop it if the anchor queue cannot take it (packets are only
+        sequence numbered once admitted, so drops never punch holes at the
+        receiver), then let the forwarding rule steer it. Every drain
+        leaves the queue empty or the grant short of one PDU, all PDUs have
+        one size, and only the data-request cycle, which drains at once,
+        refills a grant; so a drain here moves a PDU exactly when the grant
+        covers the packet just admitted."""
         t = self.sim.now
         bits = flow.packet_bits
+        cap = self.queue_cap_bits
+        grants = self.book.grants
         for ue in self.ues.values():
-            self._ingest_app_packet(ue, bits, t)
+            ue.generated_bits += bits
+            q = ue.mn_queue
+            if q.queued_bits + bits > cap:
+                ue.dropped_bits += bits
+                ue.dropped_pdus += 1
+                continue
+            q.push(PdcpPdu(ue.next_sn, bits, t))
+            ue.next_sn += 1
+            grant = grants.get(ue.ue_id)
+            if grant is not None and grant.covers(bits):
+                ts.drain_forward(self.nodes[ue.mn_node_id], self.ntn_node,
+                                 grant)
         self.sim.schedule_in(flow.interval_ns, self._on_arrival, flow)
-
-    def _ingest_app_packet(self, ue, bits, t_ns):
-        """Admit one app packet at the anchor, or drop it if the anchor queue
-        cannot take it (packets are only sequence numbered once admitted, so
-        drops never punch holes at the receiver), then let the forwarding
-        rule steer it. Every drain leaves the queue empty or the grant short
-        of one PDU, all PDUs have one size, and only the data-request cycle,
-        which drains at once, refills a grant; so a drain here moves a PDU
-        exactly when the grant covers the packet just admitted."""
-        cfg = self.cfg
-        ue.generated_bits += bits
-        mn = self.nodes[ue.mn_node_id]
-        q = mn.queues[ue.ue_id]
-        if q.queued_bits + bits > cfg.ue_queue_bytes * 8:
-            ue.dropped_bits += bits
-            ue.dropped_pdus += 1
-            return
-        pdu = PdcpPdu(ue.next_sn, bits, t_ns)
-        ue.next_sn += 1
-        q.push(pdu)
-        grant = self.book.grants.get(ue.ue_id)
-        if grant is not None and grant.covers(bits):
-            ts.drain_forward(mn, self.ntn_node, grant)
 
     # ---- air interface ------------------------------------------------
 
@@ -250,7 +252,7 @@ class Scenario:
     def _on_measurement(self, ue, period):
         t = self.sim.now
         cfg = self.cfg
-        rsrp, sinr, delay = self.ntn.link_state(ue.pos, t)
+        rsrp, sinr, delay = self.ntn.link_state(ue.pos, t, ue.beam_eirp_dbm)
         ue.ntn_sinr_db, ue.ntn_delay_ns = sinr, delay
         if rsrp > ue.best_ntn_rsrp_dbm:
             ue.best_ntn_rsrp_dbm = rsrp

@@ -152,7 +152,8 @@ def _channel_outputs(overrides):
     for ue in sc.ues.values():
         sinrs = tn.attach_ue(ue.pos)
         assert sinrs[ue.mn_node_id] == ue.tn_sinr_db    # the run's own draw
-        outputs.append((sinrs, [sc.ntn.link_state(ue.pos, t) for t in times]))
+        outputs.append((sinrs, [sc.ntn.link_state(ue.pos, t, ue.beam_eirp_dbm)
+                                for t in times]))
     return outputs
 
 

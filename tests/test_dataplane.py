@@ -113,9 +113,9 @@ class RecordingReceiver(PdcpReceiver):
         super().__init__(1, sim, timer_ns, max_buffer, warmup_ns)
         self.delivered = []
 
-    def _deliver_from_buffer(self, sn, t_ns):
-        super()._deliver_from_buffer(sn, t_ns)
-        self.delivered.append((sn, t_ns))
+    def _deliver(self, pdu, t_ns):
+        super()._deliver(pdu, t_ns)
+        self.delivered.append((pdu.sn, t_ns))
 
 
 def test_in_order_pdus_flow_straight_through():

@@ -193,7 +193,7 @@ def test_ingest_drains_only_when_a_pdu_can_move(monkeypatch):
             moved.append(n)
         return n
 
-    def ingest(self, *args, _orig=Scenario._ingest_app_packet):
+    def ingest(self, *args, _orig=Scenario._on_arrival):
         ingesting.append(True)
         try:
             return _orig(self, *args)
@@ -201,7 +201,7 @@ def test_ingest_drains_only_when_a_pdu_can_move(monkeypatch):
             ingesting.pop()
 
     monkeypatch.setattr(traffic_split, "drain_forward", drain)
-    monkeypatch.setattr(Scenario, "_ingest_app_packet", ingest)
+    monkeypatch.setattr(Scenario, "_on_arrival", ingest)
     Scenario(_tiny("rsrp"), 1).run_to_end()
     assert moved and min(moved) >= 1
 
