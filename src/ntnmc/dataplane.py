@@ -436,9 +436,11 @@ class PdcpReceiver:
     """UE-side reordering entity with a t-Reordering style timer.
 
     PDUs older than the delivery edge are discarded as stale; everything else
-    is buffered and released in sequence. When the timer fires, buffered PDUs
-    below the reordering edge are released in order and the gaps are counted
-    as skipped; a buffer past its bound skips the same way to its oldest PDU.
+    is buffered and released in sequence. The next PDU in sequence skips the
+    buffer when it is empty, since it would leave it at once. When the timer
+    fires, buffered PDUs below the reordering edge are released in order and
+    the gaps are counted as skipped; a buffer past its bound skips the same
+    way to its oldest PDU.
     The receiver counts what it delivers, and as `post_warmup_bits` the bits
     it delivers at or after `warmup_ns`, flush included.
     """
