@@ -168,13 +168,10 @@ class NtnChannel:
                                   cfg.ntn_beam_radius_m, cfg.ntn_beam_floor_db)
                 for beam in self.beams]
 
-    def link_state(self, ue_pos, t_ns, beam_eirp_dbm=None):
+    def link_state(self, ue_pos, t_ns, beam_eirp_dbm):
         """(rsrp_dbm, sinr_db, one_way_delay_ns) or None if below horizon;
-        `beam_eirp_dbm` is the UE's `self.beam_eirp_dbm(ue_pos)`, worked
-        out here when not given."""
+        `beam_eirp_dbm` is the UE's `self.beam_eirp_dbm(ue_pos)`."""
         cfg = self.cfg
-        if beam_eirp_dbm is None:
-            beam_eirp_dbm = self.beam_eirp_dbm(ue_pos)
         subpoint = self.track.subpoint_at(t_ns)
         slant = satellite_slant_m(ue_pos, subpoint, self.track.altitude_m)
         if slant is None:

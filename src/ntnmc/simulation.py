@@ -120,7 +120,6 @@ class Scenario:
                    for name, to_ns in DURATIONS.items()}
         self.end_ns = self.ns["sim_duration_s"]
         self.tn_latency_ns = self.ns["tn_latency_ms"]
-        self.queue_cap_bits = cfg.ue_queue_bytes * 8
         self.events = []
         self._build()
 
@@ -190,7 +189,7 @@ class Scenario:
         covers the packet just admitted."""
         t = self.sim.now
         bits = flow.packet_bits
-        cap = self.queue_cap_bits
+        cap = self.cfg.ue_queue_bytes * 8
         grants = self.book.grants
         for ue in self.ues.values():
             ue.generated_bits += bits

@@ -97,7 +97,7 @@ def _default_ntn():
 
 def test_ntn_link_budget_at_beam_center_epoch():
     cfg, center, ch = _default_ntn()
-    rsrp, sinr, delay = ch.link_state(center, 0)
+    rsrp, sinr, delay = ch.link_state(center, 0, ch.beam_eirp_dbm(center))
 
     # EIRP spread over the carrier, shared across the resource grid
     eirp_dbm = cfg.ntn_eirp_dbw_mhz + 10.0 * math.log10(cfg.bandwidth_mhz) + 30.0
@@ -126,16 +126,17 @@ def test_ntn_rsrp_qualifies_across_entire_layout():
     for sec in sectors:
         for pos in drop_ues_in_sector(sec, rng, 10, cfg.ue_drop_min_m,
                                       cfg.ue_drop_max_m):
-            rsrp, _sinr, _delay = ch.link_state(pos, 0)
+            rsrp, _sinr, _delay = ch.link_state(pos, 0, ch.beam_eirp_dbm(pos))
             assert rsrp >= cfg.rsrp_min_dbm
 
 
 def test_ntn_delay_tracks_slant_growth():
     cfg, center, ch = _default_ntn()
-    _r0, _s0, d0 = ch.link_state(center, 0)
+    _r0, _s0, d0 = ch.link_state(center, 0, ch.beam_eirp_dbm(center))
     # a minute later the subpoint has moved ~400 km, lengthening the path
     from ntnmc.engine import seconds
-    _r1, _s1, d1 = ch.link_state(center, seconds(60.0))
+    _r1, _s1, d1 = ch.link_state(center, seconds(60.0),
+                                  ch.beam_eirp_dbm(center))
     assert d1 > d0
 
 
