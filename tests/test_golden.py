@@ -90,6 +90,14 @@ CTRL_LATENCY_TEN_MS_SHA256 = {
     "off": "0cef19ed093d128b68d23a08aa394637c21e7c5152efa4782bbf3056b5c189be",
 }
 
+# Every PDU the receivers deliver in a 2 s run at seed 1, as (ue, sn, bits,
+# created_ns, delivery time), flush included. `mcs` releases 6 legs, so
+# PDUs sent back to the anchor queue are delivered too.
+DELIVERED_PDUS_SHA256 = {
+    "mcs": "5562f62596fcdc090fcd91cc2b2228501f5ba25a61090048fd6fd0bfa2396bfc",
+    "off": "73fbf4a56c786f6d67d6553718c1f9e5ec3fe4856e2f087fb7f13503cc0f8a8a",
+}
+
 
 def _sha256(data):
     return hashlib.sha256(data).hexdigest()
@@ -129,6 +137,23 @@ def test_zero_tn_latency_matches_golden_digests():
 def test_ctrl_latency_of_ten_ms_matches_golden_digests():
     assert _variant_digests(TEN_MS_CTRL_LATENCY) == CTRL_LATENCY_TEN_MS_SHA256
 
+
+def test_delivered_pdus_keep_their_ingest_stamps(monkeypatch):
+    # No result field reads `created_ns`, so only this pins the stamp each
+    # PDU carries from ingest to delivery.
+    delivered = []
+
+    def deliver(self, pdu, t_ns, _orig=dataplane.PdcpReceiver._deliver):
+        delivered.append((self.ue_id, pdu.sn, pdu.bits, pdu.created_ns, t_ns))
+        _orig(self, pdu, t_ns)
+
+    monkeypatch.setattr(dataplane.PdcpReceiver, "_deliver", deliver)
+    cfg = load_config(None, environ={}, **TWO_SECONDS)
+    for policy, digest in DELIVERED_PDUS_SHA256.items():
+        delivered.clear()
+        r = run_single(dataclasses.replace(cfg, policy=policy), 1)
+        assert r.counters["sn_releases"] == (6 if policy == "mcs" else 0)
+        assert _sha256(repr(delivered).encode()) == digest, policy
 
 
 def test_epochs_at_every_saturated_tti_keep_every_digest(tmp_path,

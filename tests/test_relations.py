@@ -4,10 +4,11 @@ Golden digests pin what the program did; these relations say what it must
 do. A secondary leg can change a UE's throughput only through the PDUs
 forwarded to it, so a run in which no UE is eligible, or in which no grant
 covers a PDU, delivers to every UE exactly what a run without
-multi-connectivity (`off`) delivers. Runs use the golden campaign's 1 s
-config at seed 1, whose anchor queue cap is scaled to the run length, so
-that queues fill and every policy binds UEs and, with normal grants, moves
-their throughput away from `off`'s.
+multi-connectivity (`off`) delivers. Those runs use the golden campaign's
+1 s config at seed 1, whose anchor queue cap is scaled to the run length,
+so that queues fill and every policy binds UEs and, with normal grants,
+moves their throughput away from `off`'s. Under light load, 2 s runs at
+seeds 1-3, every UE that its anchor can serve gets every packet.
 """
 
 from functools import cache
@@ -15,9 +16,9 @@ from functools import cache
 import pytest
 
 from ntnmc.config import load_config
-from ntnmc.simulation import run_single
+from ntnmc.simulation import Scenario, run_single
 
-from test_golden import SMALL
+from test_golden import SMALL, TWO_SECONDS
 
 MC_POLICIES = ["mcs", "rsrp", "bo"]
 
@@ -46,3 +47,26 @@ def test_a_starved_split_runs_as_off(policy):
     assert r.throughput_kbps == off.throughput_kbps
     assert r.counters["sn_adds"] > 0
     assert _run(policy).throughput_kbps != off.throughput_kbps
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("policy", MC_POLICIES + ["off"])
+def test_light_load_delivers_every_packet_a_ue_can_be_sent(policy, seed):
+    # At 100 kb/s (one packet per 120 ms) an anchor queue empties between
+    # arrivals, so the 1 s window after warmup holds 8 arrivals, and a
+    # ninth when the one before the window lands after warmup.
+    cfg = load_config(None, environ={}, policy=policy, cbr_rate_bps=100e3,
+                      **TWO_SECONDS)
+    sc = Scenario(cfg, seed)
+    sc.run_to_end()
+    packet_bits = cfg.packet_bytes * 8
+    unserved = {u for u, ue in sc.ues.items() if ue.mn_queue.mcs is None}
+    assert unserved
+    for u, ue in sc.ues.items():
+        if u not in unserved:
+            assert ue.receiver.post_warmup_bits in (8 * packet_bits,
+                                                    9 * packet_bits), u
+    if policy in ("off", "bo"):
+        # `bo` binds nobody: in 2 s no queue fills to its threshold.
+        assert {u for u, ue in sc.ues.items()
+                if ue.receiver.post_warmup_bits == 0} == unserved
