@@ -41,28 +41,55 @@ class UeTxQueue:
     """FIFO of whole PDUs plus the single PDU currently on the air, sent
     over a link of MCS `mcs` (None = below the table floor, never served).
 
-    The head PDU being transmitted is held apart from `pending` so that
-    forwarding to a secondary node can only take untouched whole PDUs.
+    The waiting PDUs are `pending`, then the fresh run. `pending` holds
+    explicit PDUs: those a release sends back (`push_front`) and those
+    pushed by forwarding (`push`). The fresh run holds the PDUs admitted
+    at ingest (`admit`): consecutive SNs from `run_sn`, all of `run_bits`,
+    kept as their ingest stamps in `run`, oldest first, so a waiting PDU
+    costs one deque slot and no object. A `PdcpPdu` is built only when one
+    leaves the run, so its `created_ns` is the stamp it was admitted with.
+
+    The head PDU being transmitted is held apart from the waiting ones so
+    that forwarding to a secondary node can only take untouched whole PDUs.
     `queued_bits` counts every PDU still owned by the queue, including the
     partially sent one.
 
     While the queue's node holds a `SaturatedEpoch`, `member` is the
-    queue's record in it, whose served bits may lag. A push leaves the
-    epoch open; forwarding (`pop_pending`) ends it.
+    queue's record in it, whose served bits may lag. A push or an
+    admission leaves the epoch open; forwarding (`pop_pending`) ends it.
     """
 
-    __slots__ = ("mcs", "pending", "in_service", "served_bits", "queued_bits",
-                 "member")
+    __slots__ = ("mcs", "pending", "run", "run_sn", "run_bits", "in_service",
+                 "served_bits", "queued_bits", "member")
 
     def __init__(self, mcs):
         self.mcs = mcs
         self.pending = deque()
+        self.run = deque()
+        self.run_sn = 0
+        self.run_bits = 0
         self.in_service = None
         self.served_bits = 0
         self.queued_bits = 0
         self.member = None
 
+    def admit(self, sn, bits, t_ns):
+        """Append PDU `sn` of `bits`, ingested at `t_ns`, to the fresh run;
+        it must continue the run's SNs and size."""
+        run = self.run
+        if not run:
+            self.run_sn = sn
+            self.run_bits = bits
+        elif bits != self.run_bits or sn != self.run_sn + len(run):
+            raise ValueError(f"PDU ({sn}, {bits} bits) does not continue the "
+                             f"run of {self.run_bits}-bit PDUs from "
+                             f"{self.run_sn}")
+        run.append(t_ns)
+        self.queued_bits += bits
+
     def push(self, pdu):
+        if self.run:
+            raise ValueError("a push behind a fresh run would reorder it")
         self.pending.append(pdu)
         self.queued_bits += pdu.bits
 
@@ -70,10 +97,27 @@ class UeTxQueue:
         self.pending.appendleft(pdu)
         self.queued_bits += pdu.bits
 
+    def head_bits(self):
+        """The size of the oldest waiting PDU, None if none waits."""
+        if self.pending:
+            return self.pending[0].bits
+        return self.run_bits if self.run else None
+
+    def _next(self):
+        """Remove and return the oldest waiting PDU, None if none waits."""
+        if self.pending:
+            return self.pending.popleft()
+        if self.run:
+            sn = self.run_sn
+            self.run_sn = sn + 1
+            return PdcpPdu(sn, self.run_bits, self.run.popleft())
+        return None
+
     def pop_pending(self):
+        """Remove and return the oldest waiting PDU, for forwarding."""
         if self.member is not None:
             self.member.epoch.end()
-        pdu = self.pending.popleft()
+        pdu = self._next()
         self.queued_bits -= pdu.bits
         return pdu
 
@@ -82,9 +126,9 @@ class UeTxQueue:
         done = []
         while budget_bits > 0:
             if self.in_service is None:
-                if not self.pending:
+                self.in_service = self._next()
+                if self.in_service is None:
                     break
-                self.in_service = self.pending.popleft()
                 self.served_bits = 0
             rest = self.in_service.bits - self.served_bits
             if budget_bits >= rest:
@@ -107,7 +151,7 @@ class UeTxQueue:
             self.queued_bits -= self.in_service.bits
             self.in_service = None
             self.served_bits = 0
-        while self.pending:
+        while self.pending or self.run:
             out.append(self.pop_pending())
         return out
 
@@ -240,8 +284,9 @@ def schedule_tti(node):
 
     n = len(hungry)
     total = node.n_res
-    # Nothing tells an epoch of a push, which would move the allocation
-    # at an idle UE with an MCS; at a member it only delays the fall.
+    # Nothing tells an epoch of a push or an admission, which would move
+    # the allocation at an idle UE with an MCS; at a member it only delays
+    # the fall.
     if (min(needs) * n > total and _epoch_pays(node, needs)
             and n == sum(q.mcs is not None for q in node.queues.values())):
         node.epoch = SaturatedEpoch(node, hungry, *divmod(total, n))
@@ -297,8 +342,8 @@ class SaturatedEpoch:
 
     It opens only where every UE with an MCS is a member, and `add_ue`,
     `remove_ue`, `set_mcs` and a member's `pop_pending` (forwarding) end
-    it. So a push, which can only reach a member and only move its
-    backlog's fall later, is the one outside change an open epoch
+    it. So a push or an admission, which can only reach a member and only
+    move its backlog's fall later, is the one outside change an open epoch
     survives. Nothing re-plans a member between its wakes: it holds one
     calendar slot, at opening and again at each wake for a later TTI.
     """
@@ -370,7 +415,8 @@ class SaturatedEpoch:
 
     def _fall(self, m):
         # Grants take exactly their TB off the backlog while it lasts, so
-        # pushes and completions can only leave it above this estimate.
+        # pushes, admissions and completions can only leave it above this
+        # estimate.
         q = m.q
         over = q.queued_bits - q.served_bits - m.low_bits
         if over <= 0:

@@ -52,8 +52,7 @@ from . import mc_control as mc
 from . import traffic_split as ts
 from .channel import NtnChannel, TnChannel, mcs_for_sinr
 from .config import DURATIONS, ScenarioConfig
-from .dataplane import (TTI_NS, CbrFlow, Node, PdcpPdu, PdcpReceiver,
-                        schedule_tti)
+from .dataplane import TTI_NS, CbrFlow, Node, PdcpReceiver, schedule_tti
 from .engine import RngStreams, Simulator
 from .geometry import (GroundPosition, SatelliteTrack, build_tn_layout,
                        drop_ues_in_sector, ntn_beam_grid)
@@ -198,7 +197,7 @@ class Scenario:
                 ue.dropped_bits += bits
                 ue.dropped_pdus += 1
                 continue
-            q.push(PdcpPdu(ue.next_sn, bits, t))
+            q.admit(ue.next_sn, bits, t)
             ue.next_sn += 1
             grant = grants.get(ue.ue_id)
             if grant is not None and grant.covers(bits):

@@ -107,9 +107,10 @@ def drain_forward(mn_node, sn_node, grant):
     src = mn_node.queues[grant.ue_id]
     dst = sn_node.queues[grant.ue_id]
     moved = 0
-    while src.pending and grant.covers(src.pending[0].bits):
-        pdu = src.pop_pending()
-        grant.forwarded_bits += pdu.bits
-        dst.push(pdu)
+    bits = src.head_bits()
+    while bits is not None and grant.covers(bits):
+        grant.forwarded_bits += bits
+        dst.push(src.pop_pending())
         moved += 1
+        bits = src.head_bits()
     return moved

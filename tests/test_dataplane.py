@@ -1,3 +1,7 @@
+import tracemalloc
+
+import pytest
+
 from ntnmc.dataplane import (CbrFlow, Node, PdcpPdu, PdcpReceiver, UeTxQueue,
                              res_per_tti, schedule_tti)
 from ntnmc.engine import Simulator, millis
@@ -102,6 +106,59 @@ def test_tx_queue_push_front_orders_ahead():
     early = PdcpPdu(2, 12000, 0)
     q.push_front(early)
     assert q.drain_all() == [early, late]
+
+
+def test_tx_queue_builds_a_pdu_only_when_it_leaves_the_fresh_run():
+    q = UeTxQueue(10)
+    for sn in range(3):
+        q.admit(sn, 12000, 100 + sn)
+    early = PdcpPdu(0, 8, 0)
+    q.push_front(early)
+    assert q.queued_bits == 3 * 12000 + 8
+    assert q.head_bits() == 8
+    assert q.pop_pending() is early
+    assert q.head_bits() == 12000
+    done = q.take(15000)
+    assert [(p.sn, p.bits, p.created_ns) for p in done] == [(0, 12000, 100)]
+    assert (q.in_service.sn, q.in_service.created_ns) == (1, 101)
+    assert [(p.sn, p.created_ns) for p in q.drain_all()] == [(1, 101),
+                                                            (2, 102)]
+    assert q.head_bits() is None and q.queued_bits == 0
+
+
+def test_tx_queue_refuses_what_would_break_the_fresh_run():
+    q = UeTxQueue(10)
+    q.admit(4, 12000, 0)
+    with pytest.raises(ValueError):
+        q.push(PdcpPdu(5, 12000, 0))
+    with pytest.raises(ValueError):
+        q.admit(5, 8000, 0)
+    with pytest.raises(ValueError):
+        q.admit(6, 12000, 0)
+    assert q.queued_bits == 12000
+    q.admit(5, 12000, 1)
+    q.take(24000)
+    q.admit(9, 8000, 2)     # an emptied run starts afresh
+    assert [(p.sn, p.bits) for p in q.take(8000)] == [(9, 8000)]
+
+
+def test_a_waiting_pdu_costs_no_object():
+    # An admitted PDU waits as one deque slot holding the caller's stamp,
+    # so admitting builds nothing per PDU; an object per PDU would cost
+    # some 90 B.
+    n = 10_000
+    stamps = [10**9 + i for i in range(n)]
+    q = UeTxQueue(10)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for sn, t in enumerate(stamps):
+            q.admit(sn, 12000, t)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert q.queued_bits == n * 12000
+    assert grown <= 16 * n, grown
 
 
 class RecordingReceiver(PdcpReceiver):

@@ -3,13 +3,14 @@
 import math
 from unittest import mock
 
+import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 from ntnmc import simulation
 from ntnmc.config import (BOUNDS, PERIODS_MS, POLICIES,
                           PRBS_BY_BANDWIDTH_MHZ, ConfigError, ScenarioConfig,
                           interval_ends, load_config)
-from ntnmc.dataplane import CbrFlow, Node, PdcpPdu, max_min_share
+from ntnmc.dataplane import CbrFlow, Node, PdcpPdu, UeTxQueue, max_min_share
 from ntnmc.engine import Simulator, millis, seconds
 from ntnmc.mc_control import (ACK, PREEMPTIVE, CandidateState, Measurement,
                               handle_sn_addition_request, release_secondary)
@@ -46,6 +47,71 @@ def test_events_dispatch_in_time_then_insertion_order(spec):
     sim.run_until(10_001)
     want = sorted(range(len(spec)), key=lambda i: (spec[i][0], i))
     assert fired == want
+
+
+def _pdus(pdus):
+    return [(p.sn, p.bits, p.created_ns) for p in pdus]
+
+
+def _queue_state(q):
+    head = q.in_service
+    return (q.queued_bits, q.served_bits, q.head_bits(),
+            None if head is None else _pdus([head])[0])
+
+
+QUEUE_OPS = st.lists(st.one_of(
+    # PDUs to admit; the SN gap and the size apply only to an empty run.
+    st.tuples(st.just("admit"), st.integers(1, 4), st.integers(0, 3),
+              st.sampled_from([8, 96, 12_000])),
+    st.tuples(st.just("take"), st.integers(0, 30_000)),
+    st.tuples(st.just("pop"), st.integers(1, 3)),
+    st.tuples(st.just("push_front"), st.integers(1, 3)),
+    st.tuples(st.just("drain"))), max_size=40)
+
+
+@settings(deadline=None, max_examples=200)
+@given(QUEUE_OPS)
+def test_fresh_run_queue_matches_a_queue_of_pushed_pdus(ops):
+    # One queue is fed by `admit`, the other by `push` of the same PDUs;
+    # every PDU gets its own stamp.
+    run_q, pdu_q = UeTxQueue(10), UeTxQueue(10)
+    next_sn = stamp = 0
+    left = []           # PDUs out of the queues, for `push_front`
+    for op in ops:
+        kind = op[0]
+        if kind == "admit":
+            bits = run_q.run_bits
+            if not run_q.run:
+                next_sn += op[2]
+                bits = op[3]
+            for _ in range(op[1]):
+                stamp += 1
+                run_q.admit(next_sn, bits, stamp)
+                pdu_q.push(PdcpPdu(next_sn, bits, stamp))
+                next_sn += 1
+            with pytest.raises(ValueError):
+                run_q.push(PdcpPdu(next_sn, bits, stamp))
+        elif kind == "take":
+            got = [q.take(op[1]) for q in (run_q, pdu_q)]
+            assert _pdus(got[0]) == _pdus(got[1])
+            left += got[1]
+        elif kind == "pop":
+            for _ in range(op[1]):
+                if pdu_q.head_bits() is None:
+                    break
+                got = [q.pop_pending() for q in (run_q, pdu_q)]
+                assert _pdus(got[:1]) == _pdus(got[1:])
+                left.append(got[1])
+        elif kind == "push_front":
+            back, left = left[-op[1]:], left[:-op[1]]
+            for pdu in reversed(back):
+                run_q.push_front(pdu)
+                pdu_q.push_front(pdu)
+        else:
+            got = [q.drain_all() for q in (run_q, pdu_q)]
+            assert _pdus(got[0]) == _pdus(got[1])
+            left += got[1]
+        assert _queue_state(run_q) == _queue_state(pdu_q)
 
 
 @settings(deadline=None, max_examples=100)
