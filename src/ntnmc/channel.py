@@ -11,7 +11,7 @@ for fixed geometry.
 import math
 from bisect import bisect_right
 
-from .geometry import bearing_deg, ground_distance_m, satellite_slant_m
+from .geometry import bearing_deg, ground_distance_m
 
 SPEED_OF_LIGHT = 299_792_458.0
 SUBCARRIER_HZ = 15_000.0
@@ -67,7 +67,12 @@ def tn_pathloss_db(d2d_m, fc_ghz, los, bs_height_m, ue_height_m, min_distance_m)
 
 def ntn_fspl_db(slant_m, fc_ghz):
     """Free-space path loss, d in meters: 92.45 + 20 log10(d_km) + 20 log10(f_GHz)."""
-    return 92.45 + 20.0 * math.log10(slant_m / 1000.0) + 20.0 * math.log10(fc_ghz)
+    return _fspl_db(slant_m, 20.0 * math.log10(fc_ghz))
+
+
+def _fspl_db(slant_m, freq_db):
+    """`ntn_fspl_db` with its frequency term, 20 log10(f_GHz), given."""
+    return 92.45 + 20.0 * math.log10(slant_m / 1000.0) + freq_db
 
 
 def sector_pattern_db(offaxis_deg, beamwidth_deg, max_attenuation_db):
@@ -157,6 +162,7 @@ class NtnChannel:
         self._per_re_eirp_dbm = (cfg.ntn_eirp_dbw_mhz + linear_to_db(cfg.bandwidth_mhz)
                                  + 30.0 - linear_to_db(cfg.n_prb * SUBCARRIERS_PER_PRB))
         self._noise = db_to_linear(noise_per_re_dbm(cfg.ue_noise_figure_db))
+        self._freq_db = 20.0 * math.log10(cfg.carrier_ghz)
 
     def beam_eirp_dbm(self, ue_pos):
         """The per-RE EIRP of each beam toward `ue_pos`, beam pattern
@@ -168,20 +174,30 @@ class NtnChannel:
                                   cfg.ntn_beam_radius_m, cfg.ntn_beam_floor_db)
                 for beam in self.beams]
 
-    def link_state(self, ue_pos, t_ns, beam_eirp_dbm):
-        """(rsrp_dbm, sinr_db, one_way_delay_ns) or None if below horizon;
-        `beam_eirp_dbm` is the UE's `self.beam_eirp_dbm(ue_pos)`."""
-        cfg = self.cfg
-        subpoint = self.track.subpoint_at(t_ns)
-        slant = satellite_slant_m(ue_pos, subpoint, self.track.altitude_m)
+    def ue_terms(self, ue_pos):
+        """The terms of the link to a UE at `ue_pos` that time does not
+        change, worked out once, when it is attached: its latitude in
+        radians and that latitude's cosine, its longitude, and
+        `beam_eirp_dbm(ue_pos)` split into the serving beam's and the
+        interferers'."""
+        lat = math.radians(ue_pos.lat_deg)
+        serving, *interferers = self.beam_eirp_dbm(ue_pos)
+        return lat, math.cos(lat), ue_pos.lon_deg, serving, interferers
+
+    def link_state(self, ue_terms, t_ns):
+        """(rsrp_dbm, sinr_db, one_way_delay_ns) at `t_ns` of the UE whose
+        `self.ue_terms(pos)` are `ue_terms`, or None if below horizon."""
+        lat, cos_lat, lon_deg, serving, interferers = ue_terms
+        slant = self.track.slant_m(lat, cos_lat, lon_deg, t_ns)
         if slant is None:
             return None
         # Every beam shares the satellite, so one slant and one path loss.
-        fspl = ntn_fspl_db(slant, cfg.carrier_ghz)
-        gain = cfg.ue_ntn_gain_dbi
-        rx_dbm = [eirp - fspl + gain for eirp in beam_eirp_dbm]
-        rsrp = rx_dbm[0]
-        interference = sum(db_to_linear(p) for p in rx_dbm[1:])
+        fspl = _fspl_db(slant, self._freq_db)
+        gain = self.cfg.ue_ntn_gain_dbi
+        rsrp = serving - fspl + gain
+        interference = 0
+        for eirp in interferers:
+            interference += 10.0 ** ((eirp - fspl + gain) / 10.0)  # db_to_linear
         sinr = linear_to_db(db_to_linear(rsrp) / (interference + self._noise))
         # Transparent payload: gateway-satellite-UE, two slant hops.
         delay_ns = round(2.0 * slant / SPEED_OF_LIGHT * 1e9)

@@ -25,9 +25,15 @@ def central_angle_rad(a, b):
     """Great-circle central angle between two ground positions (haversine)."""
     la1 = math.radians(a.lat_deg)
     la2 = math.radians(b.lat_deg)
+    return _haversine(la1, math.cos(la1), la2, math.cos(la2),
+                      math.radians(b.lon_deg - a.lon_deg))
+
+
+def _haversine(la1, cos_la1, la2, cos_la2, dlo):
+    """The central angle between latitudes `la1` and `la2` (radians, with
+    their cosines) that lie `dlo` radians of longitude apart."""
     dla = la2 - la1
-    dlo = math.radians(b.lon_deg - a.lon_deg)
-    h = math.sin(dla / 2.0) ** 2 + math.cos(la1) * math.cos(la2) * math.sin(dlo / 2.0) ** 2
+    h = math.sin(dla / 2.0) ** 2 + cos_la1 * cos_la2 * math.sin(dlo / 2.0) ** 2
     return 2.0 * math.asin(min(1.0, math.sqrt(h)))
 
 
@@ -37,22 +43,39 @@ def ground_distance_m(a, b):
 
 def destination(pos, bearing_deg, distance_m):
     """Great-circle destination from `pos` along initial bearing (deg from north)."""
-    delta = distance_m / EARTH_RADIUS_M
-    theta = math.radians(bearing_deg)
-    la1 = math.radians(pos.lat_deg)
-    lo1 = math.radians(pos.lon_deg)
-    sin_la2 = math.sin(la1) * math.cos(delta) + math.cos(la1) * math.sin(delta) * math.cos(theta)
-    la2 = math.asin(max(-1.0, min(1.0, sin_la2)))
-    lo2 = lo1 + math.atan2(
-        math.sin(theta) * math.sin(delta) * math.cos(la1),
-        math.cos(delta) - math.sin(la1) * sin_la2,
-    )
-    lon = math.degrees(lo2)
-    if lon > 180.0:
-        lon -= 360.0
-    elif lon < -180.0:
-        lon += 360.0
-    return GroundPosition(math.degrees(la2), lon)
+    return GroundPosition(*_GreatCircle(pos, bearing_deg).destination_deg(distance_m))
+
+
+class _GreatCircle:
+    """The great circle from a start point along an initial bearing, with
+    the trigonometry of both worked out once for any number of
+    destinations on it."""
+
+    __slots__ = ("lo1", "sin_la1", "cos_la1", "sin_theta", "cos_theta")
+
+    def __init__(self, pos, bearing_deg):
+        theta = math.radians(bearing_deg)
+        la1 = math.radians(pos.lat_deg)
+        self.lo1 = math.radians(pos.lon_deg)
+        self.sin_la1, self.cos_la1 = math.sin(la1), math.cos(la1)
+        self.sin_theta, self.cos_theta = math.sin(theta), math.cos(theta)
+
+    def destination_deg(self, distance_m):
+        """(lat_deg, lon_deg) of the great-circle destination `distance_m`
+        along the bearing, the longitude wrapped into [-180, 180]."""
+        delta = distance_m / EARTH_RADIUS_M
+        sin_la1, cos_la1 = self.sin_la1, self.cos_la1
+        sin_delta, cos_delta = math.sin(delta), math.cos(delta)
+        sin_la2 = sin_la1 * cos_delta + cos_la1 * sin_delta * self.cos_theta
+        la2 = math.asin(max(-1.0, min(1.0, sin_la2)))
+        lo2 = self.lo1 + math.atan2(self.sin_theta * sin_delta * cos_la1,
+                                    cos_delta - sin_la1 * sin_la2)
+        lon = math.degrees(lo2)
+        if lon > 180.0:
+            lon -= 360.0
+        elif lon < -180.0:
+            lon += 360.0
+        return math.degrees(la2), lon
 
 
 def local_offset(ref, east_m, north_m):
@@ -82,14 +105,33 @@ class SatelliteTrack:
     def __init__(self, epoch_subpoint, altitude_m, orbital_speed_ms, heading_deg):
         self.epoch_subpoint = epoch_subpoint
         self.altitude_m = altitude_m
-        self.heading_deg = heading_deg
         self.ground_speed_ms = orbital_speed_ms * EARTH_RADIUS_M / (EARTH_RADIUS_M + altitude_m)
+        # The terms that do not change with time, worked out once.
+        self._path = _GreatCircle(epoch_subpoint, heading_deg)
+        self._k = EARTH_RADIUS_M / (EARTH_RADIUS_M + altitude_m)
 
-    def subpoint_at(self, t_ns):
+    def _subpoint_deg(self, t_ns):
         dist = self.ground_speed_ms * (t_ns / NS_PER_S)
         if dist == 0.0:
-            return self.epoch_subpoint
-        return destination(self.epoch_subpoint, self.heading_deg, dist)
+            return self.epoch_subpoint.lat_deg, self.epoch_subpoint.lon_deg
+        return self._path.destination_deg(dist)
+
+    def subpoint_at(self, t_ns):
+        return GroundPosition(*self._subpoint_deg(t_ns))
+
+    def slant_m(self, la1, cos_la1, lon_deg, t_ns):
+        """Slant range (m) at `t_ns` from the ground point at latitude `la1`
+        (radians, with its cosine) and longitude `lon_deg`; None when the
+        satellite is at or below its horizon (elevation <= 0), where
+        callers treat the link as unavailable."""
+        lat, lon = self._subpoint_deg(t_ns)
+        la2 = math.radians(lat)
+        psi = _haversine(la1, cos_la1, la2, math.cos(la2),
+                         math.radians(lon - lon_deg))
+        elev = math.atan2(math.cos(psi) - self._k, math.sin(psi))
+        if elev <= 0.0:
+            return None
+        return slant_range_m(elev, self.altitude_m)
 
 
 def slant_range_m(elevation_rad, altitude_m):
@@ -100,20 +142,6 @@ def slant_range_m(elevation_rad, altitude_m):
     """
     rs = EARTH_RADIUS_M * math.sin(elevation_rad)
     return math.sqrt(rs * rs + altitude_m * altitude_m + 2.0 * altitude_m * EARTH_RADIUS_M) - rs
-
-
-def satellite_slant_m(ue_pos, subpoint, altitude_m):
-    """Slant range (m) from a ground point to the satellite.
-
-    Returns None when the satellite is at or below the horizon (elevation <= 0);
-    callers treat the link as unavailable.
-    """
-    psi = central_angle_rad(ue_pos, subpoint)
-    k = EARTH_RADIUS_M / (EARTH_RADIUS_M + altitude_m)
-    elev = math.atan2(math.cos(psi) - k, math.sin(psi))
-    if elev <= 0.0:
-        return None
-    return slant_range_m(elev, altitude_m)
 
 
 @dataclass(frozen=True)

@@ -60,8 +60,7 @@ from .geometry import (GroundPosition, SatelliteTrack, build_tn_layout,
 NTN_CELL_ID = 100
 BEAM_PITCH_OVER_RADIUS = 3.0 ** 0.5  # adjacent-beam spacing / beam radius
 
-# Run totals summed by name over every `UeState` and its `PdcpReceiver`.
-UE_COUNTERS = ("generated_bits", "dropped_bits", "dropped_pdus")
+# Run totals summed by name over every UE's `PdcpReceiver`.
 RECEIVER_COUNTERS = ("delivered_bits", "delivered_pdus", "stale_bits",
                      "stale_pdus", "duplicate_pdus", "skipped_sns")
 
@@ -76,7 +75,7 @@ class UeState:
     mn_node_id: int
     mn_queue: object                    # the anchor's queue, fixed for the run
     pos: object
-    beam_eirp_dbm: list                 # `NtnChannel.beam_eirp_dbm(pos)`
+    ntn_terms: tuple                    # `NtnChannel.ue_terms(pos)`
     tn_sinr_db: float
     best_ntn_rsrp_dbm: float            # the attach-time RSRP, then the best
     ntn_sinr_db: float                  # as of the latest measurement
@@ -84,9 +83,8 @@ class UeState:
     receiver: PdcpReceiver
     next_sn: int = 0
     pending_reconfig: bool = False
-    # Its bit conservation ledger outside the receiver and the queues.
-    generated_bits: int = 0
-    dropped_bits: int = 0
+    # Its bit conservation ledger outside the receiver and the queues,
+    # beside the packets the scenario generated for every UE.
     dropped_pdus: int = 0
     in_flight_bits: int = 0
 
@@ -155,8 +153,10 @@ class Scenario:
                 self._add_ue(ue_id, sec.sector_id, pos)
                 ue_id += 1
 
-        self.sim.schedule_at(0, self._on_arrival,
-                             CbrFlow(cfg.packet_bytes, cfg.cbr_rate_bps))
+        # Every UE gets one packet of the flow at each of its instants.
+        self.flow = CbrFlow(cfg.packet_bytes, cfg.cbr_rate_bps)
+        self.cbr_instants = 0
+        self.sim.schedule_at(0, self._on_arrival)
         self.sim.schedule_at(0, self._on_tti)
         self._schedule_measurements()
         if self.policy.evaluate is not None:
@@ -168,42 +168,47 @@ class Scenario:
         cfg = self.cfg
         sinr = self.tn.attach_ue(pos)[sector_id]
         mn_queue = self.nodes[sector_id].add_ue(ue_id, mcs_for_sinr(sinr))
-        beams = self.ntn.beam_eirp_dbm(pos)
+        terms = self.ntn.ue_terms(pos)
         receiver = PdcpReceiver(
             ue_id, self.sim, self.ns["pdcp_reorder_timer_ms"],
             cfg.pdcp_reorder_buffer_pdus, self.ns["warmup_s"])
-        self.ues[ue_id] = UeState(ue_id, sector_id, mn_queue, pos, beams, sinr,
-                                  *self.ntn.link_state(pos, 0, beams), receiver)
+        self.ues[ue_id] = UeState(ue_id, sector_id, mn_queue, pos, terms, sinr,
+                                  *self.ntn.link_state(terms, 0), receiver)
 
     # ---- traffic ------------------------------------------------------
 
-    def _on_arrival(self, flow):
+    def _on_arrival(self):
         """Admit one app packet per UE at its anchor, in `self.ues` order,
         or drop it if the anchor queue cannot take it (packets are only
         sequence numbered once admitted, so drops never punch holes at the
-        receiver), then let the forwarding rule steer it. Every drain
-        leaves the queue empty or the grant short of one PDU, all PDUs have
-        one size, and only the data-request cycle, which drains at once,
-        refills a grant; so a drain here moves a PDU exactly when the grant
-        covers the packet just admitted."""
+        receiver); then let the forwarding rule steer the admitted ones."""
         t = self.sim.now
+        flow = self.flow
         bits = flow.packet_bits
-        cap = self.cfg.ue_queue_bytes * 8
-        grants = self.book.grants
+        room = self.cfg.ue_queue_bytes * 8 - bits
+        self.cbr_instants += 1
         for ue in self.ues.values():
-            ue.generated_bits += bits
             q = ue.mn_queue
-            if q.queued_bits + bits > cap:
-                ue.dropped_bits += bits
+            if q.queued_bits > room:
                 ue.dropped_pdus += 1
-                continue
-            q.admit(ue.next_sn, bits, t)
-            ue.next_sn += 1
-            grant = grants.get(ue.ue_id)
-            if grant is not None and grant.covers(bits):
-                ts.drain_forward(self.nodes[ue.mn_node_id], self.ntn_node,
-                                 grant)
-        self.sim.schedule_in(flow.interval_ns, self._on_arrival, flow)
+            else:
+                q.admit(ue.next_sn, bits, t)
+                ue.next_sn += 1
+        # Every drain leaves the queue empty or the grant short of one PDU,
+        # all PDUs have one size, and only the data-request cycle, which
+        # drains at once, refills a grant. So a holder whose grant covers a
+        # packet and whose anchor queue has one waiting was admitted one
+        # just now, and since drains of different UEs touch disjoint
+        # queues, draining here moves what a drain right after each
+        # admission would.
+        ues = self.ues
+        for ue_id, grant in self.book.grants.items():
+            if grant.covers(bits):
+                ue = ues[ue_id]
+                if ue.mn_queue.head_bits() is not None:
+                    ts.drain_forward(self.nodes[ue.mn_node_id], self.ntn_node,
+                                     grant)
+        self.sim.schedule_in(flow.interval_ns, self._on_arrival)
 
     # ---- air interface ------------------------------------------------
 
@@ -250,7 +255,7 @@ class Scenario:
     def _on_measurement(self, ue, period):
         t = self.sim.now
         cfg = self.cfg
-        rsrp, sinr, delay = self.ntn.link_state(ue.pos, t, ue.beam_eirp_dbm)
+        rsrp, sinr, delay = self.ntn.link_state(ue.ntn_terms, t)
         ue.ntn_sinr_db, ue.ntn_delay_ns = sinr, delay
         if rsrp > ue.best_ntn_rsrp_dbm:
             ue.best_ntn_rsrp_dbm = rsrp
@@ -348,8 +353,9 @@ class Scenario:
         mn_q = self.nodes[ue.mn_node_id].queued_bits(ue_id)
         sn_q = self.ntn_node.queued_bits(ue_id)
         rx = ue.receiver
-        return (ue.generated_bits
-                - ue.dropped_bits
+        bits = self.flow.packet_bits
+        return (self.cbr_instants * bits
+                - ue.dropped_pdus * bits
                 - rx.delivered_bits
                 - rx.stale_bits
                 - ue.in_flight_bits
@@ -402,8 +408,11 @@ class Scenario:
             "zero_throughput_ues": sum(1 for ue in ues
                                        if ue.receiver.post_warmup_bits == 0),
         }
-        for name in UE_COUNTERS:
-            counters[name] = sum(getattr(ue, name) for ue in ues)
+        bits = self.flow.packet_bits
+        dropped_pdus = sum(ue.dropped_pdus for ue in ues)
+        counters["generated_bits"] = len(self.ues) * self.cbr_instants * bits
+        counters["dropped_bits"] = dropped_pdus * bits
+        counters["dropped_pdus"] = dropped_pdus
         for name in RECEIVER_COUNTERS:
             counters[name] = sum(getattr(ue.receiver, name) for ue in ues)
         return RunResult(cfg.policy, self.seed, ue_ids, throughput,

@@ -97,7 +97,7 @@ def _default_ntn():
 
 def test_ntn_link_budget_at_beam_center_epoch():
     cfg, center, ch = _default_ntn()
-    rsrp, sinr, delay = ch.link_state(center, 0, ch.beam_eirp_dbm(center))
+    rsrp, sinr, delay = ch.link_state(ch.ue_terms(center), 0)
 
     # EIRP spread over the carrier, shared across the resource grid
     eirp_dbm = cfg.ntn_eirp_dbw_mhz + 10.0 * math.log10(cfg.bandwidth_mhz) + 30.0
@@ -126,17 +126,16 @@ def test_ntn_rsrp_qualifies_across_entire_layout():
     for sec in sectors:
         for pos in drop_ues_in_sector(sec, rng, 10, cfg.ue_drop_min_m,
                                       cfg.ue_drop_max_m):
-            rsrp, _sinr, _delay = ch.link_state(pos, 0, ch.beam_eirp_dbm(pos))
+            rsrp, _sinr, _delay = ch.link_state(ch.ue_terms(pos), 0)
             assert rsrp >= cfg.rsrp_min_dbm
 
 
 def test_ntn_delay_tracks_slant_growth():
     cfg, center, ch = _default_ntn()
-    _r0, _s0, d0 = ch.link_state(center, 0, ch.beam_eirp_dbm(center))
+    _r0, _s0, d0 = ch.link_state(ch.ue_terms(center), 0)
     # a minute later the subpoint has moved ~400 km, lengthening the path
     from ntnmc.engine import seconds
-    _r1, _s1, d1 = ch.link_state(center, seconds(60.0),
-                                  ch.beam_eirp_dbm(center))
+    _r1, _s1, d1 = ch.link_state(ch.ue_terms(center), seconds(60.0))
     assert d1 > d0
 
 
@@ -153,7 +152,7 @@ def _channel_outputs(overrides):
     for ue in sc.ues.values():
         sinrs = tn.attach_ue(ue.pos)
         assert sinrs[ue.mn_node_id] == ue.tn_sinr_db    # the run's own draw
-        outputs.append((sinrs, [sc.ntn.link_state(ue.pos, t, ue.beam_eirp_dbm)
+        outputs.append((sinrs, [sc.ntn.link_state(ue.ntn_terms, t)
                                 for t in times]))
     return outputs
 

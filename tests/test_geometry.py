@@ -5,7 +5,7 @@ from ntnmc.engine import seconds
 from ntnmc.geometry import (EARTH_RADIUS_M, M_PER_DEG, GroundPosition,
                             SatelliteTrack, bearing_deg, build_tn_layout,
                             destination, drop_ues_in_sector, ground_distance_m,
-                            ntn_beam_grid, satellite_slant_m, slant_range_m)
+                            ntn_beam_grid, slant_range_m)
 
 R = EARTH_RADIUS_M
 
@@ -35,11 +35,11 @@ def test_slant_range_grows_as_elevation_drops():
 
 
 def test_satellite_slant_from_subpoint_and_below_horizon():
-    sub = GroundPosition(41.59, 1.74)
-    assert abs(satellite_slant_m(sub, sub, 600_000.0) - 600_000.0) < 1e-6
+    track = SatelliteTrack(GroundPosition(41.59, 1.74), 600_000.0, 7560.0, 0.0)
+    lat = math.radians(41.59)
+    assert abs(track.slant_m(lat, math.cos(lat), 1.74, 0) - 600_000.0) < 1e-6
     # a quarter of the globe away, the satellite is below the horizon
-    far = GroundPosition(41.59, 91.74)
-    assert satellite_slant_m(far, sub, 600_000.0) is None
+    assert track.slant_m(lat, math.cos(lat), 91.74, 0) is None
 
 
 def test_ground_speed_scales_with_radius_ratio():

@@ -26,16 +26,16 @@ BELOW_ONE_PACKET = dict(SMALL, ue_queue_bytes=1000)
 
 
 class ReferenceIngest(Scenario):
-    def _on_arrival(self, flow):
+    def _on_arrival(self):
         t = self.sim.now
+        flow = self.flow
         bits = flow.packet_bits
         cap = self.cfg.ue_queue_bytes * 8
         grants = self.book.grants
+        self.cbr_instants += 1
         for ue in self.ues.values():
-            ue.generated_bits += bits
             q = ue.mn_queue
             if q.queued_bits + bits > cap:
-                ue.dropped_bits += bits
                 ue.dropped_pdus += 1
                 continue
             q.admit(ue.next_sn, bits, t)
@@ -44,7 +44,7 @@ class ReferenceIngest(Scenario):
             if grant is not None and grant.covers(bits):
                 ts.drain_forward(self.nodes[ue.mn_node_id], self.ntn_node,
                                  grant)
-        self.sim.schedule_in(flow.interval_ns, self._on_arrival, flow)
+        self.sim.schedule_in(flow.interval_ns, self._on_arrival)
 
 
 def _run(scenario_cls, cfg):

@@ -125,4 +125,4 @@ def test_link_state_matches_the_transcribed_formulas(lat, lon, heading,
     if abs(sub.lon_deg - lon) > 180.0:
         event("subpoint across the antimeridian")
     assert (sub.lat_deg, sub.lon_deg) == reference_subpoint(cfg, t_ns)
-    assert ch.link_state(pos, t_ns, eirp) == want
+    assert ch.link_state(ch.ue_terms(pos), t_ns) == want
