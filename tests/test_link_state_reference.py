@@ -95,22 +95,24 @@ LONGITUDES = st.one_of(st.floats(-180.0, 180.0), st.floats(179.0, 180.0),
 
 @settings(deadline=None, max_examples=300)
 @given(lat=st.floats(-60.0, 60.0), lon=LONGITUDES,
-       heading=st.floats(-360.0, 360.0),
+       heading=st.floats(-360.0, 360.0), gain=st.floats(-10.0, 10.0),
        east_m=st.floats(-10_000.0, 10_000.0),
        north_m=st.floats(-10_000.0, 10_000.0),
        t_ns=st.integers(0, 600 * NS_PER_S))
 @example(lat=CFG.sat_epoch_lat_deg, lon=CFG.sat_epoch_lon_deg, heading=0.0,
-         east_m=0.0, north_m=0.0, t_ns=0)
-@example(lat=10.0, lon=179.9, heading=90.0, east_m=3_000.0, north_m=-2_000.0,
-         t_ns=0)
-@example(lat=-20.0, lon=-179.9, heading=-90.0, east_m=0.0, north_m=0.0,
-         t_ns=30 * NS_PER_S)
-def test_link_state_matches_the_transcribed_formulas(lat, lon, heading,
+         gain=CFG.ue_ntn_gain_dbi, east_m=0.0, north_m=0.0, t_ns=0)
+@example(lat=10.0, lon=179.9, heading=90.0, gain=0.3, east_m=3_000.0,
+         north_m=-2_000.0, t_ns=0)
+@example(lat=-20.0, lon=-179.9, heading=-90.0, gain=-2.0, east_m=0.0,
+         north_m=0.0, t_ns=30 * NS_PER_S)
+def test_link_state_matches_the_transcribed_formulas(lat, lon, heading, gain,
                                                      east_m, north_m, t_ns):
     # The beams are centered on the epoch subpoint, and the UE is dropped
     # within about 10 km of it, as the layout drops UEs around the center.
+    # A UE gain that is not a whole dB makes each received power round.
     cfg = dataclasses.replace(CFG, sat_epoch_lat_deg=lat,
-                              sat_epoch_lon_deg=lon, sat_heading_deg=heading)
+                              sat_epoch_lon_deg=lon, sat_heading_deg=heading,
+                              ue_ntn_gain_dbi=gain)
     epoch = GroundPosition(lat, lon)
     track = SatelliteTrack(epoch, cfg.sat_altitude_m, cfg.sat_speed_ms,
                            heading)
