@@ -196,8 +196,8 @@ class NtnChannel:
         gain = self.cfg.ue_ntn_gain_dbi
         rsrp = serving - fspl + gain
         interference = 0
-        for eirp in interferers:
-            interference += 10.0 ** ((eirp - fspl + gain) / 10.0)  # db_to_linear
+        for eirp in interferers:        # db_to_linear of each, inline
+            interference += 10.0 ** ((eirp - fspl + gain) / 10.0)
         sinr = linear_to_db(db_to_linear(rsrp) / (interference + self._noise))
         # Transparent payload: gateway-satellite-UE, two slant hops.
         delay_ns = round(2.0 * slant / SPEED_OF_LIGHT * 1e9)

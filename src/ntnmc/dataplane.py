@@ -43,10 +43,10 @@ class UeTxQueue:
 
     The waiting PDUs are `pending`, then the fresh run. `pending` holds
     explicit PDUs: those a release sends back (`push_front`) and those
-    moved here by forwarding (`forward`). The fresh run holds the PDUs admitted
-    at ingest (`admit`): consecutive SNs from `run_sn`, all of `run_bits`,
-    kept as their ingest stamps in `run`, oldest first, so a waiting PDU
-    costs one deque slot and no object. A `PdcpPdu` is built only when one
+    moved here by forwarding (`forward`). The fresh run holds the PDUs
+    admitted at ingest (`admit`): consecutive SNs from `run_sn`, all of
+    `run_bits`, kept as their ingest stamps in `run`, oldest first, so a
+    waiting PDU costs one deque slot and no object. A `PdcpPdu` is built only when one
     leaves the run, so its `created_ns` is the stamp it was admitted with.
 
     The head PDU being transmitted is held apart from the waiting ones so

@@ -43,7 +43,8 @@ def ground_distance_m(a, b):
 
 def destination(pos, bearing_deg, distance_m):
     """Great-circle destination from `pos` along initial bearing (deg from north)."""
-    return GroundPosition(*_GreatCircle(pos, bearing_deg).destination_deg(distance_m))
+    path = _GreatCircle(pos, bearing_deg)
+    return GroundPosition(*path.destination_deg(distance_m))
 
 
 class _GreatCircle:

@@ -2,7 +2,8 @@
 benchmark. The medians it gives must be those CHANGES.md and ROADMAP.md
 quote: `BENCH_9.json`'s `campaign` `wall_s`, from the ten plain `final`
 pairs at seeds 1-10 without the held-out seed and the `commits` and
-`water-fill` tags, and the change-side medians of PRs 16-20."""
+`water-fill` tags, and the change-side medians of `BENCH_16.json` to
+`BENCH_20.json`."""
 
 import importlib.util
 from pathlib import Path
@@ -26,13 +27,13 @@ def test_summary_reproduces_the_quoted_medians():
     assert (round(parent[0], 3), parent[1]) == (3.859, 10)
     assert (round(change[0], 3), change[1]) == (2.931, 10)
     for workload, medians in CHANGE_WALL_S.items():
-        assert [round(got[pr][workload]["change"][0], 3)
-                for pr in range(16, 21)] == medians, workload
+        assert [round(got[n][workload]["change"][0], 3)
+                for n in range(16, 21)] == medians, workload
 
 
 def test_summary_prints_every_file(capsys):
     assert bench_summary.main(["--metric", "cpu_s"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    prs = {int(line.split()[0]) for line in lines[1:]}
-    assert prs == set(bench_summary.bench_files(ROOT))
-    assert len(lines) == 1 + 3 * len(prs)
+    files = {int(line.split()[0]) for line in lines[1:]}
+    assert files == set(bench_summary.bench_files(ROOT))
+    assert len(lines) == 1 + 3 * len(files)

@@ -1,12 +1,12 @@
-"""Medians of the checked-in A/B records, by PR.
+"""Medians of the checked-in A/B records, by record.
 
-    python3 tools/bench_summary.py [--metric wall_s] [--root DIR]
+    python3 tools/bench_summary.py [--metric wall_s]
 
-Reads every `BENCH_<pr>.json` under the root (the repository root by
-default). Each file is a list of `perfbench/run.py` invocations, one
+Reads every `BENCH_<n>.json` at the repository root, the A/B record of
+change n. Each file is a list of `perfbench/run.py` invocations, one
 record per invocation, with its `side` (`parent` or `change`), workload,
 seed, whether it was traced, an optional `ab` tag and its final JSON
-line as `result`. For each PR and workload this prints the parent and
+line as `result`. For each file and workload this prints the parent and
 change medians of one end-to-end metric over the plain (untraced)
 invocations tagged `final`; files written before the tags existed count
 as `final`. Held-out seed runs and the `commits`, `water-fill`,
@@ -22,12 +22,12 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-HELD_OUT_SEED = 9973        # `perfbench/run.py` reserves it for checking claims
+HELD_OUT_SEED = 9973        # reserved by `perfbench/run.py` for claims
 SIDES = ("parent", "change")
 
 
 def bench_files(root):
-    """{pr: path} of every BENCH_<pr>.json under `root`."""
+    """{n: path} of every BENCH_<n>.json under `root`."""
     out = {}
     for path in Path(root).glob("BENCH_*.json"):
         m = re.fullmatch(r"BENCH_(\d+)\.json", path.name)
@@ -56,22 +56,21 @@ def medians(records, metric):
 
 
 def summary(root, metric):
-    """{pr: medians(...)} of every BENCH file under `root`."""
-    return {pr: medians(json.loads(path.read_text()), metric)
-            for pr, path in bench_files(root).items()}
+    """{n: medians(...)} of every BENCH file under `root`."""
+    return {n: medians(json.loads(path.read_text()), metric)
+            for n, path in bench_files(root).items()}
 
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--metric", default="wall_s")
-    p.add_argument("--root", type=Path, default=ROOT)
     args = p.parse_args(argv)
-    print(f"{'pr':>3}  {'workload':<13}{'pairs':>6}  {'parent':>9}  "
+    print(f"{'n':>3}  {'workload':<13}{'pairs':>6}  {'parent':>9}  "
           f"{'change':>9}  {'delta':>7}")
-    for pr, by_workload in summary(args.root, args.metric).items():
+    for n, by_workload in summary(ROOT, args.metric).items():
         for workload, by_side in by_workload.items():
-            (parent, n), (change, _n) = by_side["parent"], by_side["change"]
-            print(f"{pr:>3}  {workload:<13}{n:>6}  {parent:>9.3f}  "
+            (parent, pairs), (change, _) = by_side["parent"], by_side["change"]
+            print(f"{n:>3}  {workload:<13}{pairs:>6}  {parent:>9.3f}  "
                   f"{change:>9.3f}  {change / parent - 1.0:>+7.1%}")
     return 0
 
