@@ -195,9 +195,10 @@ class NtnChannel:
         fspl = _fspl_db(slant, self._freq_db)
         gain = self.cfg.ue_ntn_gain_dbi
         rsrp = serving - fspl + gain
-        interference = 0
-        for eirp in interferers:        # db_to_linear of each, inline
-            interference += 10.0 ** ((eirp - fspl + gain) / 10.0)
+        # db_to_linear of each, inline; summed by `sum()`, which from
+        # Python 3.12 compensates, where a loop of `+=` would not.
+        interference = sum([10.0 ** ((eirp - fspl + gain) / 10.0)
+                            for eirp in interferers])
         sinr = linear_to_db(db_to_linear(rsrp) / (interference + self._noise))
         # Transparent payload: gateway-satellite-UE, two slant hops.
         delay_ns = round(2.0 * slant / SPEED_OF_LIGHT * 1e9)

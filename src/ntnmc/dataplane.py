@@ -43,10 +43,10 @@ class UeTxQueue:
 
     The waiting PDUs are `pending`, then the fresh run. `pending` holds
     explicit PDUs: those a release sends back (`push_front`) and those
-    moved here by forwarding (`forward`). The fresh run holds the PDUs
-    admitted at ingest (`admit`): consecutive SNs from `run_sn`, all of
-    `run_bits`, kept as their ingest stamps in `run`, oldest first, so a
-    waiting PDU costs one deque slot and no object. A `PdcpPdu` is built only when one
+    pushed by forwarding (`push`). The fresh run holds the PDUs admitted
+    at ingest (`admit`): consecutive SNs from `run_sn`, all of `run_bits`,
+    kept as their ingest stamps in `run`, oldest first, so a waiting PDU
+    costs one deque slot and no object. A `PdcpPdu` is built only when one
     leaves the run, so its `created_ns` is the stamp it was admitted with.
 
     The head PDU being transmitted is held apart from the waiting ones so
@@ -56,8 +56,7 @@ class UeTxQueue:
 
     While the queue's node holds a `SaturatedEpoch`, `member` is the
     queue's record in it, whose served bits may lag. A push or an
-    admission leaves the epoch open; forwarding from the queue
-    (`forward`, `pop_pending`) ends it.
+    admission leaves the epoch open; forwarding (`pop_pending`) ends it.
     """
 
     __slots__ = ("mcs", "pending", "run", "run_sn", "run_bits", "in_service",
@@ -121,39 +120,6 @@ class UeTxQueue:
         pdu = self._next()
         self.queued_bits -= pdu.bits
         return pdu
-
-    def forward(self, dst, amount_bits, used_bits):
-        """Move the oldest waiting PDUs to the back of queue `dst` while
-        `amount_bits - used_bits >= bits` holds for each, `used_bits`
-        growing by the bits of each PDU moved (the test of
-        `traffic_split.Grant.covers`); return how many moved and the new
-        `used_bits`. Moving any ends the open epoch, as `pop_pending`
-        does."""
-        if dst.run:
-            raise ValueError("a push behind a fresh run would reorder it")
-        moved = []
-        start_bits = used_bits
-        pending = self.pending
-        while pending and amount_bits - used_bits >= pending[0].bits:
-            pdu = pending.popleft()
-            used_bits += pdu.bits
-            moved.append(pdu)
-        run = self.run
-        if run and not pending:
-            sn, bits = self.run_sn, self.run_bits
-            while run and amount_bits - used_bits >= bits:
-                moved.append(PdcpPdu(sn, bits, run.popleft()))
-                used_bits += bits
-                sn += 1
-            self.run_sn = sn
-        if not moved:
-            return 0, used_bits
-        if self.member is not None:
-            self.member.epoch.end()
-        self.queued_bits -= used_bits - start_bits
-        dst.pending.extend(moved)
-        dst.queued_bits += used_bits - start_bits
-        return len(moved), used_bits
 
     def take(self, budget_bits):
         """Consume up to `budget_bits`; returns the PDUs completed."""

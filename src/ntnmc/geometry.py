@@ -41,12 +41,6 @@ def ground_distance_m(a, b):
     return EARTH_RADIUS_M * central_angle_rad(a, b)
 
 
-def destination(pos, bearing_deg, distance_m):
-    """Great-circle destination from `pos` along initial bearing (deg from north)."""
-    path = _GreatCircle(pos, bearing_deg)
-    return GroundPosition(*path.destination_deg(distance_m))
-
-
 class _GreatCircle:
     """The great circle from a start point along an initial bearing, with
     the trigonometry of both worked out once for any number of

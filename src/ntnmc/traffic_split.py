@@ -102,9 +102,15 @@ class GrantBook:
 
 def drain_forward(mn_node, sn_node, grant):
     """Move whole pending PDUs of the grant's UE from the anchor queue to
-    the secondary node while the grant covers them; return how many moved.
-    The PDU currently on the air is never taken."""
-    ue_id = grant.ue_id
-    moved, grant.forwarded_bits = mn_node.queues[ue_id].forward(
-        sn_node.queues[ue_id], grant.amount_bits, grant.forwarded_bits)
+    the secondary node while the grant covers them. The PDU currently on
+    the air is never taken."""
+    src = mn_node.queues[grant.ue_id]
+    dst = sn_node.queues[grant.ue_id]
+    moved = 0
+    bits = src.head_bits()
+    while bits is not None and grant.covers(bits):
+        grant.forwarded_bits += bits
+        dst.push(src.pop_pending())
+        moved += 1
+        bits = src.head_bits()
     return moved

@@ -3,9 +3,9 @@ import random
 
 from ntnmc.engine import seconds
 from ntnmc.geometry import (EARTH_RADIUS_M, M_PER_DEG, GroundPosition,
-                            SatelliteTrack, bearing_deg, build_tn_layout,
-                            destination, drop_ues_in_sector, ground_distance_m,
-                            ntn_beam_grid, slant_range_m)
+                            SatelliteTrack, _GreatCircle, bearing_deg,
+                            build_tn_layout, drop_ues_in_sector,
+                            ground_distance_m, ntn_beam_grid, slant_range_m)
 
 R = EARTH_RADIUS_M
 
@@ -92,7 +92,7 @@ def test_ue_drop_respects_distance_and_wedge():
 
 def test_destination_round_trip():
     start = GroundPosition(41.59, 1.74)
-    there = destination(start, 90.0, 1000.0)
+    there = GroundPosition(*_GreatCircle(start, 90.0).destination_deg(1000.0))
     assert abs(ground_distance_m(start, there) - 1000.0) < 1e-3
     assert abs(bearing_deg(start, there) - 90.0) < 1e-3
 

@@ -3,11 +3,12 @@
 `reference_subpoint` and `reference_link_state` work every term out from
 the positions in degrees on every call: the great-circle destination of
 the subpoint, the haversine central angle, the elevation and slant, the
-free-space loss of `ntn_fspl_db` and one `db_to_linear` per beam, summed
-in beam order. The property requires `SatelliteTrack.subpoint_at` and
-`NtnChannel.link_state` to give the same bits for UEs across the layout,
-times across the pass, any heading, and subpoints that cross the
-antimeridian.
+free-space loss of `ntn_fspl_db` and one `db_to_linear` per beam, the
+interferers summed by `sum()` in beam order (from Python 3.12 `sum()` of
+floats is compensated, so a plain loop of `+=` may differ). The property
+requires `SatelliteTrack.subpoint_at` and `NtnChannel.link_state` to give
+the same bits for UEs across the layout, times across the pass, any
+heading, and subpoints that cross the antimeridian.
 """
 
 import dataclasses
@@ -79,9 +80,7 @@ def reference_link_state(cfg, ue_pos, t_ns, beam_eirp_dbm):
     fspl = (92.45 + 20.0 * math.log10(slant / 1000.0)
             + 20.0 * math.log10(cfg.carrier_ghz))
     rx_dbm = [eirp - fspl + cfg.ue_ntn_gain_dbi for eirp in beam_eirp_dbm]
-    interference = 0
-    for p in rx_dbm[1:]:
-        interference += db_to_linear(p)
+    interference = sum(db_to_linear(p) for p in rx_dbm[1:])
     noise = db_to_linear(noise_per_re_dbm(cfg.ue_noise_figure_db))
     sinr = linear_to_db(db_to_linear(rx_dbm[0]) / (interference + noise))
     return rx_dbm[0], sinr, round(2.0 * slant / SPEED_OF_LIGHT * 1e9)

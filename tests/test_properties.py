@@ -66,30 +66,14 @@ QUEUE_OPS = st.lists(st.one_of(
     st.tuples(st.just("take"), st.integers(0, 30_000)),
     st.tuples(st.just("pop"), st.integers(1, 3)),
     st.tuples(st.just("push_front"), st.integers(1, 3)),
-    # A grant's amount and the bits already forwarded against it.
-    st.tuples(st.just("forward"), st.floats(0.0, 40_000.0),
-              st.integers(0, 20_000)),
     st.tuples(st.just("drain"))), max_size=40)
-
-
-def _forward_one_by_one(q, dst, amount_bits, used_bits):
-    """`UeTxQueue.forward` as a loop over single PDUs."""
-    moved = 0
-    bits = q.head_bits()
-    while bits is not None and amount_bits - used_bits >= bits:
-        used_bits += bits
-        dst.push(q.pop_pending())
-        moved += 1
-        bits = q.head_bits()
-    return moved, used_bits
 
 
 @settings(deadline=None, max_examples=200)
 @given(QUEUE_OPS)
 def test_fresh_run_queue_matches_a_queue_of_pushed_pdus(ops):
     # One queue is fed by `admit`, the other by `push` of the same PDUs;
-    # every PDU gets its own stamp. The first forwards in one call, the
-    # second one PDU at a time.
+    # every PDU gets its own stamp.
     run_q, pdu_q = UeTxQueue(10), UeTxQueue(10)
     next_sn = stamp = 0
     left = []           # PDUs out of the queues, for `push_front`
@@ -123,13 +107,6 @@ def test_fresh_run_queue_matches_a_queue_of_pushed_pdus(ops):
             for pdu in reversed(back):
                 run_q.push_front(pdu)
                 pdu_q.push_front(pdu)
-        elif kind == "forward":
-            dsts = UeTxQueue(10), UeTxQueue(10)
-            assert (run_q.forward(dsts[0], *op[1:])
-                    == _forward_one_by_one(pdu_q, dsts[1], *op[1:]))
-            assert _queue_state(dsts[0]) == _queue_state(dsts[1])
-            assert _pdus(dsts[0].pending) == _pdus(dsts[1].pending)
-            left += dsts[1].pending
         else:
             got = [q.drain_all() for q in (run_q, pdu_q)]
             assert _pdus(got[0]) == _pdus(got[1])

@@ -1,29 +1,28 @@
 """Medians of the checked-in A/B records, by record.
 
-    python3 tools/bench_summary.py [--metric wall_s]
+    python3 tools/bench_summary.py
 
 Reads every `BENCH_<n>.json` at the repository root, the A/B record of
 change n. Each file is a list of `perfbench/run.py` invocations, one
 record per invocation, with its `side` (`parent` or `change`), workload,
 seed, whether it was traced, an optional `ab` tag and its final JSON
 line as `result`. For each file and workload this prints the parent and
-change medians of one end-to-end metric over the plain (untraced)
-invocations tagged `final`; files written before the tags existed count
-as `final`. Held-out seed runs and the `commits`, `water-fill`,
+change medians of `wall_s`, the metric the claims are made on, over the
+plain (untraced) invocations tagged `final`; files written before the
+tags existed count as `final`. Held-out seed runs and the `commits`, `water-fill`,
 `held-out` and `trace` tags are left out, so each median is over the
 claim's own seeds only. Runs no benchmark.
 """
 
-import argparse
 import json
 import re
 import statistics
-import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 HELD_OUT_SEED = 9973        # reserved by `perfbench/run.py` for claims
 SIDES = ("parent", "change")
+METRIC = "wall_s"
 
 
 def bench_files(root):
@@ -42,12 +41,12 @@ def is_final_plain(record):
             and record["side"] in SIDES)
 
 
-def medians(records, metric):
-    """{workload: {side: (median, n)}} of `metric` over the final plain
+def medians(records):
+    """{workload: {side: (median, n)}} of `METRIC` over the final plain
     records."""
     values = {}
     for r in filter(is_final_plain, records):
-        value = r["result"]["metrics"][metric]["value"]
+        value = r["result"]["metrics"][METRIC]["value"]
         values.setdefault(r["workload"], {}).setdefault(r["side"], []).append(
             value)
     return {w: {side: (statistics.median(v), len(v))
@@ -55,25 +54,21 @@ def medians(records, metric):
             for w, by_side in sorted(values.items())}
 
 
-def summary(root, metric):
+def summary(root):
     """{n: medians(...)} of every BENCH file under `root`."""
-    return {n: medians(json.loads(path.read_text()), metric)
+    return {n: medians(json.loads(path.read_text()))
             for n, path in bench_files(root).items()}
 
 
-def main(argv=None):
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--metric", default="wall_s")
-    args = p.parse_args(argv)
+def main():
     print(f"{'n':>3}  {'workload':<13}{'pairs':>6}  {'parent':>9}  "
           f"{'change':>9}  {'delta':>7}")
-    for n, by_workload in summary(ROOT, args.metric).items():
+    for n, by_workload in summary(ROOT).items():
         for workload, by_side in by_workload.items():
             (parent, pairs), (change, _) = by_side["parent"], by_side["change"]
             print(f"{n:>3}  {workload:<13}{pairs:>6}  {parent:>9.3f}  "
                   f"{change:>9.3f}  {change / parent - 1.0:>+7.1%}")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()
