@@ -14,7 +14,7 @@ import difflib
 import math
 import os
 
-from .dataplane import CbrFlow
+from .channel import MCS_EFFICIENCIES
 from .engine import millis, seconds
 from .geometry import (EARTH_RADIUS_M, M_PER_DEG, GroundPosition,
                        SatelliteTrack, ground_distance_m)
@@ -30,20 +30,20 @@ PRBS_BY_BANDWIDTH_MHZ = {5: 25, 10: 52, 15: 79, 20: 106, 25: 133, 30: 160,
 # The interval each bounded key must lie in, written once per interval.
 BOUNDS = {name: interval for interval, names in {
     "(0, inf)": """sim_duration_s isd_m cbr_rate_bps ntn_beam_radius_m
-                   pdcp_reorder_timer_ms load_window_ms eval_period_ms
-                   meas_period_ms meas_staleness_ms request_gate_ms
-                   add_gate_ms split_delta_ms split_toff_ms""",
+                   pdcp_reorder_timer_ms eval_period_ms meas_period_ms
+                   meas_staleness_ms request_gate_ms add_gate_ms
+                   split_delta_ms split_toff_ms""",
     "[0, inf)": """warmup_s ue_drop_min_m tn_latency_ms sat_speed_ms
                    eval_jitter_ms ctrl_latency_ms""",
     "[1, inf)": """n_ue_per_sector packet_bytes ue_queue_bytes
-                   pdcp_reorder_buffer_pdus""",
+                   pdcp_reorder_buffer_pdus load_window_ms""",
     "(-90, 90)": "center_lat_deg", "[-90, 90]": "sat_epoch_lat_deg",
     # A longitude, and a heading of up to a turn either way; far past them
     # (1e300, 1e20) rounding loses the sites' east offsets and turns the track.
     "[-180, 180]": "center_lon_deg sat_epoch_lon_deg",
     "[-360, 360]": "sat_heading_deg",
     "[1, 3]": "n_sites",  # the layout's sites are one triangle's vertices
-    "[0, 31]": "mcs_threshold",
+    f"[0, {len(MCS_EFFICIENCIES) - 1}]": "mcs_threshold",
     "(0, 1]": "load_ack_max bo_threshold_frac split_alpha",
     # The ranges the link-budget models are defined on. Heights, carrier and
     # the shortest link distance follow the RMa applicability of 3GPP TR
@@ -63,9 +63,9 @@ BOUNDS = {name: interval for interval, names in {
 }.items() for name in names.split()}
 
 # Durations in ms that the 1 us floor applies to.
-PERIODS_MS = ("pdcp_reorder_timer_ms", "load_window_ms", "eval_period_ms",
-              "meas_period_ms", "meas_staleness_ms", "request_gate_ms",
-              "add_gate_ms", "split_delta_ms", "split_toff_ms")
+PERIODS_MS = ("pdcp_reorder_timer_ms", "eval_period_ms", "meas_period_ms",
+              "meas_staleness_ms", "request_gate_ms", "add_gate_ms",
+              "split_delta_ms", "split_toff_ms")
 # Every duration a run converts to integer ns, and its converter; named
 # here, not found by suffix, since `sat_speed_ms` is a speed.
 DURATIONS = {**dict.fromkeys(PERIODS_MS + ("tn_latency_ms", "eval_jitter_ms",
@@ -95,7 +95,7 @@ class ConfigError(Exception):
     pass
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class ScenarioConfig:
     # layout
     sim_duration_s: float = 5.0
@@ -142,7 +142,7 @@ class ScenarioConfig:
     ue_queue_bytes: int = 1_400_000
     pdcp_reorder_timer_ms: float = 100.0
     pdcp_reorder_buffer_pdus: int = 1000
-    load_window_ms: float = 100.0
+    load_window_ms: float = 100.0      # a whole number of 1 ms TTIs
 
     # secondary-node control
     policy: str = "mcs"
@@ -172,6 +172,30 @@ class ScenarioConfig:
         """Transmission bandwidth in PRBs, fixed by `bandwidth_mhz`."""
         return PRBS_BY_BANDWIDTH_MHZ[self.bandwidth_mhz]
 
+    @property
+    def load_window_ttis(self):
+        return int(self.load_window_ms)     # `validate` checks it is whole
+
+    @property
+    def packet_bits(self):
+        return self.packet_bytes * 8
+
+    @property
+    def cbr_interval_ns(self):
+        """Every UE's CBR interval in whole ns, so arrivals never drift
+        (1500 B at 3.2 Mb/s: exactly 3.75 ms)."""
+        return seconds(self.packet_bits / self.cbr_rate_bps)
+
+    def durations_ns(self):
+        """Each of `DURATIONS` in integer ns, as the run reads them."""
+        ns = {}
+        for name, to_ns in DURATIONS.items():
+            try:
+                ns[name] = to_ns(getattr(self, name))
+            except OverflowError:
+                raise ConfigError(f"{name} overflows a count of ns") from None
+        return ns
+
     def validate(self):
         # A value of another type fails late or not at all: 2.5 UEs per
         # sector raise mid-run, 1500.5-byte packets run with half bytes.
@@ -193,18 +217,19 @@ class ScenarioConfig:
             if not lo <= getattr(self, name) <= hi:
                 raise ConfigError(f"{name} must be in {BOUNDS[name]}, "
                                   f"got {getattr(self, name)!r}")
-        # Each duration in integer ns, converted as the run converts it. A
-        # count past the float range (1e303 ms, or a CBR interval at 1e-300
-        # b/s) raises OverflowError here, not in the run.
+        # The load window is a count of TTIs, not a duration in ns.
+        if self.load_window_ms % 1:
+            raise ConfigError(f"load_window_ms must be a whole number of "
+                              f"1 ms TTIs, got {self.load_window_ms!r}")
+        # The durations in integer ns that the run reads. A count past the
+        # float range (1e303 ms, or a CBR interval at 1e-300 b/s) is
+        # rejected here, not met in the run.
+        ns = self.durations_ns()
         cbr = "the CBR interval packet_bytes * 8 / cbr_rate_bps"
-        ns = {}
         try:
-            for name, to_ns in DURATIONS.items():
-                ns[name] = to_ns(getattr(self, name))
-            name = cbr
-            ns[name] = CbrFlow(self.packet_bytes, self.cbr_rate_bps).interval_ns
+            ns[cbr] = self.cbr_interval_ns
         except OverflowError:
-            raise ConfigError(f"{name} overflows a count of ns") from None
+            raise ConfigError(f"{cbr} overflows a count of ns") from None
         # A period rounded to 0 ns fires forever at one instant; one of a few
         # ns (1500 B at 1e13 b/s: 1.2 ns) dispatches an event per few ns.
         for name in PERIODS_MS + (cbr,):

@@ -1,5 +1,5 @@
-"""RAN data plane: PDCP PDUs, per-UE transmit queues, the TTI scheduler,
-receive-side reordering and CBR sources.
+"""RAN data plane: PDCP PDUs, per-UE transmit queues, the TTI scheduler
+and receive-side reordering.
 
 Time granularity is one 1 ms TTI (numerology 0). A 10 MHz carrier carries
 52 PRBs, so one TTI holds 52 * 12 * 14 = 8736 resource elements. A
@@ -13,7 +13,7 @@ from math import ceil
 from operator import attrgetter
 
 from .channel import MCS_EFFICIENCIES, SUBCARRIERS_PER_PRB, SYMBOLS_PER_TTI
-from .engine import NS_PER_MS, seconds
+from .engine import NS_PER_MS
 
 TTI_NS = NS_PER_MS
 
@@ -207,10 +207,6 @@ class Node:
         q = self.queues[ue_id]
         m = q.member
         return q.served_bits if m is None else m.epoch.served(m, self._rr)
-
-    def queued_bits(self, ue_id):
-        q = self.queues.get(ue_id)
-        return q.queued_bits if q else 0
 
 
 def max_min_share(needs, total, first):
@@ -598,17 +594,3 @@ class PdcpReceiver:
         self._stop_timer()
         for sn in sorted(self.buffer):
             self._deliver_from_buffer(sn, t_ns)
-
-
-class CbrFlow:
-    """Constant-bit-rate source: one fixed-size packet every packet_bits/rate.
-
-    The interval is rounded to integer nanoseconds once (1500 B at 3.2 Mb/s
-    gives exactly 3.75 ms) so arrivals never drift. The first packet arrives
-    at t = 0.
-    """
-
-    def __init__(self, packet_bytes, rate_bps):
-        self.packet_bits = packet_bytes * 8
-        self.interval_ns = seconds(self.packet_bits / rate_bps)
-

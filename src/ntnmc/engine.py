@@ -66,8 +66,6 @@ class Simulator:
         return ev
 
     def schedule_in(self, delay, fn, *args):
-        if delay < 0:
-            raise SchedulingError(f"negative delay {delay} ns")
         return self.schedule_at(self.now + delay, fn, *args)
 
     def run_until(self, t_end):

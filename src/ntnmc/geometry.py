@@ -21,14 +21,6 @@ class GroundPosition:
     lon_deg: float
 
 
-def central_angle_rad(a, b):
-    """Great-circle central angle between two ground positions (haversine)."""
-    la1 = math.radians(a.lat_deg)
-    la2 = math.radians(b.lat_deg)
-    return _haversine(la1, math.cos(la1), la2, math.cos(la2),
-                      math.radians(b.lon_deg - a.lon_deg))
-
-
 def _haversine(la1, cos_la1, la2, cos_la2, dlo):
     """The central angle between latitudes `la1` and `la2` (radians, with
     their cosines) that lie `dlo` radians of longitude apart."""
@@ -38,7 +30,11 @@ def _haversine(la1, cos_la1, la2, cos_la2, dlo):
 
 
 def ground_distance_m(a, b):
-    return EARTH_RADIUS_M * central_angle_rad(a, b)
+    """Great-circle distance between two ground positions (haversine)."""
+    la1 = math.radians(a.lat_deg)
+    la2 = math.radians(b.lat_deg)
+    return EARTH_RADIUS_M * _haversine(la1, math.cos(la1), la2, math.cos(la2),
+                                       math.radians(b.lon_deg - a.lon_deg))
 
 
 class _GreatCircle:

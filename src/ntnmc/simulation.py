@@ -51,8 +51,8 @@ from dataclasses import dataclass
 from . import mc_control as mc
 from . import traffic_split as ts
 from .channel import NtnChannel, TnChannel, mcs_for_sinr
-from .config import DURATIONS, ScenarioConfig
-from .dataplane import TTI_NS, CbrFlow, Node, PdcpReceiver, schedule_tti
+from .config import ScenarioConfig
+from .dataplane import TTI_NS, Node, PdcpReceiver, schedule_tti
 from .engine import RngStreams, Simulator
 from .geometry import (GroundPosition, SatelliteTrack, build_tn_layout,
                        drop_ues_in_sector, ntn_beam_grid)
@@ -112,9 +112,7 @@ class Scenario:
         self.policy = mc.policy_for(cfg.policy)
         self.sim = Simulator()
         self.rngs = RngStreams(cfg.base_seed, seed)
-        # Every duration in integer ns, converted once, as `validate` does.
-        self.ns = {name: to_ns(getattr(cfg, name))
-                   for name, to_ns in DURATIONS.items()}
+        self.ns = cfg.durations_ns()        # the values `validate` checked
         self.end_ns = self.ns["sim_duration_s"]
         self.tn_latency_ns = self.ns["tn_latency_ms"]
         self.events = []
@@ -140,7 +138,7 @@ class Scenario:
         self.reports = {}       # ue_id -> latest mc.Measurement
         self.last_request_ns = [None] * len(self.sectors)   # by sector id
         self.cand = mc.CandidateState(
-            max(1, round(cfg.load_window_ms)), self.ntn_node.n_res,
+            cfg.load_window_ttis, self.ntn_node.n_res,
             self.ns["add_gate_ms"])
         self.book = ts.GrantBook()
 
@@ -153,8 +151,7 @@ class Scenario:
                 self._add_ue(ue_id, sec.sector_id, pos)
                 ue_id += 1
 
-        # Every UE gets one packet of the flow at each of its instants.
-        self.flow = CbrFlow(cfg.packet_bytes, cfg.cbr_rate_bps)
+        # Every UE gets one packet of the CBR flow at each of its instants.
         self.cbr_instants = 0
         self.sim.schedule_at(0, self._on_arrival)
         self.sim.schedule_at(0, self._on_tti)
@@ -183,9 +180,9 @@ class Scenario:
         sequence numbered once admitted, so drops never punch holes at the
         receiver); then let the forwarding rule steer the admitted ones."""
         t = self.sim.now
-        flow = self.flow
-        bits = flow.packet_bits
-        room = self.cfg.ue_queue_bytes * 8 - bits
+        cfg = self.cfg
+        bits = cfg.packet_bits
+        room = cfg.ue_queue_bytes * 8 - bits
         self.cbr_instants += 1
         for ue in self.ues.values():
             q = ue.mn_queue
@@ -208,7 +205,7 @@ class Scenario:
                 if ue.mn_queue.head_bits() is not None:
                     ts.drain_forward(self.nodes[ue.mn_node_id], self.ntn_node,
                                      grant)
-        self.sim.schedule_in(flow.interval_ns, self._on_arrival)
+        self.sim.schedule_in(cfg.cbr_interval_ns, self._on_arrival)
 
     # ---- air interface ------------------------------------------------
 
@@ -350,17 +347,17 @@ class Scenario:
     def conservation_defect_bits(self, ue_id):
         """generated - (accounted everywhere); zero when no bit is lost."""
         ue = self.ues[ue_id]
-        mn_q = self.nodes[ue.mn_node_id].queued_bits(ue_id)
-        sn_q = self.ntn_node.queued_bits(ue_id)
+        sn_q = self.ntn_node.queues.get(ue_id)
         rx = ue.receiver
-        bits = self.flow.packet_bits
+        bits = self.cfg.packet_bits
         return (self.cbr_instants * bits
                 - ue.dropped_pdus * bits
                 - rx.delivered_bits
                 - rx.stale_bits
                 - ue.in_flight_bits
                 - rx.buffered_bits
-                - mn_q - sn_q)
+                - ue.mn_queue.queued_bits
+                - (sn_q.queued_bits if sn_q else 0))
 
     def check_conservation(self):
         for ue_id in self.ues:
@@ -408,7 +405,7 @@ class Scenario:
             "zero_throughput_ues": sum(1 for ue in ues
                                        if ue.receiver.post_warmup_bits == 0),
         }
-        bits = self.flow.packet_bits
+        bits = cfg.packet_bits
         dropped_pdus = sum(ue.dropped_pdus for ue in ues)
         counters["generated_bits"] = len(self.ues) * self.cbr_instants * bits
         counters["dropped_bits"] = dropped_pdus * bits

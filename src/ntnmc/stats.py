@@ -66,17 +66,10 @@ def summarize_setting(setting, results):
 
 def cdf_points(values):
     """(value, cumulative fraction) at each distinct value; ends at 1.0."""
-    if not values:
-        return []
     xs = sorted(values)
     n = len(xs)
-    points = []
-    seen = 0
-    for i, x in enumerate(xs):
-        seen = i + 1
-        if i + 1 == n or xs[i + 1] != x:
-            points.append((x, seen / n))
-    return points
+    return [(x, (i + 1) / n) for i, x in enumerate(xs)
+            if i + 1 == n or xs[i + 1] != x]
 
 
 def ensure_writable_dir(path):

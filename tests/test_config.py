@@ -149,7 +149,8 @@ def test_bandwidth_must_match_prb_count():
 
 
 # 0.3 s with 2 UEs per sector: each of these would otherwise validate and
-# then hang, or raise `SchedulingError` or a math error mid-run.
+# then hang, raise `SchedulingError` or a math error mid-run, or run with a
+# value other than the one given.
 PROBE = dict(sim_duration_s=0.3, warmup_s=0.1, n_ue_per_sector=2)
 
 
@@ -194,11 +195,15 @@ PROBE = dict(sim_duration_s=0.3, warmup_s=0.1, n_ue_per_sector=2)
     # durations whose count of ns overflows a float; ctrl_latency_ms used to
     # pass and raise at the first reconfiguration, tn_latency_ms and a
     # never-setting satellite's sim_duration_s when the scenario was built
+    ({"pdcp_reorder_timer_ms": 1e303}, "^pdcp_reorder_timer_ms overflows"),
+    # the load window, a count of TTIs and never converted to ns, used to be
+    # rounded half to even: 1.5 ms ran as 2 TTIs
+    (dict(load_window_ms=1.5), "^load_window_ms must be a whole number"),
     *[({name: 1e303}, f"^{name} overflows") for name in (
-        "pdcp_reorder_timer_ms", "load_window_ms", "eval_period_ms",
-        "meas_period_ms", "meas_staleness_ms", "request_gate_ms",
-        "add_gate_ms", "split_delta_ms", "split_toff_ms", "tn_latency_ms",
-        "eval_jitter_ms", "ctrl_latency_ms", "sim_duration_s", "warmup_s")],
+        "eval_period_ms", "meas_period_ms", "meas_staleness_ms",
+        "request_gate_ms", "add_gate_ms", "split_delta_ms", "split_toff_ms",
+        "tn_latency_ms", "eval_jitter_ms", "ctrl_latency_ms",
+        "sim_duration_s", "warmup_s")],
     (dict(sim_duration_s=1e300, sat_speed_ms=0.0), "^sim_duration_s overflows"),
     (dict(cbr_rate_bps=1e-300), "CBR interval .* overflows"),
     (dict(cbr_rate_bps=5e-324), "CBR interval .* overflows"),
@@ -266,6 +271,29 @@ def test_every_bound_edge(name, value, accepted):
     Scenario(load_config(None, environ={}, **overrides), 1).run_to_end()
 
 
+@pytest.mark.parametrize("ms", [0.3, 2.5, 100.4])
+def test_a_load_window_of_part_of_a_tti_is_rejected(ms):
+    # the run used to take round(ms) TTIs, at least 1: 1, 2 and 100
+    rule = ("must be in [1, inf)" if ms < 1
+            else "must be a whole number of 1 ms TTIs")
+    message = f"load_window_ms {rule}, got {ms}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_config(None, environ={}, load_window_ms=ms)
+
+
+@pytest.mark.parametrize("ms", [1, 100.0])
+def test_a_whole_load_window_is_its_count_of_ttis(ms):
+    cfg = load_config(None, environ={}, **EDGE_RUN, load_window_ms=ms)
+    window = Scenario(cfg, 1).cand.window
+    assert type(window) is int and window == ms
+
+
+def test_cbr_flow_packetization():
+    cfg = ScenarioConfig(packet_bytes=1500, cbr_rate_bps=3.2e6)
+    assert cfg.packet_bits == 12000
+    assert cfg.cbr_interval_ns == 3_750_000
+
+
 def test_periods_at_their_floor_validate():
     cfg = load_config(None, environ={}, **PROBE, meas_period_ms=1e-3,
                       split_delta_ms=1e-3, eval_period_ms=1e-3,
@@ -292,3 +320,6 @@ def test_config_is_plain_dataclass():
     cfg = load_config(None, environ={})
     alt = dataclasses.replace(cfg, policy="off")
     assert alt.policy == "off" and cfg.policy == "mcs"
+    # and a validated config cannot change under a run
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.policy = "off"

@@ -2,7 +2,7 @@ import tracemalloc
 
 import pytest
 
-from ntnmc.dataplane import (CbrFlow, Node, PdcpPdu, PdcpReceiver, UeTxQueue,
+from ntnmc.dataplane import (Node, PdcpPdu, PdcpReceiver, UeTxQueue,
                              res_per_tti, schedule_tti)
 from ntnmc.engine import Simulator, millis
 
@@ -18,7 +18,8 @@ def _backlog(node, ue_id, n_pdus=20, bits=12000):
 
 def _sent(node, ue_id, n_pdus=20, bits=12000):
     """Bits sent to `ue_id` of a backlog made by `_backlog`."""
-    return n_pdus * bits - node.queued_bits(ue_id) + node.served_bits(ue_id)
+    return (n_pdus * bits - node.queues[ue_id].queued_bits
+            + node.served_bits(ue_id))
 
 
 def test_two_backlogged_ues_split_the_grid_evenly():
@@ -277,9 +278,3 @@ def test_a_push_leaves_an_open_epoch_and_forwarding_ends_it():
     node.queues[1].pop_pending()
     assert node.epoch is None
     assert all(q.member is None for q in node.queues.values())
-
-
-def test_cbr_flow_packetization():
-    flow = CbrFlow(1500, 3.2e6)
-    assert flow.packet_bits == 12000
-    assert flow.interval_ns == 3_750_000

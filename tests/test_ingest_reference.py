@@ -28,9 +28,9 @@ BELOW_ONE_PACKET = dict(SMALL, ue_queue_bytes=1000)
 class ReferenceIngest(Scenario):
     def _on_arrival(self):
         t = self.sim.now
-        flow = self.flow
-        bits = flow.packet_bits
-        cap = self.cfg.ue_queue_bytes * 8
+        cfg = self.cfg
+        bits = cfg.packet_bits
+        cap = cfg.ue_queue_bytes * 8
         grants = self.book.grants
         self.cbr_instants += 1
         for ue in self.ues.values():
@@ -44,7 +44,7 @@ class ReferenceIngest(Scenario):
             if grant is not None and grant.covers(bits):
                 ts.drain_forward(self.nodes[ue.mn_node_id], self.ntn_node,
                                  grant)
-        self.sim.schedule_in(flow.interval_ns, self._on_arrival)
+        self.sim.schedule_in(cfg.cbr_interval_ns, self._on_arrival)
 
 
 def _run(scenario_cls, cfg):

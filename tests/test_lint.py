@@ -1,10 +1,12 @@
-"""Names a module imports and never uses, and definitions nothing names.
+"""Names a module imports and never uses, definitions nothing names, and
+attributes nothing reads.
 
 No linter is a dependency, so these are small `ast` passes. Imports are
 checked in every module of `src/ntnmc` but `__init__.py`, whose imports are
 the package's API, and in every test module. Every function, method and
 class defined in `src/ntnmc` must be named in `src/ntnmc`, `tests` or
-`perfbench`.
+`perfbench`, and every attribute a module of `src/ntnmc` stores must be
+read there.
 """
 
 import ast
@@ -88,5 +90,58 @@ def test_unreferenced_definitions_are_found():
 
 def test_every_definition_is_referenced():
     assert unreferenced_definitions(
+        [path.read_text() for path in PACKAGE],
+        [path.read_text() for path in READERS]) == []
+
+
+def stored_attributes(source):
+    """The attributes `source` stores, as `obj.x = ...` or `obj.x += ...`."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)}
+
+
+def read_attributes(source):
+    """The attributes `source` reads, as `obj.x` or by a name in a string
+    constant (`getattr`, `attrgetter`); a `__slots__` entry is no read."""
+    tree = ast.parse(source)
+    slots = {id(const) for node in ast.walk(tree)
+             if isinstance(node, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                     for t in node.targets)
+             for const in ast.walk(node.value)}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in slots):
+            names.add(node.value)
+    return names
+
+
+def unread_attributes(storing, reading):
+    """The attributes the sources `storing` store that no source of
+    `reading` reads, sorted."""
+    stored = set().union(*map(stored_attributes, storing))
+    return sorted(stored - set().union(*map(read_attributes, reading)))
+
+
+def test_unread_attributes_are_found():
+    package = ("class Queue:\n"
+               "    __slots__ = ('bits', 'count', 'stamp', 'named')\n"
+               "    def __init__(self):\n"
+               "        self.bits = self.count = 0\n"
+               "        self.stamp, self.named = None, 1\n"
+               "    def push(self, bits):\n"
+               "        self.bits += bits\n        self.count += 1\n"
+               "        return self.bits\n")
+    bench = "getattr(queue, 'named')\n"
+    assert unread_attributes([package], [package, bench]) == [
+        "count", "stamp"]
+
+
+def test_every_stored_attribute_is_read():
+    assert unread_attributes(
         [path.read_text() for path in PACKAGE],
         [path.read_text() for path in READERS]) == []

@@ -7,7 +7,8 @@ covers a PDU, delivers to every UE exactly what a run without
 multi-connectivity (`off`) delivers. Those runs use the golden campaign's
 1 s config at seed 1, whose anchor queue cap is scaled to the run length,
 so that queues fill and every policy binds UEs and, with normal grants,
-moves their throughput away from `off`'s. Under light load, 2 s runs at
+moves their throughput away from `off`'s. The beam's load window is read
+only where admission checks the load. Under light load, 2 s runs at
 seeds 1-3, every UE that its anchor can serve gets every packet.
 """
 
@@ -18,7 +19,7 @@ import pytest
 from ntnmc.config import load_config
 from ntnmc.simulation import Scenario, run_single
 
-from test_golden import SMALL, TWO_SECONDS
+from test_golden import SMALL, TWO_SECONDS, result_digest
 
 MC_POLICIES = ["mcs", "rsrp", "bo"]
 
@@ -47,6 +48,18 @@ def test_a_starved_split_runs_as_off(policy):
     assert r.throughput_kbps == off.throughput_kbps
     assert r.counters["sn_adds"] > 0
     assert _run(policy).throughput_kbps != off.throughput_kbps
+
+
+@pytest.mark.parametrize("policy", MC_POLICIES + ["off"])
+def test_the_load_window_reaches_only_gated_admission(policy):
+    # `mcs` and `bo` admit a leg only with load headroom over the window;
+    # `rsrp` admits on the add gate alone, and `off` admits nobody.
+    one, hundred = _run(policy, load_window_ms=1.0), _run(policy)
+    if policy in ("rsrp", "off"):
+        assert result_digest(one) == result_digest(hundred)
+    else:
+        assert (one.counters["rejects_overloaded"]
+                > hundred.counters["rejects_overloaded"])
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -7,11 +7,11 @@ change n. Each file is a list of `perfbench/run.py` invocations, one
 record per invocation, with its `side` (`parent` or `change`), workload,
 seed, whether it was traced, an optional `ab` tag and its final JSON
 line as `result`. For each file and workload this prints the parent and
-change medians of `wall_s`, the metric the claims are made on, over the
-plain (untraced) invocations tagged `final`; files written before the
-tags existed count as `final`. Held-out seed runs and the `commits`, `water-fill`,
-`held-out` and `trace` tags are left out, so each median is over the
-claim's own seeds only. Runs no benchmark.
+change medians of every end-to-end metric that `BENCHMARK.json` lists,
+over the plain (untraced) invocations tagged `final`; files written before
+the tags existed count as `final`. Held-out seed runs and the `commits`,
+`water-fill`, `held-out` and `trace` tags are left out, so each median is
+over the claim's own seeds only. Runs no benchmark.
 """
 
 import json
@@ -22,7 +22,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 HELD_OUT_SEED = 9973        # reserved by `perfbench/run.py` for claims
 SIDES = ("parent", "change")
-METRIC = "wall_s"
+METRICS = [m["name"] for m in json.loads(
+    (ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
 
 
 def bench_files(root):
@@ -41,12 +42,12 @@ def is_final_plain(record):
             and record["side"] in SIDES)
 
 
-def medians(records):
-    """{workload: {side: (median, n)}} of `METRIC` over the final plain
+def medians(records, metric):
+    """{workload: {side: (median, n)}} of `metric` over the final plain
     records."""
     values = {}
     for r in filter(is_final_plain, records):
-        value = r["result"]["metrics"][METRIC]["value"]
+        value = r["result"]["metrics"][metric]["value"]
         values.setdefault(r["workload"], {}).setdefault(r["side"], []).append(
             value)
     return {w: {side: (statistics.median(v), len(v))
@@ -54,20 +55,28 @@ def medians(records):
             for w, by_side in sorted(values.items())}
 
 
-def summary(root):
-    """{n: medians(...)} of every BENCH file under `root`."""
-    return {n: medians(json.loads(path.read_text()))
+def summary(root, metric):
+    """{n: medians(..., metric)} of every BENCH file under `root`."""
+    return {n: medians(json.loads(path.read_text()), metric)
             for n, path in bench_files(root).items()}
 
 
 def main():
-    print(f"{'n':>3}  {'workload':<13}{'pairs':>6}  {'parent':>9}  "
-          f"{'change':>9}  {'delta':>7}")
-    for n, by_workload in summary(ROOT).items():
+    """One line per file and workload: the pairs, then under each metric
+    its parent median, its change median and the relative change."""
+    by_metric = {metric: summary(ROOT, metric) for metric in METRICS}
+    print((f"{'n':>3}  {'workload':<13}{'pairs':>6}"
+           + "".join(f"  {metric:<25}" for metric in METRICS)).rstrip())
+    for n, by_workload in by_metric[METRICS[0]].items():
         for workload, by_side in by_workload.items():
-            (parent, pairs), (change, _) = by_side["parent"], by_side["change"]
-            print(f"{n:>3}  {workload:<13}{pairs:>6}  {parent:>9.3f}  "
-                  f"{change:>9.3f}  {change / parent - 1.0:>+7.1%}")
+            cells = []
+            for metric in METRICS:
+                sides = by_metric[metric][n][workload]
+                (parent, _), (change, _) = sides["parent"], sides["change"]
+                cells.append(f"  {parent:>8.3f} {change:>8.3f} "
+                             f"{change / parent - 1.0:>+7.1%}")
+            print(f"{n:>3}  {workload:<13}{by_side['parent'][1]:>6}"
+                  + "".join(cells))
 
 
 if __name__ == "__main__":
