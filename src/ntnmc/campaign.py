@@ -2,7 +2,8 @@
 
 Every (policy, seed) run draws its randomness from streams derived only from
 (base_seed, seed), never from the policy, so runs with the same seed see the
-same drop, channel and measurement noise and policies can be compared pairwise.
+same drop and channel, and the policies that measure the same measurement
+noise, and policies can be compared pairwise.
 Parallel execution hands completed runs back in submission order, so results
 and every derived artifact are identical for any --jobs value.
 """

@@ -63,11 +63,7 @@ def build_parser():
     return parser
 
 
-def cmd_run(args):
-    cfg = load_config(args.config, environ=os.environ)
-    policies = parse_policies(args.policies)
-    seeds = parse_seeds(args.seeds)
-    check_jobs(args.jobs)
+def cmd_run(args, cfg, policies, seeds):
     ensure_writable_dir(args.out)
     summaries, results = run_campaign(cfg, policies, seeds, jobs=args.jobs)
     emit_results(args.out, cfg, policies, seeds, summaries, results)
@@ -79,8 +75,7 @@ def cmd_run(args):
     return 0
 
 
-def cmd_validate(args):
-    cfg = load_config(args.config, environ=os.environ)
+def cmd_validate(cfg):
     for f in dataclasses.fields(cfg):
         print(f"{f.name} = {getattr(cfg, f.name)}")
     return 0
@@ -100,15 +95,23 @@ def cmd_table_dump(_args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "validate":
-            return cmd_validate(args)
+    if args.command == "table-dump":
         return cmd_table_dump(args)
+    # Only parsing maps to a usage error; a ValueError raised by a run is a
+    # runtime failure and keeps its traceback.
+    try:
+        cfg = load_config(args.config, environ=os.environ)
+        if args.command == "run":
+            policies = parse_policies(args.policies)
+            seeds = parse_seeds(args.seeds)
+            check_jobs(args.jobs)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    if args.command == "validate":
+        return cmd_validate(cfg)
+    try:
+        return cmd_run(args, cfg, policies, seeds)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

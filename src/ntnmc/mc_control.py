@@ -126,7 +126,8 @@ class Policy:
     """One setting of the comparison, as the scenario wires it.
 
     `evaluate(reports, node, single_ues, fresh_ns, cfg)` is the anchor-side
-    evaluator; None (`off`) disables evaluation and data requests entirely.
+    evaluator; None (`off`) disables measurements, evaluation and data
+    requests entirely, since nothing else reads a report.
     It ranks the `single_ues` of the anchor `node` and returns the first
     whose report in `reports` is fresh (taken at or after `fresh_ns`) and
     at or above the RSRP floor, or None, and changes no state. The caller

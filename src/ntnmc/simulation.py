@@ -5,8 +5,9 @@ Layout: n_sites tri-sector sites around the scenario center, 10 UEs dropped
 per sector and anchored to it, one earth-fixed satellite beam steered at the
 center with the six co-channel beams of a reuse-3 lattice as pure
 interference.
-Terrestrial link state is drawn once per run (drop-time realization); the
-satellite link is recomputed whenever a UE measures it.
+Terrestrial link state is drawn once per run (drop-time realization). The
+satellite link is recomputed only where a policy measures it, and once per
+UE in `finish`, up to the first instant it reaches the RSRP floor.
 
 The policy under test is one `mc_control.Policy` record, looked up when the
 scenario is built: its evaluator, its candidate-side admission mode and the
@@ -77,7 +78,7 @@ class UeState:
     pos: object
     ntn_terms: tuple                    # `NtnChannel.ue_terms(pos)`
     tn_sinr_db: float
-    best_ntn_rsrp_dbm: float            # the attach-time RSRP, then the best
+    meas_phase_ns: int                  # its first measurement instant
     ntn_sinr_db: float                  # as of the latest measurement
     ntn_delay_ns: int
     receiver: PdcpReceiver
@@ -155,8 +156,9 @@ class Scenario:
         self.cbr_instants = 0
         self.sim.schedule_at(0, self._on_arrival)
         self.sim.schedule_at(0, self._on_tti)
-        self._schedule_measurements()
+        # Only the evaluators, admission and data requests read reports.
         if self.policy.evaluate is not None:
+            self._schedule_measurements()
             self._schedule_evaluations()
             self.sim.schedule_at(0, self._on_data_request_cycle,
                                  self.ns["split_delta_ms"])
@@ -169,8 +171,12 @@ class Scenario:
         receiver = PdcpReceiver(
             ue_id, self.sim, self.ns["pdcp_reorder_timer_ms"],
             cfg.pdcp_reorder_buffer_pdus, self.ns["warmup_s"])
+        # Drawn under every policy, so the measurement instants are too.
+        phase = round(self.rngs.stream("meas-phase").random()
+                      * self.ns["meas_period_ms"])
         self.ues[ue_id] = UeState(ue_id, sector_id, mn_queue, pos, terms, sinr,
-                                  *self.ntn.link_state(terms, 0), receiver)
+                                  phase, *self.ntn.link_state(terms, 0)[1:],
+                                  receiver)
 
     # ---- traffic ------------------------------------------------------
 
@@ -243,19 +249,16 @@ class Scenario:
 
     def _schedule_measurements(self):
         period = self.ns["meas_period_ms"]
-        phase_rng = self.rngs.stream("meas-phase")
         self._meas_err = self.rngs.stream("meas-error")
         for ue in self.ues.values():
-            phase = round(phase_rng.random() * period)
-            self.sim.schedule_at(phase, self._on_measurement, ue, period)
+            self.sim.schedule_at(ue.meas_phase_ns, self._on_measurement, ue,
+                                 period)
 
     def _on_measurement(self, ue, period):
         t = self.sim.now
         cfg = self.cfg
         rsrp, sinr, delay = self.ntn.link_state(ue.ntn_terms, t)
         ue.ntn_sinr_db, ue.ntn_delay_ns = sinr, delay
-        if rsrp > ue.best_ntn_rsrp_dbm:
-            ue.best_ntn_rsrp_dbm = rsrp
 
         # One channel-estimation error per report, applied coherently to the
         # quantities derived from it; schedulers keep using the true link.
@@ -366,6 +369,16 @@ class Scenario:
                 raise ConservationError(
                     f"ue {ue_id}: {defect} bits unaccounted at t={self.sim.now}")
 
+    def _reaches_rsrp_floor(self, ue):
+        """Whether the UE's satellite RSRP reaches `rsrp_min_dbm` at attach
+        or at one of its measurement instants up to the end, which are the
+        same under every policy, measured or not."""
+        floor = self.cfg.rsrp_min_dbm
+        instants = range(ue.meas_phase_ns, self.end_ns + 1,
+                         self.ns["meas_period_ms"])
+        return any(self.ntn.link_state(ue.ntn_terms, t)[0] >= floor
+                   for t in (0, *instants))
+
     def run_to_end(self):
         self.sim.run_until(self.end_ns)
         return self.finish()
@@ -398,7 +411,7 @@ class Scenario:
             "distinct_bound_ues": len({ev[2] for ev in self.events
                                        if ev[1] == mc.EV_ADD}),
             "eligible_ues": sum(1 for ue in ues
-                                if ue.best_ntn_rsrp_dbm >= cfg.rsrp_min_dbm),
+                                if self._reaches_rsrp_floor(ue)),
             "grant_windows": self.book.windows_checked,
             "grant_violations": self.book.violations,
             "grant_max_used": self.book.max_used_fraction,

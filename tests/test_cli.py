@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from ntnmc import campaign
+from ntnmc import campaign, cli
 from ntnmc.cli import main, parse_policies, parse_seeds
 from ntnmc.campaign import run_campaign
 from ntnmc.config import load_config
@@ -211,6 +211,18 @@ def test_run_past_satellite_pass_is_usage_error(tmp_path, capsys):
 def test_bad_jobs_is_usage_error(tmp_path):
     assert main(["run", "--out", str(tmp_path / "x"), "--seeds", "1",
                  "--jobs", "0"]) == 2
+
+
+def test_a_value_error_inside_a_run_is_a_runtime_failure(tmp_path,
+                                                         monkeypatch, capsys):
+    # it printed "config error:" and exited 2, as a bad config does
+    def fail(*_args, **_kwargs):
+        raise ValueError("raised inside the run")
+
+    monkeypatch.setattr(cli, "run_campaign", fail)
+    with pytest.raises(ValueError, match="raised inside the run"):
+        main(["run", "--out", str(tmp_path / "x"), "--seeds", "1"])
+    assert "config error" not in capsys.readouterr().err
 
 
 def test_unwritable_out_dir_fails_before_any_run(tmp_path):

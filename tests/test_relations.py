@@ -8,8 +8,11 @@ multi-connectivity (`off`) delivers. Those runs use the golden campaign's
 1 s config at seed 1, whose anchor queue cap is scaled to the run length,
 so that queues fill and every policy binds UEs and, with normal grants,
 moves their throughput away from `off`'s. The beam's load window is read
-only where admission checks the load. Under light load, 2 s runs at
-seeds 1-3, every UE that its anchor can serve gets every packet.
+only where admission checks the load. Only a policy that evaluates
+measures, while which UEs reach the RSRP floor is a property of the
+layout and the satellite pass, the same under every policy. Under light
+load, 2 s runs at seeds 1-3, every UE that its anchor can serve gets
+every packet.
 """
 
 from functools import cache
@@ -17,17 +20,24 @@ from functools import cache
 import pytest
 
 from ntnmc.config import load_config
-from ntnmc.simulation import Scenario, run_single
+from ntnmc.simulation import Scenario
 
 from test_golden import SMALL, TWO_SECONDS, result_digest
+from test_measurement_reference import SPLITTING_FLOOR_DBM
 
 MC_POLICIES = ["mcs", "rsrp", "bo"]
 
 
 @cache
-def _run(policy, **overrides):
+def _scenario(policy, **overrides):
+    """The run at seed 1, as the scenario after it and its result."""
     cfg = load_config(None, environ={}, policy=policy, **SMALL, **overrides)
-    return run_single(cfg, 1)
+    sc = Scenario(cfg, 1)
+    return sc, sc.run_to_end()
+
+
+def _run(policy, **overrides):
+    return _scenario(policy, **overrides)[1]
 
 
 @pytest.mark.parametrize("policy", MC_POLICIES)
@@ -60,6 +70,18 @@ def test_the_load_window_reaches_only_gated_admission(policy):
     else:
         assert (one.counters["rejects_overloaded"]
                 > hundred.counters["rejects_overloaded"])
+
+
+def test_eligibility_does_not_depend_on_the_policy():
+    eligible = {p: _run(p, rsrp_min_dbm=SPLITTING_FLOOR_DBM)
+                .counters["eligible_ues"] for p in MC_POLICIES + ["off"]}
+    assert set(eligible.values()) == {45}, eligible
+
+
+def test_only_a_policy_that_evaluates_measures():
+    assert _scenario("off")[0].reports == {}
+    sc = _scenario("mcs")[0]
+    assert set(sc.reports) == set(sc.ues)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
