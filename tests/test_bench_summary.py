@@ -3,8 +3,9 @@ benchmark. The medians it gives must be those CHANGES.md and ROADMAP.md
 quote: `BENCH_9.json`'s `campaign` `wall_s` and `cpu_s`, from the ten
 plain `final` pairs at seeds 1-10 without the held-out seed and the
 `commits` and `water-fill` tags, the change-side `wall_s` medians of
-`BENCH_16.json` to `BENCH_20.json`, and `BENCH_22.json`'s fresh-run
-memory drop on `single-dense`."""
+`BENCH_16.json` to `BENCH_20.json`, `BENCH_22.json`'s fresh-run
+memory drop on `single-dense`, and the `single-dense` `wall_s` medians of
+the later speed records."""
 
 import importlib.util
 from pathlib import Path
@@ -19,6 +20,12 @@ CHANGE_WALL_S = {
     "campaign": [2.401, 2.342, 2.386, 2.328, 2.344],
     "split-heavy": [1.577, 1.541, 1.387, 1.487, 1.393],
     "single-dense": [1.176, 1.170, 0.815, 0.821, 0.738],
+}
+
+# Parent and change `single-dense` `wall_s` medians, by record.
+SINGLE_DENSE_WALL_S = {
+    23: (0.497, 0.463),
+    26: (0.460, 0.339),
 }
 
 
@@ -39,6 +46,8 @@ def test_summary_reproduces_the_quoted_medians():
     assert _medians(cpu_s, 9, "campaign") == (3.850, 2.914)
     peak_rss_mb = bench_summary.summary(ROOT, "peak_rss_mb")
     assert _medians(peak_rss_mb, 22, "single-dense") == (31.887, 25.055)
+    for n, medians in SINGLE_DENSE_WALL_S.items():
+        assert _medians(got, n, "single-dense") == medians, n
 
 
 def test_summary_prints_every_file(capsys):

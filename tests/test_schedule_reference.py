@@ -129,6 +129,25 @@ def state(node):
     return queues, node._rr
 
 
+def check_calendar(node):
+    """The open epoch's calendar holds each member in exactly one slot,
+    keyed at the earlier of its `done` and `fall`, or in none when both are
+    None; no slot is empty or keyed before the rotation counter."""
+    epoch = node.epoch
+    if epoch is None:
+        return
+    filed = []
+    for k, slot in epoch.calendar.items():
+        assert slot and k >= node._rr
+        filed += [(m, k) for m in slot]
+    slots = dict(filed)
+    assert len(slots) == len(filed)
+    for m in epoch.members:
+        wakes = [k for k in (m.done, m.fall) if k is not None]
+        assert slots.pop(m, None) == min(wakes, default=None)
+    assert not slots
+
+
 def same_tti(node, ref):
     assert schedule_tti(node) == reference_schedule_tti(ref)
     assert node.completed == ref.completed      # the same PDU objects
@@ -255,6 +274,7 @@ def test_saturated_epochs_match_reference(spec, forced, first, script):
                 assert state(node) == state(ref)
             for _ in range(ttis):
                 same_tti(node, ref)
+                check_calendar(node)
                 opened += node.epoch is not None
     event(f"epoch TTIs: {min(opened, 10)}{'+' if opened > 10 else ''}")
     node.settle()

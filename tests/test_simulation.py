@@ -9,7 +9,7 @@ from ntnmc.config import POLICIES, load_config
 from ntnmc.engine import Simulator, millis
 from ntnmc.simulation import NTN_CELL_ID, Scenario, run_single
 
-from test_golden import TEN_MS_CTRL_LATENCY, TWO_SECONDS
+from test_golden import SMALL, TEN_MS_CTRL_LATENCY, TWO_SECONDS
 
 
 def _tiny(policy="mcs"):
@@ -289,3 +289,27 @@ def test_every_drain_uses_a_grant_of_the_current_cycle(monkeypatch, policy,
     monkeypatch.setattr(traffic_split, "drain_forward", drain)
     sc.run_to_end()
     assert 0 < max(ages) <= millis(cfg.split_delta_ms)
+
+
+def test_in_flight_ledger_matches_pending_deliveries():
+    # The conservation ledger books every launched PDU until its delivery
+    # fires: at each step its bits per UE are those of the PDUs in the
+    # delivery events still queued. Only a beam block can land later than
+    # the terrestrial latency, so those events show that some are counted.
+    beam_steps = 0
+    for policy in POLICIES:
+        sc = Scenario(load_config(None, environ={}, policy=policy, **SMALL),
+                      1)
+        for t in range(millis(10), sc.end_ns + 1, millis(10)):
+            sc.sim.run_until(t)
+            pending = dict.fromkeys(sc.ues, 0)
+            late = False
+            for t_ev, _seq, ev in sc.sim._queue:
+                if ev.fn == sc._deliver_tb and not ev.cancelled:
+                    for ue, pdus in ev.args[0]:
+                        pending[ue.ue_id] += sum(pdu.bits for pdu in pdus)
+                    late |= t_ev > t + sc.tn_latency_ns
+            assert {u: ue.in_flight_bits for u, ue in sc.ues.items()} == pending
+            sc.check_conservation()
+            beam_steps += late
+    assert beam_steps > 0
