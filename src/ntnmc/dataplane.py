@@ -365,7 +365,7 @@ class SaturatedEpoch:
             self.members.append(m)
             m.done = self._done(m)
             m.fall = self._fall(m)
-            self._wake_at_next(m)
+        self._file(self.members)
 
     def served(self, m, k):
         """Served bits of m's head PDU at the start of TTI k, if it does
@@ -420,21 +420,29 @@ class SaturatedEpoch:
         ttis = self._ttis(m, over)
         return None if ttis is None else m.base + ttis
 
-    def _wake_at_next(self, m):
-        done, fall = m.done, m.fall
-        k = done if fall is None else fall if done is None else min(done, fall)
-        if k is not None:
-            self.calendar.setdefault(k, []).append(m)
-
-    def _catch_up(self, m, k):
-        m.q.served_bits = self.served(m, k)
-        m.base = k
+    def _file(self, members):
+        """Put each of `members` in the calendar slot of its next wake, the
+        earlier of `done` and `fall`, or in none when both are None."""
+        calendar = self.calendar
+        for m in members:
+            k, fall = m.done, m.fall
+            if k is None or fall is not None and fall < k:
+                k = fall
+                if k is None:
+                    continue
+            slot = calendar.get(k)
+            if slot is None:
+                calendar[k] = [m]
+            else:
+                slot.append(m)
 
     def end(self):
         node = self.node
+        k = node._rr
         for m in self.members:
-            self._catch_up(m, node._rr)
-            m.q.member = None
+            q = m.q
+            q.served_bits = self.served(m, k)
+            q.member = None
         node.epoch = None
         # The members point back at the epoch and the epoch at the node:
         # dropping them lets reference counting free a finished run.
@@ -443,16 +451,20 @@ class SaturatedEpoch:
 
     def tti(self):
         """Serve the node's next TTI; False, having ended the epoch, when
-        that TTI is not saturated."""
+        that TTI is not saturated. Only the members due at it are touched:
+        brought up to date and checked, then served in index order and
+        filed for their next wake."""
         node = self.node
         k = node._rr
         node.completed = out = []
-        due = self.calendar.pop(k, None)
-        if due:
-            woken = sorted(due, key=_INDEX)
+        woken = self.calendar.pop(k, None)
+        if woken:
+            woken.sort(key=_INDEX)
             for m in woken:
-                self._catch_up(m, k)
                 q = m.q
+                if m.base != k:     # at its base, served() adds nothing
+                    q.served_bits = self.served(m, k)
+                    m.base = k
                 bits = q.queued_bits - q.served_bits
                 if bits <= m.low_bits and ceil(bits / m.eff) <= self.share:
                     self.end()
@@ -469,7 +481,7 @@ class SaturatedEpoch:
                     m.done = self._done(m)
                 if m.fall == k:
                     m.fall = self._fall(m)
-                self._wake_at_next(m)
+            self._file(woken)
         node._rr = k + 1
         return True
 

@@ -36,7 +36,11 @@ on, since the sectors' scheduling schedules nothing: no other event could
 fire between them, and whatever a delivery schedules for their instant
 fires after the last of them either way. So one event that delivers them
 in launch order fires the same calls in the same order. The beam's blocks
-keep one event each, because their delay is per UE.
+keep one event each, because their delay is per UE. Each such batch is
+booked in `in_flight` from its launch until its delivery fires; that is the
+conservation ledger's record of the bits in flight, summed by UE once per
+check. The event queue cannot stand in for it, since a wrapper, like the
+benchmark's probes, may hide which handler an event calls.
 
 The run's end is decided in one place, `run_until(end_ns)`. Each periodic
 chain (arrivals, TTIs, measurements, evaluations, data requests)
@@ -84,10 +88,9 @@ class UeState:
     receiver: PdcpReceiver
     next_sn: int = 0
     pending_reconfig: bool = False
-    # Its bit conservation ledger outside the receiver and the queues,
-    # beside the packets the scenario generated for every UE.
+    # Its one entry of the bit conservation ledger; the receiver, the
+    # queues and `Scenario.in_flight` hold the others.
     dropped_pdus: int = 0
-    in_flight_bits: int = 0
 
 
 @dataclass
@@ -117,6 +120,7 @@ class Scenario:
         self.end_ns = self.ns["sim_duration_s"]
         self.tn_latency_ns = self.ns["tn_latency_ms"]
         self.events = []
+        self.in_flight = {}     # id(batch) -> batch launched, not delivered
         self._build()
 
     # ---- construction -------------------------------------------------
@@ -216,34 +220,32 @@ class Scenario:
     # ---- air interface ------------------------------------------------
 
     def _on_tti(self):
-        ues = self.ues
         tbs = []
         for node in self.nodes:
             schedule_tti(node)
-            for ue_id, done in node.completed:
-                tbs.append(self._launch_tb(ues[ue_id], done))
+            tbs += node.completed
         if tbs:
-            self.sim.schedule_in(self.tn_latency_ns, self._deliver_tb, tbs)
+            self._launch(self.tn_latency_ns, tbs)
         beam = self.ntn_node
         granted = schedule_tti(beam)
-        for ue_id, done in beam.completed:
-            ue = ues[ue_id]
-            self.sim.schedule_in(ue.ntn_delay_ns, self._deliver_tb,
-                                 [self._launch_tb(ue, done)])
+        for tb in beam.completed:
+            self._launch(self.ues[tb[0]].ntn_delay_ns, [tb])
         self.cand.record(granted)
         self.sim.schedule_in(TTI_NS, self._on_tti)
 
-    def _launch_tb(self, ue, pdus):
-        for pdu in pdus:
-            ue.in_flight_bits += pdu.bits
-        return ue, pdus
+    def _launch(self, delay_ns, tbs):
+        """Send the batch `tbs` of (ue_id, PDUs) blocks, to be delivered
+        after `delay_ns`, and book it in flight until then."""
+        self.in_flight[id(tbs)] = tbs
+        self.sim.schedule_in(delay_ns, self._deliver_tb, tbs)
 
     def _deliver_tb(self, tbs):
+        del self.in_flight[id(tbs)]
         t = self.sim.now
-        for ue, pdus in tbs:
+        for ue_id, pdus in tbs:
+            receiver = self.ues[ue_id].receiver
             for pdu in pdus:
-                ue.in_flight_bits -= pdu.bits
-                ue.receiver.receive(pdu, t)
+                receiver.receive(pdu, t)
 
     # ---- measurements -------------------------------------------------
 
@@ -347,7 +349,15 @@ class Scenario:
         self.events.append((self.sim.now, kind, ue.ue_id, ue.mn_node_id,
                             NTN_CELL_ID, cause))
 
-    def conservation_defect_bits(self, ue_id):
+    def in_flight_bits(self):
+        """The bits of the blocks launched and not delivered, by UE id."""
+        bits = dict.fromkeys(self.ues, 0)
+        for tbs in self.in_flight.values():
+            for ue_id, pdus in tbs:
+                bits[ue_id] += sum(pdu.bits for pdu in pdus)
+        return bits
+
+    def conservation_defect_bits(self, ue_id, in_flight_bits):
         """generated - (accounted everywhere); zero when no bit is lost."""
         ue = self.ues[ue_id]
         sn_q = self.ntn_node.queues.get(ue_id)
@@ -357,14 +367,15 @@ class Scenario:
                 - ue.dropped_pdus * bits
                 - rx.delivered_bits
                 - rx.stale_bits
-                - ue.in_flight_bits
+                - in_flight_bits
                 - rx.buffered_bits
                 - ue.mn_queue.queued_bits
                 - (sn_q.queued_bits if sn_q else 0))
 
     def check_conservation(self):
+        in_flight = self.in_flight_bits()
         for ue_id in self.ues:
-            defect = self.conservation_defect_bits(ue_id)
+            defect = self.conservation_defect_bits(ue_id, in_flight[ue_id])
             if defect != 0:
                 raise ConservationError(
                     f"ue {ue_id}: {defect} bits unaccounted at t={self.sim.now}")

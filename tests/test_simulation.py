@@ -306,10 +306,10 @@ def test_in_flight_ledger_matches_pending_deliveries():
             late = False
             for t_ev, _seq, ev in sc.sim._queue:
                 if ev.fn == sc._deliver_tb and not ev.cancelled:
-                    for ue, pdus in ev.args[0]:
-                        pending[ue.ue_id] += sum(pdu.bits for pdu in pdus)
+                    for ue_id, pdus in ev.args[0]:
+                        pending[ue_id] += sum(pdu.bits for pdu in pdus)
                     late |= t_ev > t + sc.tn_latency_ns
-            assert {u: ue.in_flight_bits for u, ue in sc.ues.items()} == pending
+            assert sc.in_flight_bits() == pending
             sc.check_conservation()
             beam_steps += late
     assert beam_steps > 0
