@@ -440,9 +440,8 @@ class SaturatedEpoch:
         node = self.node
         k = node._rr
         for m in self.members:
-            q = m.q
-            q.served_bits = self.served(m, k)
-            q.member = None
+            m.q.served_bits = self.served(m, k)
+            m.q.member = None
         node.epoch = None
         # The members point back at the epoch and the epoch at the node:
         # dropping them lets reference counting free a finished run.

@@ -36,11 +36,10 @@ on, since the sectors' scheduling schedules nothing: no other event could
 fire between them, and whatever a delivery schedules for their instant
 fires after the last of them either way. So one event that delivers them
 in launch order fires the same calls in the same order. The beam's blocks
-keep one event each, because their delay is per UE. Each such batch is
-booked in `in_flight` from its launch until its delivery fires; that is the
-conservation ledger's record of the bits in flight, summed by UE once per
-check. The event queue cannot stand in for it, since a wrapper, like the
-benchmark's probes, may hide which handler an event calls.
+keep one event each, because their delay is per UE. Each batch stays in
+`in_flight`, the conservation ledger's bits in flight, until it is
+delivered: the event queue cannot stand in for it, since a wrapper (the
+benchmark's probes) may hide which handler an event calls.
 
 The run's end is decided in one place, `run_until(end_ns)`. Each periodic
 chain (arrivals, TTIs, measurements, evaluations, data requests)
