@@ -26,6 +26,7 @@ CHANGE_WALL_S = {
 SINGLE_DENSE_WALL_S = {
     23: (0.497, 0.463),
     26: (0.460, 0.339),
+    27: (0.339, 0.304),
 }
 
 
