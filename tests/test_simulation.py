@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import weakref
 
 import pytest
@@ -313,3 +314,28 @@ def test_in_flight_ledger_matches_pending_deliveries():
             sc.check_conservation()
             beam_steps += late
     assert beam_steps > 0
+
+
+# The SHA-256 of every UE's end-of-run ingest ledger, below.
+INGEST_LEDGER_SHA256 = (
+    "18b6d3e5b2ed7a0587ff7f2485b8fba84b74410b2bc2f6eeb3c49529b9786c78")
+
+
+def test_every_ue_ends_with_its_pinned_ingest_ledger():
+    # Each UE's dropped PDUs, next SN to admit and anchor backlog at the
+    # end, under every policy at a cap that drops packets, and under `off`
+    # at a cap below one packet, where every packet drops. The SMALL cap
+    # is no whole number of packets, so a drop exactly at it is left to
+    # `tests/test_dataplane.py`.
+    runs = [(p, SMALL) for p in POLICIES]
+    runs.append(("off", dict(SMALL, ue_queue_bytes=1000)))
+    ledger = []
+    for policy, overrides in runs:
+        sc = Scenario(load_config(None, environ={}, policy=policy,
+                                  **overrides), 1)
+        sc.run_to_end()
+        ledger.append([(ue.ue_id, ue.dropped_pdus, ue.next_sn,
+                        ue.mn_queue.queued_bits) for ue in sc.ues.values()])
+    assert ledger[-1][0][1:] == (sc.cbr_instants, 0, 0)
+    digest = hashlib.sha256(repr(ledger).encode()).hexdigest()
+    assert digest == INGEST_LEDGER_SHA256
