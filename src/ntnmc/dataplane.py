@@ -44,10 +44,12 @@ class UeTxQueue:
     The waiting PDUs are `pending`, then the fresh run. `pending` holds
     explicit PDUs: those a release sends back (`push_front`) and those
     pushed by forwarding (`push`). The fresh run holds the PDUs admitted
-    at ingest (`admit`): consecutive SNs from `run_sn`, all of `run_bits`,
+    at ingest (`ingest`): consecutive SNs from `run_sn`, all of `run_bits`,
     kept as their ingest stamps in `run`, oldest first, so a waiting PDU
     costs one deque slot and no object. A `PdcpPdu` is built only when one
     leaves the run, so its `created_ns` is the stamp it was admitted with.
+    `run_sn` advances as one leaves, so `run_sn + len(run)` is the next SN
+    to admit. `dropped_pdus` counts the packets ingest had no room for.
 
     The head PDU being transmitted is held apart from the waiting ones so
     that forwarding to a secondary node can only take untouched whole PDUs.
@@ -60,7 +62,7 @@ class UeTxQueue:
     """
 
     __slots__ = ("mcs", "pending", "run", "run_sn", "run_bits", "in_service",
-                 "served_bits", "queued_bits", "member")
+                 "served_bits", "queued_bits", "member", "dropped_pdus")
 
     def __init__(self, mcs):
         self.mcs = mcs
@@ -72,20 +74,7 @@ class UeTxQueue:
         self.served_bits = 0
         self.queued_bits = 0
         self.member = None
-
-    def admit(self, sn, bits, t_ns):
-        """Append PDU `sn` of `bits`, ingested at `t_ns`, to the fresh run;
-        it must continue the run's SNs and size."""
-        run = self.run
-        if not run:
-            self.run_sn = sn
-            self.run_bits = bits
-        elif bits != self.run_bits or sn != self.run_sn + len(run):
-            raise ValueError(f"PDU ({sn}, {bits} bits) does not continue the "
-                             f"run of {self.run_bits}-bit PDUs from "
-                             f"{self.run_sn}")
-        run.append(t_ns)
-        self.queued_bits += bits
+        self.dropped_pdus = 0
 
     def push(self, pdu):
         if self.run:
@@ -154,6 +143,23 @@ class UeTxQueue:
         while self.pending or self.run:
             out.append(self.pop_pending())
         return out
+
+
+def ingest(queues, bits, t_ns, cap_bits):
+    """Offer a packet of `bits`, arrived at `t_ns`, to each of `queues`: a
+    queue it keeps within `cap_bits` appends it to its fresh run, any other
+    counts it dropped. A run takes a new size only when it is empty."""
+    room = cap_bits - bits
+    for q in queues:
+        if q.queued_bits > room:
+            q.dropped_pdus += 1
+            continue
+        if q.run_bits != bits:
+            if q.run:
+                raise ValueError(f"{bits} bits behind a run of {q.run_bits}")
+            q.run_bits = bits
+        q.run.append(t_ns)
+        q.queued_bits += bits
 
 
 class Node:

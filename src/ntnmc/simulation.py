@@ -17,7 +17,7 @@ request, which an evaluation checks and closes.
 
 Event design: one event per periodic instant. Every UE runs the same CBR
 flow (start 0, one interval), so a single arrival event ingests one packet
-for every UE, in `self.ues` order; a single TTI event per millisecond runs
+for every UE, a sector at a time; a single TTI event per millisecond runs
 the scheduler at every sector, in `self.nodes` order, then at the beam and
 records the beam's grants in its load window. Events of one instant
 fire in the order they were scheduled (see `engine`): at t = 0 the
@@ -56,7 +56,7 @@ from . import mc_control as mc
 from . import traffic_split as ts
 from .channel import NtnChannel, TnChannel, mcs_for_sinr
 from .config import ScenarioConfig
-from .dataplane import TTI_NS, Node, PdcpReceiver, schedule_tti
+from .dataplane import TTI_NS, Node, PdcpReceiver, ingest, schedule_tti
 from .engine import RngStreams, Simulator
 from .geometry import (GroundPosition, SatelliteTrack, build_tn_layout,
                        drop_ues_in_sector, ntn_beam_grid)
@@ -77,7 +77,9 @@ class ConservationError(AssertionError):
 class UeState:
     ue_id: int
     mn_node_id: int
-    mn_queue: object                    # the anchor's queue, fixed for the run
+    # The anchor's queue, fixed for the run; with its backlog it holds the
+    # UE's dropped PDUs, an entry of the bit conservation ledger.
+    mn_queue: object
     pos: object
     ntn_terms: tuple                    # `NtnChannel.ue_terms(pos)`
     tn_sinr_db: float
@@ -85,11 +87,7 @@ class UeState:
     ntn_sinr_db: float                  # as of the latest measurement
     ntn_delay_ns: int
     receiver: PdcpReceiver
-    next_sn: int = 0
     pending_reconfig: bool = False
-    # Its one entry of the bit conservation ledger; the receiver, the
-    # queues and `Scenario.in_flight` hold the others.
-    dropped_pdus: int = 0
 
 
 @dataclass
@@ -184,22 +182,17 @@ class Scenario:
     # ---- traffic ------------------------------------------------------
 
     def _on_arrival(self):
-        """Admit one app packet per UE at its anchor, in `self.ues` order,
+        """Admit one app packet per UE at its anchor, a sector at a time,
         or drop it if the anchor queue cannot take it (packets are only
         sequence numbered once admitted, so drops never punch holes at the
         receiver); then let the forwarding rule steer the admitted ones."""
         t = self.sim.now
         cfg = self.cfg
         bits = cfg.packet_bits
-        room = cfg.ue_queue_bytes * 8 - bits
+        cap = cfg.ue_queue_bytes * 8
         self.cbr_instants += 1
-        for ue in self.ues.values():
-            q = ue.mn_queue
-            if q.queued_bits > room:
-                ue.dropped_pdus += 1
-            else:
-                q.admit(ue.next_sn, bits, t)
-                ue.next_sn += 1
+        for node in self.nodes:
+            ingest(node.queues.values(), bits, t, cap)
         # Every drain leaves the queue empty or the grant short of one PDU,
         # all PDUs have one size, and only the data-request cycle, which
         # drains at once, refills a grant. So a holder whose grant covers a
@@ -363,7 +356,7 @@ class Scenario:
         rx = ue.receiver
         bits = self.cfg.packet_bits
         return (self.cbr_instants * bits
-                - ue.dropped_pdus * bits
+                - ue.mn_queue.dropped_pdus * bits
                 - rx.delivered_bits
                 - rx.stale_bits
                 - in_flight_bits
@@ -429,7 +422,7 @@ class Scenario:
                                        if ue.receiver.post_warmup_bits == 0),
         }
         bits = cfg.packet_bits
-        dropped_pdus = sum(ue.dropped_pdus for ue in ues)
+        dropped_pdus = sum(ue.mn_queue.dropped_pdus for ue in ues)
         counters["generated_bits"] = len(self.ues) * self.cbr_instants * bits
         counters["dropped_bits"] = dropped_pdus * bits
         counters["dropped_pdus"] = dropped_pdus

@@ -2,9 +2,11 @@ import tracemalloc
 
 import pytest
 
-from ntnmc.dataplane import (Node, PdcpPdu, PdcpReceiver, UeTxQueue,
+from ntnmc.dataplane import (Node, PdcpPdu, PdcpReceiver, UeTxQueue, ingest,
                              res_per_tti, schedule_tti)
 from ntnmc.engine import Simulator, millis
+
+NO_CAP = 10**12     # bits: a cap no queue of these tests reaches
 
 
 def test_resource_grid_size():
@@ -112,7 +114,7 @@ def test_tx_queue_push_front_orders_ahead():
 def test_tx_queue_builds_a_pdu_only_when_it_leaves_the_fresh_run():
     q = UeTxQueue(10)
     for sn in range(3):
-        q.admit(sn, 12000, 100 + sn)
+        ingest((q,), 12000, 100 + sn, NO_CAP)
     early = PdcpPdu(0, 8, 0)
     q.push_front(early)
     assert q.queued_bits == 3 * 12000 + 8
@@ -129,18 +131,36 @@ def test_tx_queue_builds_a_pdu_only_when_it_leaves_the_fresh_run():
 
 def test_tx_queue_refuses_what_would_break_the_fresh_run():
     q = UeTxQueue(10)
-    q.admit(4, 12000, 0)
+    ingest((q,), 12000, 0, NO_CAP)
     with pytest.raises(ValueError):
-        q.push(PdcpPdu(5, 12000, 0))
+        q.push(PdcpPdu(1, 12000, 0))
     with pytest.raises(ValueError):
-        q.admit(5, 8000, 0)
-    with pytest.raises(ValueError):
-        q.admit(6, 12000, 0)
-    assert q.queued_bits == 12000
-    q.admit(5, 12000, 1)
+        ingest((q,), 8000, 1, NO_CAP)
+    assert q.queued_bits == 12000 and list(q.run) == [0]
+    ingest((q,), 12000, 2, NO_CAP)
     q.take(24000)
-    q.admit(9, 8000, 2)     # an emptied run starts afresh
-    assert [(p.sn, p.bits) for p in q.take(8000)] == [(9, 8000)]
+    ingest((q,), 8000, 3, NO_CAP)   # an emptied run takes a new size
+    assert [(p.sn, p.bits) for p in q.take(8000)] == [(2, 8000)]
+
+
+def test_ingest_admits_up_to_the_cap_and_counts_each_queues_drops():
+    # A packet is admitted where it brings the queue exactly to the cap and
+    # dropped where it would pass it by a bit; each queue counts its own.
+    cap = 2 * 12000
+    a, b = UeTxQueue(10), UeTxQueue(10)
+    b.push_front(PdcpPdu(7, 1, 0))
+    ingest((a, b), 12000, 0, cap)
+    ingest((a, b), 12000, 1, cap)
+    assert (a.queued_bits, a.dropped_pdus) == (cap, 0)
+    assert (b.queued_bits, b.dropped_pdus) == (12001, 1)
+    ingest((a, b), 12000, 2, cap)
+    assert (a.dropped_pdus, b.dropped_pdus) == (1, 2)
+    assert (list(a.run), list(b.run)) == ([0, 1], [0])
+    # A drop takes no SN: the next admission continues the run.
+    a.take(12000)
+    ingest((a, b), 12000, 3, cap)
+    assert [(p.sn, p.created_ns) for p in a.drain_all()] == [(1, 1), (2, 3)]
+    assert (a.dropped_pdus, b.dropped_pdus) == (1, 3)
 
 
 def test_a_waiting_pdu_costs_no_object():
@@ -150,11 +170,12 @@ def test_a_waiting_pdu_costs_no_object():
     n = 10_000
     stamps = [10**9 + i for i in range(n)]
     q = UeTxQueue(10)
+    queues = (q,)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for sn, t in enumerate(stamps):
-            q.admit(sn, 12000, t)
+        for t in stamps:
+            ingest(queues, 12000, t, NO_CAP)
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

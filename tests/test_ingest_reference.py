@@ -17,6 +17,7 @@ import pytest
 
 from ntnmc import traffic_split as ts
 from ntnmc.config import load_config
+from ntnmc.dataplane import ingest
 from ntnmc.simulation import Scenario
 
 from test_golden import SMALL, TWO_SECONDS, result_digest
@@ -35,11 +36,10 @@ class ReferenceIngest(Scenario):
         self.cbr_instants += 1
         for ue in self.ues.values():
             q = ue.mn_queue
-            if q.queued_bits + bits > cap:
-                ue.dropped_pdus += 1
+            dropped = q.dropped_pdus
+            ingest((q,), bits, t, cap)
+            if q.dropped_pdus != dropped:
                 continue
-            q.admit(ue.next_sn, bits, t)
-            ue.next_sn += 1
             grant = grants.get(ue.ue_id)
             if grant is not None and grant.covers(bits):
                 ts.drain_forward(self.nodes[ue.mn_node_id], self.ntn_node,

@@ -10,14 +10,15 @@ from ntnmc import simulation
 from ntnmc.config import (BOUNDS, PERIODS_MS, POLICIES,
                           PRBS_BY_BANDWIDTH_MHZ, ConfigError, ScenarioConfig,
                           interval_ends, load_config)
-from ntnmc.dataplane import Node, PdcpPdu, UeTxQueue, max_min_share
+from ntnmc.dataplane import (Node, PdcpPdu, UeTxQueue, ingest,
+                             max_min_share)
 from ntnmc.engine import Simulator, millis, seconds
 from ntnmc.mc_control import (ACK, PREEMPTIVE, CandidateState, Measurement,
                               handle_sn_addition_request, release_secondary)
 from ntnmc.simulation import Scenario
 from ntnmc.stats import percentile
 
-from test_dataplane import RecordingReceiver
+from test_dataplane import NO_CAP, RecordingReceiver
 
 CFG = ScenarioConfig()
 
@@ -60,8 +61,9 @@ def _queue_state(q):
 
 
 QUEUE_OPS = st.lists(st.one_of(
-    # PDUs to admit; the SN gap and the size apply only to an empty run.
-    st.tuples(st.just("admit"), st.integers(1, 4), st.integers(0, 3),
+    # PDUs to admit; a size other than the run's is refused unless the run
+    # is empty.
+    st.tuples(st.just("admit"), st.integers(1, 4),
               st.sampled_from([8, 96, 12_000])),
     st.tuples(st.just("take"), st.integers(0, 30_000)),
     st.tuples(st.just("pop"), st.integers(1, 3)),
@@ -71,26 +73,34 @@ QUEUE_OPS = st.lists(st.one_of(
 
 @settings(deadline=None, max_examples=200)
 @given(QUEUE_OPS)
+# Admissions after an emptied run, after forwarding and behind a return.
+@example([("admit", 2, 96), ("take", 192), ("admit", 1, 8), ("pop", 1),
+          ("admit", 1, 8), ("push_front", 1), ("admit", 2, 12_000)])
 def test_fresh_run_queue_matches_a_queue_of_pushed_pdus(ops):
-    # One queue is fed by `admit`, the other by `push` of the same PDUs;
-    # every PDU gets its own stamp.
+    # One queue is fed by `ingest`, the other by `push` of the same PDUs,
+    # each with the SN the run assigns it; every PDU gets its own stamp.
+    # The run's SNs count the admissions: no service, forwarding or return
+    # to the front moves them.
     run_q, pdu_q = UeTxQueue(10), UeTxQueue(10)
-    next_sn = stamp = 0
+    admitted = stamp = 0
     left = []           # PDUs out of the queues, for `push_front`
     for op in ops:
         kind = op[0]
         if kind == "admit":
-            bits = run_q.run_bits
-            if not run_q.run:
-                next_sn += op[2]
-                bits = op[3]
+            bits = op[2]
+            if run_q.run and bits != run_q.run_bits:
+                with pytest.raises(ValueError):
+                    ingest((run_q,), bits, stamp, NO_CAP)
+                bits = run_q.run_bits
             for _ in range(op[1]):
                 stamp += 1
-                run_q.admit(next_sn, bits, stamp)
-                pdu_q.push(PdcpPdu(next_sn, bits, stamp))
-                next_sn += 1
+                sn = run_q.run_sn + len(run_q.run)
+                assert sn == admitted
+                ingest((run_q,), bits, stamp, NO_CAP)
+                pdu_q.push(PdcpPdu(sn, bits, stamp))
+                admitted += 1
             with pytest.raises(ValueError):
-                run_q.push(PdcpPdu(next_sn, bits, stamp))
+                run_q.push(PdcpPdu(admitted, bits, stamp))
         elif kind == "take":
             got = [q.take(op[1]) for q in (run_q, pdu_q)]
             assert _pdus(got[0]) == _pdus(got[1])
@@ -112,6 +122,7 @@ def test_fresh_run_queue_matches_a_queue_of_pushed_pdus(ops):
             assert _pdus(got[0]) == _pdus(got[1])
             left += got[1]
         assert _queue_state(run_q) == _queue_state(pdu_q)
+        assert run_q.run_sn + len(run_q.run) == admitted
 
 
 @settings(deadline=None, max_examples=100)
