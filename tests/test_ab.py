@@ -99,3 +99,44 @@ def test_bench_summary_reads_the_records_back(tmp_path):
     got = bench_summary.summary(tmp_path, "wall_s")
     assert got == {99: {"single-dense": {"parent": (0.42, 3),
                                          "change": (0.32, 3)}}}
+
+
+# A `single-dense` invocation whose count repeat raised, `--seconds 3`:
+# no counters, digest or metrics.
+COUNT_REPEAT_FAILED = """\
+FAIL repeat 1 (count): raised ConservationError: ue 0: 0 bits unaccounted \
+at t=2000000000
+workload single-dense seed 1: 1 count, 0 plain, 0 trace repeats
+count repeats, host wall_s x scale: 0.3129x1.000
+plain repeats, host wall_s x scale:
+trace repeats, host wall_s x scale:
+failed_frac 1.000000 (1 of 1 runs)
+{"correct": false, "attempted": 1, "failed": 1, "metrics": {}}
+"""
+
+
+def test_a_failed_invocation_is_recorded_as_incorrect():
+    # A count repeat that raised prints no counters or digest; a tree that
+    # fails to import prints nothing on standard output.
+    for output in (COUNT_REPEAT_FAILED, ""):
+        parsed = ab.parse(output)
+        assert parsed["counters"] is None and parsed["digest"] is None
+        assert parsed["result"]["correct"] is False
+        assert parsed["result"]["metrics"] == {}
+
+
+def test_report_and_medians_name_and_skip_failed_invocations():
+    records, _ = _records()
+    records[1] = dict(records[1], **ab.parse(COUNT_REPEAT_FAILED))
+    records.append(dict(records[-1], pair=3, **ab.parse("")))
+    lines = ab.report(records)
+    assert lines[:4] == [
+        "single-dense: 3 parent and 4 change runs, all correct: False",
+        "  incorrect: change pair 0, change pair 3",
+        "  digests match: True",
+        "  counters match: False, engine.events 9030 -> 4524"]
+    wall_s = next(line for line in lines if "wall_s" in line)
+    assert "parent 0.4200 change 0.3200 (-23.8%)" in wall_s
+    assert wall_s.endswith("change won 2 of 4 pairs")
+    assert bench_summary.medians(records, "wall_s") == {
+        "single-dense": {"change": (0.32, 2), "parent": (0.42, 3)}}

@@ -20,6 +20,9 @@ prints both sides' medians, the parent's interquartile range over its
 median (marked unresolved where it exceeds the metric's bound), the pairs
 the change won, and whether every invocation was correct and both sides
 gave the same digest and work counters; counters that differ are listed.
+An invocation with no final JSON line, as from a tree that fails to
+import, is recorded as incorrect with no metrics. The report names every
+incorrect invocation and takes the rest over the correct ones.
 """
 
 import argparse
@@ -61,7 +64,8 @@ def perfbench(tree, workload, seed, trace):
 
 
 def parse(output):
-    """The `counters` and `digest` lines and the final JSON line."""
+    """The `counters` and `digest` lines and the final JSON line; without
+    a final JSON line, an incorrect result with no metrics."""
     lines = output.strip().splitlines()
     parsed = {"counters": None, "digest": None}
     for line in lines:
@@ -70,7 +74,9 @@ def parse(output):
                 item.split("=") for item in line.split()[1:])}
         elif line.startswith("digest "):
             parsed["digest"] = line.split()[1]
-    parsed["result"] = json.loads(lines[-1])
+    last = lines[-1] if lines else ""
+    parsed["result"] = (json.loads(last) if last.startswith("{")
+                        else {"correct": False, "metrics": {}})
     return parsed
 
 
@@ -103,12 +109,22 @@ def report(records):
     for workload in dict.fromkeys(r["workload"] for r in records):
         rs = [r for r in records if r["workload"] == workload]
         by_side = {s: [r for r in rs if r["side"] == s] for s in SIDES}
+        bad = [f"{r['side']} pair {r['pair']}" for r in rs
+               if not r["result"]["correct"]]
         lines.append(f"{workload}: {len(by_side['parent'])} parent and "
                      f"{len(by_side['change'])} change runs, all correct: "
-                     f"{all(r['result']['correct'] for r in rs)}")
+                     f"{not bad}")
+        if bad:
+            lines.append("  incorrect: " + ", ".join(bad))
+        n_pairs = len({r["pair"] for r in rs})
+        # An incorrect run may lack counters, digest and metrics.
+        rs = [r for r in rs if r["result"]["correct"]]
+        by_side = {s: [r for r in rs if r["side"] == s] for s in SIDES}
+        if not all(by_side.values()):
+            continue
         lines.append(f"  digests match: {len({r['digest'] for r in rs}) == 1}")
         counters = {json.dumps(r["counters"], sort_keys=True) for r in rs}
-        first = [by_side[s][0]["counters"] for s in SIDES if by_side[s]]
+        first = [by_side[s][0]["counters"] for s in SIDES]
         lines.append(f"  counters match: {len(counters) == 1}" + "".join(
             f", {k} {first[0][k]} -> {first[-1][k]}"
             for k in first[0] if first[0][k] != first[-1][k]))
@@ -135,7 +151,7 @@ def report(records):
                 f"({change / parent - 1.0:+.1%}), parent IQR/median "
                 f"{spread:.1%}"
                 + (" (unresolved)" if spread > metric["bound"] else "")
-                + f", change won {won} of {len(pairs)} pairs")
+                + f", change won {won} of {n_pairs} pairs")
     return lines
 
 

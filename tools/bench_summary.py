@@ -44,9 +44,11 @@ def is_final_plain(record):
 
 def medians(records, metric):
     """{workload: {side: (median, n)}} of `metric` over the final plain
-    records."""
+    records; an incorrect one has no metrics and is left out."""
     values = {}
     for r in filter(is_final_plain, records):
+        if not r["result"]["correct"]:
+            continue
         value = r["result"]["metrics"][metric]["value"]
         values.setdefault(r["workload"], {}).setdefault(r["side"], []).append(
             value)
