@@ -27,6 +27,7 @@ SINGLE_DENSE_WALL_S = {
     23: (0.497, 0.463),
     26: (0.460, 0.339),
     27: (0.339, 0.304),
+    28: (0.304, 0.277),
 }
 
 
