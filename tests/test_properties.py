@@ -95,7 +95,6 @@ def test_fresh_run_queue_matches_a_queue_of_pushed_pdus(ops):
             for _ in range(op[1]):
                 stamp += 1
                 sn = run_q.run_sn + len(run_q.run)
-                assert sn == admitted
                 ingest((run_q,), bits, stamp, NO_CAP)
                 pdu_q.push(PdcpPdu(sn, bits, stamp))
                 admitted += 1
